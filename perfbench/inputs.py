@@ -333,7 +333,7 @@ def _cli_catalog() -> Catalog:
             ops.append(Op(f"c{c}/{name}", "cli", {"argv": argv, "check": check, **extra}))
 
         # Every cycle holds all three source kinds and all three basis
-        # orders, so any run of whole cycles has the same mix of ops.
+        # orders, so every cycle has the same mix of ops.
         configs = []
         for j, kind in enumerate(_SOURCE_KINDS):
             text, widths = _lorentzian_config(kind, rng)

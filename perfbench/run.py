@@ -10,9 +10,10 @@ threads; the next op starts when the previous one returns. Each workload
 runs in a fresh process, so set-up includes ``import spdckit``. Inputs are
 made by inputs.py from the seed; every op is checked by workloads.py.
 
---trace 0 measures the end-to-end metrics over whole cycles of ops until
---seconds of busy time have passed, with times scaled to a reference
-machine speed by calibrate.py.
+--trace 0 measures the end-to-end metrics op after op until --seconds of
+busy time have passed, with times scaled to a reference machine speed by
+calibrate.py; the run length is counted at that speed too, up to
+RAW_BUSY_CAP times --seconds of measured busy time.
 --trace 1 runs a fixed number of catalog cycles untraced, then the same ops
 traced (tracing.py), and reports the per-layer metrics and the overhead.
 The last line of standard output is one JSON object with the keys
@@ -46,6 +47,12 @@ SETUP_SAMPLES = 5  # set-ups per run: this process plus four fresh ones
 # seed repeat exactly. Each pass takes 5-10 s at the commit that defined
 # the benchmark.
 TRACE_CYCLES = {"focus_opt": 2, "sweep_grid": 8, "filter_chain": 2, "cli_session": 6}
+# A timed run stops at this multiple of --seconds of measured busy time even
+# if the machine is so slow that less has passed at the reference speed.
+RAW_BUSY_CAP = 1.25
+# Workloads whose ops are nearly all a large-array spectral sum; their op
+# times are scaled by calibrate.block_kernel (see calibrate.py).
+BLOCK_CALIBRATED = {"filter_chain"}
 END_TO_END = (
     ("setup_s", "s"),
     ("ops_per_s", "1/s"),
@@ -118,18 +125,31 @@ def _timed(args, root: Path) -> dict:
         ]
         goldens = _load_goldens(args.workload)
         tally = workloads.Tally()
-        speed = calibrate.SpeedLog()
+        if args.workload in BLOCK_CALIBRATED:
+            speed = calibrate.SpeedLog(calibrate.block_kernel, calibrate.BLOCK_REFERENCE_S)
+        else:
+            speed = calibrate.SpeedLog()
         speed.measure(calibrate.NEAREST)
         stamps, raw = [], []
-        # Whole cycles only, so every run has the same mix of ops.
-        while sum(raw) < args.seconds:
-            for op in next(cycles):
-                speed.maybe_measure()
-                out, exc, dt = workloads.execute(runners[op.key])
-                stamps.append(time.perf_counter() - 0.5 * dt)
-                raw.append(dt)
-                workloads.check(op, out, exc, goldens.get(op.key), tally)
-                del out
+        # Op by op until --seconds of busy time at the reference speed, so
+        # that the op count follows the program's speed, not the machine's.
+        # A run of filter_chain holds about 20 one-second ops; stopping on
+        # measured time after whole four-op cycles made its op count jump
+        # between 20 and 24 with machine speed, which moved op_s.tail
+        # between the 50th and the 58th percentile.
+        ops = (op for cycle in cycles for op in cycle)
+        busy = raw_busy = 0.0
+        while busy < args.seconds and raw_busy < RAW_BUSY_CAP * args.seconds:
+            op = next(ops)
+            speed.maybe_measure()
+            out, exc, dt = workloads.execute(runners[op.key])
+            now = time.perf_counter()
+            stamps.append(now - 0.5 * dt)
+            raw.append(dt)
+            raw_busy += dt
+            busy += dt * speed.scale(now)
+            workloads.check(op, out, exc, goldens.get(op.key), tally)
+            del out
         speed.measure(calibrate.NEAREST)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
