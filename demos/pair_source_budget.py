@@ -26,7 +26,7 @@ report = evaluate_source(
     built.filter_s, built.filter_i, built.pump_power,
 )
 print()
-print(f"Q_SFG        = {report.efficiencies.q_sfg:.3e} 1/W")
+print(f"Q_SFG        = {report.efficiencies.q_conversion:.3e} 1/W")
 print(f"Gamma_eff    = {from_si(report.gamma_eff, 'MHz'):.3f} MHz (angular {report.gamma_eff:.4e} rad/s)")
 print(f"pairs  W2    = {report.pair_rate_w2:.3f} 1/s at {built.pump_power*1e3:.1f} mW")
 print(f"singles W1   = {report.singles_rate_signal:.3f} (signal), "

@@ -6,172 +6,29 @@ nonlinear conversion efficiencies of the reverse processes. The focusing
 geometry enters through one dimensionless integral (upsilon); the spatial
 collection losses through a Laguerre-Gauss mode decomposition of the
 generated field.
+
+The top level re-exports each submodule's ``__all__``.
 """
 
-from .classical import EfficiencyReport, q_apg, q_dfg, q_sfg, q_shg
-from .config import (
-    BuiltConfig,
-    ConfigError,
-    RunConfig,
-    build,
-    load_and_build,
-    load_config,
-    parse_config,
-)
-from .filters import (
-    CorrelationTrace,
-    LorentzianFilter,
-    TabulatedFilter,
-    Unfiltered,
-    correlation_shape,
-    default_tau_grid,
-    gamma_eff_pair,
-    gamma_eff_single,
-    load_filter_table,
-)
-from .materials import (
-    MaterialParseError,
-    MaterialRecord,
-    builtin_db,
-    get_material,
-    index_at,
-    load_material_db,
-)
-from .modebasis import (
-    LGBasisSpec,
-    ModeSumError,
-    ParsevalSum,
-    default_basis,
-    i_apg_sq,
-    i_dfg_sq,
-    lg_mode,
-)
-from .optimizer import (
-    OptimizationResult,
-    SweepAxis,
-    SweepRow,
-    focusing_objective,
-    optimize_focus,
-    sweep,
-)
-from .overlap import (
-    OverlapResult,
-    UpsilonResult,
-    i_sfg_direct3d,
-    i_sfg_gaussian,
-    phi_thin_crystal,
-    upsilon,
-)
-from .quadrature import QuadratureError, QuadratureResult, integrate
-from .quantities import (
-    C_LIGHT,
-    EPS0,
-    HBAR,
-    CrystalSpec,
-    FocusParams,
-    OpticalWave,
-    WaveTriple,
-    derive_focus_params,
-    from_si,
-    to_si,
-)
-from .quantum import (
-    CorrelationScale,
-    OverlapBundle,
-    SourceReport,
-    compute_overlaps,
-    conditional_efficiency,
-    correlation_amplitude_sq,
-    evaluate_source,
-    pair_rate,
-    singles_rate,
-)
-from .validation import OracleReport, ling_comparator, run_all_oracles
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # quantities
-    "C_LIGHT",
-    "EPS0",
-    "HBAR",
-    "OpticalWave",
-    "WaveTriple",
-    "CrystalSpec",
-    "FocusParams",
-    "derive_focus_params",
-    "to_si",
-    "from_si",
-    # quadrature
-    "integrate",
-    "QuadratureResult",
-    "QuadratureError",
-    # materials
-    "MaterialRecord",
-    "MaterialParseError",
-    "get_material",
-    "index_at",
-    "load_material_db",
-    "builtin_db",
-    # overlap
-    "upsilon",
-    "UpsilonResult",
-    "i_sfg_gaussian",
-    "i_sfg_direct3d",
-    "OverlapResult",
-    "phi_thin_crystal",
-    # mode basis
-    "LGBasisSpec",
-    "ParsevalSum",
-    "ModeSumError",
-    "default_basis",
-    "lg_mode",
-    "i_dfg_sq",
-    "i_apg_sq",
-    # classical
-    "EfficiencyReport",
-    "q_sfg",
-    "q_shg",
-    "q_dfg",
-    "q_apg",
-    # filters
-    "LorentzianFilter",
-    "TabulatedFilter",
-    "Unfiltered",
-    "CorrelationTrace",
-    "gamma_eff_pair",
-    "gamma_eff_single",
-    "correlation_shape",
-    "default_tau_grid",
-    "load_filter_table",
-    # quantum
-    "SourceReport",
-    "OverlapBundle",
-    "CorrelationScale",
-    "pair_rate",
-    "singles_rate",
-    "conditional_efficiency",
-    "correlation_amplitude_sq",
-    "compute_overlaps",
-    "evaluate_source",
-    # optimizer
-    "OptimizationResult",
-    "focusing_objective",
-    "optimize_focus",
-    "SweepAxis",
-    "SweepRow",
-    "sweep",
-    # config
-    "RunConfig",
-    "BuiltConfig",
-    "ConfigError",
-    "parse_config",
-    "load_config",
-    "build",
-    "load_and_build",
-    # validation
-    "OracleReport",
-    "run_all_oracles",
-    "ling_comparator",
-]
+__all__ = ["__version__"]
+for _name in (
+    "classical",
+    "config",
+    "filters",
+    "materials",
+    "modebasis",
+    "optimizer",
+    "overlap",
+    "quadrature",
+    "quantities",
+    "quantum",
+    "validation",
+):
+    _module = import_module(f".{_name}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _name, _module, import_module

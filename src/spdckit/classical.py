@@ -2,36 +2,77 @@
 
 Each efficiency is a pure function of the wave triple, the crystal and a
 dimensionless overlap magnitude |I|^2 computed elsewhere; nothing here re-runs
-quadrature, so sweep engines can cache the expensive part. The degenerate
-(single-field) process carries an amplitude factor 1/2, hence efficiencies
-a factor 4 below the non-degenerate formulas at equal overlap.
+quadrature, so sweep engines can cache the expensive part.
+
+The four paper-named formulas cover two processes: the two-field one
+(q_sfg, q_dfg) and the degenerate single-field one (q_shg, q_apg), whose
+conversion amplitude carries a factor 1/2, hence a conversion efficiency a
+factor 4 below q_sfg at equal overlap. Each formula refuses the other
+process. q_conversion and q_arm pick the right formula for a triple; this
+is the one place where the package chooses between the two processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple
 
-__all__ = ["EfficiencyReport", "q_sfg", "q_shg", "q_dfg", "q_apg"]
+__all__ = [
+    "EfficiencyReport",
+    "q_conversion",
+    "q_arm",
+    "q_sfg",
+    "q_shg",
+    "q_dfg",
+    "q_apg",
+]
+
+_PARTNER = {"signal": "idler", "idler": "signal"}
 
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Conversion efficiencies of one configuration, each [1/W] when present."""
+    """Conversion efficiencies of one configuration [1/W].
 
-    q_sfg: float | None = None
-    q_shg: float | None = None
-    q_dfg_signal_arm: float | None = None  # controls the signal singles rate
-    q_dfg_idler_arm: float | None = None
-    q_apg: float | None = None
-    inputs: dict = field(default_factory=dict)
+    q_conversion is q_conversion() of the triple (Q_SFG, or Q_SHG when
+    degenerate); each arm's value is q_arm() for that arm, the efficiency
+    that sets its singles rate.
+    """
+
+    q_conversion: float
+    q_signal_arm: float
+    q_idler_arm: float
 
     def __post_init__(self) -> None:
-        for name in ("q_sfg", "q_shg", "q_dfg_signal_arm", "q_dfg_idler_arm", "q_apg"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+
+
+def q_conversion(waves: WaveTriple, crystal: CrystalSpec, i_sfg_sq: float) -> float:
+    """Efficiency of the up-conversion that mirrors pair emission [1/W].
+
+    Q_SHG for a degenerate triple, Q_SFG otherwise; i_sfg_sq is |I_SFG|^2
+    (|I_SHG|^2 when degenerate).
+    """
+    return (q_shg if waves.degenerate else q_sfg)(waves, crystal, i_sfg_sq)
+
+
+def q_arm(
+    waves: WaveTriple, crystal: CrystalSpec, i_dfg_sq: float, collected: str
+) -> float:
+    """Generation efficiency that sets the singles rate of one arm [1/W].
+
+    Q_APG for a degenerate triple; otherwise Q_DFG generating the partner
+    of the collected arm. i_dfg_sq is the mode-sum total on the partner's
+    basis.
+    """
+    if collected not in _PARTNER:
+        raise ValueError("collected must be 'signal' or 'idler'")
+    if waves.degenerate:
+        return q_apg(waves, crystal, i_dfg_sq)
+    return q_dfg(waves, crystal, i_dfg_sq, generated=_PARTNER[collected])
 
 
 def _check_overlap(i_sq: float) -> None:

@@ -93,17 +93,16 @@ def _base_meta(args, command: str) -> dict:
     return meta
 
 
+def _q_column(waves) -> str:
+    """Column label of the conversion efficiency: Q_SHG for a degenerate source."""
+    return "q_shg_per_W" if waves.degenerate else "q_sfg_per_W"
+
+
 def _cmd_sfg(args) -> int:
     built = load_and_build(args.config)
     fp = built.fp
     ups = overlap.upsilon(fp, quad_tol=args.quad_tol)
     i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, fp, quad_tol=args.quad_tol)
-    if built.waves.degenerate:
-        q_name = "q_shg_per_W"
-        q_value = classical.q_shg(built.waves, built.crystal, i_sfg.abs_sq)
-    else:
-        q_name = "q_sfg_per_W"
-        q_value = classical.q_sfg(built.waves, built.crystal, i_sfg.abs_sq)
     row = {
         "kappa": fp.kappa,
         "zeta_R": fp.zeta_r,
@@ -115,7 +114,7 @@ def _cmd_sfg(args) -> int:
         "i_sfg_re": i_sfg.i_value.real,
         "i_sfg_im": i_sfg.i_value.imag,
         "abs_i_sfg_sq": i_sfg.abs_sq,
-        q_name: q_value,
+        _q_column(built.waves): classical.q_conversion(built.waves, built.crystal, i_sfg.abs_sq),
     }
     emit([row], _base_meta(args, "sfg"), args.format)
     return 0
@@ -139,13 +138,10 @@ def _cmd_pairs(args) -> int:
     report = _evaluate(args, built)
     gamma_mhz = from_si(report.gamma_eff, "MHz")
     power_mw = from_si(report.pump_power, "mW")
-    eff = report.efficiencies
-    q_value = eff.q_shg if built.waves.degenerate else eff.q_sfg
-    q_name = "q_shg_per_W" if built.waves.degenerate else "q_sfg_per_W"
     row = {
         "gamma_eff_rad_s": report.gamma_eff,
         "gamma_eff_MHz": gamma_mhz,
-        q_name: q_value,
+        _q_column(built.waves): report.efficiencies.q_conversion,
         "w2_per_s": report.pair_rate_w2,
         "pairs_per_s_mW_MHz": report.pair_rate_w2 / (power_mw * gamma_mhz),
     }
@@ -174,10 +170,7 @@ def _cmd_correlation(args) -> int:
     built = load_and_build(args.config)
     waves = built.waves
     i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp, quad_tol=args.quad_tol)
-    if waves.degenerate:
-        q_value = classical.q_shg(waves, built.crystal, i_sfg.abs_sq)
-    else:
-        q_value = classical.q_sfg(waves, built.crystal, i_sfg.abs_sq)
+    q_value = classical.q_conversion(waves, built.crystal, i_sfg.abs_sq)
     scale = quantum.correlation_amplitude_sq(waves, built.pump_power, q_value)
     if args.tau_max is not None:
         if args.tau_max <= 0:
@@ -185,9 +178,15 @@ def _cmd_correlation(args) -> int:
         tau = np.linspace(-args.tau_max, args.tau_max, args.points)
     else:
         tau = filters.default_tau_grid(built.filter_s, built.filter_i, points=args.points)
-    trace = filters.correlation_shape(
-        built.filter_s, built.filter_i, tau=tau, w2_prefactor=scale.w2_prefactor
-    )
+    try:
+        trace = filters.correlation_shape(
+            built.filter_s, built.filter_i, tau=tau, w2_prefactor=scale.w2_prefactor
+        )
+    except filters.TauGridError as exc:
+        need = filters.min_tau_points(built.filter_s, built.filter_i, float(tau[-1]))
+        raise ValueError(
+            f"{exc}; use --points {need} or more for this span, or a smaller --tau-max"
+        ) from None
     rows = [
         {
             "tau_s": float(t),
@@ -273,7 +272,6 @@ def _cmd_sweep(args) -> int:
         built.filter_i,
         built.pump_power,
         axes,
-        threads=args.threads,
         quad_tol=args.quad_tol,
         basis_order=args.basis_order,
     )
@@ -312,15 +310,13 @@ def _cmd_validate(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(p, *, config_required=True, basis=False, threads=False):
+def _add_common(p, *, config_required=True, basis=False):
     if config_required:
         p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.add_argument("--quad-tol", type=float, default=1e-9, help="relative quadrature tolerance")
     if basis:
         p.add_argument("--basis-order", type=int, default=40, help="highest radial mode order")
-    if threads:
-        p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="re-evaluate the source over a parameter grid")
-    _add_common(p, basis=True, threads=True)
+    _add_common(p, basis=True)
     p.add_argument(
         "--sweep",
         action="append",

@@ -40,8 +40,18 @@ __all__ = [
     "gamma_eff_single",
     "correlation_shape",
     "default_tau_grid",
+    "min_tau_points",
+    "TauGridError",
     "load_filter_table",
 ]
+
+# Largest tau spacing, as a fraction of 1/gamma of the fastest filter decay,
+# that correlation_shape accepts.
+_MAX_STEP_GAMMA = 0.4
+
+
+class TauGridError(ValueError):
+    """Tau grid too coarse to resolve the fastest filter decay."""
 
 
 @dataclass(frozen=True)
@@ -237,6 +247,19 @@ def default_tau_grid(
     return np.linspace(-span, span, points)
 
 
+def _step_gamma(tau: np.ndarray, gamma_max: float) -> float:
+    return float(np.max(np.diff(tau))) * gamma_max
+
+
+def min_tau_points(f_s: FilterSpec, f_i: FilterSpec, half_span: float) -> int:
+    """Fewest points of a grid on [-half_span, half_span] that correlation_shape accepts."""
+    gamma_max = max(_gamma_scales(f_s, f_i))
+    n = max(9, math.ceil(2.0 * half_span * gamma_max / _MAX_STEP_GAMMA) + 1)
+    while _step_gamma(np.linspace(-half_span, half_span, n), gamma_max) > _MAX_STEP_GAMMA:
+        n += 1
+    return n
+
+
 def correlation_shape(
     f_s: FilterSpec,
     f_i: FilterSpec,
@@ -257,12 +280,13 @@ def correlation_shape(
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 9:
         raise ValueError("tau must be a 1-d grid with at least 9 points")
-    d_tau = float(np.max(np.diff(tau)))
     gamma_max = max(_gamma_scales(f_s, f_i))
-    if d_tau * gamma_max > 0.4:
-        raise ValueError(
-            f"tau grid too coarse: spacing {d_tau:.3e} s does not resolve the "
-            f"fastest filter decay (need d_tau <= 0.4/gamma = {0.4 / gamma_max:.3e} s)"
+    step_gamma = _step_gamma(tau, gamma_max)
+    if step_gamma > _MAX_STEP_GAMMA:
+        raise TauGridError(
+            f"tau grid too coarse: spacing d_tau = {step_gamma / gamma_max!r} s gives "
+            f"d_tau*gamma = {step_gamma!r} for the fastest filter decay "
+            f"gamma = {gamma_max!r} rad/s, above the limit {_MAX_STEP_GAMMA}"
         )
 
     # Exponents are clipped to the active side so the inactive np.where

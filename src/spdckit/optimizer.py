@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,6 @@ def sweep(
     pump_power: float,
     axes: list[SweepAxis],
     *,
-    threads: int = 1,
     quad_tol: float = 1e-9,
     basis_order: int = 40,
     pm_bandwidth: float | None = None,
@@ -272,8 +270,7 @@ def sweep(
     """Evaluate the source over a 1D or 2D grid, first axis outermost.
 
     A failing point is recorded as a SweepRow with an error string instead
-    of aborting the grid. Rows come back in deterministic grid order
-    regardless of the thread count.
+    of aborting the grid. Rows come back in grid order.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -285,8 +282,6 @@ def sweep(
         total *= len(ax.values)
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
     shared = None
     if set(names) <= _RATE_ONLY_AXES:
@@ -318,7 +313,4 @@ def sweep(
         except Exception as exc:
             return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
 
-    if threads == 1:
-        return [run_point(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_point, points))
+    return [run_point(p) for p in points]

@@ -3,17 +3,19 @@
 The emission rates of a narrow-band down-conversion source follow from the
 classical conversion efficiencies of the reverse processes:
 
-    pairs:   W2 = Gamma_eff (omega_i omega_s / 4 omega_p^2) P Q_SFG,
-    singles: W1_s = (omega_s / 4 omega_i) Gamma_eff_s P Q_DFG(signal arm),
+    pairs:   W2 = Gamma_eff (omega_i omega_s / 4 omega_p^2) P Q_conv,
+    singles: W1_s = (omega_s / 4 omega_i) Gamma_eff_s P Q_arm(signal),
 
 and the heralding efficiency eta_s = W2 / W1_s collapses to
 (Gamma_eff / Gamma_eff_s) |I_SFG|^2 / |I_DFG|^2, which conditional_efficiency
 computes directly so the two routes can be checked against each other.
 
-Degenerate (single-field) variants: W2 = Gamma_eff P Q_SHG / 16 and
-W1 = Gamma_eff_s P Q_APG / 4. Note these are genuinely different processes,
-not limits of the two-field formulas: at equal overlap magnitude and
-Q_SFG = 4 Q_SHG, the two-field pair rate is four times the single-field one.
+The same formulas serve the two-field and the degenerate (single-field)
+process. classical.q_conversion and classical.q_arm pick Q_SFG/Q_DFG or
+Q_SHG/Q_APG for the triple; at omega_s = omega_i the frequency factors are
+exactly 1/16 and 1/4. At equal overlap Q_SHG = Q_SFG / 4, so the degenerate
+pair rate and heralding efficiency are a quarter of the two-field ones;
+pair_rate says how its 1/16 counts the identical photons.
 """
 
 from __future__ import annotations
@@ -47,8 +49,14 @@ def pair_rate(
 ) -> float:
     """Two-photon coincidence rate W2 [1/s].
 
-    q_conversion is Q_SFG [1/W] for a two-field source, Q_SHG for a
-    degenerate one; gamma_eff the joint collection linewidth [rad/s].
+    q_conversion is classical.q_conversion of the triple (Q_SFG, or Q_SHG
+    for a degenerate source); gamma_eff the joint collection linewidth
+    [rad/s]. For a degenerate source the prefactor is
+    omega_s omega_i / (4 omega_p^2) at omega_s = omega_i = omega_p / 2,
+    written as an exact 1/16 because the float product of the frequencies
+    is not always exactly 1/16. That /16 counts coincidences of the
+    identical photons behind a 50:50 splitter; counting each pair once
+    would give /8 (docs/normalization.md, section 5).
     """
     _check_nonneg(pump_power=pump_power, q_conversion=q_conversion, gamma_eff=gamma_eff)
     if waves.degenerate:
@@ -68,9 +76,9 @@ def singles_rate(
 ) -> float:
     """Single-arm detection rate W1 [1/s] behind that arm's filter.
 
-    q_generation is the arm's total difference-frequency efficiency
-    (Q_DFG over the full idler basis for signal singles, and vice versa),
-    or Q_APG for the degenerate process.
+    q_generation is classical.q_arm for the collected arm: Q_DFG over the
+    full basis of the partner arm, or Q_APG for a degenerate source (where
+    the frequency ratio below is exactly 1/4).
     """
     _check_nonneg(
         pump_power=pump_power,
@@ -79,8 +87,6 @@ def singles_rate(
     )
     if collected not in ("signal", "idler"):
         raise ValueError("collected must be 'signal' or 'idler'")
-    if waves.degenerate:
-        return 0.25 * gamma_eff_single * pump_power * q_generation
     w_s = waves.signal.angular_frequency
     w_i = waves.idler.angular_frequency
     ratio = w_s / (4.0 * w_i) if collected == "signal" else w_i / (4.0 * w_s)
@@ -88,24 +94,25 @@ def singles_rate(
 
 
 def conditional_efficiency(
+    waves: WaveTriple,
     gamma_eff: float,
     gamma_eff_single: float,
     i_sfg_sq: float,
     i_dfg_sq: float,
-    degenerate: bool = False,
 ) -> float:
     """Probability of collecting the partner photon given a detection.
 
     eta = (gamma_eff / gamma_eff_single) * |I_SFG|^2 / |I_DFG|^2, an
     independent route to pair_rate / singles_rate (the identity is pinned
-    to 1e-12 in the tests). The degenerate process carries an extra 1/4 so
-    the identity with its rate formulas survives.
+    to 1e-12 in the tests). A degenerate source carries an extra 1/4: its
+    pair-rate 1/16 over its singles-rate 1/4, since there Q_SHG / Q_APG is
+    exactly |I_SFG|^2 / |I_DFG|^2.
     """
     if i_dfg_sq <= 0 or gamma_eff_single <= 0:
         raise ValueError("singles denominator must be positive")
     _check_nonneg(gamma_eff=gamma_eff, i_sfg_sq=i_sfg_sq)
     eta = (gamma_eff / gamma_eff_single) * (i_sfg_sq / i_dfg_sq)
-    return 0.25 * eta if degenerate else eta
+    return 0.25 * eta if waves.degenerate else eta
 
 
 @dataclass(frozen=True)
@@ -123,10 +130,13 @@ class CorrelationScale:
 
 
 def correlation_amplitude_sq(
-    waves: WaveTriple, pump_power: float, q_sfg_value: float
+    waves: WaveTriple, pump_power: float, q_conversion: float
 ) -> CorrelationScale:
-    """Two-photon amplitude |A|^2 and the |f|^2 -> W2(tau) prefactor."""
-    _check_nonneg(pump_power=pump_power, q_sfg_value=q_sfg_value)
+    """Two-photon amplitude |A|^2 and the |f|^2 -> W2(tau) prefactor.
+
+    q_conversion is classical.q_conversion of the triple, as in pair_rate.
+    """
+    _check_nonneg(pump_power=pump_power, q_conversion=q_conversion)
     w_s = waves.signal.angular_frequency
     w_i = waves.idler.angular_frequency
     w_p = waves.pump.angular_frequency
@@ -138,9 +148,9 @@ def correlation_amplitude_sq(
         * w_s**2
         / (4.0 * C_LIGHT**2 * EPS0**2 * n_s * n_i * w_p**2)
         * pump_power
-        * q_sfg_value
+        * q_conversion
     )
-    w2_prefactor = (w_s * w_i / w_p**2) * pump_power * q_sfg_value
+    w2_prefactor = (w_s * w_i / w_p**2) * pump_power * q_conversion
     return CorrelationScale(a_sq=a_sq, w2_prefactor=w2_prefactor)
 
 
@@ -148,8 +158,8 @@ def correlation_amplitude_sq(
 class OverlapBundle:
     """Geometry-dependent overlap magnitudes, cacheable across filter sweeps.
 
-    For a degenerate source the two arms coincide: both DFG sums hold the
-    average-parametric-gain total |I_APG|^2.
+    Each arm's total is the mode sum on its partner's basis. For a
+    degenerate source the two arms coincide: both hold |I_APG|^2.
     """
 
     i_sfg_sq: float
@@ -164,32 +174,21 @@ def compute_overlaps(
     basis_order: int = modebasis.DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
 ) -> OverlapBundle:
-    """Evaluate |I_SFG|^2 and both arms' mode-sum totals for one geometry."""
+    """Evaluate |I_SFG|^2 and both arms' mode-sum totals for one geometry.
+
+    Arms whose bases coincide (always so for a degenerate triple) share one
+    mode sum.
+    """
     i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp, quad_tol=quad_tol)
-    if waves.degenerate:
-        apg = modebasis.i_apg_sq(
-            waves,
-            crystal,
-            fp,
-            basis=modebasis.default_basis(waves, crystal, fp, "signal", basis_order),
-            quad_tol=quad_tol,
-        )
-        return OverlapBundle(i_sfg.abs_sq, apg.total, apg.total)
-    sum_signal_arm = modebasis.i_dfg_sq(
-        waves,
-        crystal,
-        fp,
-        basis=modebasis.default_basis(waves, crystal, fp, "idler", basis_order),
-        quad_tol=quad_tol,
-    )
-    sum_idler_arm = modebasis.i_dfg_sq(
-        waves,
-        crystal,
-        fp,
-        basis=modebasis.default_basis(waves, crystal, fp, "signal", basis_order),
-        quad_tol=quad_tol,
-    )
-    return OverlapBundle(i_sfg.abs_sq, sum_signal_arm.total, sum_idler_arm.total)
+    bases = [
+        modebasis.default_basis(waves, crystal, fp, arm, basis_order)
+        for arm in ("idler", "signal")
+    ]
+    totals = {
+        basis: modebasis.i_dfg_sq(waves, crystal, fp, basis=basis, quad_tol=quad_tol).total
+        for basis in dict.fromkeys(bases)
+    }
+    return OverlapBundle(i_sfg.abs_sq, *(totals[basis] for basis in bases))
 
 
 @dataclass(frozen=True)
@@ -248,66 +247,26 @@ def evaluate_source(
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
 
     gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
+    q_conv = classical.q_conversion(waves, crystal, overlaps.i_sfg_sq)
 
-    def arm_gamma(flt: filters.FilterSpec) -> float | None:
-        return None if isinstance(flt, filters.Unfiltered) else filters.gamma_eff_single(flt)
-
-    gamma_s = arm_gamma(filter_s)
-    gamma_i = arm_gamma(filter_i)
-
-    if waves.degenerate:
-        q_conv = classical.q_shg(waves, crystal, overlaps.i_sfg_sq)
-        q_signal_arm = classical.q_apg(waves, crystal, overlaps.i_dfg_sq_signal_arm)
-        q_idler_arm = classical.q_apg(waves, crystal, overlaps.i_dfg_sq_idler_arm)
-        report = classical.EfficiencyReport(
-            q_shg=q_conv,
-            q_apg=q_signal_arm,
-            inputs={"i_sfg_sq": overlaps.i_sfg_sq, "i_apg_sq": overlaps.i_dfg_sq_signal_arm},
-        )
-    else:
-        q_conv = classical.q_sfg(waves, crystal, overlaps.i_sfg_sq)
-        q_signal_arm = classical.q_dfg(
-            waves, crystal, overlaps.i_dfg_sq_signal_arm, generated="idler"
-        )
-        q_idler_arm = classical.q_dfg(
-            waves, crystal, overlaps.i_dfg_sq_idler_arm, generated="signal"
-        )
-        report = classical.EfficiencyReport(
-            q_sfg=q_conv,
-            q_dfg_signal_arm=q_signal_arm,
-            q_dfg_idler_arm=q_idler_arm,
-            inputs={
-                "i_sfg_sq": overlaps.i_sfg_sq,
-                "i_dfg_sq_signal_arm": overlaps.i_dfg_sq_signal_arm,
-                "i_dfg_sq_idler_arm": overlaps.i_dfg_sq_idler_arm,
-            },
+    def arm(collected: str, flt: filters.FilterSpec, i_dfg_sq: float):
+        """(Q, Gamma_eff, W1, eta) of one arm; None for an unfiltered arm."""
+        q = classical.q_arm(waves, crystal, i_dfg_sq, collected)
+        if isinstance(flt, filters.Unfiltered):
+            return q, None, None, None
+        gamma = filters.gamma_eff_single(flt)
+        return (
+            q,
+            gamma,
+            singles_rate(waves, pump_power, q, gamma, collected=collected),
+            conditional_efficiency(waves, gamma_eff, gamma, overlaps.i_sfg_sq, i_dfg_sq),
         )
 
-    w2 = pair_rate(waves, pump_power, q_conv, gamma_eff)
-
-    w1_s = eta_s = None
-    if gamma_s is not None:
-        w1_s = singles_rate(waves, pump_power, q_signal_arm, gamma_s, collected="signal")
-        eta_s = conditional_efficiency(
-            gamma_eff,
-            gamma_s,
-            overlaps.i_sfg_sq,
-            overlaps.i_dfg_sq_signal_arm,
-            degenerate=waves.degenerate,
-        )
-    w1_i = eta_i = None
-    if gamma_i is not None:
-        w1_i = singles_rate(waves, pump_power, q_idler_arm, gamma_i, collected="idler")
-        eta_i = conditional_efficiency(
-            gamma_eff,
-            gamma_i,
-            overlaps.i_sfg_sq,
-            overlaps.i_dfg_sq_idler_arm,
-            degenerate=waves.degenerate,
-        )
+    q_s, gamma_s, w1_s, eta_s = arm("signal", filter_s, overlaps.i_dfg_sq_signal_arm)
+    q_i, gamma_i, w1_i, eta_i = arm("idler", filter_i, overlaps.i_dfg_sq_idler_arm)
 
     return SourceReport(
-        pair_rate_w2=w2,
+        pair_rate_w2=pair_rate(waves, pump_power, q_conv, gamma_eff),
         singles_rate_signal=w1_s,
         singles_rate_idler=w1_i,
         eta_signal=eta_s,
@@ -316,7 +275,7 @@ def evaluate_source(
         gamma_eff_s=gamma_s,
         gamma_eff_i=gamma_i,
         pump_power=pump_power,
-        efficiencies=report,
+        efficiencies=classical.EfficiencyReport(q_conv, q_s, q_i),
         overlaps=overlaps,
         narrowband_ok=None if pm_bandwidth is None else bool(gamma_eff <= pm_bandwidth),
     )

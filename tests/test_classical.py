@@ -5,7 +5,15 @@ import math
 import pytest
 
 from spdckit import classical
-from spdckit.classical import EfficiencyReport, q_apg, q_dfg, q_sfg, q_shg
+from spdckit.classical import (
+    EfficiencyReport,
+    q_apg,
+    q_arm,
+    q_conversion,
+    q_dfg,
+    q_sfg,
+    q_shg,
+)
 from spdckit.quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple
 
 I_SQ = 47154.760598322726  # reference overlap, frozen in test_overlap
@@ -81,12 +89,33 @@ def test_negative_overlap_rejected(ref_waves, ref_crystal):
         q_sfg(ref_waves, ref_crystal, -1.0)
 
 
+def test_dispatch_picks_the_process(ref_waves, ref_crystal):
+    deg = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
+    assert q_conversion(ref_waves, ref_crystal, I_SQ) == q_sfg(ref_waves, ref_crystal, I_SQ)
+    assert q_conversion(deg, ref_crystal, I_SQ) == q_shg(deg, ref_crystal, I_SQ)
+    # The signal singles come from the idler the pump generates off the signal.
+    assert q_arm(ref_waves, ref_crystal, I_SQ, "signal") == q_dfg(
+        ref_waves, ref_crystal, I_SQ, generated="idler"
+    )
+    assert q_arm(ref_waves, ref_crystal, I_SQ, "idler") == q_dfg(
+        ref_waves, ref_crystal, I_SQ, generated="signal"
+    )
+    for arm in ("signal", "idler"):
+        assert q_arm(deg, ref_crystal, I_SQ, arm) == q_apg(deg, ref_crystal, I_SQ)
+    for waves in (ref_waves, deg):
+        with pytest.raises(ValueError, match="collected"):
+            q_arm(waves, ref_crystal, I_SQ, "pump")
+
+
 def test_efficiency_report_validation():
-    report = EfficiencyReport(q_sfg=1e-3, q_dfg_signal_arm=2e-3)
-    assert report.q_sfg == 1e-3
-    assert report.q_shg is None
-    with pytest.raises(ValueError, match=">= 0"):
-        EfficiencyReport(q_sfg=-1e-3)
+    report = EfficiencyReport(q_conversion=1e-3, q_signal_arm=2e-3, q_idler_arm=3e-3)
+    assert report.q_conversion == 1e-3
+    assert (report.q_signal_arm, report.q_idler_arm) == (2e-3, 3e-3)
+    for name in ("q_conversion", "q_signal_arm", "q_idler_arm"):
+        values = {"q_conversion": 1e-3, "q_signal_arm": 1e-3, "q_idler_arm": 1e-3}
+        values[name] = -1e-3
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            EfficiencyReport(**values)
 
 
 def test_module_exports():

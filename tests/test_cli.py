@@ -251,3 +251,14 @@ def test_module_entry_point(config_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# command: sfg")
+
+
+def test_correlation_too_coarse_names_the_fix(capsys, config_path):
+    # 201 points over the default span land on the 0.4/gamma limit in exact
+    # arithmetic and just above it in floating point.
+    code = main(["correlation", "--config", config_path, "--points", "201"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "d_tau*gamma = 0.4000000000000041" in err
+    assert "use --points 202 or more" in err and "--tau-max" in err
+    assert main(["correlation", "--config", config_path, "--points", "202"]) == 0

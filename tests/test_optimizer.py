@@ -206,16 +206,6 @@ def test_sweep_error_rows_do_not_abort(sweep_setup):
     assert rows[1].report is not None
 
 
-def test_sweep_threads_match_serial(sweep_setup):
-    waves, crystal, z_r, flt = sweep_setup
-    axes = [SweepAxis("P_p", (1e-3, 2e-3, 3e-3, 4e-3))]
-    serial = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes, threads=1)
-    threaded = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.coords == b.coords
-        assert a.report.pair_rate_w2 == b.report.pair_rate_w2
-
-
 def test_sweep_validation(sweep_setup):
     waves, crystal, z_r, flt = sweep_setup
     ax = SweepAxis("P_p", (1e-3,))
@@ -223,8 +213,6 @@ def test_sweep_validation(sweep_setup):
         sweep(waves, crystal, z_r, flt, flt, 1e-3, [])
     with pytest.raises(ValueError, match="distinct"):
         sweep(waves, crystal, z_r, flt, flt, 1e-3, [ax, ax])
-    with pytest.raises(ValueError, match="threads"):
-        sweep(waves, crystal, z_r, flt, flt, 1e-3, [ax], threads=0)
     big = SweepAxis("P_p", tuple(np.linspace(1e-3, 2e-3, 1001)))
     big2 = SweepAxis("Gamma_s", tuple(np.linspace(MHZ, 2 * MHZ, 1001)))
     with pytest.raises(ValueError, match="exceeds"):

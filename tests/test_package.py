@@ -1,0 +1,91 @@
+"""The package's top-level namespace."""
+
+import spdckit
+
+# Every name the top level exported before it was derived from the
+# submodules' __all__; none may drop out.
+PINNED_NAMES = [
+    "BuiltConfig",
+    "C_LIGHT",
+    "ConfigError",
+    "CorrelationScale",
+    "CorrelationTrace",
+    "CrystalSpec",
+    "EPS0",
+    "EfficiencyReport",
+    "FocusParams",
+    "HBAR",
+    "LGBasisSpec",
+    "LorentzianFilter",
+    "MaterialParseError",
+    "MaterialRecord",
+    "ModeSumError",
+    "OpticalWave",
+    "OptimizationResult",
+    "OracleReport",
+    "OverlapBundle",
+    "OverlapResult",
+    "ParsevalSum",
+    "QuadratureError",
+    "QuadratureResult",
+    "RunConfig",
+    "SourceReport",
+    "SweepAxis",
+    "SweepRow",
+    "TabulatedFilter",
+    "Unfiltered",
+    "UpsilonResult",
+    "WaveTriple",
+    "__version__",
+    "build",
+    "builtin_db",
+    "compute_overlaps",
+    "conditional_efficiency",
+    "correlation_amplitude_sq",
+    "correlation_shape",
+    "default_basis",
+    "default_tau_grid",
+    "derive_focus_params",
+    "evaluate_source",
+    "focusing_objective",
+    "from_si",
+    "gamma_eff_pair",
+    "gamma_eff_single",
+    "get_material",
+    "i_apg_sq",
+    "i_dfg_sq",
+    "i_sfg_direct3d",
+    "i_sfg_gaussian",
+    "index_at",
+    "integrate",
+    "lg_mode",
+    "ling_comparator",
+    "load_and_build",
+    "load_config",
+    "load_filter_table",
+    "load_material_db",
+    "optimize_focus",
+    "pair_rate",
+    "parse_config",
+    "phi_thin_crystal",
+    "q_apg",
+    "q_dfg",
+    "q_sfg",
+    "q_shg",
+    "run_all_oracles",
+    "singles_rate",
+    "sweep",
+    "to_si",
+    "upsilon",
+]
+
+
+def test_top_level_names_stay_exported():
+    missing = [name for name in PINNED_NAMES if name not in spdckit.__all__]
+    assert missing == []
+
+
+def test_top_level_all_resolves_without_duplicates():
+    assert len(set(spdckit.__all__)) == len(spdckit.__all__)
+    for name in spdckit.__all__:
+        assert getattr(spdckit, name) is not None

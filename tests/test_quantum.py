@@ -65,16 +65,16 @@ def test_conditional_efficiency_identity(ref_waves, ref_crystal, ref_fp):
     w2 = pair_rate(ref_waves, 1e-3, q_conv, gamma_pair)
     w1 = singles_rate(ref_waves, 1e-3, q_gen, gamma_one, collected="signal")
     eta = conditional_efficiency(
-        gamma_pair, gamma_one, overlaps.i_sfg_sq, overlaps.i_dfg_sq_signal_arm
+        ref_waves, gamma_pair, gamma_one, overlaps.i_sfg_sq, overlaps.i_dfg_sq_signal_arm
     )
     assert math.isclose(eta, w2 / w1, rel_tol=1e-12)
 
 
-def test_conditional_efficiency_validation():
+def test_conditional_efficiency_validation(ref_waves):
     with pytest.raises(ValueError, match="denominator"):
-        conditional_efficiency(MHZ, MHZ, 1.0, 0.0)
+        conditional_efficiency(ref_waves, MHZ, MHZ, 1.0, 0.0)
     with pytest.raises(ValueError, match="denominator"):
-        conditional_efficiency(MHZ, 0.0, 1.0, 1.0)
+        conditional_efficiency(ref_waves, MHZ, 0.0, 1.0, 1.0)
 
 
 def test_correlation_amplitude_hand_formula(ref_waves):
@@ -129,7 +129,9 @@ def test_evaluate_source_frozen_report(ref_waves, ref_crystal, ref_fp):
     assert math.isclose(report.singles_rate_idler, 6.294486587724589, rel_tol=1e-10)
     assert math.isclose(report.eta_signal, 0.4941621902355433, rel_tol=1e-10)
     assert math.isclose(report.eta_idler, 0.495078146336532, rel_tol=1e-10)
-    assert math.isclose(report.efficiencies.q_sfg, 0.007935497935239955, rel_tol=1e-10)
+    assert math.isclose(
+        report.efficiencies.q_conversion, 0.007935497935239955, rel_tol=1e-10
+    )
     # The heralding identity between independent code paths.
     assert math.isclose(
         report.eta_signal,
@@ -205,14 +207,49 @@ def test_degenerate_source_factors(deg_setup):
     assert math.isclose(
         r_deg.eta_signal, r_deg.pair_rate_w2 / r_deg.singles_rate_signal, rel_tol=1e-12
     )
-    assert r_deg.efficiencies.q_shg is not None
-    assert r_deg.efficiencies.q_sfg is None
+    # The degenerate report holds Q_SHG / Q_APG, the two-field one Q_SFG / Q_DFG.
+    from spdckit import classical
+
+    i_sfg_sq, i_apg_sq = r_deg.overlaps.i_sfg_sq, r_deg.overlaps.i_dfg_sq_signal_arm
+    assert r_deg.efficiencies.q_conversion == classical.q_shg(deg, crystal, i_sfg_sq)
+    assert r_deg.efficiencies.q_signal_arm == classical.q_apg(deg, crystal, i_apg_sq)
+    assert r_deg.efficiencies.q_idler_arm == r_deg.efficiencies.q_signal_arm
+    assert r_non.efficiencies.q_conversion == classical.q_sfg(non_deg, crystal, i_sfg_sq)
+
+
+def test_degenerate_eta_factor_follows_the_triple(deg_setup):
+    # The 1/4 comes from the triple, so it cannot be set against it.
+    deg, non_deg, _, _ = deg_setup
+    args = (MHZ, 2.0 * MHZ, 3.0, 5.0)
+    assert conditional_efficiency(deg, *args) == 0.25 * conditional_efficiency(non_deg, *args)
+
+
+def test_compute_overlaps_degenerate_one_mode_sum(
+    deg_setup, ref_waves, ref_crystal, ref_fp, monkeypatch
+):
+    from spdckit import modebasis
+
+    deg, _, crystal, fp = deg_setup
+    calls = []
+    real = modebasis.i_dfg_sq
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["basis"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modebasis, "i_dfg_sq", counting)
+    compute_overlaps(deg, crystal, fp)
+    assert len(calls) == 1
+    calls.clear()
+    ref = compute_overlaps(ref_waves, ref_crystal, ref_fp)
+    assert len(calls) == 2
+    assert ref.i_dfg_sq_signal_arm != ref.i_dfg_sq_idler_arm
 
 
 def test_source_report_invariants_enforced():
     from spdckit.classical import EfficiencyReport
 
-    eff = EfficiencyReport(q_sfg=1e-3)
+    eff = EfficiencyReport(1e-3, 1e-3, 1e-3)
     bundle = OverlapBundle(1.0, 1.0, 1.0)
     common = dict(
         gamma_eff=MHZ,
