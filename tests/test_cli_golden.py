@@ -1,6 +1,7 @@
 """CLI output compared byte for byte against golden text.
 
-Covers the bundled two-field config and a small degenerate one over the
+Covers the bundled two-field config, a small degenerate one and the bundled
+source behind a tabulated signal filter with an unfiltered idler, over the
 rate-bearing subcommands in all three formats. The config path in the
 metadata is replaced by ``<config>`` so the text does not depend on where
 the checkout lives.
@@ -24,6 +25,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CONFIGS = {
     "bundled": str(resources.files("spdckit").joinpath("data/ppktp_800_typeII.cfg")),
     "degenerate": str(GOLDEN_DIR / "degenerate.cfg"),
+    "tabulated": str(GOLDEN_DIR / "tabulated.cfg"),
 }
 COMMANDS = (
     ["sfg"],
