@@ -32,6 +32,9 @@ from .quantities import from_si, to_si
 __all__ = ["main"]
 
 _FORMATS = ("table", "csv", "ndjson")
+# Default correlation grid size; raised to what the filters need when
+# --points is not given.
+_TAU_POINTS = 2001
 
 # Units used for sweep axis values on the command line; bare names are
 # dimensionless. The engine itself works in SI.
@@ -172,12 +175,17 @@ def _cmd_correlation(args) -> int:
     i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp, quad_tol=args.quad_tol)
     q_value = classical.q_conversion(waves, built.crystal, i_sfg.abs_sq)
     scale = quantum.correlation_amplitude_sq(waves, built.pump_power, q_value)
+    points = _TAU_POINTS if args.points is None else args.points
     if args.tau_max is not None:
         if args.tau_max <= 0:
             raise ValueError("--tau-max must be positive seconds")
-        tau = np.linspace(-args.tau_max, args.tau_max, args.points)
+        tau = np.linspace(-args.tau_max, args.tau_max, points)
     else:
-        tau = filters.default_tau_grid(built.filter_s, built.filter_i, points=args.points)
+        tau = filters.default_tau_grid(built.filter_s, built.filter_i, points=points)
+    if args.points is None:
+        need = filters.min_tau_points(built.filter_s, built.filter_i, float(tau[-1]))
+        if need > points:
+            tau = np.linspace(tau[0], tau[-1], need)
     try:
         trace = filters.correlation_shape(
             built.filter_s, built.filter_i, tau=tau, w2_prefactor=scale.w2_prefactor
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlation", help="signal-idler correlation trace")
     _add_common(p)
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=int, help=f"tau grid size (default {_TAU_POINTS} or more)")
     p.add_argument("--tau-max", type=float, default=None, help="half-span in seconds")
     p.set_defaults(func=_cmd_correlation)
 

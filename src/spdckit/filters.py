@@ -17,6 +17,11 @@ against the spectral integrals in the tests. Tabulated filters reconstruct
 |F_hat| = sqrt(T) with zero phase: gamma_eff and |f| depend only on the
 transmission magnitudes, so the unknown true phase drops out of every
 quantity this package reports.
+
+All three filter kinds offer transmission(W), amplitude_ft(W) and support,
+the offset interval outside which T vanishes (None if it never does); an
+unfiltered arm transmits 1. Spectral sums run on a uniform grid over the
+joint support of T_s(W) T_i(-W).
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ class LorentzianFilter:
     """Lorentzian transmission with angular-frequency FWHM gamma [rad/s]."""
 
     gamma: float
+    support = None
 
     def __post_init__(self) -> None:
         if not self.gamma > 0:
@@ -93,6 +99,10 @@ class TabulatedFilter:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "transmission_values", trans)
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.omega[0]), float(self.omega[-1])
+
     def transmission(self, omega: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(omega), self.omega, self.transmission_values, left=0.0, right=0.0)
 
@@ -103,6 +113,14 @@ class TabulatedFilter:
 @dataclass(frozen=True)
 class Unfiltered:
     """Explicitly unfiltered arm; handled by analytic limits, never a huge gamma."""
+
+    support = None
+
+    def transmission(self, omega: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(omega), dtype=float)
+
+    def amplitude_ft(self, omega: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(omega), dtype=complex)
 
 
 FilterSpec = LorentzianFilter | TabulatedFilter | Unfiltered
@@ -131,53 +149,34 @@ class CorrelationTrace:
         return 4.0 * float(np.trapezoid(np.abs(self.f) ** 2, self.tau))
 
 
-def _support(flt: FilterSpec) -> tuple[float, float] | None:
-    """Offset interval outside which the transmission vanishes (None = infinite)."""
-    if isinstance(flt, TabulatedFilter):
-        return float(flt.omega[0]), float(flt.omega[-1])
-    return None
+def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray | None:
+    """Uniform grid on the support of T_s(W) T_i(-W): None if infinite, empty if disjoint."""
+    sup_i = None if f_i.support is None else (-f_i.support[1], -f_i.support[0])
+    bounds = [b for b in (f_s.support, sup_i) if b is not None]
+    if not bounds:
+        return None
+    lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+    return np.linspace(lo, hi, points) if lo < hi else np.empty(0)
 
 
-def _spectral_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
+def _spectral_pair_integral(f_s: FilterSpec, f_i: FilterSpec, points: int = 200001) -> float:
     """Int T_s(W) T_i(-W) dW by quadrature, any filter kinds."""
+    w = _joint_grid(f_s, f_i, points)
+    if w is not None:
+        return float(np.trapezoid(f_s.transmission(w) * f_i.transmission(-w), w))
+    # No tabulated arm (both-unfiltered is rejected upstream): map the real
+    # line onto an interval so the adaptive rule sees the tails.
+    scale = 0.25 * sum(_gamma_scales(f_s, f_i))
 
-    def t_s(w):
-        return 1.0 if isinstance(f_s, Unfiltered) else f_s.transmission(w)
+    def integrand(theta):
+        w = scale * np.tan(theta)
+        jac = scale / np.cos(theta) ** 2
+        return f_s.transmission(w) * f_i.transmission(-w) * jac
 
-    def t_i_neg(w):
-        return 1.0 if isinstance(f_i, Unfiltered) else f_i.transmission(-w)
-
-    sup_s = _support(f_s)
-    sup_i = _support(f_i)
-    if sup_s is None and sup_i is None:
-        # Lorentzian pair (both-unfiltered is rejected upstream): map the
-        # real line onto an interval so the adaptive rule sees the tails.
-        scale = 0.25 * sum(
-            f.gamma for f in (f_s, f_i) if isinstance(f, LorentzianFilter)
-        )
-
-        def integrand(theta):
-            w = scale * np.tan(theta)
-            jac = scale / np.cos(theta) ** 2
-            return t_s(w) * t_i_neg(w) * jac
-
-        res = quadrature.integrate(
-            integrand, -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12, rel_tol=1e-10
-        )
-        return float(np.real(res.value))
-
-    # At least one tabulated arm: the product vanishes outside a finite
-    # interval, integrate there on a dense uniform grid.
-    lo, hi = -math.inf, math.inf
-    if sup_s is not None:
-        lo, hi = max(lo, sup_s[0]), min(hi, sup_s[1])
-    if sup_i is not None:
-        lo, hi = max(lo, -sup_i[1]), min(hi, -sup_i[0])
-    if not lo < hi:
-        return 0.0
-    n = 200001
-    w = np.linspace(lo, hi, n)
-    return float(np.trapezoid(t_s(w) * t_i_neg(w), w))
+    res = quadrature.integrate(
+        integrand, -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12, rel_tol=1e-10
+    )
+    return float(np.real(res.value))
 
 
 def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> float:
@@ -220,30 +219,25 @@ def gamma_eff_single(flt: FilterSpec) -> float:
         raise ValueError("gamma_eff_single is undefined for an unfiltered arm")
     if isinstance(flt, LorentzianFilter):
         return flt.gamma
-    lo, hi = float(flt.omega[0]), float(flt.omega[-1])
-    n = max(4 * flt.omega.size, 4001)
-    w = np.linspace(lo, hi, n)
-    return (2.0 / math.pi) * float(np.trapezoid(flt.transmission(w), w))
+    points = max(4 * flt.omega.size, 4001)
+    return (2.0 / math.pi) * _spectral_pair_integral(flt, Unfiltered(), points)
 
 
 def _gamma_scales(f_s: FilterSpec, f_i: FilterSpec) -> list[float]:
-    scales = []
-    for flt in (f_s, f_i):
-        if isinstance(flt, LorentzianFilter):
-            scales.append(flt.gamma)
-        elif isinstance(flt, TabulatedFilter):
-            scales.append(gamma_eff_single(flt))
-    return scales
+    return [gamma_eff_single(f) for f in (f_s, f_i) if not isinstance(f, Unfiltered)]
 
 
-def default_tau_grid(
-    f_s: FilterSpec, f_i: FilterSpec, points: int = 32769, span_factor: float = 40.0
-) -> np.ndarray:
-    """Symmetric tau grid wide and fine enough for 1e-6 trapezoid work."""
+def default_tau_grid(f_s: FilterSpec, f_i: FilterSpec, points: int | None = None) -> np.ndarray:
+    """Symmetric tau grid on +-40/gamma_min, wide enough for 1e-6 trapezoid work.
+
+    points defaults to 32769, or to min_tau_points for the span if larger.
+    """
     scales = _gamma_scales(f_s, f_i)
     if not scales:
         raise ValueError("need at least one finite-bandwidth filter")
-    span = span_factor / min(scales)
+    span = 40.0 / min(scales)
+    if points is None:
+        points = max(32769, min_tau_points(f_s, f_i, span))
     return np.linspace(-span, span, points)
 
 
@@ -291,23 +285,20 @@ def correlation_shape(
 
     # Exponents are clipped to the active side so the inactive np.where
     # branch cannot overflow.
-    def decay_pos(g: float) -> np.ndarray:
-        return np.exp(-0.5 * g * np.maximum(tau, 0.0))
-
-    def decay_neg(g: float) -> np.ndarray:
-        return np.exp(0.5 * g * np.minimum(tau, 0.0))
+    late, early = np.maximum(tau, 0.0), np.minimum(tau, 0.0)
     if isinstance(f_s, LorentzianFilter) and isinstance(f_i, LorentzianFilter):
         g_s, g_i = f_s.gamma, f_i.gamma
         pref = g_s * g_i / (2.0 * (g_s + g_i))
-        f_vals = pref * np.where(tau >= 0.0, decay_pos(g_s), decay_neg(g_i)).astype(complex)
+        shape = np.where(tau >= 0.0, np.exp(-0.5 * g_s * late), np.exp(0.5 * g_i * early))
+        f_vals = pref * shape.astype(complex)
     elif isinstance(f_s, LorentzianFilter) and isinstance(f_i, Unfiltered):
         # No idler filter: the signal photon trails its twin.
         g_s = f_s.gamma
-        f_vals = np.where(tau >= 0.0, 0.5 * g_s * decay_pos(g_s), 0.0).astype(complex)
+        f_vals = np.where(tau >= 0.0, 0.5 * g_s * np.exp(-0.5 * g_s * late), 0.0).astype(complex)
     elif isinstance(f_i, LorentzianFilter) and isinstance(f_s, Unfiltered):
         # No signal filter: the idler photon always arrives later.
         g_i = f_i.gamma
-        f_vals = np.where(tau <= 0.0, 0.5 * g_i * decay_neg(g_i), 0.0).astype(complex)
+        f_vals = np.where(tau <= 0.0, 0.5 * g_i * np.exp(0.5 * g_i * early), 0.0).astype(complex)
     else:
         f_vals = _spectral_correlation(f_s, f_i, tau)
 
@@ -316,35 +307,17 @@ def correlation_shape(
     return CorrelationTrace(tau=tau, f=f_vals, gamma_eff=gamma_eff, w2_density=w2_density)
 
 
-def _spectral_correlation(
-    f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray
-) -> np.ndarray:
-    """f(tau) = (1/2pi) Int Fhat_s(W) Fhat_i(-W) exp(-i W tau) dW, summed directly."""
+def _spectral_correlation(f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray) -> np.ndarray:
+    """f(tau) = (1/2pi) Int Fhat_s(W) Fhat_i(-W) exp(-i W tau) dW, summed directly.
 
-    def ft_s(w):
-        return np.ones_like(w, dtype=complex) if isinstance(f_s, Unfiltered) else f_s.amplitude_ft(w)
-
-    def ft_i_neg(w):
-        return np.ones_like(w, dtype=complex) if isinstance(f_i, Unfiltered) else f_i.amplitude_ft(-w)
-
-    sup_s = _support(f_s)
-    sup_i = _support(f_i)
-    lo, hi = -math.inf, math.inf
-    if sup_s is not None:
-        lo, hi = max(lo, sup_s[0]), min(hi, sup_s[1])
-    if sup_i is not None:
-        lo, hi = max(lo, -sup_i[1]), min(hi, -sup_i[0])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("spectral correlation needs at least one tabulated arm")
-    if not lo < hi:
+    At least one arm is tabulated, so the joint support is finite.
+    """
+    w = _joint_grid(f_s, f_i, 32001)
+    if w.size == 0:
         return np.zeros(tau.size, dtype=complex)
-
-    n = 32001
-    w = np.linspace(lo, hi, n)
-    spectrum = ft_s(w) * ft_i_neg(w)
-    d_w = w[1] - w[0]
+    spectrum = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w)
     # Trapezoid weights, then direct summation in tau blocks to bound memory.
-    weights = np.full(n, d_w)
+    weights = np.full(w.size, w[1] - w[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     weighted = spectrum * weights / (2.0 * math.pi)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +263,18 @@ def test_correlation_too_coarse_names_the_fix(capsys, config_path):
     assert "d_tau*gamma = 0.4000000000000041" in err
     assert "use --points 202 or more" in err and "--tau-max" in err
     assert main(["correlation", "--config", config_path, "--points", "202"]) == 0
+
+
+def test_correlation_default_points_follow_the_filters(capsys, config_path, tmp_path):
+    text = Path(config_path).read_text(encoding="utf-8")
+    text = text.replace("filter_s      = lorentzian 2 MHz", "filter_s = lorentzian 3 MHz")
+    text = text.replace("filter_i      = lorentzian 2 MHz", "filter_i = lorentzian 40 MHz")
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(text, encoding="utf-8")
+    # 2001 points resolve the bundled matched pair but not a 3/40 MHz pair,
+    # which gets the 2668 points its span needs.
+    for path, expected in ((config_path, 2001), (str(wide), 2668)):
+        code, _, rows, _ = run_ndjson(capsys, ["correlation", "--config", path])
+        assert code == 0 and len(rows) == expected
+    assert main(["correlation", "--config", str(wide), "--points", "2001"]) == 1
+    assert "use --points 2668 or more" in capsys.readouterr().err

@@ -10,12 +10,14 @@ from spdckit.filters import (
     CorrelationTrace,
     LorentzianFilter,
     TabulatedFilter,
+    TauGridError,
     Unfiltered,
     correlation_shape,
     default_tau_grid,
     gamma_eff_pair,
     gamma_eff_single,
     load_filter_table,
+    min_tau_points,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -165,6 +167,30 @@ def test_correlation_spectral_route_for_tabulated():
     assert np.max(np.abs(trace.f - trace.f[::-1])) < 1e-9 * gamma
     # Parseval ties the temporal integral to the same truncated spectrum.
     assert math.isclose(trace.temporal_gamma_eff(), trace.gamma_eff, rel_tol=5e-3)
+
+
+def test_disjoint_supports_give_zero():
+    # The idler table covers +1..+3 MHz, so T_i(-W) lives on -3..-1 MHz and
+    # never meets the same table on the signal arm.
+    line = TabulatedFilter(np.array([1.0, 2.0, 3.0]) * MHZ, np.array([0.2, 1.0, 0.2]))
+    assert gamma_eff_pair(line, line) == 0.0
+    trace = correlation_shape(line, line, tau=np.linspace(-1e-6, 1e-6, 101))
+    assert trace.gamma_eff == 0.0
+    assert np.all(trace.f == 0.0)
+
+
+def test_default_tau_grid_resolves_unequal_widths():
+    # 32769 points over +-40/gamma_min resolve width ratios up to ~164; a
+    # wider ratio gets as many points as min_tau_points asks for.
+    f_s, f_i = LorentzianFilter(1.0 * MHZ), LorentzianFilter(200.0 * MHZ)
+    tau = default_tau_grid(f_s, f_i)
+    assert tau.size == min_tau_points(f_s, f_i, float(tau[-1])) > 32769
+    assert correlation_shape(f_s, f_i).tau.size == tau.size
+    matched = LorentzianFilter(2.0 * MHZ)
+    assert default_tau_grid(matched, matched).size == 32769
+    # An explicit point count is taken as given.
+    with pytest.raises(TauGridError):
+        correlation_shape(f_s, f_i, tau=default_tau_grid(f_s, f_i, points=32769))
 
 
 def test_correlation_carries_w2_density():
