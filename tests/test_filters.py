@@ -169,6 +169,58 @@ def test_correlation_spectral_route_for_tabulated():
     assert math.isclose(trace.temporal_gamma_eff(), trace.gamma_eff, rel_tol=5e-3)
 
 
+# Two asymmetric tables with different, partly overlapping supports, so f is
+# complex and the joint support differs from either table.
+_OMEGA_A = np.linspace(-30.0, 50.0, 401) * MHZ
+_TABLE_A = TabulatedFilter(
+    _OMEGA_A,
+    (0.9 + 0.1 * np.tanh(_OMEGA_A / (10.0 * MHZ))) / (1.0 + ((_OMEGA_A - 2.0 * MHZ) / (2.0 * MHZ)) ** 2),
+)
+_OMEGA_B = np.linspace(-40.0, 25.0, 257) * MHZ
+_SHAPE_B = np.exp(-0.5 * ((_OMEGA_B + MHZ) / (3.0 * MHZ)) ** 2) + 0.2 * np.exp(
+    -0.5 * ((_OMEGA_B - 6.0 * MHZ) / (2.0 * MHZ)) ** 2
+)
+_TABLE_B = TabulatedFilter(_OMEGA_B, _SHAPE_B / _SHAPE_B.max())
+_LORENTZ = LorentzianFilter(3.0 * MHZ)
+SPECTRAL_PAIRS = {
+    "table-table": (_TABLE_A, _TABLE_B),
+    "table-lorentzian": (_TABLE_A, _LORENTZ),
+    "lorentzian-table": (_LORENTZ, _TABLE_B),
+    "table-unfiltered": (_TABLE_B, Unfiltered()),
+    "unfiltered-table": (Unfiltered(), _TABLE_A),
+}
+# tau grid and the stride of the points the oracle checks.
+TAU_GRIDS = {
+    "symmetric-odd": (np.linspace(-1e-6, 1e-6, 2001), 50),
+    "symmetric-even": (np.linspace(-1e-6, 1e-6, 1000), 25),
+    "off-centre": (np.linspace(-0.4e-6, 1.3e-6, 777), 19),
+    "minimum": (np.linspace(-30e-9, 50e-9, 9), 1),
+    "more-tau-than-omega": (np.linspace(-2e-6, 2e-6, 40001), 1000),
+}
+
+
+def _direct_correlation(f_s, f_i, tau: np.ndarray) -> np.ndarray:
+    """Reference f(tau): the 32001-point trapezoid sum over the joint support, term by term."""
+    sup_i = None if f_i.support is None else (-f_i.support[1], -f_i.support[0])
+    bounds = [b for b in (f_s.support, sup_i) if b is not None]
+    w = np.linspace(max(b[0] for b in bounds), min(b[1] for b in bounds), 32001)
+    weights = np.full(w.size, w[1] - w[0])
+    weights[[0, -1]] *= 0.5
+    weighted = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w) * weights / (2.0 * math.pi)
+    return np.array([np.sum(weighted * np.exp(-1j * w * t)) for t in tau])
+
+
+@pytest.mark.parametrize("grid", TAU_GRIDS)
+@pytest.mark.parametrize("pair", SPECTRAL_PAIRS)
+def test_spectral_correlation_matches_direct_sum(pair, grid):
+    f_s, f_i = SPECTRAL_PAIRS[pair]
+    tau, stride = TAU_GRIDS[grid]
+    f = correlation_shape(f_s, f_i, tau=tau).f
+    idx = np.union1d(np.arange(0, tau.size, stride), [tau.size - 1, np.argmax(np.abs(f))])
+    expected = _direct_correlation(f_s, f_i, tau[idx])
+    assert np.max(np.abs(f[idx] - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 def test_disjoint_supports_give_zero():
     # The idler table covers +1..+3 MHz, so T_i(-W) lives on -3..-1 MHz and
     # never meets the same table on the signal arm.
