@@ -21,7 +21,8 @@ quantity this package reports.
 All three filter kinds offer transmission(W), amplitude_ft(W) and support,
 the offset interval outside which T vanishes (None if it never does); an
 unfiltered arm transmits 1. Spectral sums run on a uniform grid over the
-joint support of T_s(W) T_i(-W).
+joint support of T_s(W) T_i(-W); the correlation takes its sum at every tau
+at once as a chirp-z transform, so a tabulated arm needs a uniform tau grid.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import quadrature
 from .quantities import to_si
@@ -53,6 +55,9 @@ __all__ = [
 # Largest tau spacing, as a fraction of 1/gamma of the fastest filter decay,
 # that correlation_shape accepts.
 _MAX_STEP_GAMMA = 0.4
+# Largest offset of a tau point from the uniform grid tau_0 + m d_tau, as a
+# fraction of d_tau, that the chirp-z correlation of a tabulated filter accepts.
+_MAX_TAU_OFF_GRID = 1e-9
 
 
 class TauGridError(ValueError):
@@ -263,7 +268,8 @@ def correlation_shape(
     """Signal-idler correlation amplitude f(tau) on a time grid.
 
     Closed piecewise exponentials for Lorentzian (and one-sided unfiltered)
-    pairs; a direct spectral sum for tabulated filters. With w2_prefactor
+    pairs, on any grid; for tabulated filters the spectral sum by chirp-z,
+    which needs a uniform grid (TauGridError otherwise). With w2_prefactor
     given, the trace also carries the coincidence density
     W2_density = w2_prefactor * |f|^2 [1/s^2].
     """
@@ -308,25 +314,42 @@ def correlation_shape(
 
 
 def _spectral_correlation(f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray) -> np.ndarray:
-    """f(tau) = (1/2pi) Int Fhat_s(W) Fhat_i(-W) exp(-i W tau) dW, summed directly.
+    """f(tau) = (1/2pi) Int Fhat_s(W) Fhat_i(-W) exp(-i W tau) dW, by chirp-z.
 
-    At least one arm is tabulated, so the joint support is finite.
+    At least one arm is tabulated, so the joint support is finite. The
+    integral is the trapezoid sum over the 32001-point joint grid
+    W_k = W_0 + k dW. On a uniform tau grid tau_m = tau_0 + m dtau that sum
+    is a chirp-z transform: with mk = (m^2 + k^2 - (m - k)^2)/2 it becomes
+    one FFT convolution of length >= N + M - 1 (Bluestein's algorithm), so
+    the cost is O((N + M) log(N + M)) rather than O(N M).
     """
+    d_tau = (tau[-1] - tau[0]) / (tau.size - 1)
+    off = np.abs(tau - np.linspace(tau[0], tau[-1], tau.size))
+    if np.max(off) > _MAX_TAU_OFF_GRID * abs(d_tau):
+        worst = int(np.argmax(off))
+        raise TauGridError(
+            f"tau grid not uniform: tau[{worst}] lies {off[worst]!r} s off tau_0 + m*d_tau "
+            f"(d_tau = {d_tau!r} s); a tabulated filter needs a uniform grid, "
+            "e.g. from np.linspace or default_tau_grid"
+        )
     w = _joint_grid(f_s, f_i, 32001)
     if w.size == 0:
         return np.zeros(tau.size, dtype=complex)
-    spectrum = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w)
-    # Trapezoid weights, then direct summation in tau blocks to bound memory.
-    weights = np.full(w.size, w[1] - w[0])
+    d_w = w[1] - w[0]
+    weights = np.full(w.size, d_w)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    weighted = spectrum * weights / (2.0 * math.pi)
-    out = np.empty(tau.size, dtype=complex)
-    block = 512
-    for start in range(0, tau.size, block):
-        t_blk = tau[start : start + block]
-        out[start : start + block] = np.exp(-1j * np.outer(t_blk, w)) @ weighted
-    return out
+    # conj(chirp[j]) = exp(-i theta j^2 / 2), theta = dW dtau; j^2 is exact in float.
+    chirp = np.exp(0.5j * d_w * d_tau * np.arange(max(w.size, tau.size), dtype=float) ** 2)
+    spectrum = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w) * weights / (2.0 * math.pi)
+    spectrum *= np.exp(-1j * (d_w * tau[0]) * np.arange(w.size)) * chirp[: w.size].conj()
+    size = scipy.fft.next_fast_len(w.size + tau.size - 1)
+    # chirp[m - k] for m - k in (-N, M), wrapped so a cyclic convolution is linear.
+    kernel = np.zeros(size, dtype=complex)
+    kernel[: tau.size] = chirp[: tau.size]
+    kernel[size - w.size + 1 :] = chirp[w.size - 1 : 0 : -1]
+    conv = scipy.fft.ifft(scipy.fft.fft(spectrum, size) * scipy.fft.fft(kernel))[: tau.size]
+    return np.exp(-1j * w[0] * tau) * chirp[: tau.size].conj() * conv
 
 
 def load_filter_table(path: str | Path) -> TabulatedFilter:

@@ -77,8 +77,19 @@ def read_golden(config: str) -> dict[str, str]:
     ids=[f"{name}-{'-'.join(c.lstrip('-') for c in cmd)}-{fmt}" for name, cmd, fmt in CASES],
 )
 def test_cli_output_matches_golden(config, cmd, fmt):
-    golden = read_golden(config)
-    assert run_cli(config, cmd, fmt) == golden[_header(cmd, fmt)]
+    got = run_cli(config, cmd, fmt)
+    want = read_golden(config)[_header(cmd, fmt)]
+    if got != want:
+        # Name the first differing line: pytest's own diff of two strings
+        # this long takes minutes.
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        for n, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+            if g != w:
+                pytest.fail(f"line {n} differs:\n  got:  {g}\n  want: {w}", pytrace=False)
+        pytest.fail(
+            f"{len(got_lines)} lines, golden has {len(want_lines)} (or line ends differ)",
+            pytrace=False,
+        )
 
 
 def write_golden() -> None:

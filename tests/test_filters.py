@@ -174,7 +174,8 @@ def test_correlation_spectral_route_for_tabulated():
 _OMEGA_A = np.linspace(-30.0, 50.0, 401) * MHZ
 _TABLE_A = TabulatedFilter(
     _OMEGA_A,
-    (0.9 + 0.1 * np.tanh(_OMEGA_A / (10.0 * MHZ))) / (1.0 + ((_OMEGA_A - 2.0 * MHZ) / (2.0 * MHZ)) ** 2),
+    (0.9 + 0.1 * np.tanh(_OMEGA_A / (10.0 * MHZ)))
+    / (1.0 + ((_OMEGA_A - 2.0 * MHZ) / (2.0 * MHZ)) ** 2),
 )
 _OMEGA_B = np.linspace(-40.0, 25.0, 257) * MHZ
 _SHAPE_B = np.exp(-0.5 * ((_OMEGA_B + MHZ) / (3.0 * MHZ)) ** 2) + 0.2 * np.exp(
@@ -219,6 +220,26 @@ def test_spectral_correlation_matches_direct_sum(pair, grid):
     idx = np.union1d(np.arange(0, tau.size, stride), [tau.size - 1, np.argmax(np.abs(f))])
     expected = _direct_correlation(f_s, f_i, tau[idx])
     assert np.max(np.abs(f[idx] - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_tabulated_correlation_needs_uniform_tau():
+    tau = np.linspace(-1e-6, 1e-6, 2001)
+    step = tau[1] - tau[0]
+    bent = tau.copy()
+    bent[700] += 1e-6 * step
+    two_steps = np.concatenate([np.linspace(-1e-6, 0.0, 1001), np.linspace(0.0, 1e-6, 501)[1:]])
+    # Closed forms take any grid.
+    closed = [(_LORENTZ, _LORENTZ), (Unfiltered(), _LORENTZ), (_LORENTZ, Unfiltered())]
+    for grid in (bent, two_steps):
+        for f_s, f_i in SPECTRAL_PAIRS.values():
+            with pytest.raises(TauGridError, match="np.linspace or default_tau_grid"):
+                correlation_shape(f_s, f_i, tau=grid)
+        for f_s, f_i in closed:
+            assert np.array_equal(correlation_shape(f_s, f_i, tau=grid).tau, grid)
+    # An offset far inside the 1e-9 * d_tau tolerance is taken as rounding.
+    nudged = tau.copy()
+    nudged[700] += 1e-12 * step
+    assert correlation_shape(_TABLE_A, _LORENTZ, tau=nudged).f.shape == tau.shape
 
 
 def test_disjoint_supports_give_zero():

@@ -1,5 +1,10 @@
 """The package's top-level namespace."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import spdckit
 
 # Every name the top level exported before it was derived from the
@@ -89,3 +94,19 @@ def test_top_level_all_resolves_without_duplicates():
     assert len(set(spdckit.__all__)) == len(spdckit.__all__)
     for name in spdckit.__all__:
         assert getattr(spdckit, name) is not None
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal adds about 0.7 s to the import, more than the package
+    # itself costs; the chirp-z correlation is written on scipy.fft instead.
+    src = str(Path(spdckit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spdckit; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
