@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spdckit import overlap
+from spdckit import overlap, quadrature
 from spdckit.quantities import FocusParams
 
 
@@ -54,6 +54,86 @@ def test_upsilon_frozen_reference(ref_fp):
     assert math.isclose(spec_form.value.real, 0.5472096562597857, rel_tol=1e-10)
     flipped = overlap.upsilon(FocusParams(ref_fp.kappa, ref_fp.zeta_r, -ref_fp.r_k))
     assert math.isclose(flipped.value.real, 0.543665619381169, rel_tol=1e-10)
+
+
+UPSILON_REL_TOL = 1e-10
+
+
+def _upsilon_by_quadrature(kappa, zeta_r, r_k, **kwargs):
+    """Upsilon by adaptive quadrature of the raw integrand: (value, error).
+
+    The absolute floor is 1e-13 in Upsilon units, so the tiny values at
+    large |kappa| terminate; the returned error is the quadrature's own
+    estimate in the same units.
+    """
+
+    def integrand(z):
+        return np.exp(-1j * kappa * z) / ((z - 1j * zeta_r) * (r_k * z + 1j * zeta_r))
+
+    scale = zeta_r / (2.0 * math.pi)
+    kwargs.setdefault("rel_tol", 1e-13)
+    kwargs.setdefault("abs_floor", 1e-13 / scale)
+    res = quadrature.integrate(integrand, -0.5, 0.5, **kwargs)
+    return scale * res.value, scale * res.est_error
+
+
+def _assert_matches_quadrature(kappa, zeta_r, r_k):
+    want, want_err = _upsilon_by_quadrature(kappa, zeta_r, r_k)
+    got = overlap.upsilon(FocusParams(kappa, zeta_r, r_k))
+    assert abs(got.value - want) <= UPSILON_REL_TOL * abs(want) + want_err, (
+        kappa, zeta_r, r_k, got.value, want)
+
+
+def test_upsilon_matches_quadrature_over_domain():
+    # kappa in {0, +-1e-12} or log-uniform up to 1e3 in size, either sign;
+    # zeta_R log-uniform over [0.003, 1e3]; r_k in {0, 1e-8} or uniform
+    # over |r_k| < 0.99.
+    rng = np.random.default_rng(2026)
+    n = 1000
+    kind = rng.integers(0, 10, n)
+    kappa = np.where(kind == 0, 0.0, np.where(kind == 1, 1e-12, 10.0 ** rng.uniform(-12, 3, n)))
+    kappa *= rng.choice([-1.0, 1.0], n)
+    zeta_r = 10.0 ** rng.uniform(math.log10(0.003), 3.0, n)
+    kind = rng.integers(0, 10, n)
+    r_k = np.where(kind == 0, 0.0, np.where(kind == 1, 1e-8, rng.uniform(-0.99, 0.99, n)))
+    compared = 0
+    for k, z, r in zip(kappa.tolist(), zeta_r.tolist(), r_k.tolist()):
+        try:
+            want, want_err = _upsilon_by_quadrature(k, z, r)
+        except quadrature.QuadratureError:
+            continue
+        got = overlap.upsilon(FocusParams(k, z, r))
+        assert abs(got.value - want) <= UPSILON_REL_TOL * abs(want) + want_err, (
+            k, z, r, got.value, want)
+        compared += 1
+    assert compared >= 900
+
+
+@pytest.mark.parametrize("kappa", [-0.5, -3.0, -30.0, -300.0])
+@pytest.mark.parametrize("zeta_r", [0.01, 0.18, 3.0])
+@pytest.mark.parametrize("r_k", [-0.5, 0.0, 0.0434, 0.9])
+def test_upsilon_across_the_branch_cut(kappa, zeta_r, r_k):
+    # kappa < 0 puts the pole at i zeta_R on the far side of the E1 branch
+    # cut; for r_k > 0 the pole at -i zeta_R / r_k crosses it as well.
+    _assert_matches_quadrature(kappa, zeta_r, r_k)
+
+
+@pytest.mark.parametrize("kappa", [-3.0, 0.0, 2.5, 400.0])
+@pytest.mark.parametrize("zeta_r", [0.02, 0.5, 50.0])
+def test_upsilon_continuous_as_r_k_vanishes(kappa, zeta_r):
+    at_zero = overlap.upsilon(FocusParams(kappa, zeta_r, 0.0)).value
+    for r_k in (1e-12, -1e-12):
+        near = overlap.upsilon(FocusParams(kappa, zeta_r, r_k)).value
+        assert abs(near - at_zero) <= 1e-9 * abs(at_zero)
+
+
+@pytest.mark.parametrize("zeta_r", [0.003, 0.18, 0.5, 20.0, 1e3])
+@pytest.mark.parametrize("r_k", [-0.9, 0.0, 0.0434, 0.9])
+def test_upsilon_continuous_as_kappa_vanishes(zeta_r, r_k):
+    at_zero = overlap.upsilon(FocusParams(0.0, zeta_r, r_k)).value
+    for kappa in (1e-12, -1e-12):
+        near = overlap.upsilon(FocusParams(kappa, zeta_r, r_k)).value
+        assert abs(near - at_zero) <= UPSILON_REL_TOL * abs(at_zero)
 
 
 def test_upsilon_quad_tol_validation(ref_fp):
