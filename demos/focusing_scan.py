@@ -19,7 +19,7 @@ best_seen = (0.0, None, None)
 for kappa in kappas:
     row = []
     for zeta in zetas:
-        val = focusing_objective(kappa, zeta, R_K, quad_tol=1e-6)
+        val = focusing_objective(kappa, zeta, R_K)
         row.append(val)
         if val > best_seen[0]:
             best_seen = (val, kappa, zeta)

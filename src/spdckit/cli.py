@@ -104,8 +104,8 @@ def _q_column(waves) -> str:
 def _cmd_sfg(args) -> int:
     built = load_and_build(args.config)
     fp = built.fp
-    ups = overlap.upsilon(fp, quad_tol=args.quad_tol)
-    i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, fp, quad_tol=args.quad_tol)
+    ups = overlap.upsilon(fp)
+    i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, fp)
     row = {
         "kappa": fp.kappa,
         "zeta_R": fp.zeta_r,
@@ -172,7 +172,7 @@ def _cmd_singles(args) -> int:
 def _cmd_correlation(args) -> int:
     built = load_and_build(args.config)
     waves = built.waves
-    i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp, quad_tol=args.quad_tol)
+    i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp)
     q_value = classical.q_conversion(waves, built.crystal, i_sfg.abs_sq)
     scale = quantum.correlation_amplitude_sq(waves, built.pump_power, q_value)
     points = _TAU_POINTS if args.points is None else args.points
@@ -229,7 +229,6 @@ def _cmd_optimize(args) -> int:
         rel_tol=args.tol,
         restarts=args.restarts,
         seed=args.seed,
-        quad_tol=args.quad_tol,
     )
     meta = _base_meta(args, "optimize")
     meta["r_k"] = repr(r_k)
@@ -322,8 +321,10 @@ def _add_common(p, *, config_required=True, basis=False):
     if config_required:
         p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--format", choices=_FORMATS, default="table")
-    p.add_argument("--quad-tol", type=float, default=1e-9, help="relative quadrature tolerance")
     if basis:
+        p.add_argument(
+            "--quad-tol", type=float, default=1e-9, help="relative mode-sum quadrature tolerance"
+        )
         p.add_argument("--basis-order", type=int, default=40, help="highest radial mode order")
 
 
@@ -364,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", action="store_true", help="print every evaluation")
     p.add_argument("--format", choices=_FORMATS, default="table")
-    p.add_argument("--quad-tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="re-evaluate the source over a parameter grid")

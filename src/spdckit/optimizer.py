@@ -44,12 +44,10 @@ AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 _RATE_ONLY_AXES = frozenset({"Gamma_s", "Gamma_i", "P_p"})
 
 
-def focusing_objective(
-    kappa: float, zeta_r: float, r_k: float, quad_tol: float = 1e-9
-) -> float:
+def focusing_objective(kappa: float, zeta_r: float, r_k: float) -> float:
     """Merit zeta_R |Upsilon|^2 to be maximized over (kappa, zeta_R)."""
     fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=r_k)
-    return zeta_r * upsilon(fp, quad_tol=quad_tol).abs_sq
+    return zeta_r * upsilon(fp).abs_sq
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ def optimize_focus(
     rel_tol: float = 1e-6,
     restarts: int = 5,
     seed: int = 7,
-    quad_tol: float = 1e-9,
 ) -> OptimizationResult:
     """Maximize the focusing merit over the given (kappa, zeta_R) box.
 
@@ -102,7 +99,7 @@ def optimize_focus(
     trace: list[tuple[float, float, float]] = []
 
     def merit(kappa: float, zeta_r: float) -> float:
-        value = focusing_objective(kappa, zeta_r, r_k, quad_tol=quad_tol)
+        value = focusing_objective(kappa, zeta_r, r_k)
         trace.append((float(kappa), float(zeta_r), float(value)))
         return value
 

@@ -179,7 +179,7 @@ def compute_overlaps(
     Arms whose bases coincide (always so for a degenerate triple) share one
     mode sum.
     """
-    i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp, quad_tol=quad_tol)
+    i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
     bases = [
         modebasis.default_basis(waves, crystal, fp, arm, basis_order)
         for arm in ("idler", "signal")

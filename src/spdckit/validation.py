@@ -3,9 +3,10 @@
 Every oracle here recomputes a package quantity by a genuinely different
 method: closed forms, direct Fresnel beam propagation on a radial grid,
 a thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
-constant. None of them use the package quadrature engine; integration in
-this module is plain trapezoid sums or scipy.quad, so a defect in the main
-integrator cannot cancel out of the comparison.
+constant. Only the closed-form Upsilon, which uses no quadrature, is
+checked against the package quadrature engine; every other integration in
+this module is a plain trapezoid sum or scipy.quad, so a defect in the
+mode-sum integrator cannot cancel out of the comparison.
 
 The absolute route (absolute_q_fresnel, absolute_pair_rate_fresnel) fixes
 the absolute scale of Q_SFG and W2 from SI fields and the driven wave
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, filters, modebasis, overlap, quantum
+from . import classical, filters, modebasis, overlap, quadrature, quantum
 from .optimizer import optimize_focus
 from .quantities import (
     C_LIGHT,
@@ -38,6 +39,7 @@ __all__ = [
     "OracleReport",
     "closed_form_upsilon_kappa0",
     "oracle_upsilon_closed_form",
+    "oracle_upsilon_vs_quadrature",
     "oracle_reduction_vs_direct",
     "oracle_fresnel_self_test",
     "oracle_dfg_fresnel",
@@ -107,10 +109,31 @@ def oracle_upsilon_closed_form(zeta_r: float = 0.5) -> OracleReport:
     main = overlap.upsilon(fp).value.real
     return _report(
         f"upsilon-closed-form-{zeta_r:g}",
-        "adaptive quadrature vs log antiderivative at kappa=0, r_k=0",
+        "closed-form kappa=0 branch vs log antiderivative at r_k=0",
         main,
         closed_form_upsilon_kappa0(zeta_r),
         1e-9,
+    )
+
+
+def oracle_upsilon_vs_quadrature(
+    kappa: float = -3.0, zeta_r: float = 0.18, r_k: float = 0.0434
+) -> OracleReport:
+    """Closed-form Upsilon against adaptive quadrature of its raw integrand."""
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * kappa * z) / ((z - 1j * zeta_r) * (r_k * z + 1j * zeta_r))
+
+    scale = zeta_r / (2.0 * math.pi)
+    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-13, abs_floor=1e-13 / scale)
+    main = overlap.upsilon(FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=r_k)).value.real
+    return _report(
+        "upsilon-vs-quadrature",
+        f"closed form vs adaptive quadrature at kappa={kappa:g}, "
+        f"zeta_R={zeta_r:g}, r_k={r_k:g}",
+        main,
+        (scale * res.value).real,
+        overlap.UPSILON_REL_ERROR,
     )
 
 
@@ -556,4 +579,5 @@ def run_all_oracles() -> list[OracleReport]:
         oracle_dfg_thin_crystal(),
         ling_comparator(),
         boyd_kleinman_report(),
+        oracle_upsilon_vs_quadrature(),
     ]

@@ -186,6 +186,16 @@ def test_missing_config_is_usage_error(capsys):
     assert "error:" in err and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["sfg", "correlation", "optimize"])
+def test_quad_tol_only_on_mode_sum_commands(capsys, config_path, command):
+    # Upsilon has no quadrature; --quad-tol sets the mode-sum tolerance only.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config_path, "--quad-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--quad-tol" in capsys.readouterr().err
+    assert main(["pairs", "--config", config_path, "--quad-tol", "1e-8"]) == 0
+
+
 def test_sweep_power_axis(capsys, config_path):
     argv = ["sweep", "--config", config_path, "--sweep", "P_p=0.5:2:4"]
     code, _, rows, _ = run_ndjson(capsys, argv)

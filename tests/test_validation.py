@@ -39,6 +39,7 @@ def test_reports_cover_both_routes():
     assert any("thin-crystal" in n for n in names)
     assert any("rate" in n for n in names)
     assert any("closed-form" in n for n in names)
+    assert "upsilon-vs-quadrature" in names
     # The absolute route is a test-time oracle, not part of `spdckit validate`.
     assert not any("absolute" in n for n in names)
 
