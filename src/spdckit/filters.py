@@ -150,8 +150,8 @@ class CorrelationTrace:
             object.__setattr__(self, name, arr)
 
     def temporal_gamma_eff(self) -> float:
-        """4 Int |f|^2 dtau, the time-domain route to gamma_eff."""
-        return 4.0 * float(np.trapezoid(np.abs(self.f) ** 2, self.tau))
+        """4 Int |f|^2 dtau, the time-domain route to gamma_eff (either grid order)."""
+        return 4.0 * abs(float(np.trapezoid(np.abs(self.f) ** 2, self.tau)))
 
 
 def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray | None:
@@ -247,7 +247,7 @@ def default_tau_grid(f_s: FilterSpec, f_i: FilterSpec, points: int | None = None
 
 
 def _step_gamma(tau: np.ndarray, gamma_max: float) -> float:
-    return float(np.max(np.diff(tau))) * gamma_max
+    return float(np.max(np.abs(np.diff(tau)))) * gamma_max
 
 
 def min_tau_points(f_s: FilterSpec, f_i: FilterSpec, half_span: float) -> int:

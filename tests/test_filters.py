@@ -242,6 +242,18 @@ def test_tabulated_correlation_needs_uniform_tau():
     assert correlation_shape(_TABLE_A, _LORENTZ, tau=nudged).f.shape == tau.shape
 
 
+def test_decreasing_tau_grid_is_checked_like_an_increasing_one():
+    f = LorentzianFilter(2.0 * MHZ)
+    with pytest.raises(TauGridError, match="too coarse"):
+        correlation_shape(f, f, tau=np.linspace(1e-3, -1e-3, 64))
+    for f_s, f_i in [(f, f), SPECTRAL_PAIRS["table-lorentzian"]]:
+        tau = default_tau_grid(f_s, f_i, points=2001)
+        up = correlation_shape(f_s, f_i, tau=tau)
+        down = correlation_shape(f_s, f_i, tau=tau[::-1])
+        assert np.max(np.abs(down.f - up.f[::-1])) <= 1e-10 * np.max(np.abs(up.f))
+        assert math.isclose(down.temporal_gamma_eff(), up.temporal_gamma_eff(), rel_tol=1e-10)
+
+
 def test_disjoint_supports_give_zero():
     # The idler table covers +1..+3 MHz, so T_i(-W) lives on -3..-1 MHz and
     # never meets the same table on the signal arm.
