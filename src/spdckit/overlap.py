@@ -65,9 +65,10 @@ __all__ = [
 # Relative error bound of upsilon, held against adaptive quadrature at
 # rel_tol 1e-13 over |kappa| <= 1e4, zeta_r in [0.003, 1e3], |r_k| < 0.99.
 UPSILON_REL_ERROR = 1e-10
-# Above this |t|, g(t) = e^t E1(t) comes from its asymptotic series, whose
-# smallest term is then below 1e-16 of the sum; e^t alone would overflow.
-_SERIES_MIN_ABS = 40.0
+# Above this |t|, g(t) = e^t E1(t) comes from its asymptotic series, which
+# then reaches 1e-17 of the sum within 9 terms. Below it, e^t and E1(t) are
+# both far from overflow and the product is good to about 1e-15.
+_SERIES_MIN_ABS = 500.0
 
 
 @dataclass(frozen=True)
@@ -108,17 +109,15 @@ def _scaled_e1(t: complex) -> complex:
     """g(t) = e^t E1(t) on the principal branch of E1."""
     if abs(t) <= _SERIES_MIN_ABS:
         return cmath.exp(t) * complex(exp1(t))
-    # g(t) ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51), summed until a term
-    # drops below 1e-17 of the sum or the terms start to grow.
-    term = total = 1.0 / t
-    for n in range(1, 64):
-        nxt = -n * term / t
-        if abs(nxt) >= abs(term):
+    # g(t) ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51); the terms shrink while
+    # n < |t|, so the cut at 1e-17 of the sum comes long before they grow.
+    inv = 1.0 / t
+    term = total = inv
+    for n in range(1, 16):
+        term *= -n * inv
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
             break
-        total += nxt
-        if abs(nxt) <= 1e-17 * abs(total):
-            break
-        term = nxt
     return total
 
 
