@@ -65,6 +65,8 @@ __all__ = [
 # Relative error bound of upsilon, held against adaptive quadrature at
 # rel_tol 1e-13 over |kappa| <= 1e4, zeta_r in [0.003, 1e3], |r_k| < 0.99.
 UPSILON_REL_ERROR = 1e-10
+# Rounding error of a partial-fraction term relative to its size.
+_TERM_ROUNDING = 1e-14
 # Above this |t|, g(t) = e^t E1(t) comes from its asymptotic series, which
 # then reaches 1e-17 of the sum within 9 terms. Below it, e^t and E1(t) are
 # both far from overflow and the product is good to about 1e-15.
@@ -75,8 +77,11 @@ _SERIES_MIN_ABS = 500.0
 class UpsilonResult:
     """Value of the focusing integral with its error bound.
 
-    est_error = UPSILON_REL_ERROR * |value|: a relative bound, checked
-    against adaptive quadrature over the documented domain in the tests.
+    est_error = UPSILON_REL_ERROR * |value| plus 1e-14 of the summed sizes
+    of the partial-fraction terms. The second part matters only where those
+    terms cancel: near a zero of Upsilon, as r_k -> -1 merges the two
+    poles, and at small |kappa| on the far side of the E1 branch cut. The
+    tests check the bound against adaptive quadrature.
     """
 
     value: complex
@@ -121,32 +126,40 @@ def _scaled_e1(t: complex) -> complex:
     return total
 
 
-def _pole_term(kappa: float, y: float) -> float:
-    """K(y) = J(i y) / 2i, real for real kappa and real y != 0."""
+def _pole_term(kappa: float, y: float) -> tuple[float, float]:
+    """K(y) = J(i y) / 2i, real for real kappa and real y != 0, and the size
+    of the terms it is summed from."""
     if kappa == 0.0:
-        return math.atan(0.5 / y)
+        k = math.atan(0.5 / y)
+        return k, abs(k)
     ky = kappa * y
     k = (cmath.exp(0.5j * kappa) * _scaled_e1(complex(ky, -0.5 * kappa))).imag
+    size = abs(k)
     if ky < 0.0:
         # The path from t1 to t2 crossed the branch cut of E1.
-        k -= math.copysign(math.pi, kappa) * math.exp(ky)
-    return k
+        cut = math.copysign(math.pi, kappa) * math.exp(ky)
+        k -= cut
+        size += abs(cut)
+    return k, size
 
 
 def upsilon(fp: FocusParams) -> UpsilonResult:
     """Evaluate the focusing integral in closed form (see the module doc).
 
     Valid for every finite kappa. The value is real, as it must be for real
-    arguments; est_error is the relative bound UPSILON_REL_ERROR * |value|.
+    arguments; est_error is described on UpsilonResult.
     """
     kappa, zr, rk = fp.kappa, fp.zeta_r, fp.r_k
     if not (math.isfinite(kappa) and math.isfinite(zr)):
         raise ValueError("kappa and zeta_r must be finite")
-    k = _pole_term(kappa, zr)
+    k, size = _pole_term(kappa, zr)
     if rk != 0.0:
-        k = (k - _pole_term(kappa, -zr / rk)) / (1.0 + rk)
+        k_far, size_far = _pole_term(kappa, -zr / rk)
+        k = (k - k_far) / (1.0 + rk)
+        size = (size + size_far) / (1.0 + rk)
     value = k / math.pi
-    return UpsilonResult(value=complex(value), est_error=UPSILON_REL_ERROR * abs(value))
+    est_error = UPSILON_REL_ERROR * abs(value) + _TERM_ROUNDING * size / math.pi
+    return UpsilonResult(value=complex(value), est_error=est_error)
 
 
 def _check_focus_consistency(

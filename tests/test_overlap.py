@@ -57,6 +57,9 @@ def test_upsilon_frozen_reference(ref_fp):
 
 
 UPSILON_REL_TOL = 1e-10
+# est_error may exceed the relative bound where partial-fraction terms
+# cancel; away from r_k -> -1 it stays within this multiple of it.
+EST_ERROR_SLACK = 10.0
 
 
 def _upsilon_by_quadrature(kappa, zeta_r, r_k, **kwargs):
@@ -77,11 +80,13 @@ def _upsilon_by_quadrature(kappa, zeta_r, r_k, **kwargs):
     return scale * res.value, scale * res.est_error
 
 
-def _assert_matches_quadrature(kappa, zeta_r, r_k):
-    want, want_err = _upsilon_by_quadrature(kappa, zeta_r, r_k)
+def _assert_matches_quadrature(kappa, zeta_r, r_k, **kwargs):
+    want, want_err = _upsilon_by_quadrature(kappa, zeta_r, r_k, **kwargs)
     got = overlap.upsilon(FocusParams(kappa, zeta_r, r_k))
-    assert got.est_error <= UPSILON_REL_TOL * abs(got.value)
     assert abs(got.value - want) <= got.est_error + want_err, (kappa, zeta_r, r_k)
+    if r_k >= -0.5:
+        assert got.est_error <= EST_ERROR_SLACK * UPSILON_REL_TOL * abs(got.value)
+    return got
 
 
 def test_upsilon_matches_quadrature_over_domain():
@@ -96,17 +101,26 @@ def test_upsilon_matches_quadrature_over_domain():
     zeta_r = 10.0 ** rng.uniform(math.log10(0.003), 3.0, n)
     kind = rng.integers(0, 10, n)
     r_k = np.where(kind == 0, 0.0, np.where(kind == 1, 1e-8, rng.uniform(-0.99, 0.99, n)))
-    compared = 0
+    compared = tight = 0
     for k, z, r in zip(kappa.tolist(), zeta_r.tolist(), r_k.tolist()):
         try:
-            want, want_err = _upsilon_by_quadrature(k, z, r)
+            got = _assert_matches_quadrature(k, z, r)
         except quadrature.QuadratureError:
             continue
-        got = overlap.upsilon(FocusParams(k, z, r))
-        assert got.est_error <= UPSILON_REL_TOL * abs(got.value)
-        assert abs(got.value - want) <= got.est_error + want_err, (k, z, r)
         compared += 1
+        tight += got.est_error <= 1.01 * UPSILON_REL_TOL * abs(got.value)
     assert compared >= 900
+    # For most of the domain est_error is the relative bound itself.
+    assert tight >= compared // 2
+
+
+@pytest.mark.parametrize("r_k", [-0.999, -0.999999])
+@pytest.mark.parametrize("kappa, zeta_r", [(-1e-6, 500.0), (-3.0, 10.0), (3.0, 0.18)])
+def test_upsilon_error_bound_as_the_poles_merge(kappa, zeta_r, r_k):
+    # At r_k -> -1 the pole at -i zeta_R / r_k approaches the one at
+    # i zeta_R; the difference of their terms loses digits, and est_error
+    # must grow with it.
+    _assert_matches_quadrature(kappa, zeta_r, r_k, max_panels=20000)
 
 
 @pytest.mark.parametrize("kappa", [-0.5, -3.0, -30.0, -300.0])
@@ -122,7 +136,8 @@ def test_upsilon_across_the_branch_cut(kappa, zeta_r, r_k):
 @pytest.mark.parametrize("zeta_r", [0.02, 0.5, 50.0])
 def test_upsilon_continuous_as_r_k_vanishes(kappa, zeta_r):
     at_zero = overlap.upsilon(FocusParams(kappa, zeta_r, 0.0)).value
-    for r_k in (1e-12, -1e-12):
+    # At 5e-324 the far pole -i zeta_R / r_k overflows to infinity.
+    for r_k in (1e-12, -1e-12, 5e-324):
         near = overlap.upsilon(FocusParams(kappa, zeta_r, r_k)).value
         assert abs(near - at_zero) <= 1e-9 * abs(at_zero)
 
@@ -138,13 +153,17 @@ def test_upsilon_continuous_as_kappa_vanishes(zeta_r, r_k):
 
 @pytest.mark.parametrize("kappa", [1e4, -1e4])
 def test_upsilon_far_from_phase_matching(kappa):
-    # The parent's default quadrature ran out of panels here.
-    got = overlap.upsilon(FocusParams(kappa, 0.5, 0.0434))
-    assert math.isfinite(got.value.real) and got.value.imag == 0.0
-    want, want_err = _upsilon_by_quadrature(
+    # Adaptive quadrature needs far more than its default 2000 panels here.
+    got = _assert_matches_quadrature(
         kappa, 0.5, 0.0434, rel_tol=1e-10, abs_floor=1e-13, max_panels=100000
     )
-    assert abs(got.value - want) <= got.est_error + want_err
+    assert math.isfinite(got.value.real) and got.value.imag == 0.0
+
+
+def test_upsilon_rejects_non_finite_input():
+    for kappa, zeta_r in [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            overlap.upsilon(FocusParams(kappa, zeta_r, 0.04))
 
 
 def test_i_sfg_reduction_structure(ref_waves, ref_crystal, ref_fp):
