@@ -127,8 +127,7 @@ def _scaled_e1(t: complex) -> complex:
 
 
 def _pole_term(kappa: float, y: float) -> tuple[float, float]:
-    """K(y) = J(i y) / 2i, real for real kappa and real y != 0, and the size
-    of the terms it is summed from."""
+    """K(y) = J(i y) / 2i for real y != 0, and the size of the terms in it."""
     if kappa == 0.0:
         k = math.atan(0.5 / y)
         return k, abs(k)
