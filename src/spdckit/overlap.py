@@ -31,7 +31,7 @@ one E1 evaluation per pole gives Upsilon as an exactly real number.
 The path from t1 to t2 runs at Re t = kappa Im p; when that is negative it
 crosses the branch cut of E1 on the negative real axis, and J picks up
 -sign(kappa) 2 pi i e^{-i kappa p}, a factor of size at most 1. For
-kappa = 0, J(p) is the log of the endpoint ratio,
+|kappa| < 1e-15, kappa = 0 included, J(p) is the log of the endpoint ratio,
 log(1/2 - p) - log(-1/2 - p) = 2 i atan(1 / (2 Im p)), written so that a
 far pole keeps its digits.
 """
@@ -50,7 +50,6 @@ from scipy.special import exp1
 from .quantities import CrystalSpec, FocusParams, WaveTriple
 
 __all__ = [
-    "UPSILON_REL_ERROR",
     "UpsilonResult",
     "OverlapResult",
     "upsilon",
@@ -64,7 +63,10 @@ __all__ = [
 
 # Relative error bound of upsilon, held against adaptive quadrature at
 # rel_tol 1e-13 over |kappa| <= 1e4, zeta_r in [0.003, 1e3], |r_k| < 0.99.
-UPSILON_REL_ERROR = 1e-10
+_UPSILON_REL_ERROR = 1e-10
+# Below this |kappa|, J(p) is taken at kappa = 0: it moves by O(kappa)
+# relative, far inside the error bound, and t can underflow to 0.
+_KAPPA_ZERO = 1e-15
 # Rounding error of a partial-fraction term relative to its size.
 _TERM_ROUNDING = 1e-14
 # Above this |t|, g(t) = e^t E1(t) comes from its asymptotic series, which
@@ -77,11 +79,13 @@ _SERIES_MIN_ABS = 500.0
 class UpsilonResult:
     """Value of the focusing integral with its error bound.
 
-    est_error = UPSILON_REL_ERROR * |value| plus 1e-14 of the summed sizes
-    of the partial-fraction terms. The second part matters only where those
-    terms cancel: near a zero of Upsilon, as r_k -> -1 merges the two
-    poles, and at small |kappa| on the far side of the E1 branch cut. The
-    tests check the bound against adaptive quadrature.
+    The value is within est_error of the exact integral: 1e-10 * |value|
+    plus 1e-14 of the summed sizes of the partial-fraction terms, over
+    |kappa| <= 1e4, zeta_r in [0.003, 1e3] and |r_k| < 0.99. The second
+    part matters only where those terms cancel: near a zero of Upsilon, as
+    r_k -> -1 merges the two poles, and at small |kappa| on the far side of
+    the E1 branch cut. The tests check the bound against adaptive
+    quadrature.
     """
 
     value: complex
@@ -128,7 +132,7 @@ def _scaled_e1(t: complex) -> complex:
 
 def _pole_term(kappa: float, y: float) -> tuple[float, float]:
     """K(y) = J(i y) / 2i for real y != 0, and the size of the terms in it."""
-    if kappa == 0.0:
+    if abs(kappa) < _KAPPA_ZERO:
         k = math.atan(0.5 / y)
         return k, abs(k)
     ky = kappa * y
@@ -157,7 +161,7 @@ def upsilon(fp: FocusParams) -> UpsilonResult:
         k = (k - k_far) / (1.0 + rk)
         size = (size + size_far) / (1.0 + rk)
     value = k / math.pi
-    est_error = UPSILON_REL_ERROR * abs(value) + _TERM_ROUNDING * size / math.pi
+    est_error = _UPSILON_REL_ERROR * abs(value) + _TERM_ROUNDING * size / math.pi
     return UpsilonResult(value=complex(value), est_error=est_error)
 
 

@@ -146,7 +146,8 @@ def test_upsilon_continuous_as_r_k_vanishes(kappa, zeta_r):
 @pytest.mark.parametrize("r_k", [-0.9, 0.0, 0.0434, 0.9])
 def test_upsilon_continuous_as_kappa_vanishes(zeta_r, r_k):
     at_zero = overlap.upsilon(FocusParams(0.0, zeta_r, r_k)).value
-    for kappa in (1e-12, -1e-12):
+    # +-5e-324 underflows kappa * zeta_r: the kappa = 0 branch must take it.
+    for kappa in (1e-12, -1e-12, 5e-324, -5e-324):
         near = overlap.upsilon(FocusParams(kappa, zeta_r, r_k)).value
         assert abs(near - at_zero) <= UPSILON_REL_TOL * abs(at_zero)
 
