@@ -116,10 +116,10 @@ def oracle_upsilon_closed_form(zeta_r: float = 0.5) -> OracleReport:
     )
 
 
-def oracle_upsilon_vs_quadrature(
-    kappa: float = -3.0, zeta_r: float = 0.18, r_k: float = 0.0434
-) -> OracleReport:
+def oracle_upsilon_vs_quadrature() -> OracleReport:
     """Closed-form Upsilon against adaptive quadrature of its raw integrand."""
+    # The reference geometry of oracle_reduction_vs_direct.
+    kappa, zeta_r, r_k = -3.0, 0.18, 0.0434
 
     def integrand(z: np.ndarray) -> np.ndarray:
         return np.exp(-1j * kappa * z) / ((z - 1j * zeta_r) * (r_k * z + 1j * zeta_r))
@@ -133,7 +133,7 @@ def oracle_upsilon_vs_quadrature(
         f"zeta_R={zeta_r:g}, r_k={r_k:g}",
         main,
         (scale * res.value).real,
-        overlap.UPSILON_REL_ERROR,
+        1e-10,
     )
 
 
