@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from spdckit import filters
 from spdckit.filters import (
@@ -262,6 +263,81 @@ def test_disjoint_supports_give_zero():
     trace = correlation_shape(line, line, tau=np.linspace(-1e-6, 1e-6, 101))
     assert trace.gamma_eff == 0.0
     assert np.all(trace.f == 0.0)
+
+
+def _exact_pair_integral(f_s, f_i) -> float:
+    """Int T_s(W) T_i(-W) dW by adaptive quadrature between the merged breakpoints.
+
+    Between two breakpoints (table nodes, mirrored for the idler arm, and the
+    Lorentzian centre) the integrand is smooth: a quadratic for two tables,
+    a line times a Lorentzian otherwise.
+    """
+    tables = [f.omega for f in (f_s,) if isinstance(f, TabulatedFilter)]
+    tables += [-f.omega[::-1] for f in (f_i,) if isinstance(f, TabulatedFilter)]
+    lo = max(nodes[0] for nodes in tables)
+    hi = min(nodes[-1] for nodes in tables)
+    if not lo < hi:
+        return 0.0
+    breaks = np.concatenate([[lo, 0.0, hi], *tables])
+    breaks = np.unique(breaks[(breaks >= lo) & (breaks <= hi)])
+
+    def integrand(w):
+        return float(f_s.transmission(np.array([w]))[0] * f_i.transmission(np.array([-w]))[0])
+
+    pieces = [
+        scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for a, b in zip(breaks[:-1], breaks[1:])
+    ]
+    return math.fsum(pieces)
+
+
+def _table(offsets_mhz, values) -> TabulatedFilter:
+    return TabulatedFilter(np.asarray(offsets_mhz, dtype=float) * MHZ, np.asarray(values, dtype=float))
+
+
+_GRID_C = np.arange(-10.0, 7.5001, 0.5)
+_GRID_D = np.arange(-12.0, 12.0001, 0.25)
+ORACLE_PAIRS = {
+    **{name: SPECTRAL_PAIRS[name] for name in ("table-table", "table-lorentzian", "lorentzian-table")},
+    "two-row-lorentzian": (_table([-3.0, 5.0], [0.2, 0.9]), _LORENTZ),
+    "lorentzian-two-row": (_LORENTZ, _table([-3.0, 5.0], [0.2, 0.9])),
+    "two-row-table": (_table([-3.0, 5.0], [0.2, 0.9]), _TABLE_B),
+    # Symmetric grid: the mirrored idler nodes coincide with the signal nodes.
+    "identical-nodes": (
+        _table(np.linspace(-20.0, 20.0, 161), np.exp(-((np.linspace(-20.0, 20.0, 161) / 6.0) ** 2))),
+        _table(np.linspace(-20.0, 20.0, 161), 0.5 + 0.5 * np.cos(np.linspace(-20.0, 20.0, 161) / 4.0)),
+    ),
+    # Both edges of the signal table fall on mirrored idler nodes.
+    "edge-on-node": (
+        _table(_GRID_C, 0.5 + 0.4 * np.sin(_GRID_C)),
+        _table(_GRID_D, 1.0 / (1.0 + (_GRID_D / 3.0) ** 2)),
+    ),
+    # Segments thousands of gamma wide, some at |W| >> gamma: the atan and
+    # log of the Lorentzian moments nearly cancel there.
+    "wide-segments-lorentzian": (
+        _table([-5000.0, -3000.0, 200.0, 4000.0, 9000.0], [0.3, 0.9, 0.5, 1.0, 0.1]),
+        LorentzianFilter(0.5 * MHZ),
+    ),
+    "lorentzian-far-segment": (LorentzianFilter(0.5 * MHZ), _table([800.0, 4000.0], [1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS)
+def test_tabulated_gamma_eff_pair_matches_exact_integral(pair):
+    f_s, f_i = ORACLE_PAIRS[pair]
+    exact = (2.0 / math.pi) * _exact_pair_integral(f_s, f_i)
+    assert exact > 0.0
+    for method in ("auto", "spectral"):
+        assert math.isclose(gamma_eff_pair(f_s, f_i, method=method), exact, rel_tol=1e-9)
+
+
+def test_tabulated_gamma_eff_pair_of_disjoint_or_touching_supports_is_zero():
+    signal = _table([0.0, 1.0, 2.0], [0.5, 1.0, 0.5])
+    # T_i(-W) lives on [-3, -2.5] MHz (disjoint) or [-2, 0] MHz (touching at 0).
+    for idler in (_table([2.5, 3.0], [1.0, 1.0]), _table([0.0, 2.0], [1.0, 1.0])):
+        assert _exact_pair_integral(signal, idler) == 0.0
+        assert gamma_eff_pair(signal, idler) == 0.0
+        assert gamma_eff_pair(idler, signal) == 0.0
 
 
 def test_default_tau_grid_resolves_unequal_widths():
