@@ -20,9 +20,19 @@ quantity this package reports.
 
 All three filter kinds offer transmission(W), amplitude_ft(W) and support,
 the offset interval outside which T vanishes (None if it never does); an
-unfiltered arm transmits 1. Spectral sums run on a uniform grid over the
-joint support of T_s(W) T_i(-W); the correlation takes its sum at every tau
-at once as a chirp-z transform, so a tabulated arm needs a uniform tau grid.
+unfiltered arm transmits 1. A table's T(W) is piecewise linear, so
+gamma_eff_pair with a tabulated arm is exact, with no sampling grid:
+
+  table x table       a quadratic on each interval of the merged nodes,
+                      h/6 (2 s_a t_a + s_a t_b + s_b t_a + 2 s_b t_b);
+  table x Lorentzian  per table segment, the atan and log moments of the
+                      Lorentzian times the segment's line;
+  table x unfiltered  gamma_eff_single(table).
+
+gamma_eff_single still samples a table on a uniform grid, and so does the
+correlation: sqrt(T) is not piecewise polynomial, so its spectral sum runs
+on a uniform grid over the joint support of T_s(W) T_i(-W), at every tau at
+once as a chirp-z transform, and a tabulated arm needs a uniform tau grid.
 """
 
 from __future__ import annotations
@@ -154,23 +164,75 @@ class CorrelationTrace:
         return 4.0 * abs(float(np.trapezoid(np.abs(self.f) ** 2, self.tau)))
 
 
-def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray | None:
-    """Uniform grid on the support of T_s(W) T_i(-W): None if infinite, empty if disjoint."""
+def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray:
+    """Uniform grid on the support of T_s(W) T_i(-W), empty if disjoint; one arm is tabulated."""
     sup_i = None if f_i.support is None else (-f_i.support[1], -f_i.support[0])
     bounds = [b for b in (f_s.support, sup_i) if b is not None]
-    if not bounds:
-        return None
     lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
     return np.linspace(lo, hi, points) if lo < hi else np.empty(0)
 
 
-def _spectral_pair_integral(f_s: FilterSpec, f_i: FilterSpec, points: int = 200001) -> float:
-    """Int T_s(W) T_i(-W) dW by quadrature, any filter kinds."""
-    w = _joint_grid(f_s, f_i, points)
-    if w is not None:
-        return float(np.trapezoid(f_s.transmission(w) * f_i.transmission(-w), w))
-    # No tabulated arm (both-unfiltered is rejected upstream): map the real
-    # line onto an interval so the adaptive rule sees the tails.
+def _table_pair_integral(
+    nodes_s: np.ndarray, t_s: np.ndarray, nodes_i: np.ndarray, t_i: np.ndarray
+) -> float:
+    """Exact Int of the product of two piecewise-linear tables; 0 off the joint support.
+
+    On each interval of the merged nodes the product of two lines is a
+    quadratic, integrated from its endpoint values alone:
+    h/6 (2 s_a t_a + s_a t_b + s_b t_a + 2 s_b t_b).
+    """
+    lo, hi = max(nodes_s[0], nodes_i[0]), min(nodes_s[-1], nodes_i[-1])
+    if not lo < hi:
+        return 0.0
+    inner = [
+        nodes[np.searchsorted(nodes, lo, "right") : np.searchsorted(nodes, hi, "left")]
+        for nodes in (nodes_s, nodes_i)
+    ]
+    # A stable sort merges the sorted runs in linear time. Duplicate nodes
+    # make zero-width intervals, which add nothing.
+    w = np.sort(np.concatenate([[lo, hi], *inner]), kind="stable")
+    s = np.interp(w, nodes_s, t_s)
+    t = np.interp(w, nodes_i, t_i)
+    return float(
+        np.sum(np.diff(w) * (s[:-1] * (2.0 * t[:-1] + t[1:]) + s[1:] * (t[:-1] + 2.0 * t[1:])))
+    ) / 6.0
+
+
+def _table_lorentzian_integral(flt: TabulatedFilter, gamma: float) -> float:
+    """Exact Int T(W) L(W) dW of a piecewise-linear table and a Lorentzian.
+
+    On a table segment [a, c], T = T_a + m (W - a), and with x = 2W/gamma
+    the Lorentzian moments are A = Int L = (gamma/2) atan2(x_c - x_a, 1 + x_a x_c)
+    and B = Int W L = (gamma^2/8) log1p((x_c - x_a)(x_c + x_a)/(1 + x_a^2)),
+    so the segment adds T_a A + m (B - a A). L is even, so the same sum
+    serves T_i(-W) L_s(W).
+    """
+    nodes, values = flt.omega, flt.transmission_values
+    x = 2.0 * nodes / gamma
+    x_a, x_c = x[:-1], x[1:]
+    dx = 2.0 * np.diff(nodes) / gamma
+    area = 0.5 * gamma * np.arctan2(dx, 1.0 + x_a * x_c)
+    moment = 0.125 * gamma**2 * np.log1p(dx * (x_c + x_a) / (1.0 + x_a**2))
+    slope = np.diff(values) / np.diff(nodes)
+    return float(np.sum(values[:-1] * area + slope * (moment - nodes[:-1] * area)))
+
+
+def _tabulated_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
+    """Int T_s(W) T_i(-W) dW, exact, with at least one tabulated arm and no unfiltered one."""
+    if isinstance(f_s, TabulatedFilter) and isinstance(f_i, TabulatedFilter):
+        return _table_pair_integral(
+            f_s.omega, f_s.transmission_values, -f_i.omega[::-1], f_i.transmission_values[::-1]
+        )
+    table, lorentzian = (f_s, f_i) if isinstance(f_s, TabulatedFilter) else (f_i, f_s)
+    return _table_lorentzian_integral(table, lorentzian.gamma)
+
+
+def _adaptive_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
+    """Int T_s(W) T_i(-W) dW of two table-free arms by adaptive quadrature.
+
+    The real line is mapped onto an interval so the adaptive rule sees the
+    tails; only the method='spectral' cross-checks of closed forms use it.
+    """
     scale = 0.25 * sum(_gamma_scales(f_s, f_i))
 
     def integrand(theta):
@@ -187,9 +249,14 @@ def _spectral_pair_integral(f_s: FilterSpec, f_i: FilterSpec, points: int = 2000
 def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> float:
     """Joint effective linewidth Gamma_eff = (2/pi) Int T_s(W) T_i(-W) dW [rad/s].
 
-    method 'auto' uses the Lorentzian closed form Gamma_s Gamma_i /
-    (Gamma_s + Gamma_i) and its unfiltered limits when available;
-    'spectral' forces the numerical integral (used by the cross-checks).
+    A tabulated arm is integrated exactly for either method 'auto' or
+    'spectral': its T(W) is piecewise linear, so table x table sums a
+    quadratic per merged interval, table x Lorentzian a closed form per
+    segment, and table x unfiltered is gamma_eff_single(table). For pairs
+    without a table, 'auto' uses the Lorentzian closed form
+    Gamma_s Gamma_i / (Gamma_s + Gamma_i) and its unfiltered limits, and
+    'spectral' forces adaptive quadrature (used by the cross-checks);
+    'closed' accepts table-free pairs only.
     """
     if isinstance(f_s, Unfiltered) and isinstance(f_i, Unfiltered):
         raise ValueError(
@@ -198,6 +265,14 @@ def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> fl
         )
     if method not in ("auto", "closed", "spectral"):
         raise ValueError("method must be 'auto', 'closed' or 'spectral'")
+    if isinstance(f_s, TabulatedFilter) or isinstance(f_i, TabulatedFilter):
+        if method == "closed":
+            raise ValueError("no closed form for tabulated filters")
+        if isinstance(f_i, Unfiltered):
+            return gamma_eff_single(f_s)
+        if isinstance(f_s, Unfiltered):
+            return gamma_eff_single(f_i)
+        return (2.0 / math.pi) * _tabulated_pair_integral(f_s, f_i)
     if method in ("auto", "closed"):
         if isinstance(f_s, LorentzianFilter) and isinstance(f_i, LorentzianFilter):
             # Matched pair reduced by hand: Gamma^2/(2 Gamma) = Gamma/2. The
@@ -205,27 +280,25 @@ def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> fl
             if f_s.gamma == f_i.gamma:
                 return 0.5 * f_s.gamma
             return f_s.gamma * f_i.gamma / (f_s.gamma + f_i.gamma)
-        if isinstance(f_s, LorentzianFilter) and isinstance(f_i, Unfiltered):
+        if isinstance(f_s, LorentzianFilter):
             return f_s.gamma
-        if isinstance(f_i, LorentzianFilter) and isinstance(f_s, Unfiltered):
-            return f_i.gamma
-        if method == "closed":
-            raise ValueError("no closed form for tabulated filters")
-    return (2.0 / math.pi) * _spectral_pair_integral(f_s, f_i)
+        return f_i.gamma
+    return (2.0 / math.pi) * _adaptive_pair_integral(f_s, f_i)
 
 
 def gamma_eff_single(flt: FilterSpec) -> float:
     """Single-arm effective linewidth Gamma_eff,s = 4 Int |F(t)|^2 dt [rad/s].
 
     Equals gamma exactly for a Lorentzian; for tabulated data it is computed
-    through Parseval as (2/pi) Int T(W) dW. Undefined for an unfiltered arm.
+    through Parseval as (2/pi) Int T(W) dW, a trapezoid sum on a uniform
+    resampling of the table. Undefined for an unfiltered arm.
     """
     if isinstance(flt, Unfiltered):
         raise ValueError("gamma_eff_single is undefined for an unfiltered arm")
     if isinstance(flt, LorentzianFilter):
         return flt.gamma
-    points = max(4 * flt.omega.size, 4001)
-    return (2.0 / math.pi) * _spectral_pair_integral(flt, Unfiltered(), points)
+    w = np.linspace(*flt.support, max(4 * flt.omega.size, 4001))
+    return (2.0 / math.pi) * float(np.trapezoid(flt.transmission(w), w))
 
 
 def _gamma_scales(f_s: FilterSpec, f_i: FilterSpec) -> list[float]:

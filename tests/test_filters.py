@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdckit import filters
 from spdckit.filters import (
@@ -328,7 +330,7 @@ def test_tabulated_gamma_eff_pair_matches_exact_integral(pair):
     exact = (2.0 / math.pi) * _exact_pair_integral(f_s, f_i)
     assert exact > 0.0
     for method in ("auto", "spectral"):
-        assert math.isclose(gamma_eff_pair(f_s, f_i, method=method), exact, rel_tol=1e-9)
+        assert math.isclose(gamma_eff_pair(f_s, f_i, method=method), exact, rel_tol=1e-13)
 
 
 def test_tabulated_gamma_eff_pair_of_disjoint_or_touching_supports_is_zero():
@@ -338,6 +340,39 @@ def test_tabulated_gamma_eff_pair_of_disjoint_or_touching_supports_is_zero():
         assert _exact_pair_integral(signal, idler) == 0.0
         assert gamma_eff_pair(signal, idler) == 0.0
         assert gamma_eff_pair(idler, signal) == 0.0
+
+
+def test_tabulated_gamma_eff_pair_with_unfiltered_arm_is_gamma_eff_single():
+    for table in (_TABLE_A, _TABLE_B, _table([-3.0, 5.0], [0.2, 0.9])):
+        single = gamma_eff_single(table)
+        assert gamma_eff_pair(table, Unfiltered()) == single
+        assert gamma_eff_pair(Unfiltered(), table) == single
+
+
+@st.composite
+def _tables(draw):
+    """2-40 rows, 10 Hz to 1 GHz wide, starting within +-50 MHz.
+
+    Pairs of these are often narrow, disjoint or single-segment.
+    """
+    n = draw(st.integers(2, 40))
+    start = draw(st.floats(-50.0, 50.0))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return _table(start + scale * np.concatenate([[0.0], np.cumsum(steps)]), values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tables(), _tables())
+def test_tabulated_gamma_eff_pair_properties(a, b):
+    ab, ba = gamma_eff_pair(a, b), gamma_eff_pair(b, a)
+    assert math.isfinite(ab)
+    assert math.isclose(ab, ba, rel_tol=1e-13)
+    # T_b <= 1, so the pair integral is at most the area under T_a; the slack
+    # is for rounding where T_b = 1 across the whole support of T_a.
+    bound = (2.0 / math.pi) * float(np.trapezoid(a.transmission_values, a.omega))
+    assert 0.0 <= ab <= bound * (1.0 + 1e-13)
 
 
 def test_default_tau_grid_resolves_unequal_widths():
