@@ -105,9 +105,12 @@ class TabulatedFilter:
         trans = np.asarray(self.transmission_values, dtype=float).copy()
         if omega.ndim != 1 or omega.shape != trans.shape or omega.size < 2:
             raise ValueError("need matching 1-d arrays with at least 2 points")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("offsets must be finite")
         if not np.all(np.diff(omega) > 0):
             raise ValueError("offset grid must be strictly increasing")
-        if np.any(trans < 0) or np.any(trans > 1):
+        # Written so that NaN fails too.
+        if not np.all((trans >= 0) & (trans <= 1)):
             raise ValueError("transmission must lie in [0, 1]")
         omega.flags.writeable = False
         trans.flags.writeable = False
@@ -453,14 +456,17 @@ def load_filter_table(path: str | Path) -> TabulatedFilter:
         if len(parts) != 2:
             raise ValueError(f"{path}: line {line_no}: expected 'offset transmission'")
         try:
-            offsets.append(float(parts[0]))
-            values.append(float(parts[1]))
+            offset, value = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: not numeric: {line!r}") from None
+        offset = to_si(offset, unit)
+        if not (math.isfinite(offset) and math.isfinite(value)):
+            raise ValueError(f"{path}: line {line_no}: not finite: {line!r}")
+        offsets.append(offset)
+        values.append(value)
     if unit is None:
         raise ValueError(f"{path}: missing 'units:' header")
-    omega = np.array([to_si(x, unit) for x in offsets])
     try:
-        return TabulatedFilter(omega=omega, transmission_values=np.array(values))
+        return TabulatedFilter(omega=np.array(offsets), transmission_values=np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

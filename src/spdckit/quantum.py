@@ -223,6 +223,17 @@ class SourceReport:
                 raise ValueError("pair rate exceeds a singles rate")
 
 
+def _no_passband_message(filter_s: filters.FilterSpec, filter_i: filters.FilterSpec) -> str:
+    """Why Gamma_eff is 0: an arm that transmits nothing, or passbands that miss."""
+    for name, flt in (("filter_s", filter_s), ("filter_i", filter_i)):
+        if not isinstance(flt, filters.Unfiltered) and filters.gamma_eff_single(flt) == 0.0:
+            return f"{name} transmits nothing: its transmission is 0 everywhere"
+    return (
+        "the passbands of filter_s and filter_i do not overlap: T_s(W) T_i(-W) is 0 "
+        "at every offset W, so no pair reaches both detectors"
+    )
+
+
 def evaluate_source(
     waves: WaveTriple,
     crystal: CrystalSpec,
@@ -243,10 +254,12 @@ def evaluate_source(
     """
     if pump_power < 0:
         raise ValueError("pump_power must be >= 0")
+    gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
+    if gamma_eff == 0.0:
+        raise ValueError(_no_passband_message(filter_s, filter_i))
     if overlaps is None:
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
 
-    gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
     q_conv = classical.q_conversion(waves, crystal, overlaps.i_sfg_sq)
 
     def arm(collected: str, flt: filters.FilterSpec, i_dfg_sq: float):

@@ -44,6 +44,13 @@ def test_tabulated_filter_validation():
         TabulatedFilter(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match="at least 2"):
         TabulatedFilter(np.array([0.0]), np.array([1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lie in"):
+            TabulatedFilter(np.array([0.0, 1.0, 2.0]), np.array([0.5, bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedFilter(np.array([0.0, 1.0, bad]), np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedFilter(np.array([-bad, 1.0, 2.0]), np.array([0.5, 0.5, 0.5]))
     f = TabulatedFilter(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
     # Outside the table the transmission is zero, not extrapolated.
     assert f.transmission(np.array([2.0]))[0] == 0.0
@@ -438,6 +445,9 @@ def test_load_filter_table(tmp_path):
         ("units: MHz\n-1 0.5 9\n", "offset transmission"),
         ("units: MHz\n-1 fast\n", "not numeric"),
         ("units: MHz\n-1 0.5\n-2 0.5\n", "strictly increasing"),
+        ("units: MHz\n-1 0.5\n0 nan\n1 0.5\n", "line 3: not finite: '0 nan'"),
+        ("units: rad/s\n-inf 0.5\n1 0.5\n", "line 2: not finite"),
+        ("# scan\nunits: MHz\n-1 0.5\n1e308 0.5\n", "line 4: not finite"),
         ("", "missing 'units:'"),
     ],
 )

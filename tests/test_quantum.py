@@ -152,6 +152,22 @@ def test_evaluate_source_unfiltered_arm(ref_waves, ref_crystal, ref_fp):
     assert report.singles_rate_signal is not None
 
 
+def test_evaluate_source_names_filters_without_a_shared_passband(ref_waves, ref_crystal, ref_fp):
+    # T_i(-W) of this line lives on -3..-1 MHz, so it never meets itself.
+    line = filters.TabulatedFilter([1.0 * MHZ, 2.0 * MHZ, 3.0 * MHZ], [0.2, 1.0, 0.2])
+    dark = filters.TabulatedFilter([-MHZ, MHZ], [0.0, 0.0])
+    cases = [
+        (line, line, "passbands of filter_s and filter_i do not overlap"),
+        (dark, LORENTZIAN_2MHZ, "filter_s transmits nothing"),
+        (LORENTZIAN_2MHZ, dark, "filter_i transmits nothing"),
+        (filters.Unfiltered(), dark, "filter_i transmits nothing"),
+    ]
+    for f_s, f_i, message in cases:
+        assert filters.gamma_eff_pair(f_s, f_i) == 0.0
+        with pytest.raises(ValueError, match=message):
+            evaluate_source(ref_waves, ref_crystal, ref_fp, f_s, f_i, 1e-3)
+
+
 def test_evaluate_source_precomputed_overlaps(ref_waves, ref_crystal, ref_fp):
     bundle = compute_overlaps(ref_waves, ref_crystal, ref_fp)
     direct = evaluate_source(
