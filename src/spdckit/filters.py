@@ -220,16 +220,6 @@ def _table_lorentzian_integral(flt: TabulatedFilter, gamma: float) -> float:
     return float(np.sum(values[:-1] * area + slope * (moment - nodes[:-1] * area)))
 
 
-def _tabulated_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
-    """Int T_s(W) T_i(-W) dW, exact, with at least one tabulated arm and no unfiltered one."""
-    if isinstance(f_s, TabulatedFilter) and isinstance(f_i, TabulatedFilter):
-        return _table_pair_integral(
-            f_s.omega, f_s.transmission_values, -f_i.omega[::-1], f_i.transmission_values[::-1]
-        )
-    table, lorentzian = (f_s, f_i) if isinstance(f_s, TabulatedFilter) else (f_i, f_s)
-    return _table_lorentzian_integral(table, lorentzian.gamma)
-
-
 def _adaptive_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
     """Int T_s(W) T_i(-W) dW of two table-free arms by adaptive quadrature.
 
@@ -275,7 +265,13 @@ def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> fl
             return gamma_eff_single(f_s)
         if isinstance(f_s, Unfiltered):
             return gamma_eff_single(f_i)
-        return (2.0 / math.pi) * _tabulated_pair_integral(f_s, f_i)
+        if isinstance(f_i, LorentzianFilter):
+            return (2.0 / math.pi) * _table_lorentzian_integral(f_s, f_i.gamma)
+        if isinstance(f_s, LorentzianFilter):
+            return (2.0 / math.pi) * _table_lorentzian_integral(f_i, f_s.gamma)
+        return (2.0 / math.pi) * _table_pair_integral(
+            f_s.omega, f_s.transmission_values, -f_i.omega[::-1], f_i.transmission_values[::-1]
+        )
     if method in ("auto", "closed"):
         if isinstance(f_s, LorentzianFilter) and isinstance(f_i, LorentzianFilter):
             # Matched pair reduced by hand: Gamma^2/(2 Gamma) = Gamma/2. The
