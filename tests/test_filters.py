@@ -306,6 +306,7 @@ def _table(offsets_mhz, values) -> TabulatedFilter:
 
 _GRID_C = np.arange(-10.0, 7.5001, 0.5)
 _GRID_D = np.arange(-12.0, 12.0001, 0.25)
+_GRID_E = np.linspace(-20.0, 20.0, 161)
 ORACLE_PAIRS = {
     **{name: SPECTRAL_PAIRS[name] for name in ("table-table", "table-lorentzian", "lorentzian-table")},
     "two-row-lorentzian": (_table([-3.0, 5.0], [0.2, 0.9]), _LORENTZ),
@@ -313,16 +314,16 @@ ORACLE_PAIRS = {
     "two-row-table": (_table([-3.0, 5.0], [0.2, 0.9]), _TABLE_B),
     # Symmetric grid: the mirrored idler nodes coincide with the signal nodes.
     "identical-nodes": (
-        _table(np.linspace(-20.0, 20.0, 161), np.exp(-((np.linspace(-20.0, 20.0, 161) / 6.0) ** 2))),
-        _table(np.linspace(-20.0, 20.0, 161), 0.5 + 0.5 * np.cos(np.linspace(-20.0, 20.0, 161) / 4.0)),
+        _table(_GRID_E, np.exp(-((_GRID_E / 6.0) ** 2))),
+        _table(_GRID_E, 0.5 + 0.5 * np.cos(_GRID_E / 4.0)),
     ),
     # Both edges of the signal table fall on mirrored idler nodes.
     "edge-on-node": (
         _table(_GRID_C, 0.5 + 0.4 * np.sin(_GRID_C)),
         _table(_GRID_D, 1.0 / (1.0 + (_GRID_D / 3.0) ** 2)),
     ),
-    # Segments thousands of gamma wide, some at |W| >> gamma: the atan and
-    # log of the Lorentzian moments nearly cancel there.
+    # Segments thousands of gamma wide, some at |W| >> gamma, where the two
+    # Lorentzian moments in B - a A partly cancel.
     "wide-segments-lorentzian": (
         _table([-5000.0, -3000.0, 200.0, 4000.0, 9000.0], [0.3, 0.9, 0.5, 1.0, 0.1]),
         LorentzianFilter(0.5 * MHZ),
