@@ -12,16 +12,18 @@ through two angular-frequency scalars and one shape:
 A Lorentzian filter of angular FWHM Gamma has transmission
 T(W) = Gamma^2/(Gamma^2 + 4 W^2), causal impulse response
 F(t) = (Gamma/2) exp(-Gamma t / 2) for t > 0, and closed forms for all
-three quantities; those are used wherever possible and double-checked
-against the spectral integrals in the tests. Tabulated filters reconstruct
+three quantities; those are used wherever possible, and
+validation.gamma_eff_pair_spectral checks the joint linewidth by adaptive
+quadrature of the spectral integral. Tabulated filters reconstruct
 |F_hat| = sqrt(T) with zero phase: gamma_eff and |f| depend only on the
 transmission magnitudes, so the unknown true phase drops out of every
 quantity this package reports.
 
 All three filter kinds offer transmission(W), amplitude_ft(W) and support,
 the offset interval outside which T vanishes (None if it never does); an
-unfiltered arm transmits 1. A table's T(W) is piecewise linear, so
-gamma_eff_pair with a tabulated arm is exact, with no sampling grid:
+unfiltered arm transmits 1. gamma_eff_pair computes each pair one way.
+A table's T(W) is piecewise linear, so a tabulated arm is exact too, with
+no sampling grid:
 
   table x table       a quadratic on each interval of the merged nodes,
                       h/6 (2 s_a t_a + s_a t_b + s_b t_a + 2 s_b t_b);
@@ -44,7 +46,6 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from . import quadrature
 from .quantities import to_si
 
 __all__ = [
@@ -220,69 +221,38 @@ def _table_lorentzian_integral(flt: TabulatedFilter, gamma: float) -> float:
     return float(np.sum(values[:-1] * area + slope * (moment - nodes[:-1] * area)))
 
 
-def _adaptive_pair_integral(f_s: FilterSpec, f_i: FilterSpec) -> float:
-    """Int T_s(W) T_i(-W) dW of two table-free arms by adaptive quadrature.
-
-    The real line is mapped onto an interval so the adaptive rule sees the
-    tails; only the method='spectral' cross-checks of closed forms use it.
-    """
-    scale = 0.25 * sum(_gamma_scales(f_s, f_i))
-
-    def integrand(theta):
-        w = scale * np.tan(theta)
-        jac = scale / np.cos(theta) ** 2
-        return f_s.transmission(w) * f_i.transmission(-w) * jac
-
-    res = quadrature.integrate(
-        integrand, -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12, rel_tol=1e-10
-    )
-    return float(np.real(res.value))
-
-
-def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec, method: str = "auto") -> float:
+def gamma_eff_pair(f_s: FilterSpec, f_i: FilterSpec) -> float:
     """Joint effective linewidth Gamma_eff = (2/pi) Int T_s(W) T_i(-W) dW [rad/s].
 
-    A tabulated arm is integrated exactly for either method 'auto' or
-    'spectral': its T(W) is piecewise linear, so table x table sums a
-    quadratic per merged interval, table x Lorentzian a closed form per
-    segment, and table x unfiltered is gamma_eff_single(table). For pairs
-    without a table, 'auto' uses the Lorentzian closed form
-    Gamma_s Gamma_i / (Gamma_s + Gamma_i) and its unfiltered limits, and
-    'spectral' forces adaptive quadrature (used by the cross-checks);
-    'closed' accepts table-free pairs only.
+    Every pair has an exact form. An unfiltered arm leaves the other arm's
+    gamma_eff_single, and two Lorentzians give Gamma_s Gamma_i / (Gamma_s +
+    Gamma_i). A tabulated T(W) is piecewise linear, so table x table sums a
+    quadratic per merged interval and table x Lorentzian a closed form per
+    segment. validation.gamma_eff_pair_spectral is the quadrature oracle for
+    table-free pairs.
     """
     if isinstance(f_s, Unfiltered) and isinstance(f_i, Unfiltered):
         raise ValueError(
             "gamma_eff is undefined with both arms unfiltered: the narrow-band "
             "model needs at least one finite collection bandwidth"
         )
-    if method not in ("auto", "closed", "spectral"):
-        raise ValueError("method must be 'auto', 'closed' or 'spectral'")
-    if isinstance(f_s, TabulatedFilter) or isinstance(f_i, TabulatedFilter):
-        if method == "closed":
-            raise ValueError("no closed form for tabulated filters")
-        if isinstance(f_i, Unfiltered):
-            return gamma_eff_single(f_s)
-        if isinstance(f_s, Unfiltered):
-            return gamma_eff_single(f_i)
-        if isinstance(f_i, LorentzianFilter):
-            return (2.0 / math.pi) * _table_lorentzian_integral(f_s, f_i.gamma)
-        if isinstance(f_s, LorentzianFilter):
-            return (2.0 / math.pi) * _table_lorentzian_integral(f_i, f_s.gamma)
-        return (2.0 / math.pi) * _table_pair_integral(
-            f_s.omega, f_s.transmission_values, -f_i.omega[::-1], f_i.transmission_values[::-1]
-        )
-    if method in ("auto", "closed"):
-        if isinstance(f_s, LorentzianFilter) and isinstance(f_i, LorentzianFilter):
-            # Matched pair reduced by hand: Gamma^2/(2 Gamma) = Gamma/2. The
-            # generic expression below misses exact halving in float.
-            if f_s.gamma == f_i.gamma:
-                return 0.5 * f_s.gamma
-            return f_s.gamma * f_i.gamma / (f_s.gamma + f_i.gamma)
-        if isinstance(f_s, LorentzianFilter):
-            return f_s.gamma
-        return f_i.gamma
-    return (2.0 / math.pi) * _adaptive_pair_integral(f_s, f_i)
+    if isinstance(f_i, Unfiltered):
+        return gamma_eff_single(f_s)
+    if isinstance(f_s, Unfiltered):
+        return gamma_eff_single(f_i)
+    if isinstance(f_s, LorentzianFilter) and isinstance(f_i, LorentzianFilter):
+        # Matched pair reduced by hand: Gamma^2/(2 Gamma) = Gamma/2. The
+        # generic expression below misses exact halving in float.
+        if f_s.gamma == f_i.gamma:
+            return 0.5 * f_s.gamma
+        return f_s.gamma * f_i.gamma / (f_s.gamma + f_i.gamma)
+    if isinstance(f_i, LorentzianFilter):
+        return (2.0 / math.pi) * _table_lorentzian_integral(f_s, f_i.gamma)
+    if isinstance(f_s, LorentzianFilter):
+        return (2.0 / math.pi) * _table_lorentzian_integral(f_i, f_s.gamma)
+    return (2.0 / math.pi) * _table_pair_integral(
+        f_s.omega, f_s.transmission_values, -f_i.omega[::-1], f_i.transmission_values[::-1]
+    )
 
 
 def gamma_eff_single(flt: FilterSpec) -> float:
@@ -429,7 +399,9 @@ def load_filter_table(path: str | Path) -> TabulatedFilter:
 
     Format: optional '#' comment lines, then a header ``units: MHz`` or
     ``units: rad/s`` declaring the offset unit (MHz meaning ordinary
-    frequency), then one ``offset transmission`` pair per line.
+    frequency), then one ``offset transmission`` pair per line, with
+    offsets strictly increasing and transmissions in [0, 1]. A bad row
+    raises ValueError naming its line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     unit: str | None = None
@@ -458,6 +430,14 @@ def load_filter_table(path: str | Path) -> TabulatedFilter:
         offset = to_si(offset, unit)
         if not (math.isfinite(offset) and math.isfinite(value)):
             raise ValueError(f"{path}: line {line_no}: not finite: {line!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"{path}: line {line_no}: transmission must lie in [0, 1]: {line!r}"
+            )
+        if offsets and not offset > offsets[-1]:
+            raise ValueError(
+                f"{path}: line {line_no}: offsets must be strictly increasing: {line!r}"
+            )
         offsets.append(offset)
         values.append(value)
     if unit is None:

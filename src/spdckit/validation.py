@@ -3,10 +3,11 @@
 Every oracle here recomputes a package quantity by a genuinely different
 method: closed forms, direct Fresnel beam propagation on a radial grid,
 a thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
-constant. Only the closed-form Upsilon, which uses no quadrature, is
-checked against the package quadrature engine; every other integration in
-this module is a plain trapezoid sum or scipy.quad, so a defect in the
-mode-sum integrator cannot cancel out of the comparison.
+constant. Only two closed forms, which use no quadrature themselves, are
+checked against the package quadrature engine: Upsilon and the Lorentzian
+joint linewidth Gamma_eff (gamma_eff_pair_spectral). Every other
+integration in this module is a plain trapezoid sum or scipy.quad, so a
+defect in the mode-sum integrator cannot cancel out of the comparison.
 
 The absolute route (absolute_q_fresnel, absolute_pair_rate_fresnel) fixes
 the absolute scale of Q_SFG and W2 from SI fields and the driven wave
@@ -40,6 +41,7 @@ __all__ = [
     "closed_form_upsilon_kappa0",
     "oracle_upsilon_closed_form",
     "oracle_upsilon_vs_quadrature",
+    "gamma_eff_pair_spectral",
     "oracle_reduction_vs_direct",
     "oracle_fresnel_self_test",
     "oracle_dfg_fresnel",
@@ -135,6 +137,32 @@ def oracle_upsilon_vs_quadrature() -> OracleReport:
         (scale * res.value).real,
         1e-10,
     )
+
+
+def gamma_eff_pair_spectral(f_s: filters.FilterSpec, f_i: filters.FilterSpec) -> float:
+    """(2/pi) Int T_s(W) T_i(-W) dW of two table-free arms by adaptive quadrature [rad/s].
+
+    The oracle for the closed forms of filters.gamma_eff_pair. W = s tan(theta)
+    maps the real line onto an interval, so the adaptive rule sees the
+    Lorentzian tails. A tabulated arm raises ValueError: its Gamma_eff is
+    already exact, and the tests check it against an exact integral.
+    """
+    if isinstance(f_s, filters.TabulatedFilter) or isinstance(f_i, filters.TabulatedFilter):
+        raise ValueError("gamma_eff_pair_spectral takes table-free pairs only")
+    gammas = [f.gamma for f in (f_s, f_i) if isinstance(f, filters.LorentzianFilter)]
+    if not gammas:
+        raise ValueError("gamma_eff is undefined with both arms unfiltered")
+    scale = 0.25 * sum(gammas)
+
+    def integrand(theta):
+        w = scale * np.tan(theta)
+        jac = scale / np.cos(theta) ** 2
+        return f_s.transmission(w) * f_i.transmission(-w) * jac
+
+    res = quadrature.integrate(
+        integrand, -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12, rel_tol=1e-10
+    )
+    return (2.0 / math.pi) * float(np.real(res.value))
 
 
 def oracle_reduction_vs_direct() -> OracleReport:

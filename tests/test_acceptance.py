@@ -86,8 +86,8 @@ def test_filter_width_triangle():
         lo, hi = math.log(TWO_PI * 0.8e6), math.log(TWO_PI * 32e6)
         f_s = LorentzianFilter(math.exp(rng.uniform(lo, hi)))
         f_i = LorentzianFilter(math.exp(rng.uniform(lo, hi)))
-        closed = gamma_eff_pair(f_s, f_i, method="closed")
-        spectral = gamma_eff_pair(f_s, f_i, method="spectral")
+        closed = gamma_eff_pair(f_s, f_i)
+        spectral = validation.gamma_eff_pair_spectral(f_s, f_i)
         tau = default_tau_grid(f_s, f_i, points=2**21 + 1)
         temporal = correlation_shape(f_s, f_i, tau=tau).temporal_gamma_eff()
         for a, b in ((closed, spectral), (closed, temporal), (spectral, temporal)):

@@ -22,6 +22,7 @@ from spdckit.filters import (
     load_filter_table,
     min_tau_points,
 )
+from spdckit.validation import gamma_eff_pair_spectral
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -74,8 +75,8 @@ def test_gamma_eff_pair_spectral_agrees_with_closed():
     for _ in range(5):
         g_s, g_i = rng.uniform(0.5, 20.0, 2) * MHZ
         f_s, f_i = LorentzianFilter(g_s), LorentzianFilter(g_i)
-        closed = gamma_eff_pair(f_s, f_i, method="closed")
-        spectral = gamma_eff_pair(f_s, f_i, method="spectral")
+        closed = gamma_eff_pair(f_s, f_i)
+        spectral = gamma_eff_pair_spectral(f_s, f_i)
         assert math.isclose(closed, spectral, rel_tol=1e-9)
 
 
@@ -85,8 +86,8 @@ def test_gamma_eff_pair_unfiltered_arm():
     assert gamma_eff_pair(Unfiltered(), f) == f.gamma
     with pytest.raises(ValueError, match="both arms unfiltered"):
         gamma_eff_pair(Unfiltered(), Unfiltered())
-    with pytest.raises(ValueError, match="method"):
-        gamma_eff_pair(f, f, method="fourier")
+    with pytest.raises(ValueError, match="both arms unfiltered"):
+        gamma_eff_pair_spectral(Unfiltered(), Unfiltered())
 
 
 def test_gamma_eff_single():
@@ -113,8 +114,8 @@ def test_gamma_eff_pair_tabulated_route():
     tab = _tabulate_lorentzian(gamma, 400.0 * gamma, 80001)
     got = gamma_eff_pair(tab, LorentzianFilter(gamma))
     assert math.isclose(got, 0.5 * gamma, rel_tol=5e-3)
-    with pytest.raises(ValueError, match="closed form"):
-        gamma_eff_pair(tab, LorentzianFilter(gamma), method="closed")
+    with pytest.raises(ValueError, match="table-free"):
+        gamma_eff_pair_spectral(tab, LorentzianFilter(gamma))
 
 
 def test_correlation_matched_closed_form():
@@ -337,8 +338,7 @@ def test_tabulated_gamma_eff_pair_matches_exact_integral(pair):
     f_s, f_i = ORACLE_PAIRS[pair]
     exact = (2.0 / math.pi) * _exact_pair_integral(f_s, f_i)
     assert exact > 0.0
-    for method in ("auto", "spectral"):
-        assert math.isclose(gamma_eff_pair(f_s, f_i, method=method), exact, rel_tol=1e-13)
+    assert math.isclose(gamma_eff_pair(f_s, f_i), exact, rel_tol=1e-13)
 
 
 def test_tabulated_gamma_eff_pair_of_disjoint_or_touching_supports_is_zero():
@@ -446,6 +446,8 @@ def test_load_filter_table(tmp_path):
         ("units: MHz\n-1 0.5 9\n", "offset transmission"),
         ("units: MHz\n-1 fast\n", "not numeric"),
         ("units: MHz\n-1 0.5\n-2 0.5\n", "strictly increasing"),
+        ("units: MHz\n-1 0.5\n1 0.5\n1 0.7\n", "line 4: offsets must be strictly increasing: '1 0.7'"),
+        ("units: MHz\n-1 0.5\n0 1.5\n1 0.5\n", r"line 3: transmission must lie in \[0, 1\]: '0 1.5'"),
         ("units: MHz\n-1 0.5\n0 nan\n1 0.5\n", "line 3: not finite: '0 nan'"),
         ("units: rad/s\n-inf 0.5\n1 0.5\n", "line 2: not finite"),
         ("# scan\nunits: MHz\n-1 0.5\n1e308 0.5\n", "line 4: not finite"),
