@@ -215,16 +215,13 @@ def i_sfg_direct3d(
     waves: WaveTriple,
     crystal: CrystalSpec,
     fp: FocusParams,
-    grid_points: int | None = None,
-    rel_tol: float = 1e-10,
 ) -> OverlapResult:
     """Brute-force overlap: volume integral of the three Gaussian modes.
 
     The transverse integral of the Gaussian product is done analytically,
     the longitudinal integral numerically with an independent routine
-    (scipy), so this is an oracle for i_sfg_gaussian rather than a rescaled
-    copy of it. With ``grid_points`` set, a fixed trapezoid grid is used
-    instead and refined once; failure to settle raises ValueError.
+    (scipy.quad at relative tolerance 1e-10), so this is an oracle for
+    i_sfg_gaussian rather than a rescaled copy of it.
     """
     _check_focus_consistency(waves, crystal, fp)
     k_p = waves.pump.wavenumber
@@ -242,19 +239,7 @@ def i_sfg_direct3d(
         a = (k_s + k_i) / (2.0 * q) - k_p / (2.0 * qb)
         return pref * np.exp(-1j * delta_k * z) / (qb * q * q) * (1j * math.pi / a)
 
-    if grid_points is not None:
-        if grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
-        coarse = _trapz_complex(line_density, -half_l, half_l, grid_points)
-        fine = _trapz_complex(line_density, -half_l, half_l, 2 * grid_points - 1)
-        err = abs(fine - coarse)
-        if err > 1e-4 * abs(fine):
-            raise ValueError(
-                f"direct-3d grid of {grid_points} points has not converged "
-                f"(refinement changed the value by {err / abs(fine):.2e} relative)"
-            )
-        return OverlapResult(i_value=fine, method="direct-3d", est_error=err)
-
+    rel_tol = 1e-10
     # One component of a nearly pure-real or pure-imaginary result cannot
     # meet a relative tolerance; anchor epsabs to the overall magnitude so
     # quad can terminate on absolute error there.

@@ -226,14 +226,6 @@ def test_direct3d_agrees_with_reduction(ref_waves, ref_crystal, ref_fp):
     assert abs(direct.i_value - reduced.i_value) < 1e-9 * abs(reduced.i_value)
 
 
-def test_direct3d_fixed_grid_path(ref_waves, ref_crystal, ref_fp):
-    reduced = overlap.i_sfg_gaussian(ref_waves, ref_crystal, ref_fp)
-    gridded = overlap.i_sfg_direct3d(ref_waves, ref_crystal, ref_fp, grid_points=2001)
-    assert abs(gridded.i_value - reduced.i_value) < 1e-5 * abs(reduced.i_value)
-    with pytest.raises(ValueError, match="at least 8"):
-        overlap.i_sfg_direct3d(ref_waves, ref_crystal, ref_fp, grid_points=4)
-
-
 def test_focus_consistency_enforced(ref_waves, ref_crystal, ref_fp):
     wrong_kappa = FocusParams(kappa=1.0, zeta_r=ref_fp.zeta_r, r_k=ref_fp.r_k)
     with pytest.raises(ValueError, match="kappa"):
