@@ -169,14 +169,14 @@ def _mode_sum(
         if ratio >= 1.0:
             raise ModeSumError(
                 f"mode terms not decaying at order {max_order} "
-                f"(last-term ratio {ratio:.3f}); raise max_radial_order"
+                f"(last-term ratio {ratio:.3f}); raise basis_order"
             )
         tail = t_last * ratio / (1.0 - ratio)
         tail_rel = tail / (total + tail)
     if tail_rel > tail_tol:
         raise ModeSumError(
             f"mode sum truncated at order {max_order} with relative tail "
-            f"{tail_rel:.2e} > {tail_tol:.0e}; raise max_radial_order"
+            f"{tail_rel:.2e} > {tail_tol:.0e}; raise basis_order"
         )
     return ParsevalSum(terms=tuple(float(t) for t in terms), total=total, tail_estimate=tail_rel)
 
@@ -185,28 +185,25 @@ def i_dfg_sq(
     waves: WaveTriple,
     crystal: CrystalSpec,
     fp: FocusParams,
-    basis: LGBasisSpec | None = None,
+    arm: str = "idler",
+    basis_order: int = DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ParsevalSum:
     """Total difference-frequency overlap |I_DFG|^2 (dimensionless).
 
-    The basis sits on the generated arm: an idler basis (default) gives the
-    quantity that controls the signal singles rate, and vice versa.
+    The basis of radial orders 0..basis_order sits on the given arm, with
+    that arm's collection mode as mode 0 (default_basis). An idler basis
+    (default) gives the quantity that controls the signal singles rate, and
+    vice versa.
     """
-    if basis is None:
-        basis = default_basis(waves, crystal, fp, arm="idler")
+    if arm not in ("signal", "idler"):
+        raise ValueError("arm must be 'signal' or 'idler'")
+    if basis_order < 1:
+        raise ValueError("basis_order must be >= 1")
     k_s = waves.signal.wavenumber
     k_i = waves.idler.wavenumber
-    if _same_wave(basis, waves.idler.vacuum_wavelength, k_i, fp, crystal):
-        k_a, k_b = k_s, k_i
-    elif _same_wave(basis, waves.signal.vacuum_wavelength, k_s, fp, crystal):
-        k_a, k_b = k_i, k_s
-    else:
-        raise ValueError(
-            "basis must match the signal or idler mode (wavelength, index and "
-            "Rayleigh range) so that mode 0 is the collection mode"
-        )
+    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
     return _mode_sum(
         k_p=waves.pump.wavenumber,
         k_a=k_a,
@@ -214,7 +211,7 @@ def i_dfg_sq(
         kappa=fp.kappa,
         zeta_r=fp.zeta_r,
         length=crystal.length,
-        max_order=basis.max_radial_order,
+        max_order=basis_order,
         quad_tol=quad_tol,
         tail_tol=tail_tol,
     )
@@ -224,7 +221,7 @@ def i_apg_sq(
     waves: WaveTriple,
     crystal: CrystalSpec,
     fp: FocusParams,
-    basis: LGBasisSpec | None = None,
+    basis_order: int = DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ParsevalSum:
@@ -233,29 +230,8 @@ def i_apg_sq(
     Degenerate analogue of i_dfg_sq: signal and idler are the same mode, the
     basis sits on the signal arm.
     """
-    s, i = waves.signal, waves.idler
-    if (s.vacuum_wavelength, s.refractive_index) != (
-        i.vacuum_wavelength,
-        i.refractive_index,
-    ):
+    if waves.signal != waves.idler:
         raise ValueError(
             "average parametric gain needs identical signal and idler modes"
         )
-    if basis is None:
-        basis = default_basis(waves, crystal, fp, arm="signal")
-    return i_dfg_sq(waves, crystal, fp, basis=basis, quad_tol=quad_tol, tail_tol=tail_tol)
-
-
-def _same_wave(
-    basis: LGBasisSpec,
-    wavelength: float,
-    wavenumber: float,
-    fp: FocusParams,
-    crystal: CrystalSpec,
-) -> bool:
-    return (
-        abs(basis.wavelength - wavelength) <= 1e-12 * wavelength
-        and abs(basis.wavenumber - wavenumber) <= 1e-9 * wavenumber
-        and abs(basis.rayleigh_range - fp.zeta_r * crystal.length)
-        <= 1e-9 * basis.rayleigh_range
-    )
+    return i_dfg_sq(waves, crystal, fp, "signal", basis_order, quad_tol, tail_tol)

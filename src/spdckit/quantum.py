@@ -176,19 +176,21 @@ def compute_overlaps(
 ) -> OverlapBundle:
     """Evaluate |I_SFG|^2 and both arms' mode-sum totals for one geometry.
 
-    Arms whose bases coincide (always so for a degenerate triple) share one
-    mode sum.
+    The signal arm's total is the mode sum on the idler basis and the idler
+    arm's on the signal basis, each of radial orders 0..basis_order. When
+    the signal and idler waves are equal (always so for a degenerate
+    triple) the two bases coincide and one mode sum serves both arms.
     """
     i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
-    bases = [
-        modebasis.default_basis(waves, crystal, fp, arm, basis_order)
-        for arm in ("idler", "signal")
-    ]
-    totals = {
-        basis: modebasis.i_dfg_sq(waves, crystal, fp, basis=basis, quad_tol=quad_tol).total
-        for basis in dict.fromkeys(bases)
-    }
-    return OverlapBundle(i_sfg.abs_sq, *(totals[basis] for basis in bases))
+
+    def total(arm: str) -> float:
+        return modebasis.i_dfg_sq(
+            waves, crystal, fp, arm=arm, basis_order=basis_order, quad_tol=quad_tol
+        ).total
+
+    signal_arm = total("idler")
+    idler_arm = signal_arm if waves.signal == waves.idler else total("signal")
+    return OverlapBundle(i_sfg.abs_sq, signal_arm, idler_arm)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,13 @@ def test_correlation_trace(capsys, config_path):
     assert float(meta["a_sq"]) > 0
 
 
+def test_singles_basis_order_below_one_names_the_option(capsys, config_path):
+    code = main(["singles", "--config", config_path, "--basis-order", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "basis_order must be >= 1" in err
+
+
 def test_correlation_bad_tau_max(capsys, config_path):
     code = main(["correlation", "--config", config_path, "--tau-max", "-1"])
     err = capsys.readouterr().err

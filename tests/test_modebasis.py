@@ -52,12 +52,7 @@ def test_term0_is_collection_mode_overlap(ref_waves, ref_crystal, ref_fp):
 
 def test_mode_sum_frozen_totals(ref_waves, ref_crystal, ref_fp):
     idler_basis_sum = i_dfg_sq(ref_waves, ref_crystal, ref_fp)
-    signal_basis_sum = i_dfg_sq(
-        ref_waves,
-        ref_crystal,
-        ref_fp,
-        basis=default_basis(ref_waves, ref_crystal, ref_fp, "signal"),
-    )
+    signal_basis_sum = i_dfg_sq(ref_waves, ref_crystal, ref_fp, arm="signal")
     assert math.isclose(idler_basis_sum.total, 47711.82572248832, rel_tol=1e-9)
     assert math.isclose(signal_basis_sum.total, 47623.5529150877, rel_tol=1e-9)
     # Collection captures ~98.8% of the generated light at this focus.
@@ -76,9 +71,8 @@ def test_terms_decay_and_tail_is_small(ref_waves, ref_crystal, ref_fp):
 
 
 def test_truncation_error_raises(ref_waves, ref_crystal, ref_fp):
-    basis = default_basis(ref_waves, ref_crystal, ref_fp, "idler", max_order=3)
-    with pytest.raises(ModeSumError, match="raise max_radial_order"):
-        i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis=basis, tail_tol=1e-10)
+    with pytest.raises(ModeSumError, match="raise basis_order"):
+        i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=3, tail_tol=1e-10)
 
 
 def test_noise_floor_tail_is_accepted():
@@ -105,15 +99,11 @@ def test_noise_floor_tail_is_accepted():
     assert psum.tail_estimate < 1e-12
 
 
-def test_basis_must_match_an_arm(ref_waves, ref_crystal, ref_fp):
-    alien = LGBasisSpec(
-        wavelength=633e-9,
-        refractive_index=1.5,
-        rayleigh_range=ref_fp.zeta_r * ref_crystal.length,
-        max_radial_order=10,
-    )
-    with pytest.raises(ValueError, match="basis must match"):
-        i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis=alien)
+def test_arm_must_be_signal_or_idler(ref_waves, ref_crystal, ref_fp):
+    with pytest.raises(ValueError, match="arm must be 'signal' or 'idler'"):
+        i_dfg_sq(ref_waves, ref_crystal, ref_fp, arm="pump")
+    with pytest.raises(ValueError, match="basis_order must be >= 1"):
+        i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=0)
 
 
 def test_apg_requires_degenerate_modes(ref_waves, ref_crystal, ref_fp):
@@ -128,9 +118,7 @@ def test_apg_equals_signal_basis_dfg_for_degenerate_config():
     crystal = CrystalSpec(length=length, d_eff=2.4e-12, poling_period=poling)
     fp = derive_focus_params(waves, crystal, 0.18 * length)
     apg = i_apg_sq(waves, crystal, fp)
-    dfg = i_dfg_sq(
-        waves, crystal, fp, basis=default_basis(waves, crystal, fp, "signal")
-    )
+    dfg = i_dfg_sq(waves, crystal, fp, arm="signal")
     assert apg == dfg
 
 

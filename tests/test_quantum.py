@@ -245,20 +245,24 @@ def test_compute_overlaps_degenerate_one_mode_sum(
 ):
     from spdckit import modebasis
 
-    deg, _, crystal, fp = deg_setup
+    deg, non_deg, crystal, fp = deg_setup
     calls = []
     real = modebasis.i_dfg_sq
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["basis"])
+        calls.append(kwargs["arm"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(modebasis, "i_dfg_sq", counting)
-    compute_overlaps(deg, crystal, fp)
-    assert len(calls) == 1
-    calls.clear()
+    # Equal signal and idler waves share one mode sum, with or without the
+    # degenerate flag.
+    for waves in (deg, non_deg):
+        bundle = compute_overlaps(waves, crystal, fp)
+        assert calls == ["idler"]
+        assert bundle.i_dfg_sq_signal_arm == bundle.i_dfg_sq_idler_arm
+        calls.clear()
     ref = compute_overlaps(ref_waves, ref_crystal, ref_fp)
-    assert len(calls) == 2
+    assert calls == ["idler", "signal"]
     assert ref.i_dfg_sq_signal_arm != ref.i_dfg_sq_idler_arm
 
 
