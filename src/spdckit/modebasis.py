@@ -135,15 +135,17 @@ def _mode_sum(
     """
     k_plus = k_p + k_a + k_b
     k_minus0 = k_p - k_a - k_b
-    orders = np.arange(max_order + 1)
 
     def integrand(z: np.ndarray) -> np.ndarray:
         qh = z - 1j * zeta_r
         qhc = z + 1j * zeta_r
         s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
-        base = np.exp(1j * kappa * z) / (qhc * s)
-        ratio = (qh / qhc) * (s - 1.0) / s
-        return base * ratio ** orders[:, None]
+        # Row n is base * ratio^n, built as a running product down the
+        # order axis: one complex multiply per entry instead of a power.
+        block = np.empty((max_order + 1, z.size), dtype=complex)
+        block[0] = np.exp(1j * kappa * z) / (qhc * s)
+        block[1:] = (qh / qhc) * (s - 1.0) / s
+        return np.cumprod(block, axis=0, out=block)
 
     res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=quad_tol)
     z_r = zeta_r * length

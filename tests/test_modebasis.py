@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spdckit import modebasis, overlap
+from spdckit import modebasis, overlap, quadrature
 from spdckit.modebasis import LGBasisSpec, ModeSumError, default_basis, i_apg_sq, i_dfg_sq, lg_mode
-from spdckit.quantities import CrystalSpec, WaveTriple, derive_focus_params
+from spdckit.quantities import CrystalSpec, FocusParams, WaveTriple, derive_focus_params
 
 
 def test_basis_spec_validation():
@@ -58,6 +58,66 @@ def test_mode_sum_frozen_totals(ref_waves, ref_crystal, ref_fp):
     # Collection captures ~98.8% of the generated light at this focus.
     ratio = idler_basis_sum.term0 / idler_basis_sum.total
     assert math.isclose(ratio, 0.9883243804710866, rel_tol=1e-9)
+
+
+def _power_form_coeffs(waves, fp, arm, order, integrate):
+    """Coefficient integrals with r(z)^n taken as a complex power.
+
+    Reference for the running product in modebasis._mode_sum: the same
+    integrand and quadrature, with base * ratio ** n written out directly.
+    """
+    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+    k_p = waves.pump.wavenumber
+    k_plus = k_p + k_a + k_b
+    k_minus0 = k_p - k_a - k_b
+    zeta_r = fp.zeta_r
+    orders = np.arange(order + 1)
+
+    def integrand(z):
+        qh = z - 1j * zeta_r
+        qhc = z + 1j * zeta_r
+        s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
+        base = np.exp(1j * fp.kappa * z) / (qhc * s)
+        ratio = (qh / qhc) * (s - 1.0) / s
+        return base * ratio ** orders[:, None]
+
+    return integrate(integrand, -0.5, 0.5, rel_tol=1e-9)
+
+
+def test_running_product_matches_power_form(ref_waves, ref_crystal, monkeypatch):
+    integrate = quadrature.integrate
+    seen = []
+
+    def recording(f, a, b, **kwargs):
+        seen.append(integrate(f, a, b, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(quadrature, "integrate", recording)
+    degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for order in (1, 40, 99, 100, 120, 200):
+        for arm in ("idler", "signal"):
+            for _ in range(3):
+                kappa = float(rng.uniform(-12.0, 5.0))
+                zeta_r = float(math.exp(rng.uniform(math.log(0.02), math.log(10.0))))
+                cases.append((ref_waves, kappa, zeta_r, arm, order))
+    cases.append((degenerate, -3.0, 0.18, "signal", 120))
+    for waves, kappa, zeta_r, arm, order in cases:
+        fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
+        try:
+            i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order, tail_tol=1.0)
+        except ModeSumError:
+            pass  # a short basis may fail the decay test; its coefficients still count
+        got = seen[-1]
+        want = _power_form_coeffs(waves, fp, arm, order, integrate)
+        case = (kappa, zeta_r, arm, order)
+        assert got.n_panels == want.n_panels, case
+        got_terms = np.abs(got.value) ** 2
+        want_terms = np.abs(want.value) ** 2
+        assert math.isclose(got_terms.sum(), want_terms.sum(), rel_tol=1e-13), case
+        assert np.max(np.abs(got_terms - want_terms)) <= 1e-13 * want_terms.max(), case
 
 
 def test_terms_decay_and_tail_is_small(ref_waves, ref_crystal, ref_fp):
