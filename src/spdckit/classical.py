@@ -14,7 +14,7 @@ is the one place where the package chooses between the two processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple
 
@@ -45,9 +45,13 @@ class EfficiencyReport:
     q_idler_arm: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+        for name, value in (
+            ("q_conversion", self.q_conversion),
+            ("q_signal_arm", self.q_signal_arm),
+            ("q_idler_arm", self.q_idler_arm),
+        ):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def q_conversion(waves: WaveTriple, crystal: CrystalSpec, i_sfg_sq: float) -> float:

@@ -280,10 +280,12 @@ def sweep(
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
-    shared = None
+    # A rate-only grid cannot move waves, crystal or z_R: derive the focus
+    # parameters and overlaps once and hand both to every point.
+    shared_fp = shared = None
     if set(names) <= _RATE_ONLY_AXES:
-        fp = derive_focus_params(waves, crystal, z_r)
-        shared = quantum.compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
+        shared_fp = derive_focus_params(waves, crystal, z_r)
+        shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
 
     grids = [ax.values for ax in axes]
     points = [dict(zip(names, combo)) for combo in itertools.product(*grids)]
@@ -293,7 +295,7 @@ def sweep(
             w, c, zr, fs, fi, power = _apply_point(
                 waves, crystal, z_r, filter_s, filter_i, pump_power, coords
             )
-            fp = derive_focus_params(w, c, zr)
+            fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
             report = quantum.evaluate_source(
                 w,
                 c,

@@ -217,3 +217,25 @@ def test_sweep_validation(sweep_setup):
     big2 = SweepAxis("Gamma_s", tuple(np.linspace(MHZ, 2 * MHZ, 1001)))
     with pytest.raises(ValueError, match="exceeds"):
         sweep(waves, crystal, z_r, flt, flt, 1e-3, [big, big2])
+
+
+def test_rate_only_sweep_rows_equal_direct_evaluation(sweep_setup):
+    # A rate-only grid derives its focus parameters and overlaps once; every
+    # row must still be exactly the report evaluate_source gives at its point.
+    waves, crystal, z_r, flt = sweep_setup
+    axes = [SweepAxis("P_p", (1e-3, 2.5e-3)), SweepAxis("Gamma_i", (1.0 * MHZ, 4.0 * MHZ))]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    fp = derive_focus_params(waves, crystal, z_r)
+    overlaps = quantum.compute_overlaps(waves, crystal, fp)
+    assert len(rows) == 4
+    for row in rows:
+        direct = quantum.evaluate_source(
+            waves,
+            crystal,
+            fp,
+            flt,
+            filters.LorentzianFilter(row.coords["Gamma_i"]),
+            row.coords["P_p"],
+            overlaps=overlaps,
+        )
+        assert row.report == direct
