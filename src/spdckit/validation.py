@@ -219,13 +219,16 @@ def _fresnel_field(
     k_gen; the radial Gaussian integral against J0 has a closed form.
     """
     field = np.zeros(r.size, dtype=complex)
+    r_sq = r**2
     for zp in z_mid:
         beta, q_prod, carrier = slice_source(zp)
         d_prop = z0 - zp
         a = -1j * (beta + k_gen / (2.0 * d_prop))
-        b = k_gen * r / d_prop
         coef = dz * (k_gen / (1j * d_prop)) * amp / q_prod * carrier / (2.0 * a)
-        field += coef * np.exp(1j * k_gen * r**2 / (2.0 * d_prop)) * np.exp(-(b**2) / (4.0 * a))
+        # Kernel phase exp(i k r^2 / 2d) times the J0 Gaussian integral
+        # exp(-b^2 / 4a) with b = k r / d: one exponential, linear in r^2.
+        c = 1j * k_gen / (2.0 * d_prop) - (k_gen / d_prop) ** 2 / (4.0 * a)
+        field += coef * np.exp(c * r_sq)
     return field
 
 

@@ -1,7 +1,9 @@
 """The independent-oracle suite must agree with the main implementation."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from spdckit import classical, overlap, quantum, validation
@@ -103,3 +105,28 @@ def test_absolute_route_rejects_unsupported_inputs(ref_waves, ref_crystal):
         validation.absolute_pair_rate_fresnel(
             ref_waves, ref_crystal, z_r, 1e-3, flt, LorentzianFilter(2e9)
         )
+
+
+def test_fresnel_field_single_exponential_matches_two_factor_form():
+    # The slice kernel exp(i k r^2 / 2d) * exp(-b^2 / 4a), b = k r / d, is
+    # evaluated as one exponential; it must equal the two-factor product.
+    length, z_r = 1e-2, 1.8e-3
+    k_p, k_c, k_gen = 2.4e7, 1.4e7, 1.5e7
+    z0, dz, z_mid, r = validation._fresnel_grid(length, z_r, k_gen, 50, 500, 12.0)
+    amp = math.sqrt(k_p * k_c) * z_r / math.pi
+
+    def source(zp):
+        q, q_bar = zp - 1j * z_r, zp + 1j * z_r
+        carrier = cmath.exp(1j * (1e3 * zp + k_gen * (z0 - zp)))
+        return k_p / (2.0 * q) - k_c / (2.0 * q_bar), q * q_bar, carrier
+
+    want = np.zeros(r.size, dtype=complex)
+    for zp in z_mid:
+        beta, q_prod, carrier = source(zp)
+        d = z0 - zp
+        a = -1j * (beta + k_gen / (2.0 * d))
+        b = k_gen * r / d
+        coef = dz * (k_gen / (1j * d)) * amp / q_prod * carrier / (2.0 * a)
+        want += coef * np.exp(1j * k_gen * r**2 / (2.0 * d)) * np.exp(-(b**2) / (4.0 * a))
+    got = validation._fresnel_field(r, z0, z_mid, dz, k_gen, amp, source)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
