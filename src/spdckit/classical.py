@@ -45,12 +45,8 @@ class EfficiencyReport:
     q_idler_arm: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("q_conversion", self.q_conversion),
-            ("q_signal_arm", self.q_signal_arm),
-            ("q_idler_arm", self.q_idler_arm),
-        ):
-            if value < 0:
+        for name in ("q_conversion", "q_signal_arm", "q_idler_arm"):
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -106,10 +106,12 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal, monkeypatch)
     cases.append((degenerate, -3.0, 0.18, "signal", 120))
     for waves, kappa, zeta_r, arm, order in cases:
         fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
+        calls = len(seen)
         try:
             i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order, tail_tol=1.0)
         except ModeSumError:
             pass  # a short basis may fail the decay test; its coefficients still count
+        assert len(seen) == calls + 1
         got = seen[-1]
         want = _power_form_coeffs(waves, fp, arm, order, integrate)
         case = (kappa, zeta_r, arm, order)
