@@ -37,7 +37,6 @@ __all__ = [
     "MaterialRecord",
     "load_material_db",
     "loads_material_db",
-    "serialize_material_db",
     "builtin_db",
     "get_material",
     "index_at",
@@ -246,31 +245,6 @@ def loads_material_db(text: str) -> list[MaterialRecord]:
 def load_material_db(path: str | Path) -> list[MaterialRecord]:
     """Load and validate a material database file."""
     return loads_material_db(Path(path).read_text(encoding="utf-8"))
-
-
-def serialize_material_db(records: list[MaterialRecord]) -> str:
-    """Render records back to database text.
-
-    Indices and Sellmeier coefficients survive a round trip exactly; the
-    nm- and pm-scaled fields (wavelength range, d_eff) only to an ulp,
-    because the unit scaling itself rounds.
-    """
-    chunks = []
-    for r in records:
-        lines = [f"[{r.name}]", f"type = {r.kind}"]
-        if r.kind == "fixed":
-            assert r.fixed_indices is not None
-            for axis, n in zip("sip", r.fixed_indices):
-                lines.append(f"n_{axis} = {n!r}")
-        else:
-            assert r.sellmeier is not None
-            for axis, c in zip("sip", r.sellmeier):
-                lines.append(f"sellmeier_{axis} = {c.a!r}, {c.b!r}, {c.c!r}, {c.d!r}")
-        lines.append(f"d_eff_pm_per_V = {r.d_eff * 1e12!r}")
-        lines.append(f"lambda_min_nm = {r.wavelength_range[0] * 1e9!r}")
-        lines.append(f"lambda_max_nm = {r.wavelength_range[1] * 1e9!r}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
 
 
 @lru_cache(maxsize=1)

@@ -21,19 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from . import quadrature
 from .quantities import CrystalSpec, FocusParams, WaveTriple
 
 __all__ = [
     "ModeSumError",
-    "LGBasisSpec",
     "ParsevalSum",
-    "default_basis",
-    "lg_mode",
     "i_dfg_sq",
-    "i_apg_sq",
 ]
 
 DEFAULT_MAX_ORDER = 40
@@ -42,30 +37,6 @@ DEFAULT_TAIL_TOL = 1e-4
 
 class ModeSumError(RuntimeError):
     """Mode sum truncated before the tail estimate met its threshold."""
-
-
-@dataclass(frozen=True)
-class LGBasisSpec:
-    """Radial (l = 0) Laguerre-Gauss basis on a given carrier.
-
-    The basis waist is tied to the collection mode: same wavelength, index
-    and Rayleigh range, so mode 0 is the collection mode itself.
-    """
-
-    wavelength: float  # m
-    refractive_index: float
-    rayleigh_range: float  # m
-    max_radial_order: int
-
-    def __post_init__(self) -> None:
-        if self.max_radial_order < 1:
-            raise ValueError("max_radial_order must be >= 1")
-        if self.rayleigh_range <= 0:
-            raise ValueError("rayleigh_range must be positive")
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi * self.refractive_index / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -79,42 +50,6 @@ class ParsevalSum:
     @property
     def term0(self) -> float:
         return self.terms[0]
-
-
-def default_basis(
-    waves: WaveTriple,
-    crystal: CrystalSpec,
-    fp: FocusParams,
-    arm: str = "idler",
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> LGBasisSpec:
-    """Basis matched to the signal or idler collection mode of a configuration."""
-    if arm not in ("signal", "idler"):
-        raise ValueError("arm must be 'signal' or 'idler'")
-    wave = waves.idler if arm == "idler" else waves.signal
-    return LGBasisSpec(
-        wavelength=wave.vacuum_wavelength,
-        refractive_index=wave.refractive_index,
-        rayleigh_range=fp.zeta_r * crystal.length,
-        max_radial_order=max_order,
-    )
-
-
-def lg_mode(spec: LGBasisSpec, n: int, r: np.ndarray, z: float) -> np.ndarray:
-    """Field of radial LG mode n at height z; plane-normalized to unit power."""
-    k = spec.wavenumber
-    z_r = spec.rayleigh_range
-    q = z - 1j * z_r
-    w_sq = 2.0 * (z**2 + z_r**2) / (k * z_r)
-    r = np.asarray(r, dtype=float)
-    return (
-        math.sqrt(k * z_r / math.pi)
-        * (1.0 / q)
-        * (np.conj(q) / q) ** n
-        * eval_laguerre(n, 2.0 * r**2 / w_sq)
-        * np.exp(1j * k * z)
-        * np.exp(1j * k * r**2 / (2.0 * q))
-    )
 
 
 def _mode_sum(
@@ -195,9 +130,11 @@ def i_dfg_sq(
     """Total difference-frequency overlap |I_DFG|^2 (dimensionless).
 
     The basis of radial orders 0..basis_order sits on the given arm, with
-    that arm's collection mode as mode 0 (default_basis). An idler basis
-    (default) gives the quantity that controls the signal singles rate, and
-    vice versa.
+    that arm's collection mode (same wavelength, index and Rayleigh range)
+    as mode 0. An idler basis (default) gives the quantity that controls
+    the signal singles rate, and vice versa. With identical signal and
+    idler modes either basis gives the average-parametric-gain total
+    |I_APG|^2.
     """
     if arm not in ("signal", "idler"):
         raise ValueError("arm must be 'signal' or 'idler'")
@@ -217,23 +154,3 @@ def i_dfg_sq(
         quad_tol=quad_tol,
         tail_tol=tail_tol,
     )
-
-
-def i_apg_sq(
-    waves: WaveTriple,
-    crystal: CrystalSpec,
-    fp: FocusParams,
-    basis_order: int = DEFAULT_MAX_ORDER,
-    quad_tol: float = 1e-9,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> ParsevalSum:
-    """Total average-parametric-gain overlap |I_APG|^2 (dimensionless).
-
-    Degenerate analogue of i_dfg_sq: signal and idler are the same mode, the
-    basis sits on the signal arm.
-    """
-    if waves.signal != waves.idler:
-        raise ValueError(
-            "average parametric gain needs identical signal and idler modes"
-        )
-    return i_dfg_sq(waves, crystal, fp, "signal", basis_order, quad_tol, tail_tol)

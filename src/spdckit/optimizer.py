@@ -55,7 +55,6 @@ class OptimizationResult:
     best_kappa: float
     best_zeta_r: float
     best_objective: float
-    evaluations: int
     converged: bool
     # (kappa, zeta_r, objective) for every merit evaluation, in order.
     trace: tuple[tuple[float, float, float], ...]
@@ -65,8 +64,10 @@ class OptimizationResult:
             peak = max(t[2] for t in self.trace)
             if self.best_objective < peak:
                 raise ValueError("best_objective below a traced evaluation")
-        if self.evaluations != len(self.trace):
-            raise ValueError("evaluations must equal the trace length")
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
 
 def optimize_focus(
@@ -106,7 +107,7 @@ def optimize_focus(
     # Single-point box: nothing to search.
     if k_lo == k_hi and z_lo == z_hi:
         value = merit(k_lo, z_lo)
-        return OptimizationResult(k_lo, z_lo, value, len(trace), True, tuple(trace))
+        return OptimizationResult(k_lo, z_lo, value, True, tuple(trace))
 
     k_span = max(k_hi - k_lo, 1e-9)
     z_span = max(z_hi - z_lo, 1e-9)
@@ -147,7 +148,6 @@ def optimize_focus(
         best_kappa=best_k,
         best_zeta_r=best_z,
         best_objective=best_f,
-        evaluations=len(trace),
         converged=converged,
         trace=tuple(trace),
     )
@@ -262,7 +262,6 @@ def sweep(
     *,
     quad_tol: float = 1e-9,
     basis_order: int = 40,
-    pm_bandwidth: float | None = None,
 ) -> list[SweepRow]:
     """Evaluate the source over a 1D or 2D grid, first axis outermost.
 
@@ -305,7 +304,6 @@ def sweep(
                 power,
                 basis_order=basis_order,
                 quad_tol=quad_tol,
-                pm_bandwidth=pm_bandwidth,
                 overlaps=shared,
             )
             return SweepRow(coords=coords, report=report)

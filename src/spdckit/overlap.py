@@ -55,9 +55,6 @@ __all__ = [
     "upsilon",
     "i_sfg_gaussian",
     "i_sfg_direct3d",
-    "phi_thin_crystal",
-    "waist_from_rayleigh",
-    "waist_norm",
 ]
 
 
@@ -271,32 +268,3 @@ def i_sfg_direct3d(
 def _trapz_complex(f, a: float, b: float, n: int) -> complex:
     z = np.linspace(a, b, n)
     return complex(np.trapezoid(f(z), z))
-
-
-def phi_thin_crystal(
-    length: float, w_p: float, w_s: float, w_i: float, delta_k: float
-) -> complex:
-    """Collimated-beam overlap kernel Phi(Delta_k) of the thin-crystal model.
-
-    Three unnormalized Gaussian envelopes exp(-r^2/W_m^2) overlap over a
-    crystal of the given length:
-
-        Phi = L sinc(Delta_k L / 2) * pi / (W_p^-2 + W_s^-2 + W_i^-2).
-    """
-    if min(length, w_p, w_s, w_i) <= 0:
-        raise ValueError("length and waists must be positive")
-    inv = 1.0 / w_p**2 + 1.0 / w_s**2 + 1.0 / w_i**2
-    u = 0.5 * delta_k * length
-    return length * np.sinc(u / math.pi) * math.pi / inv
-
-
-def waist_from_rayleigh(z_r: float, k: float) -> float:
-    """Focal waist W with W^2 = 2 z_R / k (intensity 1/e^2 radius)."""
-    if z_r <= 0 or k <= 0:
-        raise ValueError("z_r and k must be positive")
-    return math.sqrt(2.0 * z_r / k)
-
-
-def waist_norm(w: float) -> float:
-    """Transverse normalization alpha = sqrt(2 / (pi W^2)) of a Gaussian mode."""
-    return math.sqrt(2.0 / (math.pi * w**2))

@@ -198,9 +198,7 @@ class SourceReport:
     """Everything computed for one source configuration.
 
     Rates are None for an arm whose filter is Unfiltered (its singles rate
-    is unbounded in the narrow-band model). narrowband_ok is None unless a
-    phase-matching bandwidth estimate was supplied; the package does not
-    estimate it, it only compares when told.
+    is unbounded in the narrow-band model).
     """
 
     pair_rate_w2: float
@@ -214,7 +212,6 @@ class SourceReport:
     pump_power: float
     efficiencies: classical.EfficiencyReport
     overlaps: OverlapBundle
-    narrowband_ok: bool | None = None
 
     def __post_init__(self) -> None:
         for eta in (self.eta_signal, self.eta_idler):
@@ -246,7 +243,6 @@ def evaluate_source(
     *,
     basis_order: int = modebasis.DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
-    pm_bandwidth: float | None = None,
     overlaps: OverlapBundle | None = None,
 ) -> SourceReport:
     """Full pipeline: overlaps, efficiencies, linewidths, rates, heralding.
@@ -292,5 +288,4 @@ def evaluate_source(
         pump_power=pump_power,
         efficiencies=classical.EfficiencyReport(q_conv, q_s, q_i),
         overlaps=overlaps,
-        narrowband_ok=None if pm_bandwidth is None else bool(gamma_eff <= pm_bandwidth),
     )

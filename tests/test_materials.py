@@ -1,6 +1,7 @@
 """Material database parsing, lookup and index evaluation."""
 
 import math
+from importlib import resources
 
 import pytest
 
@@ -8,12 +9,10 @@ from spdckit import materials
 from spdckit.materials import (
     MaterialParseError,
     SellmeierCoefficients,
-    builtin_db,
     get_material,
     index_at,
     load_material_db,
     loads_material_db,
-    serialize_material_db,
 )
 
 
@@ -73,16 +72,12 @@ def _records_equivalent(a, b) -> bool:
     )
 
 
-def test_round_trip_serialization():
-    records = list(builtin_db())
-    reloaded = loads_material_db(serialize_material_db(records))
-    assert len(reloaded) == len(records)
-    assert all(_records_equivalent(a, b) for a, b in zip(records, reloaded))
-
-
 def test_load_from_file(tmp_path):
     db = tmp_path / "local.db"
-    db.write_text(serialize_material_db(list(builtin_db())), encoding="utf-8")
+    db.write_text(
+        resources.files("spdckit").joinpath("data/materials.db").read_text("utf-8"),
+        encoding="utf-8",
+    )
     rec = get_material("KTP-y-axis", db_path=db)
     assert _records_equivalent(rec, get_material("KTP-y-axis"))
 

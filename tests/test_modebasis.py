@@ -6,40 +6,8 @@ import numpy as np
 import pytest
 
 from spdckit import modebasis, overlap, quadrature
-from spdckit.modebasis import LGBasisSpec, ModeSumError, default_basis, i_apg_sq, i_dfg_sq, lg_mode
+from spdckit.modebasis import ModeSumError, i_dfg_sq
 from spdckit.quantities import CrystalSpec, FocusParams, WaveTriple, derive_focus_params
-
-
-def test_basis_spec_validation():
-    with pytest.raises(ValueError, match="max_radial_order"):
-        LGBasisSpec(800e-9, 1.8, 1.8e-3, 0)
-    with pytest.raises(ValueError, match="rayleigh_range"):
-        LGBasisSpec(800e-9, 1.8, 0.0, 10)
-
-
-def test_default_basis_arm_selection(ref_waves, ref_crystal, ref_fp):
-    b_i = default_basis(ref_waves, ref_crystal, ref_fp, "idler")
-    b_s = default_basis(ref_waves, ref_crystal, ref_fp, "signal")
-    assert b_i.refractive_index == ref_waves.idler.refractive_index
-    assert b_s.refractive_index == ref_waves.signal.refractive_index
-    assert b_i.rayleigh_range == ref_fp.zeta_r * ref_crystal.length
-    with pytest.raises(ValueError, match="arm"):
-        default_basis(ref_waves, ref_crystal, ref_fp, "pump")
-
-
-def test_lg_modes_orthonormal_on_plane():
-    spec = LGBasisSpec(800e-9, 1.8, 1.8e-3, 6)
-    w_sq = 2.0 * (0.5e-3**2 + spec.rayleigh_range**2) / (
-        spec.wavenumber * spec.rayleigh_range
-    )
-    r = np.linspace(0.0, 12.0 * math.sqrt(w_sq), 40001)
-    z = 0.5e-3
-    for n, m in [(0, 0), (1, 1), (3, 3), (0, 1), (1, 2), (0, 3)]:
-        u_n = lg_mode(spec, n, r, z)
-        u_m = lg_mode(spec, m, r, z)
-        inner = np.trapezoid(np.conj(u_n) * u_m * 2.0 * math.pi * r, r)
-        want = 1.0 if n == m else 0.0
-        assert abs(inner - want) < 1e-6
 
 
 def test_term0_is_collection_mode_overlap(ref_waves, ref_crystal, ref_fp):
@@ -166,22 +134,6 @@ def test_arm_must_be_signal_or_idler(ref_waves, ref_crystal, ref_fp):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, arm="pump")
     with pytest.raises(ValueError, match="basis_order must be >= 1"):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=0)
-
-
-def test_apg_requires_degenerate_modes(ref_waves, ref_crystal, ref_fp):
-    with pytest.raises(ValueError, match="identical signal and idler"):
-        i_apg_sq(ref_waves, ref_crystal, ref_fp)
-
-
-def test_apg_equals_signal_basis_dfg_for_degenerate_config():
-    waves = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
-    length = 1e-2
-    poling = 2.0 * math.pi / (waves.k_minus0 + 3.0 / length)
-    crystal = CrystalSpec(length=length, d_eff=2.4e-12, poling_period=poling)
-    fp = derive_focus_params(waves, crystal, 0.18 * length)
-    apg = i_apg_sq(waves, crystal, fp)
-    dfg = i_dfg_sq(waves, crystal, fp, arm="signal")
-    assert apg == dfg
 
 
 def test_module_constants():

@@ -92,16 +92,6 @@ def test_optimization_result_invariants():
             best_kappa=0.0,
             best_zeta_r=0.1,
             best_objective=0.5,
-            evaluations=1,
-            converged=True,
-            trace=((0.0, 0.1, 0.9),),
-        )
-    with pytest.raises(ValueError, match="trace length"):
-        OptimizationResult(
-            best_kappa=0.0,
-            best_zeta_r=0.1,
-            best_objective=0.9,
-            evaluations=2,
             converged=True,
             trace=((0.0, 0.1, 0.9),),
         )

@@ -233,27 +233,3 @@ def test_focus_consistency_enforced(ref_waves, ref_crystal, ref_fp):
     wrong_rk = FocusParams(kappa=ref_fp.kappa, zeta_r=ref_fp.zeta_r, r_k=0.2)
     with pytest.raises(ValueError, match="r_k"):
         overlap.i_sfg_direct3d(ref_waves, ref_crystal, wrong_rk)
-
-
-def test_phi_thin_crystal_hand_value():
-    # L sinc(dk L / 2) pi / sum(1/W^2) with numbers small enough to check by eye.
-    phi0 = overlap.phi_thin_crystal(2.0, 1.0, 1.0, 1.0, 0.0)
-    assert math.isclose(abs(phi0), 2.0 * math.pi / 3.0, rel_tol=1e-12)
-    # First sinc zero: dk L / 2 = pi.
-    phi_zero = overlap.phi_thin_crystal(2.0, 1.0, 1.0, 1.0, math.pi)
-    assert abs(phi_zero) < 1e-15
-    with pytest.raises(ValueError, match="positive"):
-        overlap.phi_thin_crystal(0.0, 1.0, 1.0, 1.0, 0.0)
-
-
-def test_waist_helpers():
-    z_r, k = 1.8e-3, 14482742.133048948
-    w = overlap.waist_from_rayleigh(z_r, k)
-    assert math.isclose(w * w, 2.0 * z_r / k, rel_tol=1e-15)
-    alpha = overlap.waist_norm(w)
-    # Unit transverse power: alpha^2 * Int exp(-2 r^2/W^2) 2 pi r dr = 1.
-    r = np.linspace(0.0, 8.0 * w, 20001)
-    power = alpha**2 * np.trapezoid(np.exp(-2.0 * r**2 / w**2) * 2.0 * math.pi * r, r)
-    assert math.isclose(power, 1.0, rel_tol=1e-6)
-    with pytest.raises(ValueError, match="positive"):
-        overlap.waist_from_rayleigh(-1.0, k)

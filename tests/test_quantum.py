@@ -138,7 +138,6 @@ def test_evaluate_source_frozen_report(ref_waves, ref_crystal, ref_fp):
         report.pair_rate_w2 / report.singles_rate_signal,
         rel_tol=1e-12,
     )
-    assert report.narrowband_ok is None
 
 
 def test_evaluate_source_unfiltered_arm(ref_waves, ref_crystal, ref_fp):
@@ -183,29 +182,6 @@ def test_evaluate_source_precomputed_overlaps(ref_waves, ref_crystal, ref_fp):
         overlaps=bundle,
     )
     assert cached.pair_rate_w2 == direct.pair_rate_w2
-
-
-def test_evaluate_source_narrowband_flag(ref_waves, ref_crystal, ref_fp):
-    wide = evaluate_source(
-        ref_waves,
-        ref_crystal,
-        ref_fp,
-        LORENTZIAN_2MHZ,
-        LORENTZIAN_2MHZ,
-        1e-3,
-        pm_bandwidth=1e12,
-    )
-    assert wide.narrowband_ok is True
-    narrow = evaluate_source(
-        ref_waves,
-        ref_crystal,
-        ref_fp,
-        LORENTZIAN_2MHZ,
-        LORENTZIAN_2MHZ,
-        1e-3,
-        pm_bandwidth=1e3,
-    )
-    assert narrow.narrowband_ok is False
 
 
 def test_degenerate_source_factors(deg_setup):
