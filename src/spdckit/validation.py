@@ -185,21 +185,16 @@ def oracle_reduction_vs_direct() -> OracleReport:
 
 
 def _fresnel_grid(
-    length: float,
-    z_r: float,
-    k_gen: float,
-    n_slices: int,
-    r_points: int,
-    r_max_factor: float,
+    length: float, z_r: float, k_gen: float, n_slices: int, r_points: int
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Output plane z0 = L/2 + 5 z_R, slice width, slice midpoints, radii."""
     z0 = 0.5 * length + 5.0 * z_r
     dz = length / n_slices
     z_mid = (np.arange(n_slices) + 0.5) * dz - 0.5 * length
     # The generated fundamental mode waist at the output plane sets the
-    # radial extent that must be resolved.
+    # radial extent that must be resolved: 12 waists.
     w_out = math.sqrt(2.0 * (z0**2 + z_r**2) / (k_gen * z_r))
-    return z0, dz, z_mid, np.linspace(0.0, r_max_factor * w_out, r_points)
+    return z0, dz, z_mid, np.linspace(0.0, 12.0 * w_out, r_points)
 
 
 def _fresnel_field(
@@ -232,35 +227,41 @@ def _fresnel_field(
     return field
 
 
-def _fresnel_plane_total(
-    k_p: float,
-    k_collected: float,
+def _generated_field(
     k_gen: float,
-    q_poling: float,
+    k_a: float,
+    k_b: float,
+    conj_b: bool,
+    mismatch: float,
     length: float,
     z_r: float,
     n_slices: int,
     r_points: int,
-    r_max_factor: float,
-) -> float:
-    """Plane integral of the generated field propagated slice by slice.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Field driven by a unit source, on radii r of the plane z0: (z0, r, field).
 
-    The crystal is cut into slices; each slice's source profile (pump mode
-    times conjugated collection mode) is sent through the exact paraxial
-    Fresnel kernel to a plane at z0 = L/2 + 5 z_R, where the radial Gaussian
-    integral has a closed form. The plane integral of |field|^2 equals the
-    all-mode Parseval total, and is independent of z0 by unitarity.
+    The source density is u_a v_b exp(i mismatch z) inside the crystal, with
+    u the unit-power Gaussian envelopes of common Rayleigh range z_r and v_b
+    = u_b, or its conjugate when conj_b. It is propagated slice by slice to
+    the plane z0 = L/2 + 5 z_R through the Fresnel kernel of wavenumber
+    k_gen.
     """
-    z0, dz, z_mid, r = _fresnel_grid(length, z_r, k_gen, n_slices, r_points, r_max_factor)
-    amp = math.sqrt(k_p * k_collected) * z_r / math.pi
+    z0, dz, z_mid, r = _fresnel_grid(length, z_r, k_gen, n_slices, r_points)
 
     def source(zp: float):
         q = zp - 1j * z_r
-        q_bar = zp + 1j * z_r
-        carrier = cmath.exp(1j * ((k_p - k_collected - q_poling) * zp + k_gen * (z0 - zp)))
-        return k_p / (2.0 * q) - k_collected / (2.0 * q_bar), q * q_bar, carrier
+        carrier = cmath.exp(1j * mismatch * zp)
+        if conj_b:
+            q_b = q.conjugate()
+            return k_a / (2.0 * q) - k_b / (2.0 * q_b), (1j * q) * (-1j * q_b), carrier
+        return (k_a + k_b) / (2.0 * q), (1j * q) ** 2, carrier
 
-    field = _fresnel_field(r, z0, z_mid, dz, k_gen, amp, source)
+    amp = math.sqrt(k_a * k_b) * z_r / math.pi
+    return z0, r, _fresnel_field(r, z0, z_mid, dz, k_gen, amp, source)
+
+
+def _plane_power(r: np.ndarray, field: np.ndarray) -> float:
+    """Radial trapezoid sum of |field|^2 over the plane."""
     return float(np.trapezoid(2.0 * math.pi * r * np.abs(field) ** 2, r))
 
 
@@ -271,52 +272,41 @@ def oracle_fresnel_self_test() -> OracleReport:
     z0 = 5.0 * z_r
     w_out = math.sqrt(2.0 * (z0**2 + z_r**2) / (k_b * z_r))
     r = np.linspace(0.0, 16.0 * w_out, 40001)
-    q_b = -1j * z_r  # source slice at z = 0
-    a = -1j * k_b * (1.0 / (2.0 * q_b) + 1.0 / (2.0 * z0))
-    b = k_b * r / z0
-    coef = (k_b / (1j * z0)) * math.sqrt(k_b * z_r / math.pi) / q_b / (2.0 * a)
-    field = coef * np.exp(1j * k_b * r**2 / (2.0 * z0)) * np.exp(-(b**2) / (4.0 * a))
-    total = float(np.trapezoid(2.0 * math.pi * r * np.abs(field) ** 2, r))
+    # One source slice at z = 0, through the kernel both Fresnel routes use.
+    q_b = -1j * z_r
+    amp = math.sqrt(k_b * z_r / math.pi)
+    field = _fresnel_field(
+        r, z0, np.zeros(1), 1.0, k_b, amp, lambda zp: (k_b / (2.0 * q_b), q_b, 1.0)
+    )
     return _report(
         "fresnel-propagator-self-test",
         "Fresnel kernel applied to a normalized mode keeps unit power",
-        total,
+        _plane_power(r, field),
         1.0,
         1e-6,
     )
 
 
-def oracle_dfg_fresnel(
-    zeta_r: float = 0.18,
-    kappa: float = -3.0,
-    n_slices: int = 400,
-    r_points: int = 4000,
-    r_max_factor: float = 12.0,
-) -> OracleReport:
+def oracle_dfg_fresnel() -> OracleReport:
     """Mode-sum |I_DFG|^2 total against direct Fresnel propagation.
 
-    The oracle side doubles its grids and requires self-consistency before
-    it is trusted.
+    At zeta_R = 0.18 and kappa = -3, the plane power of the idler field the
+    pump and signal modes drive equals the all-mode Parseval total. The
+    oracle side doubles its grids and requires self-consistency before it
+    is trusted.
     """
     waves = _reference_waves()
-    q = waves.k_minus0 - kappa / _LENGTH
-    if q <= 0:
-        raise ValueError("kappa too large for a positive poling wavenumber here")
+    q = waves.k_minus0 + 3.0 / _LENGTH
     crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    z_r = zeta_r * _LENGTH
+    z_r = 0.18 * _LENGTH
     fp = derive_focus_params(waves, crystal, z_r)
     main = modebasis.i_dfg_sq(waves, crystal, fp).total
 
-    args = (
-        waves.pump.wavenumber,
-        waves.signal.wavenumber,
-        waves.idler.wavenumber,
-        crystal.qpm_wavenumber,
-        _LENGTH,
-        z_r,
-    )
-    coarse = _fresnel_plane_total(*args, n_slices, r_points, r_max_factor)
-    fine = _fresnel_plane_total(*args, 2 * n_slices, 2 * r_points, r_max_factor)
+    k_p, k_s, k_i = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
+    mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
+    args = (k_i, k_p, k_s, True, mismatch, _LENGTH, z_r)
+    coarse = _plane_power(*_generated_field(*args, 400, 4000)[1:])
+    fine = _plane_power(*_generated_field(*args, 800, 8000)[1:])
     if abs(fine - coarse) > 1e-3 * abs(fine):
         raise ValueError(
             f"Fresnel oracle not converged: {coarse!r} vs {fine!r} after doubling"
@@ -442,7 +432,6 @@ ABSOLUTE_ROUTE_TOL = 1e-4
 
 _ABSOLUTE_SLICES = 200
 _ABSOLUTE_R_POINTS = 2000
-_ABSOLUTE_R_MAX_FACTOR = 12.0
 
 
 def _gaussian_mode(k: float, z_r: float, r: np.ndarray, z: float) -> np.ndarray:
@@ -467,26 +456,12 @@ def _mode_projection(
 ) -> complex:
     """Generated-mode content of the field driven by a unit source.
 
-    The source density is u_a v_b exp(i mismatch z) inside the crystal, with
-    u the unit-power Gaussian envelopes of common Rayleigh range z_r and v_b
-    = u_b, or its conjugate when conj_b. It is propagated slice by slice to
-    the plane z0 = L/2 + 5 z_R and projected there, by a radial trapezoid
-    sum, onto the unit-power mode of wavenumber k_gen.
+    The _generated_field of these arguments is projected at its plane z0,
+    by a radial trapezoid sum, onto the unit-power mode of wavenumber k_gen.
     """
-    z0, dz, z_mid, r = _fresnel_grid(
-        length, z_r, k_gen, n_slices, r_points, _ABSOLUTE_R_MAX_FACTOR
+    z0, r, field = _generated_field(
+        k_gen, k_a, k_b, conj_b, mismatch, length, z_r, n_slices, r_points
     )
-
-    def source(zp: float):
-        q = zp - 1j * z_r
-        carrier = cmath.exp(1j * mismatch * zp)
-        if conj_b:
-            q_b = q.conjugate()
-            return k_a / (2.0 * q) - k_b / (2.0 * q_b), (1j * q) * (-1j * q_b), carrier
-        return (k_a + k_b) / (2.0 * q), (1j * q) ** 2, carrier
-
-    amp = math.sqrt(k_a * k_b) * z_r / math.pi
-    field = _fresnel_field(r, z0, z_mid, dz, k_gen, amp, source)
     density = 2.0 * math.pi * r * np.conj(_gaussian_mode(k_gen, z_r, r, z0)) * field
     return complex(np.trapezoid(density, r))
 

@@ -112,7 +112,7 @@ def test_fresnel_field_single_exponential_matches_two_factor_form():
     # evaluated as one exponential; it must equal the two-factor product.
     length, z_r = 1e-2, 1.8e-3
     k_p, k_c, k_gen = 2.4e7, 1.4e7, 1.5e7
-    z0, dz, z_mid, r = validation._fresnel_grid(length, z_r, k_gen, 50, 500, 12.0)
+    z0, dz, z_mid, r = validation._fresnel_grid(length, z_r, k_gen, 50, 500)
     amp = math.sqrt(k_p * k_c) * z_r / math.pi
 
     def source(zp):
