@@ -98,6 +98,12 @@ _POWER_UNITS = ("uW", "mW", "W")
 _RATE_UNITS = ("MHz", "GHz", "rad/s")
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
+
+
 def _quantity(value: str, units: tuple[str, ...]) -> float:
     parts = value.split()
     if len(parts) != 2:
@@ -108,7 +114,8 @@ def _quantity(value: str, units: tuple[str, ...]) -> float:
         raise ValueError(f"not a number: {parts[0]!r}") from None
     if parts[1] not in units:
         raise ValueError(f"unit must be one of {', '.join(units)}, got {parts[1]!r}")
-    return to_si(number, parts[1])
+    # inf, nan, or a number the unit scaling overflows.
+    return _finite(to_si(number, parts[1]))
 
 
 def _positive_quantity(value: str, units: tuple[str, ...]) -> float:
@@ -122,9 +129,10 @@ def _bare_float(value: str) -> float:
     if len(value.split()) != 1:
         raise ValueError("dimensionless key takes a bare number, no unit")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValueError(f"not a number: {value!r}") from None
+    return _finite(number)
 
 
 def _bool(value: str) -> bool:

@@ -83,8 +83,8 @@ class LorentzianFilter:
     support = None
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def transmission(self, omega: np.ndarray) -> np.ndarray:
         return self.gamma**2 / (self.gamma**2 + 4.0 * np.asarray(omega) ** 2)

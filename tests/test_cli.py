@@ -134,6 +134,31 @@ def test_correlation_bad_tau_max(capsys, config_path):
     assert "error:" in err and "--tau-max" in err
 
 
+@pytest.mark.parametrize("command", ["pairs", "correlation"])
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("pump_power    = 1 mW", "pump_power    = inf mW", "pump_power"),
+        ("filter_s      = lorentzian 2 MHz", "filter_s      = lorentzian inf MHz", "filter_s"),
+    ],
+    ids=["power", "width"],
+)
+def test_non_finite_config_value_is_one_error_line(
+    capsys, config_path, tmp_path, command, old, new, key
+):
+    text = Path(config_path).read_text(encoding="utf-8")
+    assert old in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    code = main([command, "--config", str(bad)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{key}: value must be finite" in lines[0]
+    assert "Traceback" not in out.err
+
+
 def test_optimize_matches_library(capsys):
     argv = ["optimize", "--rk", "0.04", "--restarts", "1", "--tol", "1e-3", "--seed", "3"]
     code, meta, rows, _ = run_ndjson(capsys, argv)

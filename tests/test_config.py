@@ -111,6 +111,13 @@ z_R       = 1 mm
         (("lorentzian 2 MHz", "lorentzian 2"), "lorentzian <width>"),
         (("lorentzian 2 MHz", "lorentzian 0 MHz"), "must be positive"),
         (("filter_i    = lorentzian 2 MHz", "filter_i ="), "empty value"),
+        (("= 1 mW", "= inf mW"), "line 11: pump_power: value must be finite"),
+        (("lorentzian 2 MHz", "lorentzian inf MHz"), "filter_s: value must be finite"),
+        # Finite as written, but 2 pi 1e9 times it overflows.
+        (("lorentzian 2 MHz", "lorentzian 1e300 GHz"), "filter_s: value must be finite"),
+        (("10 mm", "nan mm"), "length: value must be finite"),
+        (("0.18", "inf"), "zeta_R: value must be finite"),
+        (("1.844", "inf"), "n_s: value must be finite"),
     ],
 )
 def test_single_violations(mutation, message):

@@ -34,8 +34,9 @@ def test_lorentzian_transmission_shape():
     assert math.isclose(float(f.transmission(np.array([f.gamma / 2.0]))[0]), 0.5, rel_tol=1e-15)
     omega = np.linspace(-5.0 * f.gamma, 5.0 * f.gamma, 101)
     assert np.allclose(np.abs(f.amplitude_ft(omega)) ** 2, f.transmission(omega), rtol=1e-14)
-    with pytest.raises(ValueError, match="gamma"):
-        LorentzianFilter(gamma=0.0)
+    for bad in (0.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            LorentzianFilter(gamma=bad)
 
 
 def test_tabulated_filter_validation():
