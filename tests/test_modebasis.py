@@ -90,6 +90,40 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal, monkeypatch)
         assert np.max(np.abs(got_terms - want_terms)) <= 1e-13 * want_terms.max(), case
 
 
+def test_mode_sum_matches_adaptive_reference(ref_waves, ref_crystal):
+    # Seeded points over |kappa| <= 1e3 and zeta_R 0.005-100, both arms and
+    # both source kinds: each total agrees with adaptive Gauss-Kronrod
+    # quadrature of the power-form coefficients, or the call raises a typed
+    # error. Points where the reference itself does not converge are skipped.
+    degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
+    rng = np.random.default_rng(11)
+    compared = 0
+    for k in range(48):
+        waves = ref_waves if k % 2 else degenerate
+        arm = ("idler", "signal")[(k // 2) % 2]
+        order = (1, 40, 200)[k % 3]
+        kappa = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 3.0))
+        zeta_r = float(math.exp(rng.uniform(math.log(0.005), math.log(100.0))))
+        fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
+        case = (kappa, zeta_r, arm, order)
+        try:
+            want = _power_form_coeffs(waves, fp, arm, order, quadrature.integrate)
+        except quadrature.QuadratureError:
+            continue
+        try:
+            got = i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order)
+        except (ModeSumError, quadrature.QuadratureError):
+            continue
+        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+        z_r = zeta_r * ref_crystal.length
+        prefactor_sq = waves.pump.wavenumber * k_a * z_r / (math.pi * k_b)
+        total = prefactor_sq * float(np.sum(np.abs(want.value) ** 2))
+        assert math.isclose(got.total, total, rel_tol=1e-10), case
+        compared += 1
+    assert compared >= 24
+
+
 def test_terms_decay_and_tail_is_small(ref_waves, ref_crystal, ref_fp):
     psum = i_dfg_sq(ref_waves, ref_crystal, ref_fp)
     terms = np.asarray(psum.terms)
