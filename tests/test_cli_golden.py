@@ -10,10 +10,19 @@ Regenerate the golden files (only at a commit whose output is the
 reference) with:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+and see first, without writing anything, how the current output moves
+against them (changed lines, largest relative move of a numeric token, any
+non-numeric change) with:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --compare
 """
 
 import contextlib
 import io
+import math
+import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -92,15 +101,65 @@ def test_cli_output_matches_golden(config, cmd, fmt):
         )
 
 
+def test_compare_lines_separates_numbers_from_text():
+    move, text = compare_lines("a  1.0  2.5e-3  x", "a  1.0000000000000002  2.5e-3  x")
+    assert move == pytest.approx(2.22e-16, rel=1e-3) and not text
+    # Wider table columns are no text change; a changed word or a new token is.
+    assert compare_lines("a 1 b", "a    1 b") == (0.0, False)
+    assert compare_lines("a 1 b", "c 1 b")[1]
+    assert compare_lines('{"x": 2.0, "e": null}', '{"x": 2.0, "e": "V1"}')[1]
+
+
+def generate(config: str) -> str:
+    return "".join(
+        _header(cmd, fmt) + run_cli(config, cmd, fmt) for cmd in COMMANDS for fmt in FORMATS
+    )
+
+
 def write_golden() -> None:
     for config in CONFIGS:
-        parts = [
-            _header(cmd, fmt) + run_cli(config, cmd, fmt)
-            for cmd in COMMANDS
-            for fmt in FORMATS
-        ]
-        _golden_file(config).write_text("".join(parts))
+        _golden_file(config).write_text(generate(config))
+
+
+# A numeric token; the split keeps it, so odd pieces are numbers.
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan)")
+
+
+def compare_lines(old: str, new: str) -> tuple[float, bool]:
+    """(largest relative move of a numeric token, whether other text changed).
+
+    Whitespace runs count as one separator, so table columns that widen
+    with the digits are no text change.
+    """
+    a, b = _NUMBER.split(old), _NUMBER.split(new)
+    if len(a) != len(b):
+        return 0.0, True
+    text_changed = any(x.split() != y.split() for x, y in zip(a[::2], b[::2]))
+    move = 0.0
+    for x, y in zip(a[1::2], b[1::2]):
+        u, v = float(x), float(y)
+        if u != v:
+            scale = max(abs(u), abs(v))
+            move = max(move, abs(u - v) / scale if math.isfinite(scale) else math.inf)
+    return move, text_changed
+
+
+def compare_golden() -> None:
+    """Print, per golden file, how the current output differs from it."""
+    for config in CONFIGS:
+        old = _golden_file(config).read_text().splitlines()
+        new = generate(config).splitlines()
+        changed = [(x, y) for x, y in zip(old, new) if x != y]
+        moves = [compare_lines(x, y) for x, y in changed]
+        largest = max((m for m, _ in moves), default=0.0)
+        text = len(old) != len(new) or any(t for _, t in moves)
+        print(
+            f"{_golden_file(config).name}: {len(changed)} of {len(old)} lines changed"
+            f"{f' (now {len(new)} lines)' if len(new) != len(old) else ''}, "
+            f"largest relative move {largest:.2e}, "
+            f"non-numeric change: {'yes' if text else 'no'}"
+        )
 
 
 if __name__ == "__main__":
-    write_golden()
+    compare_golden() if sys.argv[1:] == ["--compare"] else write_golden()
