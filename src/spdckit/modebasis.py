@@ -13,6 +13,13 @@ Laplace transform
 so the n-th coefficient just carries an extra factor of a fixed complex
 ratio to the n-th power. Basis mode 0 is the collection mode itself, which
 makes term 0 exactly |I_SFG|^2 and the heralding bound structural.
+
+The coefficient integrals run on a composite Gauss-Legendre rule in
+u = asinh(z / zeta_R), which spreads the nodes over the focal region at
+tight focus, with the panel count doubling until two rules agree. The
+phase mismatch kappa enters only through exp(i kappa z), so the
+coefficients of many kappa at one zeta_R come from one matrix product;
+the parameter sweep uses that for its kappa axes.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from . import quadrature
+from .quadrature import QuadratureError
 from .quantities import CrystalSpec, FocusParams, WaveTriple
 
 __all__ = [
@@ -34,6 +42,13 @@ __all__ = [
 DEFAULT_MAX_ORDER = 40
 DEFAULT_TAIL_TOL = 1e-4
 
+# Composite Gauss-Legendre rule of the coefficient integrals: nodes per
+# panel, the panel-count cap, and the node block that bounds memory.
+_PANEL_NODES = 64
+_MAX_PANELS = 256
+_BLOCK_NODES = 2048
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
 
 class ModeSumError(RuntimeError):
     """Mode sum truncated before the tail estimate met its threshold."""
@@ -41,54 +56,79 @@ class ModeSumError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParsevalSum:
-    """Per-order contributions |c_n|^2 (dimensionless), their total and tail bound."""
+    """Per-order contributions |c_n|^2 (dimensionless), their total and tail bound.
+
+    n_nodes is the size of the quadrature rule the coefficients came from,
+    and quad_error the max-norm difference of its coefficients from the
+    rule of half as many nodes, relative to the largest coefficient.
+    """
 
     terms: tuple[float, ...]
     total: float
     tail_estimate: float  # relative to total
+    n_nodes: int
+    quad_error: float
 
     @property
     def term0(self) -> float:
         return self.terms[0]
 
 
-def _mode_sum(
-    k_p: float,
-    k_a: float,
-    k_b: float,
-    kappa: float,
-    zeta_r: float,
-    length: float,
-    max_order: int,
-    quad_tol: float,
-    tail_tol: float,
-) -> ParsevalSum:
-    """Sum of |c_n|^2 for basis wavenumber k_b driven by pump k_p and k_a.
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [-1, 1], cached per panel count.
 
-    All lengths enter through (kappa, zeta_r) and the wavenumbers; the
-    integral runs over the scaled coordinate z/L in [-1/2, 1/2].
+    Each of the equal panels carries _PANEL_NODES nodes. Panel counts are
+    powers of two up to _MAX_PANELS, so the cache holds at most nine rules.
     """
-    k_plus = k_p + k_a + k_b
-    k_minus0 = k_p - k_a - k_b
+    rule = _RULES.get(panels)
+    if rule is None:
+        t, w = special.roots_legendre(_PANEL_NODES)
+        left = -1.0 + 2.0 * np.arange(panels) / panels
+        nodes = (left[:, None] + (t + 1.0) / panels).ravel()
+        rule = _RULES[panels] = (nodes, np.tile(w / panels, panels))
+    return rule
 
-    def integrand(z: np.ndarray) -> np.ndarray:
+
+def _coefficients(
+    k_plus: float,
+    k_minus0: float,
+    k_b: float,
+    kappas: np.ndarray,
+    zeta_r: float,
+    max_order: int,
+    panels: int,
+) -> np.ndarray:
+    """Coefficient integrals c_n(kappa) on the rule of the given panel count.
+
+    With u = asinh(z/zeta_R) the poles at z = +-i zeta_R no longer crowd the
+    nodes at tight focus. The integrand of c_n is exp(i kappa z) G_n(z), where
+    row n of G is base * ratio^n: a running product down the order axis, one
+    complex multiply per entry. kappa enters only through the exponential,
+    so every kappa shares G and all of them come from one matrix product.
+    Returns shape (len(kappas), max_order + 1).
+    """
+    x, w = _panel_rule(panels)
+    half_span = math.asinh(0.5 / zeta_r)
+    out = np.zeros((kappas.size, max_order + 1), dtype=complex)
+    # Blocks of nodes bound the memory of G at the largest rules.
+    for lo in range(0, x.size, _BLOCK_NODES):
+        u = half_span * x[lo : lo + _BLOCK_NODES]
+        z = zeta_r * np.sinh(u)
+        dz = (half_span * zeta_r) * np.cosh(u) * w[lo : lo + _BLOCK_NODES]
         qh = z - 1j * zeta_r
         qhc = z + 1j * zeta_r
         s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
-        # Row n is base * ratio^n, built as a running product down the
-        # order axis: one complex multiply per entry instead of a power.
-        block = np.empty((max_order + 1, z.size), dtype=complex)
-        block[0] = np.exp(1j * kappa * z) / (qhc * s)
-        block[1:] = (qh / qhc) * (s - 1.0) / s
-        return np.cumprod(block, axis=0, out=block)
+        g = np.empty((max_order + 1, z.size), dtype=complex)
+        g[0] = dz / (qhc * s)
+        g[1:] = (qh / qhc) * (s - 1.0) / s
+        np.cumprod(g, axis=0, out=g)
+        out += np.exp(1j * np.outer(kappas, z)) @ g.T
+    return out
 
-    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=quad_tol)
-    z_r = zeta_r * length
-    prefactor = math.sqrt(k_p * k_a * z_r / (math.pi * k_b))
-    coeffs = prefactor * np.asarray(res.value)
-    terms = np.abs(coeffs) ** 2
-    total = float(np.sum(terms))
 
+def _tail_estimate(terms: np.ndarray, total: float, quad_tol: float, tail_tol: float) -> float:
+    """Relative tail beyond the last order; raises ModeSumError above tail_tol."""
+    max_order = terms.size - 1
     # Geometric tail bound from the last few orders. terms[n] decays like
     # |(s-1)/s|^(2n), so the running ratio is the honest extrapolation.
     window = min(5, max_order + 1)
@@ -115,7 +155,84 @@ def _mode_sum(
             f"mode sum truncated at order {max_order} with relative tail "
             f"{tail_rel:.2e} > {tail_tol:.0e}; raise basis_order"
         )
-    return ParsevalSum(terms=tuple(float(t) for t in terms), total=total, tail_estimate=tail_rel)
+    return tail_rel
+
+
+def _parseval_sum(
+    coeffs: np.ndarray,
+    prefactor: float,
+    quad_tol: float,
+    tail_tol: float,
+    n_nodes: int,
+    quad_error: float,
+) -> ParsevalSum:
+    terms = np.abs(prefactor * coeffs) ** 2
+    total = float(np.sum(terms))
+    return ParsevalSum(
+        terms=tuple(terms.tolist()),
+        total=total,
+        tail_estimate=_tail_estimate(terms, total, quad_tol, tail_tol),
+        n_nodes=n_nodes,
+        quad_error=quad_error,
+    )
+
+
+def _mode_sums(
+    k_p: float,
+    k_a: float,
+    k_b: float,
+    kappas,
+    zeta_r: float,
+    length: float,
+    max_order: int,
+    quad_tol: float,
+    tail_tol: float,
+) -> list[ParsevalSum | ModeSumError | QuadratureError]:
+    """Sums of |c_n|^2 for basis wavenumber k_b driven by pump k_p and k_a.
+
+    One entry per kappa, in order: the ParsevalSum, or the error that kappa
+    alone raises. All lengths enter through (kappa, zeta_r) and the
+    wavenumbers; the integral runs over the scaled coordinate z/L in
+    [-1/2, 1/2]. The panel count doubles from 1 until the rules of P and 2P
+    panels agree to quad_tol (max norm over the orders, relative to the
+    largest coefficient). Each kappa keeps the 2P rule of the first pair
+    that agrees for it, so it gets the same result in a batch as alone.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    if not (np.all(np.isfinite(kappas)) and math.isfinite(zeta_r)):
+        raise ValueError("kappa and zeta_R must be finite")
+    k_plus = k_p + k_a + k_b
+    k_minus0 = k_p - k_a - k_b
+    prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
+    results: list = [None] * kappas.size
+    active = np.arange(kappas.size)
+    panels = 1
+    prev = _coefficients(k_plus, k_minus0, k_b, kappas, zeta_r, max_order, panels)
+    while active.size:
+        panels *= 2
+        cur = _coefficients(k_plus, k_minus0, k_b, kappas[active], zeta_r, max_order, panels)
+        scale = np.max(np.abs(cur), axis=1)
+        diff = np.max(np.abs(cur - prev), axis=1)
+        done = diff <= quad_tol * scale
+        rel_err = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+        for j, coeffs, err, ok in zip(active, cur, rel_err, done):
+            if ok:
+                try:
+                    results[j] = _parseval_sum(
+                        coeffs, prefactor, quad_tol, tail_tol, _PANEL_NODES * panels, float(err)
+                    )
+                except ModeSumError as exc:
+                    results[j] = exc
+            elif panels == _MAX_PANELS:
+                results[j] = QuadratureError(
+                    f"mode-sum quadrature not converged at kappa={kappas[j]:.6g}, "
+                    f"zeta_R={zeta_r:.6g}: the rules of {_PANEL_NODES * panels // 2} and "
+                    f"{_PANEL_NODES * panels} nodes differ by {err:.2e} > quad_tol {quad_tol:.0e}"
+                )
+        if panels == _MAX_PANELS:
+            break
+        active, prev = active[~done], cur[~done]
+    return results
 
 
 def i_dfg_sq(
@@ -136,20 +253,45 @@ def i_dfg_sq(
     idler modes either basis gives the average-parametric-gain total
     |I_APG|^2.
     """
+    (result,) = _arm_mode_sums(
+        waves, crystal.length, [fp.kappa], fp.zeta_r, arm, basis_order, quad_tol, tail_tol
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _arm_mode_sums(
+    waves: WaveTriple,
+    length: float,
+    kappas,
+    zeta_r: float,
+    arm: str,
+    basis_order: int,
+    quad_tol: float,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+) -> list[ParsevalSum | ModeSumError | QuadratureError]:
+    """i_dfg_sq for every kappa at one zeta_R, from one _mode_sums call.
+
+    Each entry is the ParsevalSum, or the error i_dfg_sq raises at that
+    kappa. Invalid options raise ValueError for the whole call.
+    """
     if arm not in ("signal", "idler"):
         raise ValueError("arm must be 'signal' or 'idler'")
     if basis_order < 1:
         raise ValueError("basis_order must be >= 1")
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and > 0, got {quad_tol!r}")
     k_s = waves.signal.wavenumber
     k_i = waves.idler.wavenumber
     k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-    return _mode_sum(
+    return _mode_sums(
         k_p=waves.pump.wavenumber,
         k_a=k_a,
         k_b=k_b,
-        kappa=fp.kappa,
-        zeta_r=fp.zeta_r,
-        length=crystal.length,
+        kappas=kappas,
+        zeta_r=zeta_r,
+        length=length,
         max_order=basis_order,
         quad_tol=quad_tol,
         tail_tol=tail_tol,

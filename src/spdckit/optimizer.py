@@ -279,6 +279,9 @@ def sweep(
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
+    grids = [ax.values for ax in axes]
+    points = [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+
     # A rate-only grid cannot move waves, crystal or z_R: derive the focus
     # parameters and overlaps once and hand both to every point.
     shared_fp = shared = None
@@ -286,15 +289,30 @@ def sweep(
         shared_fp = derive_focus_params(waves, crystal, z_r)
         shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
 
-    grids = [ax.values for ax in axes]
-    points = [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+    def setup(coords: dict[str, float]):
+        w, c, zr, fs, fi, power = _apply_point(
+            waves, crystal, z_r, filter_s, filter_i, pump_power, coords
+        )
+        fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
+        return w, c, fp, fs, fi, power
 
-    def run_point(coords: dict[str, float]) -> SweepRow:
+    prepared: list = []
+    for coords in points:
         try:
-            w, c, zr, fs, fi, power = _apply_point(
-                waves, crystal, z_r, filter_s, filter_i, pump_power, coords
-            )
-            fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
+            prepared.append(setup(coords))
+        except Exception as exc:
+            prepared.append(exc)
+    overlaps: list = [shared] * len(points)
+    if shared is None:
+        overlaps = _grouped_overlaps(prepared, basis_order, quad_tol)
+
+    def run_point(coords: dict[str, float], point, bundle) -> SweepRow:
+        try:
+            if isinstance(point, Exception):
+                raise point
+            w, c, fp, fs, fi, power = point
+            # Without a bundle (its mode sums failed) the point is evaluated
+            # alone, which raises the error it has there.
             report = quantum.evaluate_source(
                 w,
                 c,
@@ -304,10 +322,34 @@ def sweep(
                 power,
                 basis_order=basis_order,
                 quad_tol=quad_tol,
-                overlaps=shared,
+                overlaps=bundle,
             )
             return SweepRow(coords=coords, report=report)
         except Exception as exc:
             return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
 
-    return [run_point(p) for p in points]
+    return [run_point(*args) for args in zip(points, prepared, overlaps)]
+
+
+def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list:
+    """Overlap bundles of geometry points, one mode-sum call per group.
+
+    Points that share waves, crystal length and zeta_R form a group. A point
+    whose set-up or group failed gets None.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, point in enumerate(prepared):
+        if not isinstance(point, Exception):
+            w, c, fp = point[:3]
+            groups.setdefault((w, c.length, fp.zeta_r), []).append(j)
+    bundles: list = [None] * len(prepared)
+    for (w, _, _), members in groups.items():
+        try:
+            got = quantum._overlap_group(
+                w, [prepared[j][1:3] for j in members], basis_order, quad_tol
+            )
+        except Exception:
+            continue
+        for j, bundle in zip(members, got):
+            bundles[j] = bundle
+    return bundles

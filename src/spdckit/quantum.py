@@ -193,6 +193,41 @@ def compute_overlaps(
     return OverlapBundle(i_sfg.abs_sq, signal_arm, idler_arm)
 
 
+def _overlap_group(
+    waves: WaveTriple,
+    points: list[tuple[CrystalSpec, FocusParams]],
+    basis_order: int,
+    quad_tol: float,
+) -> list[OverlapBundle | None]:
+    """compute_overlaps at points that share waves, crystal length and zeta_R.
+
+    kappa enters the mode sums only through exp(i kappa z), so one mode-sum
+    call per arm serves every point, and each distinct kappa is summed
+    once. None marks a point whose mode sums fail; compute_overlaps there
+    raises the error.
+    """
+    crystal, fp = points[0]
+    kappas = list(dict.fromkeys(p.kappa for _, p in points))
+
+    def totals(arm: str) -> dict:
+        sums = modebasis._arm_mode_sums(
+            waves, crystal.length, kappas, fp.zeta_r, arm, basis_order, quad_tol
+        )
+        return dict(zip(kappas, sums))
+
+    signal_arm = totals("idler")
+    idler_arm = signal_arm if waves.signal == waves.idler else totals("signal")
+    bundles: list[OverlapBundle | None] = []
+    for crystal, fp in points:
+        s, i = signal_arm[fp.kappa], idler_arm[fp.kappa]
+        if isinstance(s, Exception) or isinstance(i, Exception):
+            bundles.append(None)
+        else:
+            i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
+            bundles.append(OverlapBundle(i_sfg.abs_sq, s.total, i.total))
+    return bundles
+
+
 @dataclass(frozen=True)
 class SourceReport:
     """Everything computed for one source configuration.

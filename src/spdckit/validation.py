@@ -3,11 +3,12 @@
 Every oracle here recomputes a package quantity by a genuinely different
 method: closed forms, direct Fresnel beam propagation on a radial grid,
 a thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
-constant. Only two closed forms, which use no quadrature themselves, are
-checked against the package quadrature engine: Upsilon and the Lorentzian
-joint linewidth Gamma_eff (gamma_eff_pair_spectral). Every other
-integration in this module is a plain trapezoid sum or scipy.quad, so a
-defect in the mode-sum integrator cannot cancel out of the comparison.
+constant. The package quadrature engine (adaptive Gauss-Kronrod) runs on no
+hot path; it is the oracle of three routes that do not use it: the closed
+form of Upsilon, the Lorentzian joint linewidth Gamma_eff
+(gamma_eff_pair_spectral), and the Gauss-Legendre rule of the mode sums
+(mode-sum-vs-quadrature). Every other integration in this module is a
+plain trapezoid sum or scipy.quad.
 
 The absolute route (absolute_q_fresnel, absolute_pair_rate_fresnel) fixes
 the absolute scale of Q_SFG and W2 from SI fields and the driven wave
@@ -41,6 +42,7 @@ __all__ = [
     "closed_form_upsilon_kappa0",
     "oracle_upsilon_closed_form",
     "oracle_upsilon_vs_quadrature",
+    "oracle_mode_sum_vs_quadrature",
     "gamma_eff_pair_spectral",
     "oracle_reduction_vs_direct",
     "oracle_fresnel_self_test",
@@ -135,6 +137,41 @@ def oracle_upsilon_vs_quadrature() -> OracleReport:
         f"zeta_R={zeta_r:g}, r_k={r_k:g}",
         main,
         (scale * res.value).real,
+        1e-10,
+    )
+
+
+def oracle_mode_sum_vs_quadrature() -> OracleReport:
+    """Order-40 mode-sum total against adaptive quadrature of its coefficients.
+
+    The oracle side writes r(z)^n as a power instead of a running product
+    and integrates in z itself, not in asinh(z / zeta_R).
+    """
+    waves = _reference_waves()
+    kappa, zeta_r, order = -3.0, 0.18, 40
+    q = waves.k_minus0 - kappa / _LENGTH
+    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
+    fp = derive_focus_params(waves, crystal, zeta_r * _LENGTH)
+    main = modebasis.i_dfg_sq(waves, crystal, fp, basis_order=order).total
+
+    # Idler basis: k_a = k_s, k_b = k_i.
+    k_p, k_a, k_b = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
+    k_plus, k_minus0 = k_p + k_a + k_b, k_p - k_a - k_b
+    orders = np.arange(order + 1)[:, None]
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
+        base = np.exp(1j * kappa * z) / ((z + 1j * zeta_r) * s)
+        return base * (((z - 1j * zeta_r) / (z + 1j * zeta_r)) * (s - 1.0) / s) ** orders
+
+    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-13)
+    prefactor_sq = k_p * k_a * zeta_r * _LENGTH / (math.pi * k_b)
+    return _report(
+        "mode-sum-vs-quadrature",
+        f"Gauss-Legendre mode sum vs adaptive quadrature at kappa={kappa:g}, "
+        f"zeta_R={zeta_r:g}, order {order}",
+        main,
+        prefactor_sq * float(np.sum(np.abs(res.value) ** 2)),
         1e-10,
     )
 
@@ -586,4 +623,5 @@ def run_all_oracles() -> list[OracleReport]:
         ling_comparator(),
         boyd_kleinman_report(),
         oracle_upsilon_vs_quadrature(),
+        oracle_mode_sum_vs_quadrature(),
     ]

@@ -28,11 +28,11 @@ def test_mode_sum_frozen_totals(ref_waves, ref_crystal, ref_fp):
     assert math.isclose(ratio, 0.9883243804710866, rel_tol=1e-9)
 
 
-def _power_form_coeffs(waves, fp, arm, order, integrate):
-    """Coefficient integrals with r(z)^n taken as a complex power.
+def _power_form_integrand(waves, fp, arm, order):
+    """Coefficient integrand with r(z)^n taken as a complex power.
 
-    Reference for the running product in modebasis._mode_sum: the same
-    integrand and quadrature, with base * ratio ** n written out directly.
+    Reference for the running product in modebasis._coefficients: the same
+    integrand, with base * ratio ** n written out directly.
     """
     k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
     k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
@@ -50,18 +50,24 @@ def _power_form_coeffs(waves, fp, arm, order, integrate):
         ratio = (qh / qhc) * (s - 1.0) / s
         return base * ratio ** orders[:, None]
 
-    return integrate(integrand, -0.5, 0.5, rel_tol=1e-9)
+    return integrand
 
 
-def test_running_product_matches_power_form(ref_waves, ref_crystal, monkeypatch):
-    integrate = quadrature.integrate
-    seen = []
+def _power_form_coeffs(waves, fp, arm, order, integrate):
+    """Power-form coefficient integrals by an adaptive quadrature engine."""
+    return integrate(_power_form_integrand(waves, fp, arm, order), -0.5, 0.5, rel_tol=1e-9)
 
-    def recording(f, a, b, **kwargs):
-        seen.append(integrate(f, a, b, **kwargs))
-        return seen[-1]
 
-    monkeypatch.setattr(quadrature, "integrate", recording)
+def _power_form_on_rule(waves, fp, arm, order, panels):
+    """Power-form coefficients on the mode sum's rule of the given panel count."""
+    x, w = modebasis._panel_rule(panels)
+    half_span = math.asinh(0.5 / fp.zeta_r)
+    z = fp.zeta_r * np.sinh(half_span * x)
+    dz = half_span * fp.zeta_r * np.cosh(half_span * x) * w
+    return _power_form_integrand(waves, fp, arm, order)(z) @ dz
+
+
+def test_running_product_matches_power_form(ref_waves, ref_crystal):
     degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
     rng = np.random.default_rng(2024)
     cases = []
@@ -74,20 +80,27 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal, monkeypatch)
     cases.append((degenerate, -3.0, 0.18, "signal", 120))
     for waves, kappa, zeta_r, arm, order in cases:
         fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
-        calls = len(seen)
-        try:
-            i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order, tail_tol=1.0)
-        except ModeSumError:
-            pass  # a short basis may fail the decay test; its coefficients still count
-        assert len(seen) == calls + 1
-        got = seen[-1]
-        want = _power_form_coeffs(waves, fp, arm, order, integrate)
         case = (kappa, zeta_r, arm, order)
-        assert got.n_panels == want.n_panels, case
-        got_terms = np.abs(got.value) ** 2
-        want_terms = np.abs(want.value) ** 2
+        try:
+            psum = i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order, tail_tol=1.0)
+        except ModeSumError:
+            psum = None  # a short basis may fail the decay test; its coefficients still count
+        panels = 2 if psum is None else psum.n_nodes // modebasis._PANEL_NODES
+        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+        k_p = waves.pump.wavenumber
+        got = modebasis._coefficients(
+            k_p + k_a + k_b, k_p - k_a - k_b, k_b, np.array([kappa]), zeta_r, order, panels
+        )[0]
+        want = _power_form_on_rule(waves, fp, arm, order, panels)
+        got_terms = np.abs(got) ** 2
+        want_terms = np.abs(want) ** 2
         assert math.isclose(got_terms.sum(), want_terms.sum(), rel_tol=1e-13), case
         assert np.max(np.abs(got_terms - want_terms)) <= 1e-13 * want_terms.max(), case
+        if psum is not None:
+            # The mode sum's terms are these coefficients, scaled.
+            scale = k_p * k_a * zeta_r * ref_crystal.length / (math.pi * k_b)
+            assert np.allclose(psum.terms, scale * got_terms, rtol=1e-14, atol=0), case
 
 
 def test_mode_sum_matches_adaptive_reference(ref_waves, ref_crystal):
@@ -163,11 +176,61 @@ def test_noise_floor_tail_is_accepted():
     assert psum.tail_estimate < 1e-12
 
 
+def test_rule_size_and_error_are_reported(ref_waves, ref_crystal, ref_fp):
+    psum = i_dfg_sq(ref_waves, ref_crystal, ref_fp)
+    assert psum.n_nodes % modebasis._PANEL_NODES == 0
+    panels = psum.n_nodes // modebasis._PANEL_NODES
+    assert panels >= 2 and panels & (panels - 1) == 0
+    assert 0.0 <= psum.quad_error <= 1e-9
+    # A tighter tolerance needs at least as large a rule.
+    tight = i_dfg_sq(ref_waves, ref_crystal, ref_fp, quad_tol=1e-13)
+    assert tight.n_nodes >= psum.n_nodes and tight.quad_error <= 1e-13
+    assert math.isclose(tight.total, psum.total, rel_tol=1e-12)
+
+
+def test_rule_cache_is_bounded():
+    for panels in (1, 2, 256):
+        x, w = modebasis._panel_rule(panels)
+        assert x.size == w.size == modebasis._PANEL_NODES * panels
+        assert math.isclose(w.sum(), 2.0, rel_tol=1e-14)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert set(modebasis._RULES) <= {2**p for p in range(9)}
+    assert sum(x.nbytes + w.nbytes for x, w in modebasis._RULES.values()) <= 524288
+
+
+def test_unconverged_rule_names_kappa_and_zeta_r(ref_waves, ref_crystal):
+    # 1e6 / (2 pi) oscillations over the crystal outrun the largest rule.
+    fp = FocusParams(kappa=1e6, zeta_r=0.18, r_k=ref_waves.r_k)
+    with pytest.raises(quadrature.QuadratureError, match=r"kappa=1e\+06, zeta_R=0\.18"):
+        i_dfg_sq(ref_waves, ref_crystal, fp)
+
+
+def test_batch_matches_single_kappa(ref_waves, ref_crystal):
+    # Each kappa keeps its own rule: alone or in a batch with kappa that
+    # need more nodes, or that fail, it gets the same sum or the same error.
+    kappas = [-3.0, 1e6, -40.0, 0.0, -3.0]
+    batch = modebasis._arm_mode_sums(ref_waves, ref_crystal.length, kappas, 0.005, "idler", 40, 1e-9)
+    for kappa, got in zip(kappas, batch):
+        fp = FocusParams(kappa=kappa, zeta_r=0.005, r_k=ref_waves.r_k)
+        try:
+            alone = i_dfg_sq(ref_waves, ref_crystal, fp)
+        except (ModeSumError, quadrature.QuadratureError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc), kappa
+            continue
+        assert got.n_nodes == alone.n_nodes, kappa
+        assert math.isclose(got.total, alone.total, rel_tol=1e-13), kappa
+    assert isinstance(batch[1], quadrature.QuadratureError)
+    assert any(isinstance(got, modebasis.ParsevalSum) for got in batch)
+
+
 def test_arm_must_be_signal_or_idler(ref_waves, ref_crystal, ref_fp):
     with pytest.raises(ValueError, match="arm must be 'signal' or 'idler'"):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, arm="pump")
     with pytest.raises(ValueError, match="basis_order must be >= 1"):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=0)
+    for bad in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="quad_tol must be finite and > 0"):
+            i_dfg_sq(ref_waves, ref_crystal, ref_fp, quad_tol=bad)
 
 
 def test_module_constants():

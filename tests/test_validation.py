@@ -42,8 +42,17 @@ def test_reports_cover_both_routes():
     assert any("rate" in n for n in names)
     assert any("closed-form" in n for n in names)
     assert "upsilon-vs-quadrature" in names
+    assert "mode-sum-vs-quadrature" in names
     # The absolute route is a test-time oracle, not part of `spdckit validate`.
     assert not any("absolute" in n for n in names)
+
+
+def test_mode_sum_oracle_compares_the_hot_path_total():
+    # kappa = -3, zeta_R = 0.18, order 40: the frozen idler-basis total of
+    # the reference source (the oracle's waves are the same triple).
+    report = validation.oracle_mode_sum_vs_quadrature()
+    assert report.main_value == pytest.approx(47711.82572248832, rel=1e-12)
+    assert report.rel_diff <= 1e-12 and report.tolerance == 1e-10
 
 
 def test_absolute_route_two_field_matches_q_sfg(ref_waves, ref_crystal, ref_fp):
