@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -317,13 +318,35 @@ def _cmd_validate(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number, so that inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above 0."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _add_common(p, *, config_required=True, basis=False):
     if config_required:
         p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--format", choices=_FORMATS, default="table")
     if basis:
         p.add_argument(
-            "--quad-tol", type=float, default=1e-9, help="relative mode-sum quadrature tolerance"
+            "--quad-tol",
+            type=_positive_float,
+            default=1e-9,
+            help="relative mode-sum quadrature tolerance",
         )
         p.add_argument("--basis-order", type=int, default=40, help="highest radial mode order")
 
@@ -350,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlation", help="signal-idler correlation trace")
     _add_common(p)
     p.add_argument("--points", type=int, help=f"tau grid size (default {_TAU_POINTS} or more)")
-    p.add_argument("--tau-max", type=float, default=None, help="half-span in seconds")
+    p.add_argument("--tau-max", type=_finite_float, default=None, help="half-span in seconds")
     p.set_defaults(func=_cmd_correlation)
 
     p = sub.add_parser("optimize", help="maximize zeta_R |Upsilon|^2 over focusing")

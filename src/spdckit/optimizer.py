@@ -167,6 +167,9 @@ class SweepAxis:
             )
         if not self.values:
             raise ValueError("sweep axis needs at least one value")
+        bad = [float(v) for v in self.values if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"sweep axis {self.name} needs finite values, got {bad[0]!r}")
 
     @classmethod
     def parse(cls, text: str) -> "SweepAxis":
@@ -182,6 +185,8 @@ class SweepAxis:
             count = int(parts[2])
         except ValueError as exc:
             raise ValueError(f"bad sweep range {tail!r}: {exc}") from None
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ValueError(f"sweep range {tail!r} needs a finite start and stop")
         if count < 1:
             raise ValueError("sweep count must be >= 1")
         return cls(head.strip(), tuple(np.linspace(start, stop, count)))

@@ -134,6 +134,35 @@ def test_correlation_bad_tau_max(capsys, config_path):
     assert "error:" in err and "--tau-max" in err
 
 
+@pytest.mark.parametrize("option", ["--tau-max=inf", "--tau-max=nan", "--tau-max=-inf"])
+def test_correlation_non_finite_tau_max_is_a_usage_error(capsys, config_path, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["correlation", "--config", config_path, option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tau-max: must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pairs", "singles", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9", "x"])
+def test_quad_tol_must_be_finite_and_positive(capsys, config_path, command, value):
+    argv = [command, "--config", config_path, "--quad-tol", value]
+    if command == "sweep":
+        argv += ["--sweep", "P_p=1:2:2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --quad-tol:" in err and "basis_order" not in err
+
+
+def test_sweep_non_finite_endpoint_names_the_range(capsys, config_path):
+    code = main(["sweep", "--config", config_path, "--sweep", "P_p=1:inf:3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: sweep range '1:inf:3' needs a finite start and stop\n"
+
+
 @pytest.mark.parametrize("command", ["pairs", "correlation"])
 @pytest.mark.parametrize(
     "old, new, key",

@@ -109,6 +109,17 @@ def test_sweep_axis_parse():
     assert set(AXIS_NAMES) == {"kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p"}
 
 
+@pytest.mark.parametrize("text", ["P_p=1:inf:3", "P_p=-inf:1:3", "kappa=nan:2:3", "R_k=0:nan:1"])
+def test_sweep_axis_parse_rejects_non_finite_endpoints(text):
+    with pytest.raises(ValueError, match="needs a finite start and stop"):
+        SweepAxis.parse(text)
+
+
+def test_sweep_axis_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="sweep axis Gamma_s needs finite values, got inf"):
+        SweepAxis("Gamma_s", (1.0, math.inf))
+
+
 @pytest.fixture(scope="module")
 def sweep_setup():
     waves = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.844, 1.757, 1.964)
