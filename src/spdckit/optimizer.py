@@ -9,7 +9,10 @@ coarse presample so it lands in the global basin before refining.
 
 The sweep engine re-evaluates a full source pipeline while one or two
 parameters vary. When only filter widths or pump power vary, the expensive
-spatial overlaps are computed once and shared across all points.
+spatial overlaps are computed once and shared across all points. Otherwise
+the points that share waves, crystal length and zeta_R (a kappa axis, or
+each zeta_R row of a kappa x zeta_R grid) take their mode sums from one
+matrix product per arm.
 """
 
 from __future__ import annotations
@@ -295,49 +298,40 @@ def sweep(
         shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
 
     def setup(coords: dict[str, float]):
-        w, c, zr, fs, fi, power = _apply_point(
-            waves, crystal, z_r, filter_s, filter_i, pump_power, coords
-        )
-        fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
-        return w, c, fp, fs, fi, power
-
-    prepared: list = []
-    for coords in points:
+        """evaluate_source's positional arguments at one point, or the error."""
         try:
-            prepared.append(setup(coords))
+            w, c, zr, fs, fi, power = _apply_point(
+                waves, crystal, z_r, filter_s, filter_i, pump_power, coords
+            )
+            fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
+            return w, c, fp, fs, fi, power
         except Exception as exc:
-            prepared.append(exc)
-    overlaps: list = [shared] * len(points)
+            return exc
+
+    prepared = [setup(coords) for coords in points]
     if shared is None:
-        overlaps = _grouped_overlaps(prepared, basis_order, quad_tol)
+        bundles = _grouped_overlaps(prepared, basis_order, quad_tol)
+    else:
+        bundles = [shared] * len(points)
 
     def run_point(coords: dict[str, float], point, bundle) -> SweepRow:
         try:
             if isinstance(point, Exception):
                 raise point
-            w, c, fp, fs, fi, power = point
             # Without a bundle (its mode sums failed) the point is evaluated
             # alone, which raises the error it has there.
             report = quantum.evaluate_source(
-                w,
-                c,
-                fp,
-                fs,
-                fi,
-                power,
-                basis_order=basis_order,
-                quad_tol=quad_tol,
-                overlaps=bundle,
+                *point, basis_order=basis_order, quad_tol=quad_tol, overlaps=bundle
             )
             return SweepRow(coords=coords, report=report)
         except Exception as exc:
             return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
 
-    return [run_point(*args) for args in zip(points, prepared, overlaps)]
+    return [run_point(*args) for args in zip(points, prepared, bundles)]
 
 
 def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list:
-    """Overlap bundles of geometry points, one mode-sum call per group.
+    """Overlap bundles of geometry points, one mode-sum call per arm and group.
 
     Points that share waves, crystal length and zeta_R form a group. A point
     whose set-up or group failed gets None.
