@@ -214,8 +214,7 @@ def _mode_sums(
         scale = np.max(np.abs(cur), axis=1)
         diff = np.max(np.abs(cur - prev), axis=1)
         done = diff <= quad_tol * scale
-        rel_err = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-        for j, coeffs, err, ok in zip(active, cur, rel_err, done):
+        for j, coeffs, err, ok in zip(active, cur, diff / scale, done):
             if ok:
                 try:
                     results[j] = _parseval_sum(

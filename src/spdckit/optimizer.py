@@ -348,7 +348,7 @@ def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list
                 w, [prepared[j][1:3] for j in members], basis_order, quad_tol
             )
         except Exception:
-            continue
+            continue  # evaluated alone, each point then raises its own error
         for j, bundle in zip(members, got):
             bundles[j] = bundle
     return bundles
