@@ -106,8 +106,9 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal):
 def test_mode_sum_matches_adaptive_reference(ref_waves, ref_crystal):
     # Seeded points over |kappa| <= 1e3 and zeta_R 0.005-100, both arms and
     # both source kinds: each total agrees with adaptive Gauss-Kronrod
-    # quadrature of the power-form coefficients, or the call raises a typed
-    # error. Points where the reference itself does not converge are skipped.
+    # quadrature of the power-form coefficients, or the call fails the tail
+    # test. Where the reference converges the rule must converge too; points
+    # where the reference itself does not converge are skipped.
     degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
     rng = np.random.default_rng(11)
     compared = 0
@@ -125,8 +126,8 @@ def test_mode_sum_matches_adaptive_reference(ref_waves, ref_crystal):
             continue
         try:
             got = i_dfg_sq(waves, ref_crystal, fp, arm=arm, basis_order=order)
-        except (ModeSumError, quadrature.QuadratureError):
-            continue
+        except ModeSumError:
+            continue  # the tail test, which the reference does not apply
         k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
         k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
         z_r = zeta_r * ref_crystal.length
