@@ -105,6 +105,8 @@ def _coefficients(
     row n of G is base * ratio^n: a running product down the order axis, one
     complex multiply per entry. kappa enters only through the exponential,
     so every kappa shares G and all of them come from one matrix product.
+    Its exponential takes len(kappas) x _BLOCK_NODES complex values, so
+    callers pass kappa in blocks (optimizer.sweep: at most 64 per group).
     Returns shape (len(kappas), max_order + 1).
     """
     x, w = _panel_rule(panels)
@@ -122,7 +124,10 @@ def _coefficients(
         g[0] = dz / (qhc * s)
         g[1:] = (qh / qhc) * (s - 1.0) / s
         np.cumprod(g, axis=0, out=g)
-        out += np.exp(1j * np.outer(kappas, z)) @ g.T
+        e = np.exp(1j * np.outer(kappas, z))
+        # One kappa takes numpy's own loops: a BLAS product this small can
+        # stall on idle BLAS threads when their count is left at its default.
+        out += np.einsum("kj,nj->kn", e, g) if kappas.size == 1 else e @ g.T
     return out
 
 
@@ -196,7 +201,8 @@ def _mode_sums(
     [-1/2, 1/2]. The panel count doubles from 1 until the rules of P and 2P
     panels agree to quad_tol (max norm over the orders, relative to the
     largest coefficient). Each kappa keeps the 2P rule of the first pair
-    that agrees for it, so it gets the same result in a batch as alone.
+    that agrees for it, so it gets the same rule in a batch as alone, and
+    the same result to rounding.
     """
     kappas = np.asarray(kappas, dtype=float)
     if not (np.all(np.isfinite(kappas)) and math.isfinite(zeta_r)):

@@ -12,7 +12,7 @@ parameters vary. When only filter widths or pump power vary, the expensive
 spatial overlaps are computed once and shared across all points. Otherwise
 the points that share waves, crystal length and zeta_R (a kappa axis, or
 each zeta_R row of a kappa x zeta_R grid) take their mode sums from one
-matrix product per arm.
+matrix product per arm, in groups of at most 64 points.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ __all__ = [
 # basin rather than a secondary phase-mismatch lobe.
 _PRESAMPLES = 64
 _MAX_SWEEP_POINTS = 1_000_000
+# Geometry points per mode-sum call: the rule's exp(i kappa z) block is
+# 64 x 2048 complex values at most (2 MB), whatever the length of the axis.
+_GROUP_POINTS = 64
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 # Axes that leave the spatial geometry untouched, so overlaps can be reused.
@@ -318,14 +321,21 @@ def sweep(
         try:
             if isinstance(point, Exception):
                 raise point
-            # Without a bundle (its mode sums failed) the point is evaluated
-            # alone, which raises the error it has there.
+            if isinstance(bundle, Exception):
+                # evaluate_source raises a power or filter error before
+                # the error of its overlaps. The group's error object is
+                # shared, so it is reported, not raised again.
+                quantum._pair_linewidth(*point[3:])
+                return failed(coords, bundle)
             report = quantum.evaluate_source(
                 *point, basis_order=basis_order, quad_tol=quad_tol, overlaps=bundle
             )
             return SweepRow(coords=coords, report=report)
         except Exception as exc:
-            return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
+            return failed(coords, exc)
+
+    def failed(coords: dict[str, float], exc: Exception) -> SweepRow:
+        return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
 
     return [run_point(*args) for args in zip(points, prepared, bundles)]
 
@@ -333,8 +343,9 @@ def sweep(
 def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list:
     """Overlap bundles of geometry points, one mode-sum call per arm and group.
 
-    Points that share waves, crystal length and zeta_R form a group. A point
-    whose set-up or group failed gets None.
+    Points that share waves, crystal length and zeta_R form groups of at
+    most _GROUP_POINTS. A point gets its OverlapBundle, the error
+    compute_overlaps raises there, or None if its set-up failed.
     """
     groups: dict[tuple, list[int]] = {}
     for j, point in enumerate(prepared):
@@ -343,12 +354,14 @@ def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list
             groups.setdefault((w, c.length, fp.zeta_r), []).append(j)
     bundles: list = [None] * len(prepared)
     for (w, _, _), members in groups.items():
-        try:
-            got = quantum._overlap_group(
-                w, [prepared[j][1:3] for j in members], basis_order, quad_tol
-            )
-        except Exception:
-            continue  # evaluated alone, each point then raises its own error
-        for j, bundle in zip(members, got):
-            bundles[j] = bundle
+        for lo in range(0, len(members), _GROUP_POINTS):
+            block = members[lo : lo + _GROUP_POINTS]
+            try:
+                got = quantum._overlap_group(
+                    w, [prepared[j][1:3] for j in block], basis_order, quad_tol
+                )
+            except Exception as exc:
+                got = [exc] * len(block)  # an error every point raises alone
+            for j, bundle in zip(block, got):
+                bundles[j] = bundle
     return bundles

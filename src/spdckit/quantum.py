@@ -181,16 +181,10 @@ def compute_overlaps(
     the signal and idler waves are equal (always so for a degenerate
     triple) the two bases coincide and one mode sum serves both arms.
     """
-    i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
-
-    def total(arm: str) -> float:
-        return modebasis.i_dfg_sq(
-            waves, crystal, fp, arm=arm, basis_order=basis_order, quad_tol=quad_tol
-        ).total
-
-    signal_arm = total("idler")
-    idler_arm = signal_arm if waves.signal == waves.idler else total("signal")
-    return OverlapBundle(i_sfg.abs_sq, signal_arm, idler_arm)
+    (result,) = _overlap_group(waves, [(crystal, fp)], basis_order, quad_tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _overlap_group(
@@ -198,33 +192,35 @@ def _overlap_group(
     points: list[tuple[CrystalSpec, FocusParams]],
     basis_order: int,
     quad_tol: float,
-) -> list[OverlapBundle | None]:
+) -> list[OverlapBundle | Exception]:
     """compute_overlaps at points that share waves, crystal length and zeta_R.
 
     kappa enters the mode sums only through exp(i kappa z), so one mode-sum
     call per arm serves every point, and each distinct kappa is summed
-    once. None marks a point whose mode sums fail; compute_overlaps there
-    raises the error.
+    once. A point whose mode sums fail gets the error compute_overlaps
+    raises there; an error of |I_SFG|^2 or of the options raises for all.
     """
-    crystal, fp = points[0]
-    kappas = list(dict.fromkeys(p.kappa for _, p in points))
+    i_sfg_sq = [overlap.i_sfg_gaussian(waves, crystal, fp).abs_sq for crystal, fp in points]
+    kappas = list(dict.fromkeys(fp.kappa for _, fp in points))
+    length, zeta_r = points[0][0].length, points[0][1].zeta_r
 
     def totals(arm: str) -> dict:
         sums = modebasis._arm_mode_sums(
-            waves, crystal.length, kappas, fp.zeta_r, arm, basis_order, quad_tol
+            waves, length, kappas, zeta_r, arm, basis_order, quad_tol
         )
         return dict(zip(kappas, sums))
 
     signal_arm = totals("idler")
     idler_arm = signal_arm if waves.signal == waves.idler else totals("signal")
-    bundles: list[OverlapBundle | None] = []
-    for crystal, fp in points:
+    bundles: list[OverlapBundle | Exception] = []
+    for (_, fp), sfg in zip(points, i_sfg_sq):
         s, i = signal_arm[fp.kappa], idler_arm[fp.kappa]
-        if isinstance(s, Exception) or isinstance(i, Exception):
-            bundles.append(None)
+        if isinstance(s, Exception):
+            bundles.append(s)
+        elif isinstance(i, Exception):
+            bundles.append(i)
         else:
-            i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
-            bundles.append(OverlapBundle(i_sfg.abs_sq, s.total, i.total))
+            bundles.append(OverlapBundle(sfg, s.total, i.total))
     return bundles
 
 
@@ -268,6 +264,18 @@ def _no_passband_message(filter_s: filters.FilterSpec, filter_i: filters.FilterS
     )
 
 
+def _pair_linewidth(
+    filter_s: filters.FilterSpec, filter_i: filters.FilterSpec, pump_power: float
+) -> float:
+    """Gamma_eff of the filter pair, after the checks evaluate_source makes first."""
+    if pump_power < 0:
+        raise ValueError("pump_power must be >= 0")
+    gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
+    if gamma_eff == 0.0:
+        raise ValueError(_no_passband_message(filter_s, filter_i))
+    return gamma_eff
+
+
 def evaluate_source(
     waves: WaveTriple,
     crystal: CrystalSpec,
@@ -285,11 +293,7 @@ def evaluate_source(
     Precomputed overlaps may be passed in when only powers or filters vary
     (that is what the sweep engine does).
     """
-    if pump_power < 0:
-        raise ValueError("pump_power must be >= 0")
-    gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
-    if gamma_eff == 0.0:
-        raise ValueError(_no_passband_message(filter_s, filter_i))
+    gamma_eff = _pair_linewidth(filter_s, filter_i, pump_power)
     if overlaps is None:
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
 

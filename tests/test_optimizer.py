@@ -284,3 +284,41 @@ def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
                 ), (row.coords, name)
     # The zeta_R = 0.005 group mixes failing and converged points.
     assert 0 < errors < len(kappas)
+
+
+def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
+    # A long kappa axis at one zeta_R is split into groups of at most
+    # _GROUP_POINTS, so no rule product sees more kappa than that. Points
+    # whose mode sums fail take their group's error: none is evaluated alone.
+    from spdckit import modebasis
+
+    waves, crystal, z_r, flt = sweep_setup
+    sizes = []
+    real = modebasis._coefficients
+
+    def recording(k_plus, k_minus0, k_b, kappas, *args):
+        sizes.append(kappas.size)
+        return real(k_plus, k_minus0, k_b, kappas, *args)
+
+    def alone(*args, **kwargs):
+        raise AssertionError("a sweep point was evaluated alone")
+
+    monkeypatch.setattr(modebasis, "_coefficients", recording)
+    monkeypatch.setattr(quantum, "compute_overlaps", alone)
+    axes = [SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 150))), SweepAxis("zeta_R", (0.005,))]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    assert max(sizes) == optimizer._GROUP_POINTS
+    # Three groups (64 + 64 + 22 kappa), each summed for both arms.
+    assert sizes.count(optimizer._GROUP_POINTS) >= 4 and 22 in sizes
+    failed = [row for row in rows if row.error is not None]
+    assert 0 < len(failed) < len(rows)
+    assert all(row.error.startswith("ModeSumError: ") for row in failed)
+
+
+def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
+    # evaluate_source checks the pump power before the overlaps, so a point
+    # whose mode sums fail still reports the power error the direct call gives.
+    waves, crystal, z_r, flt = sweep_setup
+    axes = [SweepAxis("kappa", (-5.0, -3.0)), SweepAxis("zeta_R", (0.005,))]
+    rows = sweep(waves, crystal, z_r, flt, flt, -1e-3, axes)
+    assert [row.error for row in rows] == ["ValueError: pump_power must be >= 0"] * 2

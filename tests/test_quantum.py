@@ -223,13 +223,13 @@ def test_compute_overlaps_degenerate_one_mode_sum(
 
     deg, non_deg, crystal, fp = deg_setup
     calls = []
-    real = modebasis.i_dfg_sq
+    real = modebasis._arm_mode_sums
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["arm"])
-        return real(*args, **kwargs)
+    def counting(waves, length, kappas, zeta_r, arm, *args):
+        calls.append(arm)
+        return real(waves, length, kappas, zeta_r, arm, *args)
 
-    monkeypatch.setattr(modebasis, "i_dfg_sq", counting)
+    monkeypatch.setattr(modebasis, "_arm_mode_sums", counting)
     # Equal signal and idler waves share one mode sum, with or without the
     # degenerate flag.
     for waves in (deg, non_deg):
