@@ -1,11 +1,13 @@
 """Focusing optimizer and the parameter sweep engine."""
 
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdckit import filters, optimizer, quantum
+from spdckit import config, filters, optimizer, quantum
 from spdckit.optimizer import (
     AXIS_NAMES,
     OptimizationResult,
@@ -322,3 +324,57 @@ def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
     axes = [SweepAxis("kappa", (-5.0, -3.0)), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, -1e-3, axes)
     assert [row.error for row in rows] == ["ValueError: pump_power must be >= 0"] * 2
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _built(name: str) -> config.BuiltConfig:
+    if name == "bundled":
+        return config.load_and_build(
+            resources.files("spdckit").joinpath("data/ppktp_800_typeII.cfg")
+        )
+    return config.load_and_build(_GOLDEN / f"{name}.cfg")
+
+
+@pytest.mark.parametrize(
+    "name, unfiltered_s, axes",
+    [
+        ("bundled", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (1.0 * MHZ, 0.0, 5.0 * MHZ))]),
+        ("degenerate", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (1.0 * MHZ, 5.0 * MHZ))]),
+        ("bundled", True, [("Gamma_i", (1.0 * MHZ, 3.0 * MHZ)), ("P_p", (1e-3, -1e-3))]),
+        ("tabulated", False, [("P_p", (1e-3, -2e-3, 3e-3))]),
+        ("tabulated", False, [("Gamma_s", (1.0 * MHZ, 2.0 * MHZ)), ("P_p", (1e-3, 2e-3))]),
+    ],
+)
+def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):
+    # Every row of a rate-only grid is exactly the report evaluate_source
+    # gives at its point, and an error row carries the text it raises there.
+    b = _built(name)
+    filter_s = filters.Unfiltered() if unfiltered_s else b.filter_s
+    grid = [SweepAxis(axis, values) for axis, values in axes]
+    fp = derive_focus_params(b.waves, b.crystal, b.z_r)
+    rows = sweep(b.waves, b.crystal, b.z_r, filter_s, b.filter_i, b.pump_power, grid)
+    assert len(rows) == math.prod(len(values) for _, values in axes)
+    errors = 0
+    for row in rows:
+        fs, fi, power = filter_s, b.filter_i, b.pump_power
+        try:
+            for axis, value in row.coords.items():
+                if axis == "P_p":
+                    power = value
+                elif isinstance(fs if axis == "Gamma_s" else fi, filters.TabulatedFilter):
+                    raise ValueError(f"{axis} sweep needs a Lorentzian or absent filter")
+                elif axis == "Gamma_s":
+                    fs = filters.LorentzianFilter(gamma=value)
+                else:
+                    fi = filters.LorentzianFilter(gamma=value)
+            direct = quantum.evaluate_source(b.waves, b.crystal, fp, fs, fi, power)
+        except Exception as exc:
+            assert row.report is None, row.coords
+            assert row.error == f"{type(exc).__name__}: {exc}"
+            errors += 1
+            continue
+        assert row.error is None, row.coords
+        assert row.report == direct, row.coords
+    assert errors > 0
