@@ -8,11 +8,12 @@ known R_k = 0 optimum plus seeded random restarts, each restart warmed by a
 coarse presample so it lands in the global basin before refining.
 
 The sweep engine re-evaluates a full source pipeline while one or two
-parameters vary. When only filter widths or pump power vary, the expensive
-spatial overlaps are computed once and shared across all points. Otherwise
-the points that share waves, crystal length and zeta_R (a kappa axis, or
-each zeta_R row of a kappa x zeta_R grid) take their mode sums from one
-matrix product per arm, in groups of at most 64 points.
+parameters vary. When only filter widths or pump power vary, the spatial
+overlaps and the efficiencies Q that follow from them are computed once and
+shared across all points, which then only add their linewidths and rates.
+Otherwise the points that share waves, crystal length and zeta_R (a kappa
+axis, or each zeta_R row of a kappa x zeta_R grid) take their mode sums
+from one matrix product per arm, in groups of at most 64 points.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ class SweepAxis:
             raise ValueError(f"bad sweep range {tail!r}: {exc}") from None
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise ValueError(f"sweep range {tail!r} needs a finite start and stop")
-        if count < 1:
-            raise ValueError("sweep count must be >= 1")
+        # Checked before linspace, which would try to allocate any count.
+        if not 1 <= count <= _MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep range {tail!r} needs a count from 1 to {_MAX_SWEEP_POINTS}")
         return cls(head.strip(), tuple(np.linspace(start, stop, count)))
 
 
@@ -294,11 +296,12 @@ def sweep(
     points = [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
     # A rate-only grid cannot move waves, crystal or z_R: derive the focus
-    # parameters and overlaps once and hand both to every point.
-    shared_fp = shared = None
+    # parameters, overlaps and efficiencies once and hand them to every point.
+    shared_fp = shared = shared_eff = None
     if set(names) <= _RATE_ONLY_AXES:
         shared_fp = derive_focus_params(waves, crystal, z_r)
         shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
+        shared_eff = quantum._efficiencies(waves, crystal, shared)
 
     def setup(coords: dict[str, float]):
         """evaluate_source's positional arguments at one point, or the error."""
@@ -318,18 +321,18 @@ def sweep(
         bundles = [shared] * len(points)
 
     def run_point(coords: dict[str, float], point, bundle) -> SweepRow:
+        """evaluate_source at one point, its steps in the same order."""
         try:
             if isinstance(point, Exception):
                 raise point
+            w, c, _, fs, fi, power = point
+            gamma_eff = quantum._pair_linewidth(fs, fi, power)
             if isinstance(bundle, Exception):
-                # evaluate_source raises a power or filter error before
-                # the error of its overlaps. The group's error object is
-                # shared, so it is reported, not raised again.
-                quantum._pair_linewidth(*point[3:])
+                # The group's error object is shared, so it is reported,
+                # not raised again.
                 return failed(coords, bundle)
-            report = quantum.evaluate_source(
-                *point, basis_order=basis_order, quad_tol=quad_tol, overlaps=bundle
-            )
+            eff = shared_eff if shared_eff is not None else quantum._efficiencies(w, c, bundle)
+            report = quantum._report(w, eff, bundle, fs, fi, power, gamma_eff)
             return SweepRow(coords=coords, report=report)
         except Exception as exc:
             return failed(coords, exc)

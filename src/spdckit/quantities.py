@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "C_LIGHT",
@@ -47,12 +48,14 @@ class OpticalWave:
         if self.refractive_index < 1.0:
             raise ValueError("refractive_index must be >= 1")
 
-    @property
+    # Cached in the instance __dict__, which the frozen dataclass's field-based
+    # equality, hash and replace() never look at.
+    @cached_property
     def angular_frequency(self) -> float:
         """omega = 2 pi c / lambda [rad/s]."""
         return 2.0 * math.pi * C_LIGHT / self.vacuum_wavelength
 
-    @property
+    @cached_property
     def wavenumber(self) -> float:
         """k = n omega / c = 2 pi n / lambda [rad/m], in the medium."""
         return 2.0 * math.pi * self.refractive_index / self.vacuum_wavelength

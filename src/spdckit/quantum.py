@@ -39,6 +39,7 @@ __all__ = [
 
 
 def _check_nonneg(**kwargs: float) -> None:
+    """Raise a ValueError naming the first negative value; NaN passes."""
     for name, value in kwargs.items():
         if value < 0:
             raise ValueError(f"{name} must be >= 0")
@@ -58,7 +59,10 @@ def pair_rate(
     identical photons behind a 50:50 splitter; counting each pair once
     would give /8 (docs/normalization.md, section 5).
     """
-    _check_nonneg(pump_power=pump_power, q_conversion=q_conversion, gamma_eff=gamma_eff)
+    # One comparison on the passing path; a NaN minimum falls through to the
+    # named check, which lets NaN pass as before.
+    if not min(pump_power, q_conversion, gamma_eff) >= 0:
+        _check_nonneg(pump_power=pump_power, q_conversion=q_conversion, gamma_eff=gamma_eff)
     if waves.degenerate:
         return gamma_eff * pump_power * q_conversion / 16.0
     w_s = waves.signal.angular_frequency
@@ -80,11 +84,12 @@ def singles_rate(
     full basis of the partner arm, or Q_APG for a degenerate source (where
     the frequency ratio below is exactly 1/4).
     """
-    _check_nonneg(
-        pump_power=pump_power,
-        q_generation=q_generation,
-        gamma_eff_single=gamma_eff_single,
-    )
+    if not min(pump_power, q_generation, gamma_eff_single) >= 0:
+        _check_nonneg(
+            pump_power=pump_power,
+            q_generation=q_generation,
+            gamma_eff_single=gamma_eff_single,
+        )
     if collected not in ("signal", "idler"):
         raise ValueError("collected must be 'signal' or 'idler'")
     w_s = waves.signal.angular_frequency
@@ -110,7 +115,8 @@ def conditional_efficiency(
     """
     if i_dfg_sq <= 0 or gamma_eff_single <= 0:
         raise ValueError("singles denominator must be positive")
-    _check_nonneg(gamma_eff=gamma_eff, i_sfg_sq=i_sfg_sq)
+    if not min(gamma_eff, i_sfg_sq) >= 0:
+        _check_nonneg(gamma_eff=gamma_eff, i_sfg_sq=i_sfg_sq)
     eta = (gamma_eff / gamma_eff_single) * (i_sfg_sq / i_dfg_sq)
     return 0.25 * eta if waves.degenerate else eta
 
@@ -290,33 +296,73 @@ def evaluate_source(
 ) -> SourceReport:
     """Full pipeline: overlaps, efficiencies, linewidths, rates, heralding.
 
-    Precomputed overlaps may be passed in when only powers or filters vary
-    (that is what the sweep engine does).
+    Precomputed overlaps may be passed in when only powers or filters vary.
+    The sweep engine goes one step further on such grids: it computes the
+    efficiencies of the shared overlaps once and runs only _report per point.
     """
     gamma_eff = _pair_linewidth(filter_s, filter_i, pump_power)
     if overlaps is None:
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
+    efficiencies = _efficiencies(waves, crystal, overlaps)
+    return _report(waves, efficiencies, overlaps, filter_s, filter_i, pump_power, gamma_eff)
 
-    q_conv = classical.q_conversion(waves, crystal, overlaps.i_sfg_sq)
 
-    def arm(collected: str, flt: filters.FilterSpec, i_dfg_sq: float):
-        """(Q, Gamma_eff, W1, eta) of one arm; None for an unfiltered arm."""
-        q = classical.q_arm(waves, crystal, i_dfg_sq, collected)
-        if isinstance(flt, filters.Unfiltered):
-            return q, None, None, None
-        gamma = filters.gamma_eff_single(flt)
-        return (
-            q,
-            gamma,
-            singles_rate(waves, pump_power, q, gamma, collected=collected),
-            conditional_efficiency(waves, gamma_eff, gamma, overlaps.i_sfg_sq, i_dfg_sq),
-        )
+def _efficiencies(
+    waves: WaveTriple, crystal: CrystalSpec, overlaps: OverlapBundle
+) -> classical.EfficiencyReport:
+    """Q_conversion and both arms' Q: they depend on the overlaps, not the filters or power."""
+    return classical.EfficiencyReport(
+        classical.q_conversion(waves, crystal, overlaps.i_sfg_sq),
+        classical.q_arm(waves, crystal, overlaps.i_dfg_sq_signal_arm, "signal"),
+        classical.q_arm(waves, crystal, overlaps.i_dfg_sq_idler_arm, "idler"),
+    )
 
-    q_s, gamma_s, w1_s, eta_s = arm("signal", filter_s, overlaps.i_dfg_sq_signal_arm)
-    q_i, gamma_i, w1_i, eta_i = arm("idler", filter_i, overlaps.i_dfg_sq_idler_arm)
 
+def _arm_rates(
+    waves: WaveTriple,
+    flt: filters.FilterSpec,
+    q: float,
+    i_sfg_sq: float,
+    i_dfg_sq: float,
+    pump_power: float,
+    gamma_eff: float,
+    collected: str,
+) -> tuple[float | None, float | None, float | None]:
+    """(Gamma_eff of the arm, W1, eta) of one arm; all None for an unfiltered arm."""
+    if isinstance(flt, filters.Unfiltered):
+        return None, None, None
+    gamma = filters.gamma_eff_single(flt)
+    return (
+        gamma,
+        singles_rate(waves, pump_power, q, gamma, collected=collected),
+        conditional_efficiency(waves, gamma_eff, gamma, i_sfg_sq, i_dfg_sq),
+    )
+
+
+def _report(
+    waves: WaveTriple,
+    efficiencies: classical.EfficiencyReport,
+    overlaps: OverlapBundle,
+    filter_s: filters.FilterSpec,
+    filter_i: filters.FilterSpec,
+    pump_power: float,
+    gamma_eff: float,
+) -> SourceReport:
+    """Linewidths, rates and heralding of one point, from its efficiencies.
+
+    gamma_eff is _pair_linewidth of the filters and power, checked first.
+    """
+    i_sfg_sq = overlaps.i_sfg_sq
+    gamma_s, w1_s, eta_s = _arm_rates(
+        waves, filter_s, efficiencies.q_signal_arm, i_sfg_sq,
+        overlaps.i_dfg_sq_signal_arm, pump_power, gamma_eff, "signal",
+    )
+    gamma_i, w1_i, eta_i = _arm_rates(
+        waves, filter_i, efficiencies.q_idler_arm, i_sfg_sq,
+        overlaps.i_dfg_sq_idler_arm, pump_power, gamma_eff, "idler",
+    )
     return SourceReport(
-        pair_rate_w2=pair_rate(waves, pump_power, q_conv, gamma_eff),
+        pair_rate_w2=pair_rate(waves, pump_power, efficiencies.q_conversion, gamma_eff),
         singles_rate_signal=w1_s,
         singles_rate_idler=w1_i,
         eta_signal=eta_s,
@@ -325,6 +371,6 @@ def evaluate_source(
         gamma_eff_s=gamma_s,
         gamma_eff_i=gamma_i,
         pump_power=pump_power,
-        efficiencies=classical.EfficiencyReport(q_conv, q_s, q_i),
+        efficiencies=efficiencies,
         overlaps=overlaps,
     )

@@ -296,6 +296,15 @@ def test_sweep_csv_prints_plain_floats(capsys, config_path):
     assert float(first["w2_per_s"]) > 0
 
 
+def test_sweep_huge_count_is_one_error_line(capsys, config_path):
+    code = main(["sweep", "--config", config_path, "--sweep", "P_p=0.1:1:10000000000000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        "error: sweep range '0.1:1:10000000000000' needs a count from 1 to 1000000\n"
+    )
+
+
 def test_sweep_bad_axis(capsys, config_path):
     code = main(["sweep", "--config", config_path, "--sweep", "bogus=1:2:3"])
     err = capsys.readouterr().err

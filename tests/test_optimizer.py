@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdckit import config, filters, optimizer, quantum
+from spdckit import classical, config, filters, optimizer, quantum
 from spdckit.optimizer import (
     AXIS_NAMES,
     OptimizationResult,
@@ -115,6 +115,14 @@ def test_sweep_axis_parse():
 def test_sweep_axis_parse_rejects_non_finite_endpoints(text):
     with pytest.raises(ValueError, match="needs a finite start and stop"):
         SweepAxis.parse(text)
+
+
+@pytest.mark.parametrize("count", [0, 10**13])
+def test_sweep_axis_parse_rejects_a_count_outside_the_grid_limit(count):
+    # 10**13 points would need 73 TiB: the count is refused before linspace.
+    limit = optimizer._MAX_SWEEP_POINTS
+    with pytest.raises(ValueError, match=f"needs a count from 1 to {limit}$"):
+        SweepAxis.parse(f"P_p=0.1:1:{count}")
 
 
 def test_sweep_axis_rejects_non_finite_values():
@@ -378,3 +386,33 @@ def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):
         assert row.error is None, row.coords
         assert row.report == direct, row.coords
     assert errors > 0
+
+
+def test_efficiencies_are_computed_once_per_overlap_bundle(sweep_setup, monkeypatch):
+    # A rate-only grid shares one overlap bundle, so its efficiencies are
+    # computed once; each point of a kappa axis has its own bundle.
+    waves, crystal, z_r, flt = sweep_setup
+    calls = {"q_conversion": 0, "q_arm": 0}
+
+    def spy(name):
+        real = getattr(classical, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classical, name, counted)
+
+    spy("q_conversion")
+    spy("q_arm")
+    powers = SweepAxis("P_p", tuple(np.linspace(1e-4, 1e-2, 40)))
+    widths = SweepAxis("Gamma_s", tuple(np.linspace(1.0 * MHZ, 20.0 * MHZ, 40)))
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [powers, widths])
+    assert len(rows) == 1600 and all(row.error is None for row in rows)
+    assert calls == {"q_conversion": 1, "q_arm": 2}
+
+    calls.update(q_conversion=0, q_arm=0)
+    kappas = SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 24)))
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [kappas])
+    assert len(rows) == 24 and all(row.error is None for row in rows)
+    assert calls == {"q_conversion": 24, "q_arm": 48}

@@ -1,6 +1,8 @@
 """Value objects, derived wave quantities and unit conversion."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -31,6 +33,37 @@ def test_optical_wave_derived_quantities():
     assert math.isclose(
         wave.angular_frequency, 2.0 * math.pi * 299792458.0 * 1e6, rel_tol=1e-15
     )
+
+
+def test_cached_wave_quantities_keep_value_semantics():
+    # angular_frequency and wavenumber are cached on first read; equality,
+    # hash, replace(), pickling and frozenness must not notice.
+    lam, n = 812.5e-9, 1.84
+    read = OpticalWave(lam, n)
+    assert read.angular_frequency == 2.0 * math.pi * C_LIGHT / lam
+    assert read.wavenumber == 2.0 * math.pi * n / lam
+    fresh = OpticalWave(lam, n)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != OpticalWave(lam, 1.85)
+    moved = dataclasses.replace(read, vacuum_wavelength=2.0 * lam)
+    assert moved.angular_frequency == 2.0 * math.pi * C_LIGHT / (2.0 * lam)
+    assert moved.wavenumber == 2.0 * math.pi * n / (2.0 * lam)
+    copy = pickle.loads(pickle.dumps(read))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy.angular_frequency == read.angular_frequency
+    for field in ("vacuum_wavelength", "refractive_index"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(read, field, 1.0)
+
+    waves = WaveTriple.from_wavelengths(800e-9, 810e-9, 1.844, 1.757, 1.964)
+    twin = WaveTriple.from_wavelengths(800e-9, 810e-9, 1.844, 1.757, 1.964)
+    assert waves.k_minus0 == twin.k_minus0  # reads every cached quantity of waves
+    assert waves == twin and hash(waves) == hash(twin)
+    assert pickle.loads(pickle.dumps(waves)) == twin
+    swapped = dataclasses.replace(waves, signal=waves.idler, idler=waves.signal)
+    assert swapped != waves and swapped.signal.wavenumber == waves.idler.wavenumber
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        waves.degenerate = True
 
 
 def test_optical_wave_validation():
