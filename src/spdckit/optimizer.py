@@ -196,7 +196,9 @@ class SweepAxis:
             raise ValueError(f"sweep range {tail!r} needs a finite start and stop")
         # Checked before linspace, which would try to allocate any count.
         if not 1 <= count <= _MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep range {tail!r} needs a count from 1 to {_MAX_SWEEP_POINTS}")
+            raise ValueError(
+                f"sweep range {tail!r} needs a count from 1 to {_MAX_SWEEP_POINTS}"
+            )
         return cls(head.strip(), tuple(np.linspace(start, stop, count)))
 
 

@@ -297,8 +297,8 @@ def evaluate_source(
     """Full pipeline: overlaps, efficiencies, linewidths, rates, heralding.
 
     Precomputed overlaps may be passed in when only powers or filters vary.
-    The sweep engine goes one step further on such grids: it computes the
-    efficiencies of the shared overlaps once and runs only _report per point.
+    The sweep engine shares their efficiencies too: it runs _efficiencies
+    once per overlap bundle and _report at every point.
     """
     gamma_eff = _pair_linewidth(filter_s, filter_i, pump_power)
     if overlaps is None:
@@ -318,27 +318,6 @@ def _efficiencies(
     )
 
 
-def _arm_rates(
-    waves: WaveTriple,
-    flt: filters.FilterSpec,
-    q: float,
-    i_sfg_sq: float,
-    i_dfg_sq: float,
-    pump_power: float,
-    gamma_eff: float,
-    collected: str,
-) -> tuple[float | None, float | None, float | None]:
-    """(Gamma_eff of the arm, W1, eta) of one arm; all None for an unfiltered arm."""
-    if isinstance(flt, filters.Unfiltered):
-        return None, None, None
-    gamma = filters.gamma_eff_single(flt)
-    return (
-        gamma,
-        singles_rate(waves, pump_power, q, gamma, collected=collected),
-        conditional_efficiency(waves, gamma_eff, gamma, i_sfg_sq, i_dfg_sq),
-    )
-
-
 def _report(
     waves: WaveTriple,
     efficiencies: classical.EfficiencyReport,
@@ -352,14 +331,23 @@ def _report(
 
     gamma_eff is _pair_linewidth of the filters and power, checked first.
     """
-    i_sfg_sq = overlaps.i_sfg_sq
-    gamma_s, w1_s, eta_s = _arm_rates(
-        waves, filter_s, efficiencies.q_signal_arm, i_sfg_sq,
-        overlaps.i_dfg_sq_signal_arm, pump_power, gamma_eff, "signal",
+
+    def arm(collected: str, flt: filters.FilterSpec, q: float, i_dfg_sq: float):
+        """(Gamma_eff, W1, eta) of one arm; None for an unfiltered arm."""
+        if isinstance(flt, filters.Unfiltered):
+            return None, None, None
+        gamma = filters.gamma_eff_single(flt)
+        return (
+            gamma,
+            singles_rate(waves, pump_power, q, gamma, collected=collected),
+            conditional_efficiency(waves, gamma_eff, gamma, overlaps.i_sfg_sq, i_dfg_sq),
+        )
+
+    gamma_s, w1_s, eta_s = arm(
+        "signal", filter_s, efficiencies.q_signal_arm, overlaps.i_dfg_sq_signal_arm
     )
-    gamma_i, w1_i, eta_i = _arm_rates(
-        waves, filter_i, efficiencies.q_idler_arm, i_sfg_sq,
-        overlaps.i_dfg_sq_idler_arm, pump_power, gamma_eff, "idler",
+    gamma_i, w1_i, eta_i = arm(
+        "idler", filter_i, efficiencies.q_idler_arm, overlaps.i_dfg_sq_idler_arm
     )
     return SourceReport(
         pair_rate_w2=pair_rate(waves, pump_power, efficiencies.q_conversion, gamma_eff),
