@@ -299,11 +299,16 @@ def sweep(
 
     # A rate-only grid cannot move waves, crystal or z_R: derive the focus
     # parameters, overlaps and efficiencies once and hand them to every point.
+    # If the overlaps fail, every point reports that error after its own
+    # power and filter checks, as evaluate_source would.
     shared_fp = shared = shared_eff = None
     if set(names) <= _RATE_ONLY_AXES:
         shared_fp = derive_focus_params(waves, crystal, z_r)
-        shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
-        shared_eff = quantum._efficiencies(waves, crystal, shared)
+        try:
+            shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
+            shared_eff = quantum._efficiencies(waves, crystal, shared)
+        except Exception as exc:
+            shared = exc
 
     def setup(coords: dict[str, float]):
         """evaluate_source's positional arguments at one point, or the error."""

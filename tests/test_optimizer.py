@@ -1,5 +1,6 @@
 """Focusing optimizer and the parameter sweep engine."""
 
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
@@ -386,6 +387,28 @@ def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):
         assert row.error is None, row.coords
         assert row.report == direct, row.coords
     assert errors > 0
+
+
+def test_rate_only_grid_with_failing_overlaps_gives_error_rows(sweep_setup):
+    # At zeta_R = 0.005 the order-40 mode sum fails at kappa = -5. A
+    # rate-only grid there reports that error on every row, after the power
+    # check each point makes first, instead of aborting the grid.
+    waves, crystal, _, flt = sweep_setup
+    length = crystal.length
+    point = dataclasses.replace(
+        crystal, poling_period=2.0 * math.pi / (waves.k_minus0 + 5.0 / length)
+    )
+    z_r = 0.005 * length
+    fp = derive_focus_params(waves, point, z_r)
+    powers = (1e-3, -1e-3)
+    rows = sweep(waves, point, z_r, flt, flt, 1e-3, [SweepAxis("P_p", powers)])
+    for row, power in zip(rows, powers):
+        with pytest.raises(Exception) as direct:
+            quantum.evaluate_source(waves, point, fp, flt, flt, power)
+        assert row.report is None
+        assert row.error == f"{type(direct.value).__name__}: {direct.value}"
+    assert rows[0].error.startswith("ModeSumError: ")
+    assert rows[1].error == "ValueError: pump_power must be >= 0"
 
 
 def test_efficiencies_are_computed_once_per_overlap_bundle(sweep_setup, monkeypatch):
