@@ -349,11 +349,11 @@ def _built(name: str) -> config.BuiltConfig:
 @pytest.mark.parametrize(
     "name, unfiltered_s, axes",
     [
-        ("bundled", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (1.0 * MHZ, 0.0, 5.0 * MHZ))]),
-        ("degenerate", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (1.0 * MHZ, 5.0 * MHZ))]),
-        ("bundled", True, [("Gamma_i", (1.0 * MHZ, 3.0 * MHZ)), ("P_p", (1e-3, -1e-3))]),
+        ("bundled", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (MHZ, 0.0, 5.0 * MHZ))]),
+        ("degenerate", False, [("P_p", (1e-3, -2e-3, 4e-3)), ("Gamma_s", (MHZ, 5.0 * MHZ))]),
+        ("bundled", True, [("Gamma_i", (MHZ, 3.0 * MHZ)), ("P_p", (1e-3, -1e-3))]),
         ("tabulated", False, [("P_p", (1e-3, -2e-3, 3e-3))]),
-        ("tabulated", False, [("Gamma_s", (1.0 * MHZ, 2.0 * MHZ)), ("P_p", (1e-3, 2e-3))]),
+        ("tabulated", False, [("Gamma_s", (MHZ, 2.0 * MHZ)), ("P_p", (1e-3, 2e-3))]),
     ],
 )
 def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):

@@ -57,7 +57,8 @@ def test_cached_wave_quantities_keep_value_semantics():
 
     waves = WaveTriple.from_wavelengths(800e-9, 810e-9, 1.844, 1.757, 1.964)
     twin = WaveTriple.from_wavelengths(800e-9, 810e-9, 1.844, 1.757, 1.964)
-    assert waves.k_minus0 == twin.k_minus0  # reads every cached quantity of waves
+    # __post_init__ has read every angular_frequency; k_minus0 reads every wavenumber.
+    assert waves.k_minus0 == twin.k_minus0
     assert waves == twin and hash(waves) == hash(twin)
     assert pickle.loads(pickle.dumps(waves)) == twin
     swapped = dataclasses.replace(waves, signal=waves.idler, idler=waves.signal)
