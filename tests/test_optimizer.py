@@ -100,6 +100,97 @@ def test_optimization_result_invariants():
         )
 
 
+def _scipy_reference(
+    r_k, kappa_bounds=(-20.0, 5.0), zeta_bounds=(0.02, 5.0), rel_tol=1e-6, restarts=5, seed=7
+):
+    """optimize_focus written on scipy's Nelder-Mead: the same starts, the
+    same pull-back merit, the merit built from FocusParams and upsilon."""
+    from scipy import optimize as sp_optimize
+
+    from spdckit.overlap import upsilon
+    from spdckit.quantities import FocusParams
+
+    k_lo, k_hi = map(float, kappa_bounds)
+    z_lo, z_hi = map(float, zeta_bounds)
+    trace = []
+
+    def merit(kappa, zeta_r):
+        value = zeta_r * upsilon(FocusParams(kappa, zeta_r, r_k)).abs_sq
+        trace.append((float(kappa), float(zeta_r), float(value)))
+        return value
+
+    k_span = max(k_hi - k_lo, 1e-9)
+    z_span = max(z_hi - z_lo, 1e-9)
+
+    def neg_merit(x):
+        kc = min(max(x[0], k_lo), k_hi)
+        zc = min(max(x[1], z_lo), z_hi)
+        dist = np.hypot((x[0] - kc) / k_span, (x[1] - zc) / z_span)
+        return -merit(kc, zc) + dist
+
+    rng = np.random.default_rng(seed)
+    starts = [(min(max(-3.0, k_lo), k_hi), min(max(0.18, z_lo), z_hi))]
+    for _ in range(restarts):
+        cand_k = rng.uniform(k_lo, k_hi, optimizer._PRESAMPLES)
+        cand_z = rng.uniform(z_lo, z_hi, optimizer._PRESAMPLES)
+        values = [merit(ck, cz) for ck, cz in zip(cand_k, cand_z)]
+        j = int(np.argmax(values))
+        starts.append((cand_k[j], cand_z[j]))
+
+    finals = []
+    clean = True
+    for x0 in starts:
+        res = sp_optimize.minimize(
+            neg_merit,
+            np.asarray(x0, dtype=float),
+            method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": rel_tol * 1e-3, "maxfev": 2000},
+        )
+        finals.append(-float(res.fun))
+        clean = clean and bool(res.success)
+
+    best_k, best_z, best_f = max(trace, key=lambda t: t[2])
+    spread = max(finals) - min(finals)
+    converged = clean and spread <= 2.0 * rel_tol * max(abs(best_f), 1e-30)
+    return OptimizationResult(best_k, best_z, best_f, converged, tuple(trace))
+
+
+def _assert_same_run(got, ref):
+    assert got.trace == ref.trace
+    assert got.converged == ref.converged
+    assert got.best_kappa == ref.best_kappa
+    assert got.best_zeta_r == ref.best_zeta_r
+    assert got.best_objective == ref.best_objective
+
+
+_ORACLE_RKS = [float(r) for r in np.random.default_rng(2008).uniform(-0.9, 0.9, 40)]
+
+
+@pytest.mark.parametrize("r_k", _ORACLE_RKS)
+def test_optimize_focus_takes_scipy_steps(r_k):
+    # Every merit evaluation, in order, bit for bit: the optimum feeds the
+    # absolute rates, so the search must not move by a rounding.
+    _assert_same_run(optimize_focus(r_k), _scipy_reference(r_k))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kappa_bounds": (-3.0, -3.0)},
+        {"rel_tol": 1e-12},
+        {"rel_tol": 1e-300, "restarts": 1},
+    ],
+    ids=["one-axis-box", "tight-tol", "maxfev"],
+)
+def test_optimize_focus_edge_boxes_take_scipy_steps(kwargs):
+    got = optimize_focus(0.0, **kwargs)
+    _assert_same_run(got, _scipy_reference(0.0, **kwargs))
+    if kwargs.get("rel_tol") == 1e-300:
+        # fatol 1e-303 is never met: each start stops at maxfev = 2000.
+        assert not got.converged
+        assert got.evaluations == 2000 * 2 + optimizer._PRESAMPLES
+
+
 def test_sweep_axis_parse():
     axis = SweepAxis.parse("kappa=-10:2:4")
     assert axis.name == "kappa"
