@@ -379,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize zeta_R |Upsilon|^2 over focusing")
     p.add_argument("--config", help="take R_k (and hardware translation) from a config")
     p.add_argument("--rk", type=float, default=None, help="wavenumber ratio R_k")
-    p.add_argument("--kappa-min", type=float, default=-20.0)
-    p.add_argument("--kappa-max", type=float, default=5.0)
-    p.add_argument("--zeta-min", type=float, default=0.02)
-    p.add_argument("--zeta-max", type=float, default=5.0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--kappa-min", type=_finite_float, default=-20.0)
+    p.add_argument("--kappa-max", type=_finite_float, default=5.0)
+    p.add_argument("--zeta-min", type=_finite_float, default=0.02)
+    p.add_argument("--zeta-max", type=_finite_float, default=5.0)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", action="store_true", help="print every evaluation")

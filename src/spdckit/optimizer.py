@@ -5,7 +5,11 @@ quantity proportional to conversion efficiency once wavelengths and material
 are fixed. It is smooth but multimodal in kappa (phase-mismatch lobes), so
 the optimizer is a multistart Nelder-Mead: one deterministic start near the
 known R_k = 0 optimum plus seeded random restarts, each restart warmed by a
-coarse presample so it lands in the global basin before refining.
+coarse presample so it lands in the global basin before refining. The
+simplex is written here on plain floats and takes exactly the steps of
+scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False: the same
+coefficients, initial simplex, stable sort, xatol/fatol test and maxfev
+rule, so every merit evaluation is the one scipy would make.
 
 The sweep engine re-evaluates a full source pipeline while one or two
 parameters vary. When only filter widths or pump power vary, the spatial
@@ -20,14 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sp_optimize
 
 from . import filters, quantum
-from .overlap import upsilon
-from .quantities import CrystalSpec, FocusParams, OpticalWave, WaveTriple, derive_focus_params
+from .overlap import _upsilon_core
+from .quantities import CrystalSpec, OpticalWave, WaveTriple, derive_focus_params
 
 __all__ = [
     "OptimizationResult",
@@ -51,10 +55,27 @@ AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 _RATE_ONLY_AXES = frozenset({"Gamma_s", "Gamma_i", "P_p"})
 
 
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients and
+# the initial simplex steps, as scipy sets them with adaptive=False.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
 def focusing_objective(kappa: float, zeta_r: float, r_k: float) -> float:
     """Merit zeta_R |Upsilon|^2 to be maximized over (kappa, zeta_R)."""
-    fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=r_k)
-    return zeta_r * upsilon(fp).abs_sq
+    if not zeta_r > 0:
+        raise ValueError("zeta_r must be positive")
+    if not abs(r_k) < 1:
+        raise ValueError("|r_k| must be < 1")
+    if not (math.isfinite(kappa) and math.isfinite(zeta_r)):
+        raise ValueError("kappa and zeta_r must be finite")
+    return _objective(kappa, zeta_r, r_k)
+
+
+def _objective(kappa: float, zeta_r: float, r_k: float) -> float:
+    # focusing_objective without its checks, for points that optimize_focus
+    # has confined to a box it checked once.
+    return zeta_r * abs(_upsilon_core(kappa, zeta_r, r_k)[0]) ** 2
 
 
 @dataclass(frozen=True)
@@ -91,24 +112,30 @@ def optimize_focus(
     is True only when every start refines to the same objective within
     2 * rel_tol and the simplex terminations were clean.
     """
+    # These checks cover every merit evaluation: a clipped point lies in the
+    # box, so its kappa is finite and its zeta_R at least 0.01.
     if not abs(r_k) < 1.0:
         raise ValueError("r_k must satisfy |r_k| < 1")
     k_lo, k_hi = map(float, kappa_bounds)
     z_lo, z_hi = map(float, zeta_bounds)
+    for name, lo, hi in (("kappa_bounds", k_lo, k_hi), ("zeta_bounds", z_lo, z_hi)):
+        # A finite difference also rules out a span the presample cannot draw.
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{name} must be finite, got ({lo!r}, {hi!r})")
     if k_lo > k_hi or z_lo > z_hi:
         raise ValueError("bounds must be ordered (low, high)")
     if z_lo < 0.01:
         raise ValueError("zeta_R lower bound must be >= 0.01")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     if restarts < 0:
         raise ValueError("restarts must be >= 0")
 
     trace: list[tuple[float, float, float]] = []
 
     def merit(kappa: float, zeta_r: float) -> float:
-        value = focusing_objective(kappa, zeta_r, r_k)
-        trace.append((float(kappa), float(zeta_r), float(value)))
+        value = _objective(kappa, zeta_r, r_k)
+        trace.append((kappa, zeta_r, value))
         return value
 
     # Single-point box: nothing to search.
@@ -119,19 +146,22 @@ def optimize_focus(
     k_span = max(k_hi - k_lo, 1e-9)
     z_span = max(z_hi - z_lo, 1e-9)
 
-    def neg_merit(x: np.ndarray) -> float:
+    def neg_merit(kappa: float, zeta_r: float) -> float:
         # Out-of-box points are evaluated at the clipped coordinates with a
         # linear pull-back so the simplex cannot wander outside.
-        kc = min(max(x[0], k_lo), k_hi)
-        zc = min(max(x[1], z_lo), z_hi)
-        dist = np.hypot((x[0] - kc) / k_span, (x[1] - zc) / z_span)
+        kc = min(max(kappa, k_lo), k_hi)
+        zc = min(max(zeta_r, z_lo), z_hi)
+        if kc == kappa and zc == zeta_r:
+            dist = 0.0  # what np.hypot(0.0, 0.0) gives
+        else:
+            dist = float(np.hypot((kappa - kc) / k_span, (zeta_r - zc) / z_span))
         return -merit(kc, zc) + dist
 
     rng = np.random.default_rng(seed)
     starts = [(min(max(-3.0, k_lo), k_hi), min(max(0.18, z_lo), z_hi))]
     for _ in range(restarts):
-        cand_k = rng.uniform(k_lo, k_hi, _PRESAMPLES)
-        cand_z = rng.uniform(z_lo, z_hi, _PRESAMPLES)
+        cand_k = rng.uniform(k_lo, k_hi, _PRESAMPLES).tolist()
+        cand_z = rng.uniform(z_lo, z_hi, _PRESAMPLES).tolist()
         values = [merit(ck, cz) for ck, cz in zip(cand_k, cand_z)]
         j = int(np.argmax(values))
         starts.append((cand_k[j], cand_z[j]))
@@ -139,14 +169,9 @@ def optimize_focus(
     finals: list[float] = []
     clean = True
     for x0 in starts:
-        res = _sp_optimize.minimize(
-            neg_merit,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": rel_tol * 1e-3, "maxfev": 2000},
-        )
-        finals.append(-float(res.fun))
-        clean = clean and bool(res.success)
+        low, ok = _nelder_mead(neg_merit, x0, xatol=1e-7, fatol=rel_tol * 1e-3, maxfev=2000)
+        finals.append(-low)
+        clean = clean and ok
 
     best_k, best_z, best_f = max(trace, key=lambda t: t[2])
     spread = max(finals) - min(finals)
@@ -158,6 +183,94 @@ def optimize_focus(
         converged=converged,
         trace=tuple(trace),
     )
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation budget is spent (scipy's _MaxFuncCallError)."""
+
+
+def _nelder_mead(func, x0, *, xatol: float, fatol: float, maxfev: int) -> tuple[float, bool]:
+    """Minimize func(x, y) from x0 = (x, y) with scipy's 2-D Nelder-Mead steps.
+
+    Returns the lowest value in the final simplex and whether the search
+    stopped on the xatol/fatol test rather than at maxfev evaluations.
+    Each step is scipy's arithmetic on floats instead of length-2 arrays,
+    so the evaluations and their order are the same bit for bit.
+    """
+    calls = 0
+
+    def f(x: float, y: float) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfEvaluations
+        calls += 1
+        return func(x, y)
+
+    def step(coef: float, c: float, w: float) -> float:
+        # A point on the line through the centroid c and the worst vertex w.
+        return (1 + coef) * c - coef * w
+
+    x, y = x0
+    sim = [
+        (x, y),
+        ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y),
+        (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT),
+    ]
+    fs = [math.inf] * 3
+    try:
+        for k in range(3):
+            fs[k] = f(*sim[k])
+    except _OutOfEvaluations:
+        pass
+
+    while True:
+        # A stable sort, as numpy's argsort is on three values.
+        order = sorted(range(3), key=fs.__getitem__)
+        sim = [sim[k] for k in order]
+        fs = [fs[k] for k in order]
+        if calls >= maxfev:
+            break
+        (bx, by), (mx, my), (wx, wy) = sim
+        if (
+            abs(mx - bx) <= xatol
+            and abs(my - by) <= xatol
+            and abs(wx - bx) <= xatol
+            and abs(wy - by) <= xatol
+            and abs(fs[0] - fs[1]) <= fatol
+            and abs(fs[0] - fs[2]) <= fatol
+        ):
+            break
+        cx, cy = (bx + mx) / 2, (by + my) / 2
+        try:
+            xr = (step(_RHO, cx, wx), step(_RHO, cy, wy))
+            fxr = f(*xr)
+            if fxr < fs[0]:
+                xe = (step(_RHO * _CHI, cx, wx), step(_RHO * _CHI, cy, wy))
+                fxe = f(*xe)
+                sim[2], fs[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fs[1]:
+                sim[2], fs[2] = xr, fxr
+            else:
+                if fxr < fs[2]:
+                    # Outside contraction.
+                    xc = (step(_PSI * _RHO, cx, wx), step(_PSI * _RHO, cy, wy))
+                    fxc = f(*xc)
+                    shrink = not fxc <= fxr
+                else:
+                    # Inside contraction.
+                    xc = ((1 - _PSI) * cx + _PSI * wx, (1 - _PSI) * cy + _PSI * wy)
+                    fxc = f(*xc)
+                    shrink = not fxc < fs[2]
+                if not shrink:
+                    sim[2], fs[2] = xc, fxc
+                else:
+                    for j in (1, 2):
+                        sx, sy = sim[j]
+                        sim[j] = (bx + _SIGMA * (sx - bx), by + _SIGMA * (sy - by))
+                        fs[j] = f(*sim[j])
+        except _OutOfEvaluations:
+            pass
+    return fs[0], calls < maxfev
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from scipy.special import exp1
 
 from .quantities import CrystalSpec, FocusParams, WaveTriple
@@ -152,14 +151,22 @@ def upsilon(fp: FocusParams) -> UpsilonResult:
     kappa, zr, rk = fp.kappa, fp.zeta_r, fp.r_k
     if not (math.isfinite(kappa) and math.isfinite(zr)):
         raise ValueError("kappa and zeta_r must be finite")
+    value, size = _upsilon_core(kappa, zr, rk)
+    est_error = _UPSILON_REL_ERROR * abs(value) + _TERM_ROUNDING * size / math.pi
+    return UpsilonResult(value=complex(value), est_error=est_error)
+
+
+def _upsilon_core(kappa: float, zr: float, rk: float) -> tuple[float, float]:
+    """Real Upsilon and the summed size of its partial-fraction terms.
+
+    The caller guarantees finite kappa, zr > 0 and |rk| < 1.
+    """
     k, size = _pole_term(kappa, zr)
     if rk != 0.0:
         k_far, size_far = _pole_term(kappa, -zr / rk)
         k = (k - k_far) / (1.0 + rk)
         size = (size + size_far) / (1.0 + rk)
-    value = k / math.pi
-    est_error = _UPSILON_REL_ERROR * abs(value) + _TERM_ROUNDING * size / math.pi
-    return UpsilonResult(value=complex(value), est_error=est_error)
+    return k / math.pi, size
 
 
 def _check_focus_consistency(
@@ -235,6 +242,8 @@ def i_sfg_direct3d(
         qb = z + 1j * z_r
         a = (k_s + k_i) / (2.0 * q) - k_p / (2.0 * qb)
         return pref * np.exp(-1j * delta_k * z) / (qb * q * q) * (1j * math.pi / a)
+
+    import scipy.integrate  # only this oracle needs it; kept out of `import spdckit`
 
     rel_tol = 1e-10
     # One component of a nearly pure-real or pure-imaginary result cannot

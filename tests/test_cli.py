@@ -143,6 +143,18 @@ def test_correlation_non_finite_tau_max_is_a_usage_error(capsys, config_path, op
     assert "argument --tau-max: must be finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "option", ["--kappa-min", "--kappa-max", "--zeta-min", "--zeta-max", "--tol"]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_optimize_non_finite_box_is_a_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--rk", "0", f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["pairs", "singles", "sweep"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9", "x"])
 def test_quad_tol_must_be_finite_and_positive(capsys, config_path, command, value):

@@ -89,6 +89,38 @@ def test_optimize_focus_validation():
         optimize_focus(0.0, restarts=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"kappa_bounds": (-20.0, math.nan)}, r"kappa_bounds must be finite, got \(-20.0, nan\)"),
+        ({"kappa_bounds": (-math.inf, 5.0)}, r"kappa_bounds must be finite, got \(-inf, 5.0\)"),
+        ({"kappa_bounds": (-1e308, 1e308)}, "kappa_bounds must be finite"),
+        ({"zeta_bounds": (0.02, math.inf)}, r"zeta_bounds must be finite, got \(0.02, inf\)"),
+        ({"zeta_bounds": (math.nan, 5.0)}, "zeta_bounds must be finite"),
+        ({"rel_tol": math.nan}, "rel_tol must be finite and positive, got nan"),
+        ({"rel_tol": math.inf}, "rel_tol must be finite and positive, got inf"),
+    ],
+)
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_optimize_focus_rejects_non_finite_inputs(kwargs, match, restarts):
+    # A nan bound used to run 2000 evaluations to a bogus point, an infinite
+    # (or overflowing) span to fail inside numpy's uniform draw, and a nan
+    # rel_tol to pass the positivity check.
+    with pytest.raises(ValueError, match=match):
+        optimize_focus(0.0, restarts=restarts, **kwargs)
+
+
+def test_focusing_objective_checks_its_arguments():
+    for args, match in [
+        ((-3.0, 0.0, 0.0), "zeta_r must be positive"),
+        ((-3.0, 0.18, -1.0), "r_k"),
+        ((math.nan, 0.18, 0.0), "must be finite"),
+        ((-3.0, math.inf, 0.0), "must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            focusing_objective(*args)
+
+
 def test_optimization_result_invariants():
     with pytest.raises(ValueError, match="below a traced"):
         OptimizationResult(
