@@ -95,7 +95,7 @@ def test_top_level_all_resolves_without_duplicates():
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal adds about 0.7 s to the import, more than the package
     # itself costs; the chirp-z correlation is written on scipy.fft instead.
-    # scipy.optimize and scipy.integrate add about 0.2 s together: the focus
+    # scipy.optimize and scipy.integrate add 0.2-0.4 s together: the focus
     # optimizer has its own simplex, and only the i_sfg_direct3d oracle
     # imports scipy.integrate, when it runs.
     src = str(Path(spdckit.__file__).resolve().parents[1])
