@@ -1,6 +1,7 @@
 """Focusing optimizer and the parameter sweep engine."""
 
 import dataclasses
+import itertools
 import math
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ from spdckit.optimizer import (
     optimize_focus,
     sweep,
 )
-from spdckit.quantities import CrystalSpec, WaveTriple, derive_focus_params
+from spdckit.quantities import CrystalSpec, OpticalWave, WaveTriple, derive_focus_params
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -532,6 +533,88 @@ def test_rate_only_grid_with_failing_overlaps_gives_error_rows(sweep_setup):
         assert row.error == f"{type(direct.value).__name__}: {direct.value}"
     assert rows[0].error.startswith("ModeSumError: ")
     assert rows[1].error == "ValueError: pump_power must be >= 0"
+
+
+def _evaluate_point(waves, crystal, z_r, flt, power, coords, overlaps=None):
+    """evaluate_source at one sweep point, its axes applied in axis order."""
+    fs = fi = flt
+    length = crystal.length
+    for axis, value in coords.items():
+        if axis == "P_p":
+            power = value
+        elif axis == "Gamma_s":
+            fs = filters.LorentzianFilter(gamma=value)
+        elif axis == "Gamma_i":
+            fi = filters.LorentzianFilter(gamma=value)
+        elif axis == "zeta_R":
+            z_r = value * length
+        elif axis == "z_R":
+            z_r = value
+        elif axis == "kappa":
+            q = waves.k_minus0 - value / length
+            if q < 0:
+                raise ValueError(
+                    f"kappa={value} unreachable here: poling wavenumber would be negative"
+                )
+            crystal = dataclasses.replace(crystal, poling_period=2.0 * math.pi / q)
+        else:
+            if not abs(value) < 1.0:
+                raise ValueError("R_k must satisfy |R_k| < 1")
+            k_si = waves.signal.wavenumber + waves.idler.wavenumber
+            lam_p = waves.pump.vacuum_wavelength
+            n_p = k_si * (1.0 + value) / (1.0 - value) * lam_p / (2.0 * math.pi)
+            if n_p < 1.0:
+                raise ValueError(f"R_k={value} needs a pump index below 1")
+            waves = WaveTriple(OpticalWave(lam_p, n_p), waves.signal, waves.idler)
+    fp = derive_focus_params(waves, crystal, z_r)
+    return quantum.evaluate_source(waves, crystal, fp, fs, fi, power, overlaps=overlaps)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [("kappa", (-5.0, -3.0, -1.0, 3e4)), ("P_p", (1e-3, -1e-3, 4e-3))],
+        [("P_p", (1e-3, -1e-3)), ("kappa", (-3.0, 3e4))],
+        [("zeta_R", (-0.1, 0.0, 0.005, 0.18)), ("Gamma_s", (0.0, MHZ, 3.0 * MHZ))],
+        [("Gamma_s", (0.0, MHZ, 3.0 * MHZ)), ("zeta_R", (-0.1, 0.0, 0.005, 0.18))],
+        [("R_k", (-0.99, 0.0, 0.04, 1.0)), ("Gamma_i", (0.0, 2.0 * MHZ))],
+        [("Gamma_i", (0.0, 2.0 * MHZ)), ("R_k", (-0.99, 0.04, 1.0))],
+        [("z_R", (-1e-3, 2e-3)), ("P_p", (1e-3, -1e-3))],
+    ],
+    ids=lambda axes: "-".join(name for name, _ in axes),
+)
+def test_mixed_grid_rows_equal_direct_evaluation(sweep_setup, axes):
+    # A grid with a geometry axis and a rate axis: every row is the report
+    # evaluate_source gives at its point, or carries the error it raises
+    # there, the axes applied in axis order. A kappa group's mode sums come
+    # from one matrix product, so its overlaps match to rounding only; the
+    # rest of the report must be equal given those overlaps.
+    waves, crystal, z_r, flt = sweep_setup
+    grid = [SweepAxis(name, values) for name, values in axes]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, grid)
+    assert len(rows) == math.prod(len(values) for _, values in axes)
+    assert [row.coords for row in rows] == [
+        dict(zip((name for name, _ in axes), combo))
+        for combo in itertools.product(*(values for _, values in axes))
+    ]
+    errors = set()
+    for row in rows:
+        try:
+            direct = _evaluate_point(waves, crystal, z_r, flt, 1e-3, row.coords)
+        except Exception as exc:
+            assert row.report is None, row.coords
+            assert row.error == f"{type(exc).__name__}: {exc}", row.coords
+            errors.add(row.error.partition(":")[0])
+            continue
+        assert row.error is None, row.coords
+        for name in ("i_sfg_sq", "i_dfg_sq_signal_arm", "i_dfg_sq_idler_arm"):
+            got, want = getattr(row.report.overlaps, name), getattr(direct.overlaps, name)
+            assert math.isclose(got, want, rel_tol=1e-13), (row.coords, name)
+        given = _evaluate_point(
+            waves, crystal, z_r, flt, 1e-3, row.coords, overlaps=row.report.overlaps
+        )
+        assert row.report == given, row.coords
+    assert errors
 
 
 def test_efficiencies_are_computed_once_per_overlap_bundle(sweep_setup, monkeypatch):
