@@ -45,6 +45,7 @@ COMMANDS = (
     ["sweep", "--sweep", "P_p=0.5:2:3", "--sweep", "Gamma_s=1:5:3"],
     ["sweep", "--sweep", "kappa=-5:-1:5"],
     ["sweep", "--sweep", "zeta_R=0.1:1:4"],
+    ["sweep", "--sweep", "kappa=-5:-1:3", "--sweep", "P_p=0.5:2:2"],
 )
 FORMATS = ("table", "csv", "ndjson")
 CASES = [(name, cmd, fmt) for name in CONFIGS for cmd in COMMANDS for fmt in FORMATS]
