@@ -19,7 +19,7 @@ u = asinh(z / zeta_R), which spreads the nodes over the focal region at
 tight focus, with the panel count doubling until two rules agree. The
 phase mismatch kappa enters only through exp(i kappa z), so the
 coefficients of many kappa at one zeta_R come from one matrix product;
-the parameter sweep uses that for its kappa axes.
+quantum._overlaps uses that for the points that share a zeta_R.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def _coefficients(
     row n of G is base * ratio^n: a running product down the order axis, one
     complex multiply per entry. kappa enters only through the exponential,
     so every kappa shares G and all of them come from one matrix product.
-    Its exponential takes len(kappas) x _BLOCK_NODES complex values, so
-    callers pass kappa in blocks (optimizer.sweep: at most 64 per group).
+    Its exponential takes len(kappas) x _BLOCK_NODES complex values.
     Returns shape (len(kappas), max_order + 1).
     """
     x, w = _panel_rule(panels)
@@ -163,83 +162,6 @@ def _tail_estimate(terms: np.ndarray, total: float, quad_tol: float, tail_tol: f
     return tail_rel
 
 
-def _parseval_sum(
-    coeffs: np.ndarray,
-    prefactor: float,
-    quad_tol: float,
-    tail_tol: float,
-    n_nodes: int,
-    quad_error: float,
-) -> ParsevalSum:
-    terms = np.abs(prefactor * coeffs) ** 2
-    total = float(np.sum(terms))
-    return ParsevalSum(
-        terms=tuple(terms.tolist()),
-        total=total,
-        tail_estimate=_tail_estimate(terms, total, quad_tol, tail_tol),
-        n_nodes=n_nodes,
-        quad_error=quad_error,
-    )
-
-
-def _mode_sums(
-    k_p: float,
-    k_a: float,
-    k_b: float,
-    kappas,
-    zeta_r: float,
-    length: float,
-    max_order: int,
-    quad_tol: float,
-    tail_tol: float,
-) -> list[ParsevalSum | ModeSumError | QuadratureError]:
-    """Sums of |c_n|^2 for basis wavenumber k_b driven by pump k_p and k_a.
-
-    One entry per kappa, in order: the ParsevalSum, or the error that kappa
-    alone raises. All lengths enter through (kappa, zeta_r) and the
-    wavenumbers; the integral runs over the scaled coordinate z/L in
-    [-1/2, 1/2]. The panel count doubles from 1 until the rules of P and 2P
-    panels agree to quad_tol (max norm over the orders, relative to the
-    largest coefficient). Each kappa keeps the 2P rule of the first pair
-    that agrees for it, so it gets the same rule in a batch as alone, and
-    the same result to rounding.
-    """
-    kappas = np.asarray(kappas, dtype=float)
-    if not (np.all(np.isfinite(kappas)) and math.isfinite(zeta_r)):
-        raise ValueError("kappa and zeta_R must be finite")
-    k_plus = k_p + k_a + k_b
-    k_minus0 = k_p - k_a - k_b
-    prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
-    results: list = [None] * kappas.size
-    active = np.arange(kappas.size)
-    panels = 1
-    prev = _coefficients(k_plus, k_minus0, k_b, kappas, zeta_r, max_order, panels)
-    while active.size:
-        panels *= 2
-        cur = _coefficients(k_plus, k_minus0, k_b, kappas[active], zeta_r, max_order, panels)
-        scale = np.max(np.abs(cur), axis=1)
-        diff = np.max(np.abs(cur - prev), axis=1)
-        done = diff <= quad_tol * scale
-        for j, coeffs, err, ok in zip(active, cur, diff / scale, done):
-            if ok:
-                try:
-                    results[j] = _parseval_sum(
-                        coeffs, prefactor, quad_tol, tail_tol, _PANEL_NODES * panels, float(err)
-                    )
-                except ModeSumError as exc:
-                    results[j] = exc
-            elif panels == _MAX_PANELS:
-                results[j] = QuadratureError(
-                    f"mode-sum quadrature not converged at kappa={kappas[j]:.6g}, "
-                    f"zeta_R={zeta_r:.6g}: the rules of {_PANEL_NODES * panels // 2} and "
-                    f"{_PANEL_NODES * panels} nodes differ by {err:.2e} > quad_tol {quad_tol:.0e}"
-                )
-        if panels == _MAX_PANELS:
-            break
-        active, prev = active[~done], cur[~done]
-    return results
-
-
 def i_dfg_sq(
     waves: WaveTriple,
     crystal: CrystalSpec,
@@ -276,10 +198,18 @@ def _arm_mode_sums(
     quad_tol: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[ParsevalSum | ModeSumError | QuadratureError]:
-    """i_dfg_sq for every kappa at one zeta_R, from one _mode_sums call.
+    """i_dfg_sq for every kappa at one zeta_R, in order.
 
     Each entry is the ParsevalSum, or the error i_dfg_sq raises at that
-    kappa. Invalid options raise ValueError for the whole call.
+    kappa alone; invalid options raise ValueError for the whole call. With
+    the basis on the given arm, the sum is over |c_n|^2 for basis wavenumber
+    k_b driven by the pump and the other arm's k_a. All lengths enter
+    through (kappa, zeta_r) and the wavenumbers; the integral runs over the
+    scaled coordinate z/L in [-1/2, 1/2]. The panel count doubles from 1
+    until the rules of P and 2P panels agree to quad_tol (max norm over the
+    orders, relative to the largest coefficient). Each kappa keeps the 2P
+    rule of the first pair that agrees for it, so it gets the same rule in
+    a batch as alone, and the same result to rounding.
     """
     if arm not in ("signal", "idler"):
         raise ValueError("arm must be 'signal' or 'idler'")
@@ -287,17 +217,44 @@ def _arm_mode_sums(
         raise ValueError("basis_order must be >= 1")
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ValueError(f"quad_tol must be finite and > 0, got {quad_tol!r}")
-    k_s = waves.signal.wavenumber
-    k_i = waves.idler.wavenumber
+    kappas = np.asarray(kappas, dtype=float)
+    if not (np.all(np.isfinite(kappas)) and math.isfinite(zeta_r)):
+        raise ValueError("kappa and zeta_R must be finite")
+    k_p = waves.pump.wavenumber
+    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
     k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-    return _mode_sums(
-        k_p=waves.pump.wavenumber,
-        k_a=k_a,
-        k_b=k_b,
-        kappas=kappas,
-        zeta_r=zeta_r,
-        length=length,
-        max_order=basis_order,
-        quad_tol=quad_tol,
-        tail_tol=tail_tol,
-    )
+    k_plus = k_p + k_a + k_b
+    k_minus0 = k_p - k_a - k_b
+    prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
+    results: list = [None] * kappas.size
+    active = np.arange(kappas.size)
+    panels = 1
+    prev = _coefficients(k_plus, k_minus0, k_b, kappas, zeta_r, basis_order, panels)
+    while active.size:
+        panels *= 2
+        cur = _coefficients(k_plus, k_minus0, k_b, kappas[active], zeta_r, basis_order, panels)
+        scale = np.max(np.abs(cur), axis=1)
+        diff = np.max(np.abs(cur - prev), axis=1)
+        done = diff <= quad_tol * scale
+        for j, coeffs, err, ok in zip(active, cur, diff / scale, done):
+            if ok:
+                terms = np.abs(prefactor * coeffs) ** 2
+                total = float(np.sum(terms))
+                try:
+                    tail = _tail_estimate(terms, total, quad_tol, tail_tol)
+                except ModeSumError as exc:
+                    results[j] = exc
+                else:
+                    results[j] = ParsevalSum(
+                        tuple(terms.tolist()), total, tail, _PANEL_NODES * panels, float(err)
+                    )
+            elif panels == _MAX_PANELS:
+                results[j] = QuadratureError(
+                    f"mode-sum quadrature not converged at kappa={kappas[j]:.6g}, "
+                    f"zeta_R={zeta_r:.6g}: the rules of {_PANEL_NODES * panels // 2} and "
+                    f"{_PANEL_NODES * panels} nodes differ by {err:.2e} > quad_tol {quad_tol:.0e}"
+                )
+        if panels == _MAX_PANELS:
+            break
+        active, prev = active[~done], cur[~done]
+    return results

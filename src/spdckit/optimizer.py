@@ -12,12 +12,13 @@ coefficients, initial simplex, stable sort, xatol/fatol test and maxfev
 rule, so every merit evaluation is the one scipy would make.
 
 The sweep engine re-evaluates a full source pipeline while one or two
-parameters vary. When only filter widths or pump power vary, the spatial
-overlaps and the efficiencies Q that follow from them are computed once and
-shared across all points, which then only add their linewidths and rates.
-Otherwise the points that share waves, crystal length and zeta_R (a kappa
-axis, or each zeta_R row of a kappa x zeta_R grid) take their mode sums
-from one matrix product per arm, in groups of at most 64 points.
+parameters vary, following the paper's split of every rate into a geometry
+part and a filter/power part. The geometry axes (kappa, zeta_R, z_R, R_k)
+fix the waves, crystal and focus parameters; each distinct geometry of the
+grid is set up once, and its overlaps and efficiencies Q are computed once,
+through quantum._overlaps, which decides which geometries share a mode sum.
+Each point then applies only its filter widths and pump power and adds its
+linewidths and rates. A grid of rate axes alone is the case of one geometry.
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ __all__ = [
 # basin rather than a secondary phase-mismatch lobe.
 _PRESAMPLES = 64
 _MAX_SWEEP_POINTS = 1_000_000
-# Geometry points per mode-sum call: the rule's exp(i kappa z) block is
-# 64 x 2048 complex values at most (2 MB), whatever the length of the axis.
-_GROUP_POINTS = 64
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
-# Axes that leave the spatial geometry untouched, so overlaps can be reused.
-_RATE_ONLY_AXES = frozenset({"Gamma_s", "Gamma_i", "P_p"})
+# Axes that move the spatial geometry; the others set filters or pump power.
+_GEOMETRY_AXES = ("kappa", "zeta_R", "R_k", "z_R")
 
 
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients and
@@ -324,59 +322,35 @@ class SweepRow:
     error: str | None = None
 
 
-def _apply_point(
-    waves: WaveTriple,
-    crystal: CrystalSpec,
-    z_r: float,
-    filter_s: filters.FilterSpec,
-    filter_i: filters.FilterSpec,
-    pump_power: float,
-    coords: dict[str, float],
-) -> tuple[WaveTriple, CrystalSpec, float, filters.FilterSpec, filters.FilterSpec, float]:
-    for name, value in coords.items():
-        if name == "P_p":
-            pump_power = value
-        elif name in ("Gamma_s", "Gamma_i"):
-            base = filter_s if name == "Gamma_s" else filter_i
-            if isinstance(base, filters.TabulatedFilter):
-                raise ValueError(f"{name} sweep needs a Lorentzian or absent filter")
-            new = filters.LorentzianFilter(gamma=value)
-            if name == "Gamma_s":
-                filter_s = new
-            else:
-                filter_i = new
-        elif name == "z_R":
-            z_r = value
-        elif name == "zeta_R":
-            z_r = value * crystal.length
-        elif name == "kappa":
-            # kappa = (k_minus0 - Q) L, so retune the poling wavenumber.
-            q = waves.k_minus0 - value / crystal.length
-            if q < 0:
-                raise ValueError(
-                    f"kappa={value} unreachable here: poling wavenumber would be negative"
-                )
-            period = None if q == 0.0 else 2.0 * np.pi / q
-            crystal = dataclasses.replace(crystal, poling_period=period)
-        elif name == "R_k":
-            if not abs(value) < 1.0:
-                raise ValueError("R_k must satisfy |R_k| < 1")
-            k_p_new = (waves.signal.wavenumber + waves.idler.wavenumber) * (
-                1.0 + value
-            ) / (1.0 - value)
-            lam_p = waves.pump.vacuum_wavelength
-            n_p_new = k_p_new * lam_p / (2.0 * np.pi)
-            if n_p_new < 1.0:
-                raise ValueError(f"R_k={value} needs a pump index below 1")
-            waves = WaveTriple(
-                pump=OpticalWave(lam_p, n_p_new),
-                signal=waves.signal,
-                idler=waves.idler,
-                degenerate=waves.degenerate,
+def _geometry_step(
+    waves: WaveTriple, crystal: CrystalSpec, z_r: float, name: str, value: float
+) -> tuple[WaveTriple, CrystalSpec, float]:
+    """The waves, crystal and z_R after one geometry axis takes its value."""
+    if name == "z_R":
+        return waves, crystal, value
+    if name == "zeta_R":
+        return waves, crystal, value * crystal.length
+    if name == "kappa":
+        # kappa = (k_minus0 - Q) L, so retune the poling wavenumber.
+        q = waves.k_minus0 - value / crystal.length
+        if q < 0:
+            raise ValueError(
+                f"kappa={value} unreachable here: poling wavenumber would be negative"
             )
-        else:
-            raise ValueError(f"unknown sweep axis {name!r}")
-    return waves, crystal, z_r, filter_s, filter_i, pump_power
+        period = None if q == 0.0 else 2.0 * np.pi / q
+        return waves, dataclasses.replace(crystal, poling_period=period), z_r
+    # R_k retunes the pump index at fixed wavelengths.
+    if not abs(value) < 1.0:
+        raise ValueError("R_k must satisfy |R_k| < 1")
+    k_p_new = (waves.signal.wavenumber + waves.idler.wavenumber) * (
+        1.0 + value
+    ) / (1.0 - value)
+    lam_p = waves.pump.vacuum_wavelength
+    n_p_new = k_p_new * lam_p / (2.0 * np.pi)
+    if n_p_new < 1.0:
+        raise ValueError(f"R_k={value} needs a pump index below 1")
+    pump = OpticalWave(lam_p, n_p_new)
+    return dataclasses.replace(waves, pump=pump), crystal, z_r
 
 
 def sweep(
@@ -394,7 +368,8 @@ def sweep(
     """Evaluate the source over a 1D or 2D grid, first axis outermost.
 
     A failing point is recorded as a SweepRow with an error string instead
-    of aborting the grid. Rows come back in grid order.
+    of aborting the grid. Rows come back in grid order, each equal to what
+    evaluate_source gives at its point, with the axes applied in axis order.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -407,84 +382,63 @@ def sweep(
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
-    grids = [ax.values for ax in axes]
-    points = [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+    points = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
+    geometry_names = [name for name in names if name in _GEOMETRY_AXES]
+    keys = [tuple(coords[name] for name in geometry_names) for coords in points]
 
-    # A rate-only grid cannot move waves, crystal or z_R: derive the focus
-    # parameters, overlaps and efficiencies once and hand them to every point.
-    # If the overlaps fail, every point reports that error after its own
-    # power and filter checks, as evaluate_source would.
-    shared_fp = shared = shared_eff = None
-    if set(names) <= _RATE_ONLY_AXES:
-        shared_fp = derive_focus_params(waves, crystal, z_r)
+    # Each distinct geometry is set up once, and its overlaps and
+    # efficiencies computed once: they do not depend on filters or power.
+    # A failed set-up keeps the axis whose step raised, so each point raises
+    # it in axis order among its rate steps, or None for an error of
+    # derive_focus_params, which comes after every axis is applied.
+    setups: dict[tuple, tuple[str | None, object]] = {}
+    for key in dict.fromkeys(keys):
+        w, c, zr = waves, crystal, z_r
         try:
-            shared = quantum.compute_overlaps(waves, crystal, shared_fp, basis_order, quad_tol)
-            shared_eff = quantum._efficiencies(waves, crystal, shared)
+            for failed_axis, value in zip(geometry_names, key):
+                w, c, zr = _geometry_step(w, c, zr, failed_axis, value)
+            failed_axis = None
+            setups[key] = None, (w, c, derive_focus_params(w, c, zr))
         except Exception as exc:
-            shared = exc
+            setups[key] = failed_axis, exc
+    ready = {key: setup for key, (_, setup) in setups.items() if not isinstance(setup, Exception)}
+    rates = dict(zip(ready, quantum._overlaps(list(ready.values()), basis_order, quad_tol)))
+    for key, bundle in rates.items():
+        if not isinstance(bundle, Exception):
+            w, c, _ = ready[key]
+            try:
+                rates[key] = w, bundle, quantum._efficiencies(w, c, bundle)
+            except Exception as exc:
+                rates[key] = exc
 
-    def setup(coords: dict[str, float]):
-        """evaluate_source's positional arguments at one point, or the error."""
-        try:
-            w, c, zr, fs, fi, power = _apply_point(
-                waves, crystal, z_r, filter_s, filter_i, pump_power, coords
-            )
-            fp = shared_fp if shared_fp is not None else derive_focus_params(w, c, zr)
-            return w, c, fp, fs, fi, power
-        except Exception as exc:
-            return exc
-
-    prepared = [setup(coords) for coords in points]
-    if shared is None:
-        bundles = _grouped_overlaps(prepared, basis_order, quad_tol)
-    else:
-        bundles = [shared] * len(points)
-
-    def run_point(coords: dict[str, float], point, bundle) -> SweepRow:
+    def run_point(coords: dict[str, float], key: tuple) -> SweepRow:
         """evaluate_source at one point, its steps in the same order."""
+        failed_axis, setup = setups[key]
+        flt = {"Gamma_s": filter_s, "Gamma_i": filter_i}
+        power = pump_power
         try:
-            if isinstance(point, Exception):
-                raise point
-            w, c, _, fs, fi, power = point
+            for name, value in coords.items():
+                if name == "P_p":
+                    power = value
+                elif name in flt:
+                    if isinstance(flt[name], filters.TabulatedFilter):
+                        raise ValueError(f"{name} sweep needs a Lorentzian or absent filter")
+                    flt[name] = filters.LorentzianFilter(gamma=value)
+                elif name == failed_axis:
+                    return failed(coords, setup)
+            if isinstance(setup, Exception):
+                return failed(coords, setup)
+            fs, fi = flt["Gamma_s"], flt["Gamma_i"]
             gamma_eff = quantum._pair_linewidth(fs, fi, power)
-            if isinstance(bundle, Exception):
-                # The group's error object is shared, so it is reported,
-                # not raised again.
-                return failed(coords, bundle)
-            eff = shared_eff if shared_eff is not None else quantum._efficiencies(w, c, bundle)
-            report = quantum._report(w, eff, bundle, fs, fi, power, gamma_eff)
-            return SweepRow(coords=coords, report=report)
+            # Errors shared by a geometry's points are reported, not raised again.
+            if isinstance(rates[key], Exception):
+                return failed(coords, rates[key])
+            w, bundle, eff = rates[key]
+            return SweepRow(coords, quantum._report(w, eff, bundle, fs, fi, power, gamma_eff))
         except Exception as exc:
             return failed(coords, exc)
 
     def failed(coords: dict[str, float], exc: Exception) -> SweepRow:
         return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
 
-    return [run_point(*args) for args in zip(points, prepared, bundles)]
-
-
-def _grouped_overlaps(prepared: list, basis_order: int, quad_tol: float) -> list:
-    """Overlap bundles of geometry points, one mode-sum call per arm and group.
-
-    Points that share waves, crystal length and zeta_R form groups of at
-    most _GROUP_POINTS. A point gets its OverlapBundle, the error
-    compute_overlaps raises there, or None if its set-up failed.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for j, point in enumerate(prepared):
-        if not isinstance(point, Exception):
-            w, c, fp = point[:3]
-            groups.setdefault((w, c.length, fp.zeta_r), []).append(j)
-    bundles: list = [None] * len(prepared)
-    for (w, _, _), members in groups.items():
-        for lo in range(0, len(members), _GROUP_POINTS):
-            block = members[lo : lo + _GROUP_POINTS]
-            try:
-                got = quantum._overlap_group(
-                    w, [prepared[j][1:3] for j in block], basis_order, quad_tol
-                )
-            except Exception as exc:
-                got = [exc] * len(block)  # an error every point raises alone
-            for j, bundle in zip(block, got):
-                bundles[j] = bundle
-    return bundles
+    return [run_point(coords, key) for coords, key in zip(points, keys)]

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# Distinct kappa per mode-sum call: the rule's exp(i kappa z) block is then
+# 64 x 2048 complex values at most (2 MB).
+_KAPPA_BLOCK = 64
+
+
 def _check_nonneg(**kwargs: float) -> None:
     """Raise a ValueError naming the first negative value; NaN passes."""
     for name, value in kwargs.items():
@@ -187,47 +192,58 @@ def compute_overlaps(
     the signal and idler waves are equal (always so for a degenerate
     triple) the two bases coincide and one mode sum serves both arms.
     """
-    (result,) = _overlap_group(waves, [(crystal, fp)], basis_order, quad_tol)
+    (result,) = _overlaps([(waves, crystal, fp)], basis_order, quad_tol)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _overlap_group(
-    waves: WaveTriple,
-    points: list[tuple[CrystalSpec, FocusParams]],
+def _overlaps(
+    points: list[tuple[WaveTriple, CrystalSpec, FocusParams]],
     basis_order: int,
     quad_tol: float,
 ) -> list[OverlapBundle | Exception]:
-    """compute_overlaps at points that share waves, crystal length and zeta_R.
+    """compute_overlaps at each (waves, crystal, fp): its bundle or the error it raises there.
 
-    kappa enters the mode sums only through exp(i kappa z), so one mode-sum
-    call per arm serves every point, and each distinct kappa is summed
-    once. A point whose mode sums fail gets the error compute_overlaps
-    raises there; an error of |I_SFG|^2 or of the options raises for all.
+    kappa enters the mode sums only through exp(i kappa z), so the points
+    that share waves, crystal length and zeta_R take them from one call per
+    arm, each distinct kappa summed once, in blocks of at most _KAPPA_BLOCK
+    kappa so that memory stays bounded however many points there are.
     """
-    i_sfg_sq = [overlap.i_sfg_gaussian(waves, crystal, fp).abs_sq for crystal, fp in points]
-    kappas = list(dict.fromkeys(fp.kappa for _, fp in points))
-    length, zeta_r = points[0][0].length, points[0][1].zeta_r
-
-    def totals(arm: str) -> dict:
-        sums = modebasis._arm_mode_sums(
-            waves, length, kappas, zeta_r, arm, basis_order, quad_tol
-        )
-        return dict(zip(kappas, sums))
-
-    signal_arm = totals("idler")
-    idler_arm = signal_arm if waves.signal == waves.idler else totals("signal")
-    bundles: list[OverlapBundle | Exception] = []
-    for (_, fp), sfg in zip(points, i_sfg_sq):
-        s, i = signal_arm[fp.kappa], idler_arm[fp.kappa]
-        if isinstance(s, Exception):
-            bundles.append(s)
-        elif isinstance(i, Exception):
-            bundles.append(i)
+    results: list = [None] * len(points)
+    groups: dict[tuple, list[int]] = {}
+    for j, (waves, crystal, fp) in enumerate(points):
+        try:
+            results[j] = overlap.i_sfg_gaussian(waves, crystal, fp).abs_sq
+        except Exception as exc:
+            results[j] = exc
         else:
-            bundles.append(OverlapBundle(sfg, s.total, i.total))
-    return bundles
+            groups.setdefault((waves, crystal.length, fp.zeta_r), []).append(j)
+    for (waves, length, zeta_r), members in groups.items():
+        kappas = list(dict.fromkeys(points[j][2].kappa for j in members))
+        sums: dict[float, tuple] = {}
+        for lo in range(0, len(kappas), _KAPPA_BLOCK):
+            block = kappas[lo : lo + _KAPPA_BLOCK]
+            try:
+                signal_arm = idler_arm = modebasis._arm_mode_sums(
+                    waves, length, block, zeta_r, "idler", basis_order, quad_tol
+                )
+                if waves.signal != waves.idler:
+                    idler_arm = modebasis._arm_mode_sums(
+                        waves, length, block, zeta_r, "signal", basis_order, quad_tol
+                    )
+            except Exception as exc:  # an error of the options: every kappa raises it
+                signal_arm = idler_arm = [exc] * len(block)
+            sums.update(zip(block, zip(signal_arm, idler_arm)))
+        for j in members:
+            s, i = sums[points[j][2].kappa]
+            if isinstance(s, Exception):
+                results[j] = s
+            elif isinstance(i, Exception):
+                results[j] = i
+            else:
+                results[j] = OverlapBundle(results[j], s.total, i.total)
+    return results
 
 
 @dataclass(frozen=True)

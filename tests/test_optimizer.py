@@ -422,8 +422,8 @@ def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
 
 
 def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
-    # A long kappa axis at one zeta_R is split into groups of at most
-    # _GROUP_POINTS, so no rule product sees more kappa than that. Points
+    # A long kappa axis at one zeta_R is split into blocks of at most
+    # quantum._KAPPA_BLOCK kappa, so no rule product sees more than that. Points
     # whose mode sums fail take their group's error: none is evaluated alone.
     from spdckit import modebasis
 
@@ -442,9 +442,9 @@ def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
     monkeypatch.setattr(quantum, "compute_overlaps", alone)
     axes = [SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 150))), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
-    assert max(sizes) == optimizer._GROUP_POINTS
+    assert max(sizes) == quantum._KAPPA_BLOCK
     # Three groups (64 + 64 + 22 kappa), each summed for both arms.
-    assert sizes.count(optimizer._GROUP_POINTS) >= 4 and 22 in sizes
+    assert sizes.count(quantum._KAPPA_BLOCK) >= 4 and 22 in sizes
     failed = [row for row in rows if row.error is not None]
     assert 0 < len(failed) < len(rows)
     assert all(row.error.startswith("ModeSumError: ") for row in failed)
@@ -645,3 +645,43 @@ def test_efficiencies_are_computed_once_per_overlap_bundle(sweep_setup, monkeypa
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [kappas])
     assert len(rows) == 24 and all(row.error is None for row in rows)
     assert calls == {"q_conversion": 24, "q_arm": 48}
+
+    # A kappa x P_p grid has 24 geometries: each sets up, takes |I_SFG|^2
+    # and its efficiencies once, whatever the number of powers.
+    from spdckit import overlap
+
+    calls.update(q_conversion=0, q_arm=0, i_sfg_gaussian=0)
+    real_sfg = overlap.i_sfg_gaussian
+
+    def counted_sfg(*args, **kwargs):
+        calls["i_sfg_gaussian"] += 1
+        return real_sfg(*args, **kwargs)
+
+    monkeypatch.setattr(overlap, "i_sfg_gaussian", counted_sfg)
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [kappas, powers])
+    assert len(rows) == 960 and all(row.error is None for row in rows)
+    assert calls == {"q_conversion": 24, "q_arm": 48, "i_sfg_gaussian": 24}
+
+
+def test_efficiency_error_stays_in_its_geometry_rows(sweep_setup, monkeypatch):
+    # An error of the efficiencies at one geometry is reported on that
+    # geometry's rows, after each point's own checks; other rows are whole.
+    waves, crystal, z_r, flt = sweep_setup
+    real = quantum._efficiencies
+
+    def failing(w, c, bundle):
+        if bundle.i_sfg_sq == target:
+            raise ValueError("efficiency failed here")
+        return real(w, c, bundle)
+
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [SweepAxis("zeta_R", (0.1, 0.2))])
+    target = rows[1].report.overlaps.i_sfg_sq
+    monkeypatch.setattr(quantum, "_efficiencies", failing)
+    axes = [SweepAxis("zeta_R", (0.1, 0.2)), SweepAxis("P_p", (1e-3, -1e-3))]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    assert [row.error for row in rows] == [
+        None,
+        "ValueError: pump_power must be >= 0",
+        "ValueError: efficiency failed here",
+        "ValueError: pump_power must be >= 0",
+    ]
