@@ -48,6 +48,9 @@ _PANEL_NODES = 64
 _MAX_PANELS = 256
 _BLOCK_NODES = 2048
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Highest basis order: one _BLOCK_NODES block of the mode columns G is then
+# at most 4097 x 2048 complex values (128 MiB).
+_MAX_ORDER = 4096
 
 
 class ModeSumError(RuntimeError):
@@ -215,6 +218,8 @@ def _arm_mode_sums(
         raise ValueError("arm must be 'signal' or 'idler'")
     if basis_order < 1:
         raise ValueError("basis_order must be >= 1")
+    if basis_order > _MAX_ORDER:
+        raise ValueError(f"basis_order must be <= {_MAX_ORDER}, got {basis_order}")
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ValueError(f"quad_tol must be finite and > 0, got {quad_tol!r}")
     kappas = np.asarray(kappas, dtype=float)

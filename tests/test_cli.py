@@ -370,3 +370,20 @@ def test_correlation_default_points_follow_the_filters(capsys, config_path, tmp_
         assert code == 0 and len(rows) == expected
     assert main(["correlation", "--config", str(wide), "--points", "2001"]) == 1
     assert "use --points 2668 or more" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("command", ["pairs", "singles"])
+def test_huge_basis_order_is_refused(capsys, config_path, command):
+    # An order of 1e11 used to end in numpy's 1.46 TiB allocation traceback.
+    code = main([command, "--config", config_path, "--basis-order", "100000000000"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: basis_order must be <= 4096, got 100000000000\n"
+
+
+def test_huge_basis_order_fails_each_sweep_row(capsys, config_path):
+    argv = ["sweep", "--config", config_path, "--basis-order", "100000000000"]
+    code, _, rows, err = run_ndjson(capsys, argv + ["--sweep", "P_p=1:2:2"])
+    assert code == 0 and not err
+    message = "ValueError: basis_order must be <= 4096, got 100000000000"
+    assert [row["error"] for row in rows] == [message] * 2

@@ -229,6 +229,10 @@ def test_arm_must_be_signal_or_idler(ref_waves, ref_crystal, ref_fp):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, arm="pump")
     with pytest.raises(ValueError, match="basis_order must be >= 1"):
         i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=0)
+    # An order whose mode columns would not fit in memory is refused up front.
+    for bad in (modebasis._MAX_ORDER + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match=f"basis_order must be <= 4096, got {bad}"):
+            i_dfg_sq(ref_waves, ref_crystal, ref_fp, basis_order=bad)
     for bad in (0.0, -1e-9, math.inf, math.nan):
         with pytest.raises(ValueError, match="quad_tol must be finite and > 0"):
             i_dfg_sq(ref_waves, ref_crystal, ref_fp, quad_tol=bad)
