@@ -34,8 +34,10 @@ __all__ = ["main"]
 
 _FORMATS = ("table", "csv", "ndjson")
 # Default correlation grid size; raised to what the filters need when
-# --points is not given.
+# --points is not given. No grid exceeds _MAX_TAU_POINTS, which bounds the
+# rows the command holds and prints.
 _TAU_POINTS = 2001
+_MAX_TAU_POINTS = 1_000_000
 
 # Units used for sweep axis values on the command line; bare names are
 # dimensionless. The engine itself works in SI.
@@ -184,7 +186,7 @@ def _cmd_correlation(args) -> int:
     else:
         tau = filters.default_tau_grid(built.filter_s, built.filter_i, points=points)
     if args.points is None:
-        need = filters.min_tau_points(built.filter_s, built.filter_i, float(tau[-1]))
+        need = _tau_points_needed(built, float(tau[-1]))
         if need > points:
             tau = np.linspace(tau[0], tau[-1], need)
     try:
@@ -192,7 +194,7 @@ def _cmd_correlation(args) -> int:
             built.filter_s, built.filter_i, tau=tau, w2_prefactor=scale.w2_prefactor
         )
     except filters.TauGridError as exc:
-        need = filters.min_tau_points(built.filter_s, built.filter_i, float(tau[-1]))
+        need = _tau_points_needed(built, float(tau[-1]))
         raise ValueError(
             f"{exc}; use --points {need} or more for this span, or a smaller --tau-max"
         ) from None
@@ -211,6 +213,17 @@ def _cmd_correlation(args) -> int:
     meta["a_sq"] = repr(scale.a_sq)
     emit(rows, meta, args.format)
     return 0
+
+
+def _tau_points_needed(built, half_span: float) -> int:
+    """min_tau_points of the filters, refused if --points could not give it."""
+    need = filters.min_tau_points(built.filter_s, built.filter_i, half_span)
+    if need > _MAX_TAU_POINTS:
+        raise ValueError(
+            f"a tau grid on +-{half_span!r} s needs {need} points for these filters, "
+            f"more than --points allows ({_MAX_TAU_POINTS}); use a smaller --tau-max"
+        )
+    return need
 
 
 def _cmd_optimize(args) -> int:
@@ -337,6 +350,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _tau_points(text: str) -> int:
+    """argparse type: a correlation grid size from 9 to _MAX_TAU_POINTS."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 9 <= value <= _MAX_TAU_POINTS:
+        raise argparse.ArgumentTypeError(f"must be from 9 to {_MAX_TAU_POINTS}, got {text!r}")
+    return value
+
+
 def _add_common(p, *, config_required=True, basis=False):
     if config_required:
         p.add_argument("--config", required=True, help="run configuration file")
@@ -372,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlation", help="signal-idler correlation trace")
     _add_common(p)
-    p.add_argument("--points", type=int, help=f"tau grid size (default {_TAU_POINTS} or more)")
+    p.add_argument(
+        "--points", type=_tau_points, help=f"tau grid size (default {_TAU_POINTS} or more)"
+    )
     p.add_argument("--tau-max", type=_finite_float, default=None, help="half-span in seconds")
     p.set_defaults(func=_cmd_correlation)
 

@@ -40,6 +40,7 @@ once as a chirp-z transform, and a tabulated arm needs a uniform tau grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,12 +294,20 @@ def _step_gamma(tau: np.ndarray, gamma_max: float) -> float:
 
 
 def min_tau_points(f_s: FilterSpec, f_i: FilterSpec, half_span: float) -> int:
-    """Fewest points of a grid on [-half_span, half_span] that correlation_shape accepts."""
+    """Fewest points of a grid on [-half_span, half_span] that correlation_shape accepts.
+
+    Worked out from the spacing 2 half_span / (n - 1), so no grid is built,
+    however large. np.linspace puts each point within 2 ulp of half_span of
+    its exact place, so the spacing is held 8 ulp and a few roundings below
+    the limit; where the limit falls that close to a whole count, the count
+    is one more than a check of the built grid would need. Where those ulp
+    alone exceed the limit, no grid numpy can hold resolves the span, and
+    the count is that of the exact spacing.
+    """
     gamma_max = max(_gamma_scales(f_s, f_i))
-    n = max(9, math.ceil(2.0 * half_span * gamma_max / _MAX_STEP_GAMMA) + 1)
-    while _step_gamma(np.linspace(-half_span, half_span, n), gamma_max) > _MAX_STEP_GAMMA:
-        n += 1
-    return n
+    limit = _MAX_STEP_GAMMA / gamma_max
+    step = limit * (1.0 - 4.0 * sys.float_info.epsilon) - 8.0 * math.ulp(half_span)
+    return max(9, math.ceil(2.0 * half_span / (step if step > 0.0 else limit)) + 1)
 
 
 def correlation_shape(

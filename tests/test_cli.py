@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from spdckit import classical, overlap
-from spdckit.cli import main
+from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
 from spdckit.optimizer import optimize_focus
 
@@ -387,3 +387,27 @@ def test_huge_basis_order_fails_each_sweep_row(capsys, config_path):
     assert code == 0 and not err
     message = "ValueError: basis_order must be <= 4096, got 100000000000"
     assert [row["error"] for row in rows] == [message] * 2
+
+
+
+@pytest.mark.parametrize("points", ["10000000000000", "-5", "8", "1000001", "2.5"])
+def test_correlation_points_out_of_range_is_a_usage_error(capsys, config_path, points):
+    # 1e13 points used to end in a 72.8 TiB allocation traceback, and -5 in
+    # numpy's message, which does not name the option.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["correlation", "--config", config_path, "--points", points])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "argument --points: " in err and "Traceback" not in err
+    args = build_parser().parse_args(["correlation", "--config", config_path, "--points", "1000000"])
+    assert args.points == 1_000_000
+
+
+def test_correlation_span_beyond_any_grid_names_the_fix(capsys, config_path):
+    # The count for +-1e6 s used to be picked on a 457 TiB grid.
+    assert main(["correlation", "--config", config_path, "--tau-max", "1e6"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: a tau grid on +-1000000.0 s needs 64725618625374 points for these filters, "
+        "more than --points allows (1000000); use a smaller --tau-max\n"
+    )

@@ -384,6 +384,28 @@ def test_tabulated_gamma_eff_pair_properties(a, b):
     assert 0.0 <= ab <= bound * (1.0 + 1e-13)
 
 
+def test_min_tau_points_is_worked_out_without_a_grid():
+    # The count's grid is accepted and one of two points fewer is not; one
+    # point fewer is accepted only where the limit is within rounding of it.
+    rng = np.random.default_rng(14)
+    ratios = [1.0, 2.0, 200.0, *rng.uniform(1.0, 300.0, 57)]
+    for gamma_s, ratio, width in zip(rng.uniform(0.5, 5.0, 60), ratios, rng.uniform(10, 60, 60)):
+        f_s, f_i = LorentzianFilter(gamma_s * MHZ), LorentzianFilter(gamma_s * ratio * MHZ)
+        half_span = width / (gamma_s * MHZ)
+        n = min_tau_points(f_s, f_i, half_span)
+        correlation_shape(f_s, f_i, tau=np.linspace(-half_span, half_span, n))
+        with pytest.raises(TauGridError):
+            correlation_shape(f_s, f_i, tau=np.linspace(-half_span, half_span, n - 2))
+        spacing = 2.0 * half_span / (n - 2) * gamma_s * ratio * MHZ
+        if abs(spacing - 0.4) > 1e-12:
+            with pytest.raises(TauGridError):
+                correlation_shape(f_s, f_i, tau=np.linspace(-half_span, half_span, n - 1))
+    # A span of 1e6 s needs 6.5e13 points at 2 MHz, which were once built
+    # (457 TiB) to pick the count.
+    matched = LorentzianFilter(2.0 * MHZ)
+    assert min_tau_points(matched, matched, 1e6) == 64725618625374
+
+
 def test_default_tau_grid_resolves_unequal_widths():
     # 32769 points over +-40/gamma_min resolve width ratios up to ~164; a
     # wider ratio gets as many points as min_tau_points asks for.
