@@ -40,7 +40,6 @@ once as a chirp-z transform, and a tabulated arm needs a uniform tau grid.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,7 +305,7 @@ def min_tau_points(f_s: FilterSpec, f_i: FilterSpec, half_span: float) -> int:
     """
     gamma_max = max(_gamma_scales(f_s, f_i))
     limit = _MAX_STEP_GAMMA / gamma_max
-    step = limit * (1.0 - 4.0 * sys.float_info.epsilon) - 8.0 * math.ulp(half_span)
+    step = limit * (1.0 - 4.0 * math.ulp(1.0)) - 8.0 * math.ulp(half_span)
     return max(9, math.ceil(2.0 * half_span / (step if step > 0.0 else limit)) + 1)
 
 

@@ -16,6 +16,12 @@ Q_SHG/Q_APG for the triple; at omega_s = omega_i the frequency factors are
 exactly 1/16 and 1/4. At equal overlap Q_SHG = Q_SFG / 4, so the degenerate
 pair rate and heralding efficiency are a quarter of the two-field ones;
 pair_rate says how its 1/16 counts the identical photons.
+
+Only the overlaps depend on the geometry. compute_overlaps evaluates them
+at one geometry; the sweep engine hands every distinct geometry of a grid
+to _overlaps, the one place that decides which geometries share a mode sum
+(equal waves, crystal length and zeta_R), and then runs _efficiencies once
+per geometry and _report once per point.
 """
 
 from __future__ import annotations
