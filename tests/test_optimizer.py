@@ -443,7 +443,7 @@ def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
     axes = [SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 150))), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
     assert max(sizes) == quantum._KAPPA_BLOCK
-    # Three groups (64 + 64 + 22 kappa), each summed for both arms.
+    # Three blocks (64 + 64 + 22 kappa), each summed for both arms.
     assert sizes.count(quantum._KAPPA_BLOCK) >= 4 and 22 in sizes
     failed = [row for row in rows if row.error is not None]
     assert 0 < len(failed) < len(rows)
@@ -597,14 +597,14 @@ def test_mixed_grid_rows_equal_direct_evaluation(sweep_setup, axes):
         dict(zip((name for name, _ in axes), combo))
         for combo in itertools.product(*(values for _, values in axes))
     ]
-    errors = set()
+    errors = 0
     for row in rows:
         try:
             direct = _evaluate_point(waves, crystal, z_r, flt, 1e-3, row.coords)
         except Exception as exc:
             assert row.report is None, row.coords
             assert row.error == f"{type(exc).__name__}: {exc}", row.coords
-            errors.add(row.error.partition(":")[0])
+            errors += 1
             continue
         assert row.error is None, row.coords
         for name in ("i_sfg_sq", "i_dfg_sq_signal_arm", "i_dfg_sq_idler_arm"):
