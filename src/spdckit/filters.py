@@ -176,6 +176,20 @@ def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points) if lo < hi else np.empty(0)
 
 
+def _lerp(w: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Piecewise-linear table at w inside its range, from the nearer node.
+
+    np.interp starts every segment at its left node, so a small value near
+    the right node comes out as the difference of two near-equal numbers.
+    """
+    j = np.clip(np.searchsorted(nodes, w, "right") - 1, 0, nodes.size - 2)
+    x_a, x_c = nodes[j], nodes[j + 1]
+    slope = (values[j + 1] - values[j]) / (x_c - x_a)
+    return np.where(
+        w - x_a <= x_c - w, values[j] + slope * (w - x_a), values[j + 1] + slope * (w - x_c)
+    )
+
+
 def _table_pair_integral(
     nodes_s: np.ndarray, t_s: np.ndarray, nodes_i: np.ndarray, t_i: np.ndarray
 ) -> float:
@@ -195,8 +209,8 @@ def _table_pair_integral(
     # A stable sort merges the sorted runs in linear time. Duplicate nodes
     # make zero-width intervals, which add nothing.
     w = np.sort(np.concatenate([[lo, hi], *inner]), kind="stable")
-    s = np.interp(w, nodes_s, t_s)
-    t = np.interp(w, nodes_i, t_i)
+    s = _lerp(w, nodes_s, t_s)
+    t = _lerp(w, nodes_i, t_i)
     return float(
         np.sum(np.diff(w) * (s[:-1] * (2.0 * t[:-1] + t[1:]) + s[1:] * (t[:-1] + 2.0 * t[1:])))
     ) / 6.0

@@ -384,6 +384,19 @@ def test_tabulated_gamma_eff_pair_properties(a, b):
     assert 0.0 <= ab <= bound * (1.0 + 1e-13)
 
 
+def test_tabulated_gamma_eff_pair_of_a_sliver_overlap_is_symmetric():
+    # The joint support is [0, 5.6e-16] rad/s, where T_i(-W) ~ 9e-20 falls
+    # to 0 at a node 2 pi kHz away. Interpolating from the far node gave 0
+    # for one arm order and 1.6e-35 rad/s for the other.
+    ramp_down = TabulatedFilter(np.array([0.0, 2e3 * math.pi]), np.array([1.0, 0.0]))
+    ramp_up = TabulatedFilter(np.array([-5.64836829e-16, 2e3 * math.pi]), np.array([0.0, 1.0]))
+    ab, ba = gamma_eff_pair(ramp_down, ramp_up), gamma_eff_pair(ramp_up, ramp_down)
+    # (2/pi) h t / 2 with h = 5.6e-16 and t = h / (2 pi kHz).
+    want = 5.64836829e-16**2 / (2e3 * math.pi**2)
+    assert math.isclose(ab, want, rel_tol=1e-12)
+    assert math.isclose(ba, want, rel_tol=1e-12)
+
+
 def test_min_tau_points_is_worked_out_without_a_grid():
     # The count's grid is accepted and one of two points fewer is not; one
     # point fewer is accepted only where the limit is within rounding of it.
