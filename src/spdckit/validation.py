@@ -1,14 +1,15 @@
 """Independent cross-checks of the main computational routes.
 
 Every oracle here recomputes a package quantity by a genuinely different
-method: closed forms, direct Fresnel beam propagation on a radial grid,
-a thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
+method: closed forms, direct Fresnel propagation of thin source slices
+(each one Gaussian in r, so plane integrals are exact Gaussian moments), a
+thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
 constant. The package quadrature engine (adaptive Gauss-Kronrod) runs on no
 hot path; it is the oracle of three routes that do not use it: the closed
 form of Upsilon, the Lorentzian joint linewidth Gamma_eff
 (gamma_eff_pair_spectral), and the Gauss-Legendre rule of the mode sums
 (mode-sum-vs-quadrature). Every other integration in this module is a
-plain trapezoid sum or scipy.quad.
+midpoint sum over slices, a plain trapezoid sum or scipy.quad.
 
 The absolute route (absolute_q_fresnel, absolute_pair_rate_fresnel) fixes
 the absolute scale of Q_SFG and W2 from SI fields and the driven wave
@@ -221,47 +222,29 @@ def oracle_reduction_vs_direct() -> OracleReport:
     )
 
 
-def _fresnel_grid(
-    length: float, z_r: float, k_gen: float, n_slices: int, r_points: int
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Output plane z0 = L/2 + 5 z_R, slice width, slice midpoints, radii."""
-    z0 = 0.5 * length + 5.0 * z_r
-    dz = length / n_slices
-    z_mid = (np.arange(n_slices) + 0.5) * dz - 0.5 * length
-    # The generated fundamental mode waist at the output plane sets the
-    # radial extent that must be resolved: 12 waists.
-    w_out = math.sqrt(2.0 * (z0**2 + z_r**2) / (k_gen * z_r))
-    return z0, dz, z_mid, np.linspace(0.0, 12.0 * w_out, r_points)
-
-
 def _fresnel_field(
-    r: np.ndarray,
     z0: float,
     z_mid: np.ndarray,
     dz: float,
     k_gen: float,
     amp: float,
     slice_source,
-) -> np.ndarray:
-    """Generated field at the plane z0, summed over thin source slices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field at the plane z0 as sum_j coef_j exp(c_j r^2): (coef, c).
 
-    slice_source(z) returns (beta, q_prod, carrier) for the slice at height
-    z, whose source density is amp * carrier / q_prod * exp(i beta r^2).
-    Each slice goes through the exact paraxial Fresnel kernel of wavenumber
+    slice_source(z) returns (beta, q_prod, carrier) for the slices at z,
+    whose source density is amp * carrier / q_prod * exp(i beta r^2). Each
+    slice goes through the exact paraxial Fresnel kernel of wavenumber
     k_gen; the radial Gaussian integral against J0 has a closed form.
     """
-    field = np.zeros(r.size, dtype=complex)
-    r_sq = r**2
-    for zp in z_mid:
-        beta, q_prod, carrier = slice_source(zp)
-        d_prop = z0 - zp
-        a = -1j * (beta + k_gen / (2.0 * d_prop))
-        coef = dz * (k_gen / (1j * d_prop)) * amp / q_prod * carrier / (2.0 * a)
-        # Kernel phase exp(i k r^2 / 2d) times the J0 Gaussian integral
-        # exp(-b^2 / 4a) with b = k r / d: one exponential, linear in r^2.
-        c = 1j * k_gen / (2.0 * d_prop) - (k_gen / d_prop) ** 2 / (4.0 * a)
-        field += coef * np.exp(c * r_sq)
-    return field
+    beta, q_prod, carrier = slice_source(z_mid)
+    d_prop = z0 - z_mid
+    a = -1j * (beta + k_gen / (2.0 * d_prop))
+    coef = dz * (k_gen / (1j * d_prop)) * amp / q_prod * carrier / (2.0 * a)
+    # Kernel phase exp(i k r^2 / 2d) times the J0 Gaussian integral
+    # exp(-b^2 / 4a) with b = k r / d: one exponential, linear in r^2.
+    c = 1j * k_gen / (2.0 * d_prop) - (k_gen / d_prop) ** 2 / (4.0 * a)
+    return coef, c
 
 
 def _generated_field(
@@ -273,54 +256,71 @@ def _generated_field(
     length: float,
     z_r: float,
     n_slices: int,
-    r_points: int,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Field driven by a unit source, on radii r of the plane z0: (z0, r, field).
+    """Field driven by a unit source at the plane z0, as (z0, coef, c).
 
     The source density is u_a v_b exp(i mismatch z) inside the crystal, with
     u the unit-power Gaussian envelopes of common Rayleigh range z_r and v_b
-    = u_b, or its conjugate when conj_b. It is propagated slice by slice to
-    the plane z0 = L/2 + 5 z_R through the Fresnel kernel of wavenumber
-    k_gen.
+    = u_b, or its conjugate when conj_b. Its n_slices equal slices are
+    propagated to the plane z0 = L/2 + 5 z_R by _fresnel_field.
     """
-    z0, dz, z_mid, r = _fresnel_grid(length, z_r, k_gen, n_slices, r_points)
+    z0 = 0.5 * length + 5.0 * z_r
+    dz = length / n_slices
+    z_mid = (np.arange(n_slices) + 0.5) * dz - 0.5 * length
 
-    def source(zp: float):
+    def source(zp: np.ndarray):
         q = zp - 1j * z_r
-        carrier = cmath.exp(1j * mismatch * zp)
+        carrier = np.exp(1j * mismatch * zp)
         if conj_b:
-            q_b = q.conjugate()
+            q_b = np.conj(q)
             return k_a / (2.0 * q) - k_b / (2.0 * q_b), (1j * q) * (-1j * q_b), carrier
         return (k_a + k_b) / (2.0 * q), (1j * q) ** 2, carrier
 
     amp = math.sqrt(k_a * k_b) * z_r / math.pi
-    return z0, r, _fresnel_field(r, z0, z_mid, dz, k_gen, amp, source)
+    return (z0, *_fresnel_field(z0, z_mid, dz, k_gen, amp, source))
 
 
-def _plane_power(r: np.ndarray, field: np.ndarray) -> float:
-    """Radial trapezoid sum of |field|^2 over the plane."""
-    return float(np.trapezoid(2.0 * math.pi * r * np.abs(field) ** 2, r))
+def _check_decay(c: np.ndarray) -> None:
+    """ValueError unless every slice's Gaussian exp(c_j r^2) decays, Re c_j < 0."""
+    bad = np.flatnonzero(~(c.real < 0.0))
+    if bad.size:
+        raise ValueError(f"the field of slice {bad[0]} does not decay: Re c = {c[bad[0]].real!r}")
+
+
+_POWER_BLOCK = 64
+
+
+def _plane_power(coef: np.ndarray, c: np.ndarray) -> float:
+    """Int |sum_j coef_j exp(c_j r^2)|^2 dA, exactly.
+
+    That is pi sum_jk coef_j conj(coef_k) / -(c_j + conj c_k), summed in
+    blocks of _POWER_BLOCK rows j: memory grows with the slices, not their square.
+    """
+    _check_decay(c)
+    total = 0.0
+    for start in range(0, c.size, _POWER_BLOCK):
+        rows = slice(start, start + _POWER_BLOCK)
+        gram = coef[rows, None] * np.conj(coef) / -(c[rows, None] + np.conj(c))
+        total += float(np.sum(gram).real)
+    return math.pi * total
 
 
 def oracle_fresnel_self_test() -> OracleReport:
     """Propagate a unit-norm collection mode with the same kernel; power = 1."""
     k_b = 2.0 * math.pi * _N_I / _LAMBDA
     z_r = 1.8e-3
-    z0 = 5.0 * z_r
-    w_out = math.sqrt(2.0 * (z0**2 + z_r**2) / (k_b * z_r))
-    r = np.linspace(0.0, 16.0 * w_out, 40001)
     # One source slice at z = 0, through the kernel both Fresnel routes use.
     q_b = -1j * z_r
     amp = math.sqrt(k_b * z_r / math.pi)
-    field = _fresnel_field(
-        r, z0, np.zeros(1), 1.0, k_b, amp, lambda zp: (k_b / (2.0 * q_b), q_b, 1.0)
+    coef, c = _fresnel_field(
+        5.0 * z_r, np.zeros(1), 1.0, k_b, amp, lambda zp: (k_b / (2.0 * q_b), q_b, 1.0)
     )
     return _report(
         "fresnel-propagator-self-test",
         "Fresnel kernel applied to a normalized mode keeps unit power",
-        _plane_power(r, field),
+        _plane_power(coef, c),
         1.0,
-        1e-6,
+        1e-12,
     )
 
 
@@ -329,8 +329,8 @@ def oracle_dfg_fresnel() -> OracleReport:
 
     At zeta_R = 0.18 and kappa = -3, the plane power of the idler field the
     pump and signal modes drive equals the all-mode Parseval total. The
-    oracle side doubles its grids and requires self-consistency before it
-    is trusted.
+    oracle side doubles its slice count and requires self-consistency to
+    1e-5 before it is trusted.
     """
     waves = _reference_waves()
     q = waves.k_minus0 + 3.0 / _LENGTH
@@ -342,9 +342,9 @@ def oracle_dfg_fresnel() -> OracleReport:
     k_p, k_s, k_i = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
     mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
     args = (k_i, k_p, k_s, True, mismatch, _LENGTH, z_r)
-    coarse = _plane_power(*_generated_field(*args, 400, 4000)[1:])
-    fine = _plane_power(*_generated_field(*args, 800, 8000)[1:])
-    if abs(fine - coarse) > 1e-3 * abs(fine):
+    coarse = _plane_power(*_generated_field(*args, 400)[1:])
+    fine = _plane_power(*_generated_field(*args, 800)[1:])
+    if abs(fine - coarse) > 1e-5 * abs(fine):
         raise ValueError(
             f"Fresnel oracle not converged: {coarse!r} vs {fine!r} after doubling"
         )
@@ -353,7 +353,7 @@ def oracle_dfg_fresnel() -> OracleReport:
         "Laguerre-Gauss Parseval total vs propagated plane integral",
         main,
         fine,
-        1e-3,
+        1e-5,
     )
 
 
@@ -468,16 +468,6 @@ ABSOLUTE_ROUTE_TOL = 1e-4
 """Relative agreement the absolute route demands of itself on grid doubling."""
 
 _ABSOLUTE_SLICES = 200
-_ABSOLUTE_R_POINTS = 2000
-
-
-def _gaussian_mode(k: float, z_r: float, r: np.ndarray, z: float) -> np.ndarray:
-    """Unit-power Gaussian envelope sqrt(k z_R / pi) exp(i k r^2 / 2q) / (i q).
-
-    q = z - i z_R; the mode has waist W^2 = 2 z_R / k at z = 0.
-    """
-    q = z - 1j * z_r
-    return math.sqrt(k * z_r / math.pi) / (1j * q) * np.exp(1j * k * r**2 / (2.0 * q))
 
 
 def _mode_projection(
@@ -489,24 +479,28 @@ def _mode_projection(
     length: float,
     z_r: float,
     n_slices: int,
-    r_points: int,
 ) -> complex:
     """Generated-mode content of the field driven by a unit source.
 
-    The _generated_field of these arguments is projected at its plane z0,
-    by a radial trapezoid sum, onto the unit-power mode of wavenumber k_gen.
+    The _generated_field of these arguments, sum_j coef_j exp(c_j r^2), is
+    projected exactly, pi conj(g0) sum_j coef_j / -(c_j + conj gamma), onto
+    the unit-power mode g0 exp(gamma r^2) of wavenumber k at its plane z0:
+    g0 = sqrt(k z_R / pi) / (i q), gamma = i k / 2q and q = z0 - i z_R.
     """
-    z0, r, field = _generated_field(
-        k_gen, k_a, k_b, conj_b, mismatch, length, z_r, n_slices, r_points
-    )
-    density = 2.0 * math.pi * r * np.conj(_gaussian_mode(k_gen, z_r, r, z0)) * field
-    return complex(np.trapezoid(density, r))
+    z0, coef, c = _generated_field(k_gen, k_a, k_b, conj_b, mismatch, length, z_r, n_slices)
+    q = z0 - 1j * z_r
+    gamma = 1j * k_gen / (2.0 * q)
+    if not gamma.real < 0.0:
+        raise ValueError(f"the collection mode of Rayleigh range {z_r!r} m does not decay")
+    _check_decay(c)
+    g0 = math.sqrt(k_gen * z_r / math.pi) / (1j * q)
+    return complex(math.pi * g0.conjugate() * np.sum(coef / -(c + gamma.conjugate())))
 
 
 def _converged_projection(*args) -> complex:
-    """_mode_projection on doubled grids; raises unless they agree."""
-    coarse = _mode_projection(*args, _ABSOLUTE_SLICES, _ABSOLUTE_R_POINTS)
-    fine = _mode_projection(*args, 2 * _ABSOLUTE_SLICES, 2 * _ABSOLUTE_R_POINTS)
+    """_mode_projection on doubled slice counts; raises unless they agree."""
+    coarse = _mode_projection(*args, _ABSOLUTE_SLICES)
+    fine = _mode_projection(*args, 2 * _ABSOLUTE_SLICES)
     if abs(abs(fine) ** 2 - abs(coarse) ** 2) > ABSOLUTE_ROUTE_TOL * abs(fine) ** 2:
         raise ValueError(
             f"absolute route not converged: {coarse!r} vs {fine!r} after doubling"
