@@ -177,17 +177,16 @@ def _joint_grid(f_s: FilterSpec, f_i: FilterSpec, points: int) -> np.ndarray:
 
 
 def _lerp(w: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Piecewise-linear table at w inside its range, from the nearer node.
+    """Piecewise-linear table at w inside its range, exact at the nodes.
 
-    np.interp starts every segment at its left node, so a small value near
-    the right node comes out as the difference of two near-equal numbers.
+    Both weights are distances to a node, so a small value near either node
+    keeps its digits; np.interp starts every segment at its left node and
+    loses one near the right node to cancellation.
     """
-    j = np.clip(np.searchsorted(nodes, w, "right") - 1, 0, nodes.size - 2)
+    j = np.searchsorted(nodes[1:-1], w, "right")
     x_a, x_c = nodes[j], nodes[j + 1]
-    slope = (values[j + 1] - values[j]) / (x_c - x_a)
-    return np.where(
-        w - x_a <= x_c - w, values[j] + slope * (w - x_a), values[j + 1] + slope * (w - x_c)
-    )
+    h = x_c - x_a
+    return values[j] * ((x_c - w) / h) + values[j + 1] * ((w - x_a) / h)
 
 
 def _table_pair_integral(
