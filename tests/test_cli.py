@@ -1,14 +1,18 @@
 """CLI: subcommand columns, output formats, exit codes."""
 
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spdckit import classical, overlap
+from spdckit import classical, cli, overlap
 from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
 from spdckit.optimizer import optimize_focus
@@ -411,3 +415,143 @@ def test_correlation_span_beyond_any_grid_names_the_fix(capsys, config_path):
         "error: a tau grid on +-1000000.0 s needs 64725618625374 points for these filters, "
         "more than --points allows (1000000); use a smaller --tau-max\n"
     )
+
+
+# --------------------------------------------------------------------------
+# Output bytes: the emitter against a per-cell reference
+
+
+def _reference_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_jsonable(value):
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    return value
+
+
+def _reference_emit(rows, meta, fmt) -> str:
+    """The emitter as it was written cell by cell: the bytes to keep."""
+    out = io.StringIO()
+    columns = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
+    if fmt == "ndjson":
+        out.write(json.dumps({"_meta": meta}) + "\n")
+        for row in rows:
+            out.write(json.dumps({k: _reference_jsonable(v) for k, v in row.items()}) + "\n")
+        return out.getvalue()
+    for key, value in meta.items():
+        out.write(f"# {key}: {value}\n")
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(",".join(_reference_fmt(row.get(c)) for c in columns) + "\n")
+        return out.getvalue()
+    cells = [[_reference_fmt(row.get(c)) for c in columns] for row in rows]
+    widths = [
+        max(len(col), *(len(r[j]) for r in cells)) if cells else len(col)
+        for j, col in enumerate(columns)
+    ]
+    out.write("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip() + "\n")
+    for r in cells:
+        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    return out.getvalue()
+
+
+def _emitted(rows, meta, fmt) -> str:
+    out = io.StringIO()
+    cli.emit(rows, meta, fmt, out)
+    return out.getvalue()
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_CELLS = st.one_of(
+    _ANY_FLOAT,
+    _ANY_FLOAT.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-5, 5).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+# Columns of one kind each (the common CLI case) and ragged rows of any cells.
+_FLOAT_KINDS = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _ANY_FLOAT,
+    _CELLS,
+])
+
+
+@st.composite
+def _column_rows(draw):
+    kinds = draw(st.lists(_FLOAT_KINDS, min_size=1, max_size=4))
+    n = draw(st.integers(0, 6))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    names = [f"c{j}" for j in range(len(kinds))]
+    return [dict(zip(names, values)) for values in zip(*columns)]
+
+
+_ROWS = st.one_of(
+    _column_rows(),
+    st.lists(st.dictionaries(st.sampled_from(["a", "b", "c"]), _CELLS, max_size=3), max_size=5),
+)
+_META = {"command": "test", "config": "x.cfg"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "ndjson"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS)
+@example(rows=[])
+@example(rows=[{"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0}])
+@example(rows=[{"x": 1.5, "y": -0.0}, {"x": math.nan, "y": 2.0}])
+@example(rows=[{"x": None, "y": True, "z": 3, "s": "abc"}, {"x": 1.0, "y": False, "z": -2, "s": ""}])
+@example(rows=[{"x": np.float64(0.1), "y": np.float32(0.1)}, {"x": np.float64(math.nan), "y": np.float32(2.5)}])
+@example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0}, {"c": "late", "a": 4.0}])
+@example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}])
+def test_emit_matches_the_per_cell_reference(fmt, rows):
+    assert _emitted(rows, _META, fmt) == _reference_emit(rows, _META, fmt)
+
+
+@pytest.fixture
+def emitted_rows(monkeypatch):
+    """Run main and keep the rows and meta it hands to emit."""
+    seen = []
+    real = cli.emit
+
+    def spy(rows, meta, fmt, out=None):
+        seen.append((rows, meta))
+        real(rows, meta, fmt, out)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlation", "--points", "300000"],
+        # 40 x 40 points, 709 of them with an error and empty rate cells.
+        ["sweep", "--sweep", "P_p=-0.5:1:40", "--sweep", "Gamma_s=-1:5:40"],
+    ],
+    ids=["correlation-300000", "sweep-40x40-errors"],
+)
+def test_large_outputs_match_the_per_cell_reference(capsys, config_path, emitted_rows, argv):
+    assert main([*argv, "--config", config_path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == _reference_emit(*emitted_rows[0], "csv")
+    rows, meta = emitted_rows[0]
+    for fmt in ("table", "ndjson"):
+        assert _emitted(rows, meta, fmt) == _reference_emit(rows, meta, fmt)
