@@ -18,6 +18,7 @@ failures. Errors go to stderr as a single 'error: ...' line.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import classical, filters, overlap, quantum, validation
 from .config import ConfigError, load_and_build
-from .optimizer import AXIS_NAMES, SweepAxis, optimize_focus, sweep
+from .optimizer import _MAX_RESTARTS, AXIS_NAMES, SweepAxis, optimize_focus, sweep
 from .quantities import from_si, to_si
 
 __all__ = ["main"]
@@ -42,6 +43,11 @@ _MAX_TAU_POINTS = 1_000_000
 # Units used for sweep axis values on the command line; bare names are
 # dimensionless. The engine itself works in SI.
 _SWEEP_UNITS = {"z_R": "mm", "Gamma_s": "MHz", "Gamma_i": "MHz", "P_p": "mW"}
+
+# Rows formatted and written per out.write, which bounds the text held at
+# once for csv and ndjson.
+_BLOCK_ROWS = 4096
+_FLOAT_TYPES = {float, np.float64}
 
 
 def _fmt(value) -> str:
@@ -63,33 +69,71 @@ def _jsonable(value):
     return value
 
 
+def _json_cell(value) -> str:
+    return json.dumps(_jsonable(value))
+
+
+def _cells(values: list, fmt: str) -> list[str]:
+    """One column's text, with one converter picked for the whole column.
+
+    A column of Python or numpy 64-bit floats prints with float.__repr__,
+    which is what _fmt and json.dumps give each of them, except that JSON
+    spells non-finite floats NaN/Infinity. Any other column is converted
+    cell by cell.
+    """
+    if set(map(type, values)) <= _FLOAT_TYPES and (
+        fmt != "ndjson" or all(map(math.isfinite, values))
+    ):
+        return list(map(float.__repr__, values))
+    return list(map(_json_cell if fmt == "ndjson" else _fmt, values))
+
+
+def _lines(columns: list[list[str]], n_rows: int):
+    """Rows of cells from columns of cells; a row without columns is empty."""
+    return zip(*columns) if columns else [()] * n_rows
+
+
+def _text_block(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """csv or ndjson lines of some rows."""
+    if fmt == "csv":
+        cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
+        return "".join(",".join(line) + "\n" for line in _lines(cells, len(rows)))
+    keys = list(rows[0])
+    if not all(list(row) == keys for row in rows):
+        return "".join(
+            json.dumps({k: _jsonable(v) for k, v in row.items()}) + "\n" for row in rows
+        )
+    # Every row has the same keys in the same order: pre-encode the heads.
+    heads = [json.dumps(k) + ": " for k in keys]
+    cells = [
+        [head + cell for cell in _cells([row[k] for row in rows], fmt)]
+        for k, head in zip(keys, heads)
+    ]
+    return "".join("{" + ", ".join(line) + "}\n" for line in _lines(cells, len(rows)))
+
+
 def emit(rows: list[dict], meta: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
     if fmt == "ndjson":
         out.write(json.dumps({"_meta": meta}) + "\n")
-        for row in rows:
-            out.write(json.dumps({k: _jsonable(v) for k, v in row.items()}) + "\n")
+    else:
+        for key, value in meta.items():
+            out.write(f"# {key}: {value}\n")
+    if fmt != "table":
+        if fmt == "csv":
+            out.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            out.write(_text_block(rows[start : start + _BLOCK_ROWS], columns, fmt))
         return
-    for key, value in meta.items():
-        out.write(f"# {key}: {value}\n")
-    if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
-        return
-    cells = [[_fmt(row.get(c)) for c in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(r[j]) for r in cells)) if cells else len(col)
-        for j, col in enumerate(columns)
-    ]
-    out.write("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip() + "\n")
-    for r in cells:
-        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    # Widths span every row, so a table holds all its cells.
+    cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
+    widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
+    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(rows))
+        block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
+        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(block, stop - start)))
 
 
 def _base_meta(args, command: str) -> dict:
@@ -198,15 +242,17 @@ def _cmd_correlation(args) -> int:
         raise ValueError(
             f"{exc}; use --points {need} or more for this span, or a smaller --tau-max"
         ) from None
+    # Python floats and complexes from whole columns. abs of a Python complex
+    # is hypot, as for a numpy scalar; np.abs of an array may round otherwise.
     rows = [
         {
-            "tau_s": float(t),
-            "f_re": float(f.real),
-            "f_im": float(f.imag),
-            "abs_f_sq": float(abs(f) ** 2),
-            "w2_density_per_s2": float(w),
+            "tau_s": t,
+            "f_re": f.real,
+            "f_im": f.imag,
+            "abs_f_sq": abs(f) ** 2,
+            "w2_density_per_s2": w,
         }
-        for t, f, w in zip(trace.tau, trace.f, trace.w2_density)
+        for t, f, w in zip(trace.tau.tolist(), trace.f.tolist(), trace.w2_density.tolist())
     ]
     meta = _base_meta(args, "correlation")
     meta["gamma_eff_rad_s"] = repr(trace.gamma_eff)
@@ -350,15 +396,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _tau_points(text: str) -> int:
-    """argparse type: a correlation grid size from 9 to _MAX_TAU_POINTS."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 9 <= value <= _MAX_TAU_POINTS:
-        raise argparse.ArgumentTypeError(f"must be from 9 to {_MAX_TAU_POINTS}, got {text!r}")
-    return value
+def _int_range(low: int, high: int | None = None):
+    """argparse type: an integer from low to high, or from low up if high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if high is None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be from {low} to {high}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_common(p, *, config_required=True, basis=False):
@@ -397,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlation", help="signal-idler correlation trace")
     _add_common(p)
     p.add_argument(
-        "--points", type=_tau_points, help=f"tau grid size (default {_TAU_POINTS} or more)"
+        "--points",
+        type=_int_range(9, _MAX_TAU_POINTS),
+        help=f"tau grid size (default {_TAU_POINTS} or more)",
     )
     p.add_argument("--tau-max", type=_finite_float, default=None, help="half-span in seconds")
     p.set_defaults(func=_cmd_correlation)
@@ -410,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-min", type=_finite_float, default=0.02)
     p.add_argument("--zeta-max", type=_finite_float, default=5.0)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--restarts", type=_int_range(0, _MAX_RESTARTS), default=5)
+    p.add_argument("--seed", type=_int_range(0), default=7)
     p.add_argument("--trace", action="store_true", help="print every evaluation")
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.set_defaults(func=_cmd_optimize)
@@ -435,9 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call to main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

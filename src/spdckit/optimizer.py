@@ -47,6 +47,9 @@ __all__ = [
 # basin rather than a secondary phase-mismatch lobe.
 _PRESAMPLES = 64
 _MAX_SWEEP_POINTS = 1_000_000
+# Restarts per optimize_focus call. Each costs 1-2 ms and keeps its merit
+# evaluations in the trace, so an unbounded count runs without end.
+_MAX_RESTARTS = 1000
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 # Axes that move the spatial geometry; the others set filters or pump power.
@@ -126,8 +129,10 @@ def optimize_focus(
         raise ValueError("zeta_R lower bound must be >= 0.01")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
+    if not 0 <= restarts <= _MAX_RESTARTS:
+        raise ValueError(f"restarts must be from 0 to {_MAX_RESTARTS}, got {restarts!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
     trace: list[tuple[float, float, float]] = []
 

@@ -1,5 +1,6 @@
 """CLI: subcommand columns, output formats, exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -202,6 +203,25 @@ def test_non_finite_config_value_is_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"{key}: value must be finite" in lines[0]
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--restarts=100000000", "argument --restarts: must be from 0 to 1000, got '100000000'"),
+        ("--restarts=-1", "argument --restarts: must be from 0 to 1000, got '-1'"),
+        ("--restarts=2.5", "argument --restarts: not an integer: '2.5'"),
+        ("--seed=-1", "argument --seed: must be >= 0, got '-1'"),
+    ],
+)
+def test_optimize_restarts_and_seed_are_usage_errors(capsys, option, message):
+    # --restarts 100000000 used to run without end, and --seed -1 to exit 1
+    # with numpy's "expected non-negative integer", which names no option.
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--rk", "0", option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_optimize_matches_library(capsys):
@@ -555,3 +575,35 @@ def test_large_outputs_match_the_per_cell_reference(capsys, config_path, emitted
     rows, meta = emitted_rows[0]
     for fmt in ("table", "ndjson"):
         assert _emitted(rows, meta, fmt) == _reference_emit(rows, meta, fmt)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch, config_path):
+    sequence = [
+        ["sweep", "--config", config_path, "--sweep", "P_p=0.5:2:3", "--quad-tol", "1e-6"],
+        ["pairs", "--config", config_path, "--format", "csv"],
+        ["pairs", "--config", config_path, "--restarts", "1"],
+        ["validate", "--format", "ndjson"],
+        ["optimize", "--rk", "0.0", "--restarts", "1", "--tol", "1e-2", "--trace"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_run_main(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    assert [_run_main(argv) for argv in sequence] == fresh
+    assert len(builds) == 1

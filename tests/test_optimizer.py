@@ -93,6 +93,33 @@ def test_optimize_focus_validation():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
+        ({"restarts": 100_000_000}, "restarts must be from 0 to 1000, got 100000000"),
+        ({"restarts": 1001}, "restarts must be from 0 to 1000, got 1001"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize("box", [{}, {"kappa_bounds": (-3.0, -3.0), "zeta_bounds": (0.18, 0.18)}])
+def test_optimize_focus_bounds_restarts_and_seed(monkeypatch, kwargs, match, box):
+    # 1e8 restarts used to run without end while the trace grew, and seed -1
+    # failed inside numpy with "expected non-negative integer". Both are
+    # refused before the first merit evaluation, also for a one-point box.
+    def no_evaluation(*args):
+        raise AssertionError("merit evaluated")
+
+    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    with pytest.raises(ValueError, match=match):
+        optimize_focus(0.0, **box, **kwargs)
+
+
+def test_optimize_focus_takes_the_largest_restart_count():
+    result = optimize_focus(0.0, kappa_bounds=(-3.0, -3.0), zeta_bounds=(0.18, 0.18),
+                            restarts=1000, seed=0)
+    assert len(result.trace) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
         ({"kappa_bounds": (-20.0, math.nan)}, r"kappa_bounds must be finite, got \(-20.0, nan\)"),
         ({"kappa_bounds": (-math.inf, 5.0)}, r"kappa_bounds must be finite, got \(-inf, 5.0\)"),
         ({"kappa_bounds": (-1e308, 1e308)}, "kappa_bounds must be finite"),
