@@ -10,6 +10,12 @@ self-contained), computes, and prints rows in one of three formats:
 table and csv are preceded by '#' metadata lines; ndjson instead starts
 with one {"_meta": {...}} object. Output is deterministic for a given
 input: floats print with repr (shortest round-trip), no timestamps.
+Formatting goes by column: a column of 64-bit floats is converted by
+float.__repr__ in one pass, any other column cell by cell, with the same
+bytes either way.
+
+main builds the argparse parser once per process, on its first call, and
+reuses it for every later call.
 
 Exit codes: 0 success, 2 configuration or usage problems, 1 runtime
 failures. Errors go to stderr as a single 'error: ...' line.
@@ -44,9 +50,10 @@ _MAX_TAU_POINTS = 1_000_000
 # dimensionless. The engine itself works in SI.
 _SWEEP_UNITS = {"z_R": "mm", "Gamma_s": "MHz", "Gamma_i": "MHz", "P_p": "mW"}
 
-# Rows formatted and written per out.write, which bounds the text held at
-# once for csv and ndjson.
-_BLOCK_ROWS = 4096
+# Rows per block: csv and ndjson are formatted and written, and the
+# correlation rows built, a block at a time. This bounds the temporaries,
+# so a 300000-row trace peaks no higher than writing row by row did.
+_BLOCK_ROWS = 256
 _FLOAT_TYPES = {float, np.float64}
 
 
@@ -120,20 +127,21 @@ def emit(rows: list[dict], meta: dict, fmt: str, out=None) -> None:
     else:
         for key, value in meta.items():
             out.write(f"# {key}: {value}\n")
-    if fmt != "table":
-        if fmt == "csv":
-            out.write(",".join(columns) + "\n")
+    if fmt == "table":
+        # Widths span every row, so a table holds all its cells.
+        cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
+        widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
+        out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
         for start in range(0, len(rows), _BLOCK_ROWS):
-            out.write(_text_block(rows[start : start + _BLOCK_ROWS], columns, fmt))
+            stop = min(start + _BLOCK_ROWS, len(rows))
+            block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
+            lines = _lines(block, stop - start)
+            out.write("".join("  ".join(line).rstrip() + "\n" for line in lines))
         return
-    # Widths span every row, so a table holds all its cells.
-    cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
-    widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
-    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
     for start in range(0, len(rows), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(rows))
-        block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
-        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(block, stop - start)))
+        out.write(_text_block(rows[start : start + _BLOCK_ROWS], columns, fmt))
 
 
 def _base_meta(args, command: str) -> dict:
@@ -242,18 +250,24 @@ def _cmd_correlation(args) -> int:
         raise ValueError(
             f"{exc}; use --points {need} or more for this span, or a smaller --tau-max"
         ) from None
-    # Python floats and complexes from whole columns. abs of a Python complex
-    # is hypot, as for a numpy scalar; np.abs of an array may round otherwise.
-    rows = [
-        {
-            "tau_s": t,
-            "f_re": f.real,
-            "f_im": f.imag,
-            "abs_f_sq": abs(f) ** 2,
-            "w2_density_per_s2": w,
-        }
-        for t, f, w in zip(trace.tau.tolist(), trace.f.tolist(), trace.w2_density.tolist())
-    ]
+    # Python floats from whole columns, a block at a time. abs of a Python
+    # complex is hypot, as for a numpy scalar; np.abs of an array may round
+    # otherwise.
+    rows = []
+    for start in range(0, len(trace.tau), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        rows += [
+            {
+                "tau_s": t,
+                "f_re": f.real,
+                "f_im": f.imag,
+                "abs_f_sq": abs(f) ** 2,
+                "w2_density_per_s2": w,
+            }
+            for t, f, w in zip(
+                trace.tau[block].tolist(), trace.f[block].tolist(), trace.w2_density[block].tolist()
+            )
+        ]
     meta = _base_meta(args, "correlation")
     meta["gamma_eff_rad_s"] = repr(trace.gamma_eff)
     meta["a_sq"] = repr(scale.a_sq)
