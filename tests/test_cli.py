@@ -508,7 +508,7 @@ _CELLS = st.one_of(
     st.text(max_size=4),
 )
 # Columns of one kind each (the common CLI case) and ragged rows of any cells.
-_FLOAT_KINDS = st.sampled_from([
+_COLUMN_KINDS = st.sampled_from([
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     _ANY_FLOAT,
@@ -518,7 +518,7 @@ _FLOAT_KINDS = st.sampled_from([
 
 @st.composite
 def _column_rows(draw):
-    kinds = draw(st.lists(_FLOAT_KINDS, min_size=1, max_size=4))
+    kinds = draw(st.lists(_COLUMN_KINDS, min_size=1, max_size=4))
     n = draw(st.integers(0, 6))
     columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
     names = [f"c{j}" for j in range(len(kinds))]
@@ -538,10 +538,18 @@ _META = {"command": "test", "config": "x.cfg"}
 @example(rows=[])
 @example(rows=[{"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0}])
 @example(rows=[{"x": 1.5, "y": -0.0}, {"x": math.nan, "y": 2.0}])
-@example(rows=[{"x": None, "y": True, "z": 3, "s": "abc"}, {"x": 1.0, "y": False, "z": -2, "s": ""}])
-@example(rows=[{"x": np.float64(0.1), "y": np.float32(0.1)}, {"x": np.float64(math.nan), "y": np.float32(2.5)}])
+@example(rows=[
+    {"x": None, "y": True, "z": 3, "s": "abc"},
+    {"x": 1.0, "y": False, "z": -2, "s": ""},
+])
+@example(rows=[
+    {"x": np.float64(0.1), "y": np.float32(0.1)},
+    {"x": np.float64(math.nan), "y": np.float32(2.5)},
+])
 @example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0}, {"c": "late", "a": 4.0}])
 @example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}])
+# More rows than one block; the keys change within the second block.
+@example(rows=[{"a": i / 7} for i in range(300)] + [{"b": "x", "a": 2.0}] * 300)
 def test_emit_matches_the_per_cell_reference(fmt, rows):
     assert _emitted(rows, _META, fmt) == _reference_emit(rows, _META, fmt)
 
