@@ -100,11 +100,12 @@ def _lines(columns: list[list[str]], n_rows: int):
     return zip(*columns) if columns else [()] * n_rows
 
 
-def _text_block(rows: list[dict], columns: list[str], fmt: str) -> str:
-    """csv or ndjson lines of some rows."""
-    if fmt == "csv":
-        cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
-        return "".join(",".join(line) + "\n" for line in _lines(cells, len(rows)))
+def _csv_block(rows: list[dict], columns: list[str]) -> str:
+    cells = [_cells([row.get(c) for row in rows], "csv") for c in columns]
+    return "".join(",".join(line) + "\n" for line in _lines(cells, len(rows)))
+
+
+def _ndjson_block(rows: list[dict]) -> str:
     keys = list(rows[0])
     if not all(list(row) == keys for row in rows):
         return "".join(
@@ -113,7 +114,7 @@ def _text_block(rows: list[dict], columns: list[str], fmt: str) -> str:
     # Every row has the same keys in the same order: pre-encode the heads.
     heads = [json.dumps(k) + ": " for k in keys]
     cells = [
-        [head + cell for cell in _cells([row[k] for row in rows], fmt)]
+        [head + cell for cell in _cells([row[k] for row in rows], "ndjson")]
         for k, head in zip(keys, heads)
     ]
     return "".join("{" + ", ".join(line) + "}\n" for line in _lines(cells, len(rows)))
@@ -121,27 +122,29 @@ def _text_block(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 def emit(rows: list[dict], meta: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
-    columns = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
+    blocks = range(0, len(rows), _BLOCK_ROWS)
     if fmt == "ndjson":
         out.write(json.dumps({"_meta": meta}) + "\n")
-    else:
-        for key, value in meta.items():
-            out.write(f"# {key}: {value}\n")
-    if fmt == "table":
-        # Widths span every row, so a table holds all its cells.
-        cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
-        widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
-        out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, len(rows))
-            block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
-            lines = _lines(block, stop - start)
-            out.write("".join("  ".join(line).rstrip() + "\n" for line in lines))
+        for start in blocks:
+            out.write(_ndjson_block(rows[start : start + _BLOCK_ROWS]))
         return
+    for key, value in meta.items():
+        out.write(f"# {key}: {value}\n")
+    columns = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        out.write(_text_block(rows[start : start + _BLOCK_ROWS], columns, fmt))
+        for start in blocks:
+            out.write(_csv_block(rows[start : start + _BLOCK_ROWS], columns))
+        return
+    # Widths span every row, so a table holds all its cells.
+    cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
+    widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
+    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
+    for start in blocks:
+        stop = min(start + _BLOCK_ROWS, len(rows))
+        block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
+        lines = _lines(block, stop - start)
+        out.write("".join("  ".join(line).rstrip() + "\n" for line in lines))
 
 
 def _base_meta(args, command: str) -> dict:
