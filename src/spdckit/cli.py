@@ -34,7 +34,8 @@ import numpy as np
 
 from . import classical, filters, overlap, quantum, validation
 from .config import ConfigError, load_and_build
-from .optimizer import _MAX_RESTARTS, AXIS_NAMES, SweepAxis, optimize_focus, sweep
+from .optimizer import _MAX_RESTARTS, _MIN_ZETA_R, AXIS_NAMES, SweepAxis, optimize_focus, sweep
+from .optimizer import _check_box
 from .quantities import from_si, to_si
 
 __all__ = ["main"]
@@ -290,6 +291,12 @@ def _tau_points_needed(built, half_span: float) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    try:
+        _check_box("--kappa-min/--kappa-max", args.kappa_min, args.kappa_max)
+        _check_box("--zeta-min/--zeta-max", args.zeta_min, args.zeta_max, _MIN_ZETA_R)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     built = None
     if args.rk is not None:
         r_k = args.rk

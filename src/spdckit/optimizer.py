@@ -50,6 +50,8 @@ _MAX_SWEEP_POINTS = 1_000_000
 # Restarts per optimize_focus call. Each costs 1-2 ms and keeps its merit
 # evaluations in the trace, so an unbounded count runs without end.
 _MAX_RESTARTS = 1000
+# Smallest zeta_R an optimizer box may reach.
+_MIN_ZETA_R = 0.01
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 # Axes that move the spatial geometry; the others set filters or pump power.
@@ -99,6 +101,17 @@ class OptimizationResult:
         return len(self.trace)
 
 
+def _check_box(name: str, low: float, high: float, floor: float = -math.inf) -> None:
+    """Raise a ValueError naming the box unless floor <= low <= high, all finite."""
+    # A finite difference also rules out a span the presample cannot draw.
+    if not math.isfinite(high - low):
+        raise ValueError(f"{name} must be finite, got ({low!r}, {high!r})")
+    if low > high:
+        raise ValueError(f"{name} must be ordered (low, high), got ({low!r}, {high!r})")
+    if low < floor:
+        raise ValueError(f"{name} must have low >= {floor}, got ({low!r}, {high!r})")
+
+
 def optimize_focus(
     r_k: float,
     kappa_bounds: tuple[float, float] = (-20.0, 5.0),
@@ -119,14 +132,8 @@ def optimize_focus(
         raise ValueError("r_k must satisfy |r_k| < 1")
     k_lo, k_hi = map(float, kappa_bounds)
     z_lo, z_hi = map(float, zeta_bounds)
-    for name, lo, hi in (("kappa_bounds", k_lo, k_hi), ("zeta_bounds", z_lo, z_hi)):
-        # A finite difference also rules out a span the presample cannot draw.
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"{name} must be finite, got ({lo!r}, {hi!r})")
-    if k_lo > k_hi or z_lo > z_hi:
-        raise ValueError("bounds must be ordered (low, high)")
-    if z_lo < 0.01:
-        raise ValueError("zeta_R lower bound must be >= 0.01")
+    _check_box("kappa_bounds", k_lo, k_hi)
+    _check_box("zeta_bounds", z_lo, z_hi, _MIN_ZETA_R)
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     if not 0 <= restarts <= _MAX_RESTARTS:
@@ -381,69 +388,85 @@ def sweep(
     names = [ax.name for ax in axes]
     if len(set(names)) != len(names):
         raise ValueError("sweep axes must be distinct")
-    total = 1
-    for ax in axes:
-        total *= len(ax.values)
+    total = math.prod(len(ax.values) for ax in axes)
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
     points = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
-    geometry_names = [name for name in names if name in _GEOMETRY_AXES]
-    keys = [tuple(coords[name] for name in geometry_names) for coords in points]
+    geometry = [name for name in names if name in _GEOMETRY_AXES]
+    widths = [name for name in names if name in ("Gamma_s", "Gamma_i")]
+    keys = [(tuple([c[n] for n in geometry]), tuple([c[n] for n in widths])) for c in points]
 
-    # Each distinct geometry is set up once, and its overlaps and
-    # efficiencies computed once: they do not depend on filters or power.
-    # A failed set-up keeps the axis whose step raised, so each point raises
-    # it in axis order among its rate steps, or None for an error of
-    # derive_focus_params, which comes after every axis is applied.
+    # Each distinct geometry and each distinct filter pair is set up once. A
+    # failure keeps the axis whose step raised, or None for an error of the
+    # step after all its axes: derive_focus_params or the linewidths.
     setups: dict[tuple, tuple[str | None, object]] = {}
-    for key in dict.fromkeys(keys):
+    for g in dict.fromkeys(g for g, _ in keys):
         w, c, zr = waves, crystal, z_r
         try:
-            for failed_axis, value in zip(geometry_names, key):
-                w, c, zr = _geometry_step(w, c, zr, failed_axis, value)
-            failed_axis = None
-            setups[key] = None, (w, c, derive_focus_params(w, c, zr))
+            for axis, value in zip(geometry, g):
+                w, c, zr = _geometry_step(w, c, zr, axis, value)
+            axis = None
+            setups[g] = None, (w, c, derive_focus_params(w, c, zr))
         except Exception as exc:
-            setups[key] = failed_axis, exc
+            setups[g] = axis, exc
+    lines: dict[tuple, tuple[str | None, object]] = {}
+    for f in dict.fromkeys(f for _, f in keys):
+        flt = {"Gamma_s": filter_s, "Gamma_i": filter_i}
+        try:
+            for axis, value in zip(widths, f):
+                if isinstance(flt[axis], filters.TabulatedFilter):
+                    raise ValueError(f"{axis} sweep needs a Lorentzian or absent filter")
+                flt[axis] = filters.LorentzianFilter(gamma=value)
+            axis = None
+            lines[f] = None, quantum._linewidths(flt["Gamma_s"], flt["Gamma_i"])
+        except Exception as exc:
+            lines[f] = axis, exc
+    # The overlaps and efficiencies Q depend on the geometry alone.
     ready = {key: setup for key, (_, setup) in setups.items() if not isinstance(setup, Exception)}
     rates = dict(zip(ready, quantum._overlaps(list(ready.values()), basis_order, quad_tol)))
     for key, bundle in rates.items():
         if not isinstance(bundle, Exception):
             w, c, _ = ready[key]
             try:
-                rates[key] = w, bundle, quantum._efficiencies(w, c, bundle)
+                rates[key] = w, quantum._efficiencies(w, c, bundle), bundle
             except Exception as exc:
                 rates[key] = exc
 
-    def run_point(coords: dict[str, float], key: tuple) -> SweepRow:
-        """evaluate_source at one point, its steps in the same order."""
-        failed_axis, setup = setups[key]
-        flt = {"Gamma_s": filter_s, "Gamma_i": filter_i}
-        power = pump_power
+    def stage(g: tuple, f: tuple) -> tuple[Exception | None, object]:
+        """A point's error before its power check, then after it the error or
+        the arguments of quantum._rates but the power, in evaluate_source's order.
+        """
+        (g_axis, setup), (f_axis, lw) = setups[g], lines[f]
+        for name in names:
+            if name in (g_axis, f_axis):
+                return (setup if name == g_axis else lw), None
+        if isinstance(setup, Exception):
+            return setup, None
+        for shared in (lw, rates[g]):
+            if isinstance(shared, Exception):
+                return None, shared
+        w, eff, bundle = rates[g]
         try:
-            for name, value in coords.items():
-                if name == "P_p":
-                    power = value
-                elif name in flt:
-                    if isinstance(flt[name], filters.TabulatedFilter):
-                        raise ValueError(f"{name} sweep needs a Lorentzian or absent filter")
-                    flt[name] = filters.LorentzianFilter(gamma=value)
-                elif name == failed_axis:
-                    return failed(coords, setup)
-            if isinstance(setup, Exception):
-                return failed(coords, setup)
-            fs, fi = flt["Gamma_s"], flt["Gamma_i"]
-            gamma_eff = quantum._pair_linewidth(fs, fi, power)
-            # Errors shared by a geometry's points are reported, not raised again.
-            if isinstance(rates[key], Exception):
-                return failed(coords, rates[key])
-            w, bundle, eff = rates[key]
-            return SweepRow(coords, quantum._report(w, eff, bundle, fs, fi, power, gamma_eff))
+            return None, (w, eff, bundle, lw, quantum._heralding(w, bundle, lw))
         except Exception as exc:
-            return failed(coords, exc)
+            return None, exc
 
-    def failed(coords: dict[str, float], exc: Exception) -> SweepRow:
-        return SweepRow(coords=coords, report=None, error=f"{type(exc).__name__}: {exc}")
+    stages = {key: stage(*key) for key in dict.fromkeys(keys)}
+
+    def run_point(coords: dict[str, float], key: tuple) -> SweepRow:
+        error, args = stages[key]
+        power = coords.get("P_p", pump_power)
+        try:
+            if error is None:
+                if power < 0:
+                    quantum._check_nonneg(pump_power=power)
+                if not isinstance(args, Exception):
+                    return SweepRow(coords, quantum._rates(*args, power))
+                error = args
+        except Exception as exc:
+            error = exc
+        # An error shared by many points is reported, not raised again.
+        return SweepRow(coords, None, f"{type(error).__name__}: {error}")
 
     return [run_point(coords, key) for coords, key in zip(points, keys)]

@@ -20,8 +20,10 @@ pair_rate says how its 1/16 counts the identical photons.
 Only the overlaps depend on the geometry. compute_overlaps evaluates them
 at one geometry; the sweep engine hands every distinct geometry of a grid
 to _overlaps, the one place that decides which geometries share a mode sum
-(equal waves, crystal length and zeta_R), and then runs _efficiencies once
-per geometry and _report once per point.
+(equal waves, crystal length and zeta_R). The rest is split as the paper
+splits the rates: _linewidths depends on the filters, _efficiencies on the
+overlaps, _heralding (eta has no P in it) on both, and _rates applies the
+pump power; the sweep engine runs each once per distinct input.
 """
 
 from __future__ import annotations
@@ -281,27 +283,25 @@ class SourceReport:
                 raise ValueError("pair rate exceeds a singles rate")
 
 
-def _no_passband_message(filter_s: filters.FilterSpec, filter_i: filters.FilterSpec) -> str:
-    """Why Gamma_eff is 0: an arm that transmits nothing, or passbands that miss."""
-    for name, flt in (("filter_s", filter_s), ("filter_i", filter_i)):
-        if not isinstance(flt, filters.Unfiltered) and filters.gamma_eff_single(flt) == 0.0:
-            return f"{name} transmits nothing: its transmission is 0 everywhere"
-    return (
-        "the passbands of filter_s and filter_i do not overlap: T_s(W) T_i(-W) is 0 "
-        "at every offset W, so no pair reaches both detectors"
-    )
-
-
-def _pair_linewidth(
-    filter_s: filters.FilterSpec, filter_i: filters.FilterSpec, pump_power: float
-) -> float:
-    """Gamma_eff of the filter pair, after the checks evaluate_source makes first."""
-    if pump_power < 0:
-        raise ValueError("pump_power must be >= 0")
+def _linewidths(
+    filter_s: filters.FilterSpec, filter_i: filters.FilterSpec
+) -> tuple[float, float | None, float | None]:
+    """Gamma_eff of the filter pair, then Gamma_eff,single of each arm (None if unfiltered)."""
     gamma_eff = filters.gamma_eff_pair(filter_s, filter_i)
+    singles = [
+        None if isinstance(flt, filters.Unfiltered) else filters.gamma_eff_single(flt)
+        for flt in (filter_s, filter_i)
+    ]
     if gamma_eff == 0.0:
-        raise ValueError(_no_passband_message(filter_s, filter_i))
-    return gamma_eff
+        # An arm that transmits nothing, or passbands that miss.
+        for name, single in zip(("filter_s", "filter_i"), singles):
+            if single == 0.0:
+                raise ValueError(f"{name} transmits nothing: its transmission is 0 everywhere")
+        raise ValueError(
+            "the passbands of filter_s and filter_i do not overlap: T_s(W) T_i(-W) is 0 "
+            "at every offset W, so no pair reaches both detectors"
+        )
+    return gamma_eff, *singles
 
 
 def evaluate_source(
@@ -316,17 +316,19 @@ def evaluate_source(
     quad_tol: float = 1e-9,
     overlaps: OverlapBundle | None = None,
 ) -> SourceReport:
-    """Full pipeline: overlaps, efficiencies, linewidths, rates, heralding.
+    """Full pipeline: overlaps, efficiencies, linewidths, heralding, rates.
 
     Precomputed overlaps may be passed in when only powers or filters vary.
-    The sweep engine shares their efficiencies too: it runs _efficiencies
-    once per overlap bundle and _report at every point.
+    The sweep engine runs the same steps, each once per distinct input. The
+    checks come in this order: pump power, linewidths, overlaps.
     """
-    gamma_eff = _pair_linewidth(filter_s, filter_i, pump_power)
+    _check_nonneg(pump_power=pump_power)
+    linewidths = _linewidths(filter_s, filter_i)
     if overlaps is None:
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
     efficiencies = _efficiencies(waves, crystal, overlaps)
-    return _report(waves, efficiencies, overlaps, filter_s, filter_i, pump_power, gamma_eff)
+    heralding = _heralding(waves, overlaps, linewidths)
+    return _rates(waves, efficiencies, overlaps, linewidths, heralding, pump_power)
 
 
 def _efficiencies(
@@ -340,43 +342,41 @@ def _efficiencies(
     )
 
 
-def _report(
+def _heralding(
+    waves: WaveTriple,
+    overlaps: OverlapBundle,
+    linewidths: tuple[float, float | None, float | None],
+) -> tuple[float | None, float | None]:
+    """eta of each arm, None if unfiltered: it depends on overlaps and filters, not power."""
+    gamma_eff, *singles = linewidths
+    arms = zip(singles, (overlaps.i_dfg_sq_signal_arm, overlaps.i_dfg_sq_idler_arm))
+    return tuple(
+        None if g is None else conditional_efficiency(waves, gamma_eff, g, overlaps.i_sfg_sq, dfg)
+        for g, dfg in arms
+    )
+
+
+def _rates(
     waves: WaveTriple,
     efficiencies: classical.EfficiencyReport,
     overlaps: OverlapBundle,
-    filter_s: filters.FilterSpec,
-    filter_i: filters.FilterSpec,
+    linewidths: tuple[float, float | None, float | None],
+    heralding: tuple[float | None, float | None],
     pump_power: float,
-    gamma_eff: float,
 ) -> SourceReport:
-    """Linewidths, rates and heralding of one point, from its efficiencies.
-
-    gamma_eff is _pair_linewidth of the filters and power, checked first.
-    """
-
-    def arm(collected: str, flt: filters.FilterSpec, q: float, i_dfg_sq: float):
-        """(Gamma_eff, W1, eta) of one arm; None for an unfiltered arm."""
-        if isinstance(flt, filters.Unfiltered):
-            return None, None, None
-        gamma = filters.gamma_eff_single(flt)
-        return (
-            gamma,
-            singles_rate(waves, pump_power, q, gamma, collected=collected),
-            conditional_efficiency(waves, gamma_eff, gamma, overlaps.i_sfg_sq, i_dfg_sq),
-        )
-
-    gamma_s, w1_s, eta_s = arm(
-        "signal", filter_s, efficiencies.q_signal_arm, overlaps.i_dfg_sq_signal_arm
-    )
-    gamma_i, w1_i, eta_i = arm(
-        "idler", filter_i, efficiencies.q_idler_arm, overlaps.i_dfg_sq_idler_arm
-    )
+    """The report of one point, the only step its pump power enters; checked before."""
+    gamma_eff, gamma_s, gamma_i = linewidths
+    w1_s = w1_i = None
+    if gamma_s is not None:
+        w1_s = singles_rate(waves, pump_power, efficiencies.q_signal_arm, gamma_s)
+    if gamma_i is not None:
+        w1_i = singles_rate(waves, pump_power, efficiencies.q_idler_arm, gamma_i, "idler")
     return SourceReport(
         pair_rate_w2=pair_rate(waves, pump_power, efficiencies.q_conversion, gamma_eff),
         singles_rate_signal=w1_s,
         singles_rate_idler=w1_i,
-        eta_signal=eta_s,
-        eta_idler=eta_i,
+        eta_signal=heralding[0],
+        eta_idler=heralding[1],
         gamma_eff=gamma_eff,
         gamma_eff_s=gamma_s,
         gamma_eff_i=gamma_i,

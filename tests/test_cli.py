@@ -224,6 +224,38 @@ def test_optimize_restarts_and_seed_are_usage_errors(capsys, option, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (
+            ["--kappa-min", "5", "--kappa-max", "-5"],
+            "error: --kappa-min/--kappa-max must be ordered (low, high), got (5.0, -5.0)",
+        ),
+        (
+            ["--zeta-min", "3", "--zeta-max", "2"],
+            "error: --zeta-min/--zeta-max must be ordered (low, high), got (3.0, 2.0)",
+        ),
+        (
+            ["--zeta-min", "0.001"],
+            "error: --zeta-min/--zeta-max must have low >= 0.01, got (0.001, 5.0)",
+        ),
+    ],
+)
+def test_optimize_bad_box_is_a_usage_error(capsys, monkeypatch, options, message):
+    # A reversed box and a zeta_R floor below 0.01 used to exit 1 with
+    # "bounds must be ordered (low, high)" or "zeta_R lower bound must be
+    # >= 0.01", naming no option. They are refused before any evaluation.
+    from spdckit import optimizer
+
+    def no_evaluation(*args):
+        raise AssertionError("merit evaluated")
+
+    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    assert main(["optimize", "--rk", "0", *options]) == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+
+
 def test_optimize_matches_library(capsys):
     argv = ["optimize", "--rk", "0.04", "--restarts", "1", "--tol", "1e-3", "--seed", "3"]
     code, meta, rows, _ = run_ndjson(capsys, argv)

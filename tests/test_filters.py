@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdckit import filters
@@ -372,8 +372,21 @@ def _tables(draw):
     return _table(start + scale * np.concatenate([[0.0], np.cumsum(steps)]), values)
 
 
+# Hypothesis also draws from the literals in the package source, so the
+# derandomized examples drift whenever a constant in src/ changes; that is
+# accepted. The pairs this suite depends on are pinned below: the sliver
+# overlap that once gave different values in the two arm orders, disjoint
+# and touching supports, and single-segment tables.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_tables(), _tables())
+@example(
+    TabulatedFilter(np.array([0.0, 2e3 * math.pi]), np.array([1.0, 0.0])),
+    TabulatedFilter(np.array([-5.64836829e-16, 2e3 * math.pi]), np.array([0.0, 1.0])),
+)
+@example(_table([0.0, 1.0, 2.0], [0.5, 1.0, 0.5]), _table([2.5, 3.0], [1.0, 1.0]))
+@example(_table([0.0, 1.0, 2.0], [0.5, 1.0, 0.5]), _table([0.0, 2.0], [1.0, 1.0]))
+@example(_table([-3.0, 5.0], [0.2, 0.9]), _table([-1.0, 2.0], [1.0, 0.4]))
+@example(_table([-3.0, 5.0], [0.2, 0.9]), _TABLE_B)
 def test_tabulated_gamma_eff_pair_properties(a, b):
     ab, ba = gamma_eff_pair(a, b), gamma_eff_pair(b, a)
     assert math.isfinite(ab)

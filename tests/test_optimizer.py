@@ -111,6 +111,27 @@ def test_optimize_focus_bounds_restarts_and_seed(monkeypatch, kwargs, match, box
         optimize_focus(0.0, **box, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"kappa_bounds": (5.0, -5.0)}, r"kappa_bounds must be ordered \(low, high\), got \(5.0, -5.0\)"),
+        ({"zeta_bounds": (3.0, 2.0)}, r"zeta_bounds must be ordered \(low, high\), got \(3.0, 2.0\)"),
+        ({"zeta_bounds": (0.001, 5.0)}, r"zeta_bounds must have low >= 0.01, got \(0.001, 5.0\)"),
+        ({"zeta_bounds": (0.001, 0.001)}, r"zeta_bounds must have low >= 0.01, got \(0.001, 0.001\)"),
+    ],
+)
+def test_optimize_focus_names_a_bad_box(monkeypatch, kwargs, match):
+    # A reversed box or a zeta_R floor below 0.01 used to raise "bounds must
+    # be ordered (low, high)" or "zeta_R lower bound must be >= 0.01", which
+    # name no argument. Both are refused before the first merit evaluation.
+    def no_evaluation(*args):
+        raise AssertionError("merit evaluated")
+
+    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    with pytest.raises(ValueError, match=match):
+        optimize_focus(0.0, **kwargs)
+
+
 def test_optimize_focus_takes_the_largest_restart_count():
     result = optimize_focus(0.0, kappa_bounds=(-3.0, -3.0), zeta_bounds=(0.18, 0.18),
                             restarts=1000, seed=0)
@@ -484,6 +505,14 @@ def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
     axes = [SweepAxis("kappa", (-5.0, -3.0)), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, -1e-3, axes)
     assert [row.error for row in rows] == ["ValueError: pump_power must be >= 0"] * 2
+    # The filter pair's linewidth error comes next, also before the overlaps.
+    none = filters.Unfiltered()
+    rows = sweep(waves, crystal, z_r, none, none, 1e-3, axes)
+    fp = derive_focus_params(waves, crystal, z_r)
+    with pytest.raises(ValueError) as direct:
+        quantum.evaluate_source(waves, crystal, fp, none, none, 1e-3)
+    assert "both arms unfiltered" in str(direct.value)
+    assert [row.error for row in rows] == [f"ValueError: {direct.value}"] * 2
 
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -505,6 +534,13 @@ def _built(name: str) -> config.BuiltConfig:
         ("bundled", True, [("Gamma_i", (MHZ, 3.0 * MHZ)), ("P_p", (1e-3, -1e-3))]),
         ("tabulated", False, [("P_p", (1e-3, -2e-3, 3e-3))]),
         ("tabulated", False, [("Gamma_s", (MHZ, 2.0 * MHZ)), ("P_p", (1e-3, 2e-3))]),
+        # Cached stages must not leak to the wrong point: repeated values,
+        # 0.0 next to -0.0 (equal as keys, both invalid widths), two widths.
+        ("bundled", False, [("P_p", (1e-3, 1e-3, -1e-3, 1e-3)), ("Gamma_s", (MHZ, 0.0, MHZ, -0.0))]),
+        ("bundled", False, [("Gamma_s", (MHZ, 3.0 * MHZ, 0.0)), ("Gamma_i", (-0.0, MHZ, 3.0 * MHZ))]),
+        ("bundled", True, [("Gamma_i", (MHZ, 0.0, MHZ, -0.0)), ("Gamma_s", (MHZ,))]),
+        ("degenerate", False, [("Gamma_i", (2.0 * MHZ, MHZ, 2.0 * MHZ)), ("Gamma_s", (MHZ, -0.0))]),
+        ("tabulated", False, [("Gamma_i", (MHZ, MHZ)), ("Gamma_s", (MHZ, 0.0, MHZ))]),
     ],
 )
 def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):
@@ -607,6 +643,11 @@ def _evaluate_point(waves, crystal, z_r, flt, power, coords, overlaps=None):
         [("R_k", (-0.99, 0.0, 0.04, 1.0)), ("Gamma_i", (0.0, 2.0 * MHZ))],
         [("Gamma_i", (0.0, 2.0 * MHZ)), ("R_k", (-0.99, 0.04, 1.0))],
         [("z_R", (-1e-3, 2e-3)), ("P_p", (1e-3, -1e-3))],
+        # Repeated values and 0.0 next to -0.0 on a width axis: a cached
+        # stage or error that reached the wrong point would show here.
+        [("kappa", (-3.0, 3e4, -3.0, -1.0)), ("Gamma_s", (MHZ, 0.0, -0.0, MHZ))],
+        [("Gamma_i", (0.0, 2.0 * MHZ, -0.0, 2.0 * MHZ)), ("zeta_R", (0.18, 0.0, 0.18, 0.005))],
+        [("R_k", (0.04, 1.0, 0.04)), ("P_p", (1e-3, -1e-3, 1e-3))],
     ],
     ids=lambda axes: "-".join(name for name, _ in axes),
 )
@@ -688,6 +729,46 @@ def test_efficiencies_are_computed_once_per_overlap_bundle(sweep_setup, monkeypa
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [kappas, powers])
     assert len(rows) == 960 and all(row.error is None for row in rows)
     assert calls == {"q_conversion": 24, "q_arm": 48, "i_sfg_gaussian": 24}
+
+
+def test_linewidths_are_computed_once_per_filter_pair(sweep_setup, monkeypatch):
+    # A P_p x Gamma_s grid has one geometry and 40 filter pairs: each pair
+    # takes its linewidths once, and each eta once, whatever the powers.
+    waves, crystal, z_r, flt = sweep_setup
+    calls = {"gamma_eff_pair": 0, "conditional_efficiency": 0, "table_single": 0}
+    real_pair, real_eta = filters.gamma_eff_pair, quantum.conditional_efficiency
+    real_single = filters.gamma_eff_single
+
+    def counted_pair(*args):
+        calls["gamma_eff_pair"] += 1
+        return real_pair(*args)
+
+    def counted_eta(*args):
+        calls["conditional_efficiency"] += 1
+        return real_eta(*args)
+
+    def counted_single(f):
+        calls["table_single"] += isinstance(f, filters.TabulatedFilter)
+        return real_single(f)
+
+    monkeypatch.setattr(filters, "gamma_eff_pair", counted_pair)
+    monkeypatch.setattr(quantum, "conditional_efficiency", counted_eta)
+    monkeypatch.setattr(filters, "gamma_eff_single", counted_single)
+    powers = SweepAxis("P_p", tuple(np.linspace(1e-4, 1e-2, 40)))
+    widths = SweepAxis("Gamma_s", tuple(np.linspace(1.0 * MHZ, 20.0 * MHZ, 40)))
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [powers, widths])
+    assert len(rows) == 1600 and all(row.error is None for row in rows)
+    assert calls == {"gamma_eff_pair": 40, "conditional_efficiency": 80, "table_single": 0}
+
+    # With a tabulated idler, each of the 4 signal widths resamples the
+    # table once, not once per point.
+    table = _built("tabulated").filter_s
+    assert isinstance(table, filters.TabulatedFilter)
+    axes = [SweepAxis("Gamma_s", (MHZ, 2.0 * MHZ, 3.0 * MHZ, 4.0 * MHZ)),
+            SweepAxis("P_p", (1e-3, 2e-3, 3e-3))]
+    rows = sweep(waves, crystal, z_r, flt, table, 1e-3, axes)
+    assert len(rows) == 12 and all(row.error is None for row in rows)
+    assert 0 < calls["table_single"] <= 4
 
 
 def test_efficiency_error_stays_in_its_geometry_rows(sweep_setup, monkeypatch):
