@@ -13,12 +13,12 @@ rule, so every merit evaluation is the one scipy would make.
 
 The sweep engine re-evaluates a full source pipeline while one or two
 parameters vary, following the paper's split of every rate into a geometry
-part and a filter/power part. The geometry axes (kappa, zeta_R, z_R, R_k)
-fix the waves, crystal and focus parameters; each distinct geometry of the
-grid is set up once, and its overlaps and efficiencies Q are computed once,
-through quantum._overlaps, which decides which geometries share a mode sum.
-Each point then applies only its filter widths and pump power and adds its
-linewidths and rates. A grid of rate axes alone is the case of one geometry.
+part, a filter part and the pump power. Each distinct geometry (kappa,
+zeta_R, z_R, R_k) of the grid is set up once and its overlaps and
+efficiencies Q computed once, through quantum._overlaps, which decides
+which geometries share a mode sum. Each distinct pair of filter widths
+builds its filters and linewidths once, and each geometry and filter pair
+its eta once; a point then applies only its pump power.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ _MAX_SWEEP_POINTS = 1_000_000
 # Restarts per optimize_focus call. Each costs 1-2 ms and keeps its merit
 # evaluations in the trace, so an unbounded count runs without end.
 _MAX_RESTARTS = 1000
-# Smallest zeta_R an optimizer box may reach.
-_MIN_ZETA_R = 0.01
+_MIN_ZETA_R = 0.01  # lowest zeta_R an optimizer box may reach
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 # Axes that move the spatial geometry; the others set filters or pump power.
@@ -380,8 +379,9 @@ def sweep(
     """Evaluate the source over a 1D or 2D grid, first axis outermost.
 
     A failing point is recorded as a SweepRow with an error string instead
-    of aborting the grid. Rows come back in grid order, each equal to what
-    evaluate_source gives at its point, with the axes applied in axis order.
+    of aborting the grid. Rows come back in grid order, each the report or
+    error evaluate_source gives at its point with the axes applied in axis
+    order, from the same steps, each run once per distinct input.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
