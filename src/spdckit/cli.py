@@ -28,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -41,6 +42,7 @@ from .quantities import from_si, to_si
 __all__ = ["main"]
 
 _FORMATS = ("table", "csv", "ndjson")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # Default correlation grid size; raised to what the filters need when
 # --points is not given. No grid exceeds _MAX_TAU_POINTS, which bounds the
 # rows the command holds and prints.
@@ -510,6 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.set_defaults(func=_cmd_validate)
 
+    # argparse's own negative-number pattern has no exponent; read -1e3 as a value.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -256,6 +256,29 @@ def test_optimize_bad_box_is_a_usage_error(capsys, monkeypatch, options, message
     assert err == message + "\n"
 
 
+def test_exponent_form_negative_values_are_values(capsys):
+    # argparse's own negative-number pattern has no exponent, so
+    # "--kappa-min -1e3" used to exit 2 with "expected one argument".
+    argv = ["optimize", "--rk", "-1e-2", "--kappa-min", "-1e3", "--kappa-max", "5"]
+    code, meta, rows, _ = run_ndjson(capsys, argv + ["--restarts", "0", "--tol", "1e-3"])
+    assert code == 0 and meta["r_k"] == "-0.01"
+    ref = optimize_focus(-1e-2, kappa_bounds=(-1e3, 5.0), rel_tol=1e-3, restarts=0, seed=7)
+    assert rows[0]["best_objective"] == ref.best_objective
+
+
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["optimize", "--kappa-max", "-1E-1"], "kappa_max", -0.1),
+        (["optimize", "--zeta-min", "-.5e+1"], "zeta_min", -5.0),
+        (["optimize", "--rk", "-2.5e-2"], "rk", -0.025),
+        (["correlation", "--config", "c", "--tau-max", "-1e-9"], "tau_max", -1e-9),
+    ],
+)
+def test_every_numeric_option_takes_exponent_form_negatives(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
 def test_optimize_matches_library(capsys):
     argv = ["optimize", "--rk", "0.04", "--restarts", "1", "--tol", "1e-3", "--seed", "3"]
     code, meta, rows, _ = run_ndjson(capsys, argv)
