@@ -42,7 +42,9 @@ from .quantities import from_si, to_si
 __all__ = ["main"]
 
 _FORMATS = ("table", "csv", "ndjson")
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
 # Default correlation grid size; raised to what the filters need when
 # --points is not given. No grid exceeds _MAX_TAU_POINTS, which bounds the
 # rows the command holds and prints.
@@ -103,8 +105,13 @@ def _lines(columns: list[list[str]], n_rows: int):
     return zip(*columns) if columns else [()] * n_rows
 
 
+def _block_cells(rows: list[dict], columns: list[str], fmt: str) -> list[list[str]]:
+    """Each column's text over a block of rows."""
+    return [_cells([row.get(c) for row in rows], fmt) for c in columns]
+
+
 def _csv_block(rows: list[dict], columns: list[str]) -> str:
-    cells = [_cells([row.get(c) for row in rows], "csv") for c in columns]
+    cells = _block_cells(rows, columns, "csv")
     return "".join(",".join(line) + "\n" for line in _lines(cells, len(rows)))
 
 
@@ -139,15 +146,18 @@ def emit(rows: list[dict], meta: dict, fmt: str, out=None) -> None:
         for start in blocks:
             out.write(_csv_block(rows[start : start + _BLOCK_ROWS], columns))
         return
-    # Widths span every row, so a table holds all its cells.
-    cells = [_cells([row.get(c) for row in rows], fmt) for c in columns]
-    widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
+    # Widths span every row: a first pass keeps only the cell lengths, and
+    # the cells are formatted again block by block as they are written.
+    widths = list(map(len, columns))
+    for start in blocks:
+        cells = _block_cells(rows[start : start + _BLOCK_ROWS], columns, fmt)
+        widths = [max(w, *map(len, col)) for w, col in zip(widths, cells)]
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
     for start in blocks:
-        stop = min(start + _BLOCK_ROWS, len(rows))
-        block = [[c.ljust(w) for c in col[start:stop]] for col, w in zip(cells, widths)]
-        lines = _lines(block, stop - start)
-        out.write("".join("  ".join(line).rstrip() + "\n" for line in lines))
+        block = rows[start : start + _BLOCK_ROWS]
+        cells = _block_cells(block, columns, fmt)
+        cells = [[c.ljust(w) for c in col] for col, w in zip(cells, widths)]
+        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(cells, len(block))))
 
 
 def _base_meta(args, command: str) -> dict:
@@ -512,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.set_defaults(func=_cmd_validate)
 
-    # argparse's own negative-number pattern has no exponent; read -1e3 as a value.
+    # argparse's own negative-number pattern has no exponent and no -inf or
+    # -nan; read them as values, so each option's own check names them.
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

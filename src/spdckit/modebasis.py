@@ -11,8 +11,9 @@ Laplace transform
     Int_0^inf L_n(x) exp(-s x) dx = (s - 1)^n / s^(n+1),
 
 so the n-th coefficient just carries an extra factor of a fixed complex
-ratio to the n-th power. Basis mode 0 is the collection mode itself, which
-makes term 0 exactly |I_SFG|^2 and the heralding bound structural.
+ratio to the n-th power, which a doubling table supplies for every order.
+Basis mode 0 is the collection mode itself, which makes term 0 exactly
+|I_SFG|^2 and the heralding bound structural.
 
 The coefficient integrals run on a composite Gauss-Legendre rule in
 u = asinh(z / zeta_R), which spreads the nodes over the focal region at
@@ -105,7 +106,9 @@ def _coefficients(
 
     With u = asinh(z/zeta_R) the poles at z = +-i zeta_R no longer crowd the
     nodes at tight focus. The integrand of c_n is exp(i kappa z) G_n(z), where
-    row n of G is base * ratio^n: a running product down the order axis, one
+    row n of G is base * ratio^n, built by doubling: row 1 is row 0 times
+    ratio, then for m = 2, 4, ... power = ratio^m and rows m..2m-1 are rows
+    0..m-1 times power. That is log2(max_order) broadcast multiplies, one
     complex multiply per entry. kappa enters only through the exponential,
     so every kappa shares G and all of them come from one matrix product.
     Its exponential takes len(kappas) x _BLOCK_NODES complex values.
@@ -124,8 +127,13 @@ def _coefficients(
         s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
         g = np.empty((max_order + 1, z.size), dtype=complex)
         g[0] = dz / (qhc * s)
-        g[1:] = (qh / qhc) * (s - 1.0) / s
-        np.cumprod(g, axis=0, out=g)
+        power = (qh / qhc) * (s - 1.0) / s
+        np.multiply(g[0], power, out=g[1])
+        m = 2
+        while m <= max_order:
+            power *= power
+            np.multiply(g[: min(m, max_order + 1 - m)], power, out=g[m : 2 * m])
+            m *= 2
         e = np.exp(1j * np.outer(kappas, z))
         # One kappa takes numpy's own loops: a BLAS product this small can
         # stall on idle BLAS threads when their count is left at its default.

@@ -435,7 +435,7 @@ def sweep(
 
     def stage(g: tuple, f: tuple) -> tuple[Exception | None, object]:
         """A point's error before its power check, then after it the error or
-        the arguments of quantum._rates but the power, in evaluate_source's order.
+        its quantum._rate_factors, in evaluate_source's order.
         """
         (g_axis, setup), (f_axis, lw) = setups[g], lines[f]
         for name in names:
@@ -448,22 +448,22 @@ def sweep(
                 return None, shared
         w, eff, bundle = rates[g]
         try:
-            return None, (w, eff, bundle, lw, quantum._heralding(w, bundle, lw))
+            heralding = quantum._heralding(w, bundle, lw)
+            return None, quantum._rate_factors(w, eff, bundle, lw, heralding)
         except Exception as exc:
             return None, exc
 
     stages = {key: stage(*key) for key in dict.fromkeys(keys)}
 
     def run_point(coords: dict[str, float], key: tuple) -> SweepRow:
-        error, args = stages[key]
+        error, factors = stages[key]
         power = coords.get("P_p", pump_power)
         try:
             if error is None:
-                if power < 0:
-                    quantum._check_nonneg(pump_power=power)
-                if not isinstance(args, Exception):
-                    return SweepRow(coords, quantum._rates(*args, power))
-                error = args
+                if not isinstance(factors, Exception):
+                    return SweepRow(coords, quantum._rates(factors, power))
+                quantum._check_power(power)
+                error = factors
         except Exception as exc:
             error = exc
         # An error shared by many points is reported, not raised again.

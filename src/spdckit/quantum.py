@@ -22,12 +22,14 @@ at one geometry; the sweep engine hands every distinct geometry of a grid
 to _overlaps, the one place that decides which geometries share a mode sum
 (equal waves, crystal length and zeta_R). The rest is split as the paper
 splits the rates: _linewidths depends on the filters, _efficiencies on the
-overlaps, _heralding (eta has no P in it) on both, and _rates applies the
-pump power; the sweep engine runs each once per distinct input.
+overlaps, _heralding (eta has no P in it) on both, _rate_factors holds all
+of a report but P, each rate as the paper's W = (f P) q, and _rates applies
+the pump power; the sweep engine runs each once per distinct input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import classical, filters, modebasis, overlap
@@ -58,6 +60,36 @@ def _check_nonneg(**kwargs: float) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
+def _check_power(pump_power: float) -> None:
+    """Raise a ValueError naming pump_power unless it is finite and >= 0."""
+    if not 0.0 <= pump_power < math.inf:
+        _check_nonneg(pump_power=pump_power)
+        raise ValueError(f"pump_power must be finite, got {pump_power!r}")
+
+
+def _pair_factor(waves: WaveTriple, q_conversion: float, gamma_eff: float) -> tuple[float, float]:
+    """(f, q) of W2 = (f P) q: all of pair_rate but the pump power."""
+    if not min(q_conversion, gamma_eff) >= 0:
+        _check_nonneg(q_conversion=q_conversion, gamma_eff=gamma_eff)
+    if waves.degenerate:
+        return gamma_eff / 16.0, q_conversion
+    w_s = waves.signal.angular_frequency
+    w_i = waves.idler.angular_frequency
+    w_p = waves.pump.angular_frequency
+    return gamma_eff * (w_i * w_s / (4.0 * w_p**2)), q_conversion
+
+
+def _singles_factor(waves: WaveTriple, q: float, gamma: float, arm: str) -> tuple[float, float]:
+    """(f, q) of W1 = (f P) q: all of singles_rate but the pump power."""
+    if not min(q, gamma) >= 0:
+        _check_nonneg(q_generation=q, gamma_eff_single=gamma)
+    if arm not in ("signal", "idler"):
+        raise ValueError("collected must be 'signal' or 'idler'")
+    w_s = waves.signal.angular_frequency
+    w_i = waves.idler.angular_frequency
+    return (w_s / (4.0 * w_i) if arm == "signal" else w_i / (4.0 * w_s)) * gamma, q
+
+
 def pair_rate(
     waves: WaveTriple, pump_power: float, q_conversion: float, gamma_eff: float
 ) -> float:
@@ -72,16 +104,9 @@ def pair_rate(
     identical photons behind a 50:50 splitter; counting each pair once
     would give /8 (docs/normalization.md, section 5).
     """
-    # One comparison on the passing path; a NaN minimum falls through to the
-    # named check, which lets NaN pass as before.
-    if not min(pump_power, q_conversion, gamma_eff) >= 0:
-        _check_nonneg(pump_power=pump_power, q_conversion=q_conversion, gamma_eff=gamma_eff)
-    if waves.degenerate:
-        return gamma_eff * pump_power * q_conversion / 16.0
-    w_s = waves.signal.angular_frequency
-    w_i = waves.idler.angular_frequency
-    w_p = waves.pump.angular_frequency
-    return gamma_eff * (w_i * w_s / (4.0 * w_p**2)) * pump_power * q_conversion
+    _check_nonneg(pump_power=pump_power)
+    f, q = _pair_factor(waves, q_conversion, gamma_eff)
+    return f * pump_power * q
 
 
 def singles_rate(
@@ -97,18 +122,9 @@ def singles_rate(
     full basis of the partner arm, or Q_APG for a degenerate source (where
     the frequency ratio below is exactly 1/4).
     """
-    if not min(pump_power, q_generation, gamma_eff_single) >= 0:
-        _check_nonneg(
-            pump_power=pump_power,
-            q_generation=q_generation,
-            gamma_eff_single=gamma_eff_single,
-        )
-    if collected not in ("signal", "idler"):
-        raise ValueError("collected must be 'signal' or 'idler'")
-    w_s = waves.signal.angular_frequency
-    w_i = waves.idler.angular_frequency
-    ratio = w_s / (4.0 * w_i) if collected == "signal" else w_i / (4.0 * w_s)
-    return ratio * gamma_eff_single * pump_power * q_generation
+    _check_nonneg(pump_power=pump_power)
+    f, q = _singles_factor(waves, q_generation, gamma_eff_single, collected)
+    return f * pump_power * q
 
 
 def conditional_efficiency(
@@ -322,13 +338,13 @@ def evaluate_source(
     The sweep engine runs the same steps, each once per distinct input. The
     checks come in this order: pump power, linewidths, overlaps.
     """
-    _check_nonneg(pump_power=pump_power)
+    _check_power(pump_power)
     linewidths = _linewidths(filter_s, filter_i)
     if overlaps is None:
         overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
     efficiencies = _efficiencies(waves, crystal, overlaps)
     heralding = _heralding(waves, overlaps, linewidths)
-    return _rates(waves, efficiencies, overlaps, linewidths, heralding, pump_power)
+    return _rates(_rate_factors(waves, efficiencies, overlaps, linewidths, heralding), pump_power)
 
 
 def _efficiencies(
@@ -356,31 +372,27 @@ def _heralding(
     )
 
 
-def _rates(
+def _rate_factors(
     waves: WaveTriple,
     efficiencies: classical.EfficiencyReport,
     overlaps: OverlapBundle,
     linewidths: tuple[float, float | None, float | None],
     heralding: tuple[float | None, float | None],
-    pump_power: float,
-) -> SourceReport:
-    """The report of one point, the only step its pump power enters; checked before."""
-    gamma_eff, gamma_s, gamma_i = linewidths
-    w1_s = w1_i = None
-    if gamma_s is not None:
-        w1_s = singles_rate(waves, pump_power, efficiencies.q_signal_arm, gamma_s)
-    if gamma_i is not None:
-        w1_i = singles_rate(waves, pump_power, efficiencies.q_idler_arm, gamma_i, "idler")
-    return SourceReport(
-        pair_rate_w2=pair_rate(waves, pump_power, efficiencies.q_conversion, gamma_eff),
-        singles_rate_signal=w1_s,
-        singles_rate_idler=w1_i,
-        eta_signal=heralding[0],
-        eta_idler=heralding[1],
-        gamma_eff=gamma_eff,
-        gamma_eff_s=gamma_s,
-        gamma_eff_i=gamma_i,
-        pump_power=pump_power,
-        efficiencies=efficiencies,
-        overlaps=overlaps,
-    )
+) -> tuple:
+    """All of a point's report but its pump power: each rate as its (f, q)."""
+    arms = zip(linewidths[1:], (efficiencies.q_signal_arm, efficiencies.q_idler_arm))
+    singles = [
+        None if g is None else _singles_factor(waves, q, g, arm)
+        for (g, q), arm in zip(arms, ("signal", "idler"))
+    ]
+    pair = _pair_factor(waves, efficiencies.q_conversion, linewidths[0])
+    return pair, *singles, (*heralding, *linewidths), efficiencies, overlaps
+
+
+def _rates(factors: tuple, pump_power: float) -> SourceReport:
+    """The report of one point, the only step its pump power enters."""
+    _check_power(pump_power)
+    (f, q), signal, idler, fields, eff, bundle = factors
+    w1_s = None if signal is None else signal[0] * pump_power * signal[1]
+    w1_i = None if idler is None else idler[0] * pump_power * idler[1]
+    return SourceReport(f * pump_power * q, w1_s, w1_i, *fields, pump_power, eff, bundle)

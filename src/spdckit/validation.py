@@ -147,8 +147,9 @@ def oracle_upsilon_vs_quadrature() -> OracleReport:
 def oracle_mode_sum_vs_quadrature() -> OracleReport:
     """Order-40 mode-sum total against adaptive quadrature of its coefficients.
 
-    The oracle side writes r(z)^n as a power instead of a running product
-    and integrates in z itself, not in asinh(z / zeta_R).
+    The oracle side takes r(z)^n as numpy's complex power of each order, not
+    from the doubling table of modebasis._coefficients, and integrates in z
+    itself, not in asinh(z / zeta_R).
     """
     waves = _reference_waves()
     kappa, zeta_r, order = -3.0, 0.18, 40

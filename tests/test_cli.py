@@ -279,6 +279,18 @@ def test_every_numeric_option_takes_exponent_form_negatives(argv, dest, value):
     assert getattr(build_parser().parse_args(argv), dest) == value
 
 
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+def test_negative_non_finite_values_reach_the_finite_check(capsys, value):
+    # "--kappa-min -inf" used to exit 2 with "expected one argument", while
+    # "--kappa-min=-inf" named the problem; both now give the finite check.
+    for argv in (["--kappa-min", value], [f"--kappa-min={value}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--rk", "0", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --kappa-min: must be finite, got '{value}'" in err, argv
+
+
 def test_optimize_matches_library(capsys):
     argv = ["optimize", "--rk", "0.04", "--restarts", "1", "--tol", "1e-3", "--seed", "3"]
     code, meta, rows, _ = run_ndjson(capsys, argv)

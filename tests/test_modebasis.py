@@ -31,7 +31,7 @@ def test_mode_sum_frozen_totals(ref_waves, ref_crystal, ref_fp):
 def _power_form_integrand(waves, fp, arm, order):
     """Coefficient integrand with r(z)^n taken as a complex power.
 
-    Reference for the running product in modebasis._coefficients: the same
+    Reference for the doubling table in modebasis._coefficients: the same
     integrand, with base * ratio ** n written out directly.
     """
     k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
@@ -68,6 +68,8 @@ def _power_form_on_rule(waves, fp, arm, order, panels):
 
 
 def test_running_product_matches_power_form(ref_waves, ref_crystal):
+    # The order table of _coefficients (built by doubling) against the
+    # power form on the same rule, at seeded geometries of both arms.
     degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
     rng = np.random.default_rng(2024)
     cases = []
@@ -101,6 +103,34 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal):
             # The mode sum's terms are these coefficients, scaled.
             scale = k_p * k_a * zeta_r * ref_crystal.length / (math.pi * k_b)
             assert np.allclose(psum.terms, scale * got_terms, rtol=1e-14, atol=0), case
+
+
+@pytest.mark.parametrize(
+    "order", [1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 200, modebasis._MAX_ORDER]
+)
+def test_doubling_table_matches_power_form_at_each_split(ref_waves, ref_crystal, order):
+    # The doubling fills rows m..2m-1 from rows 0..m-1 for m = 2, 4, ...,
+    # so orders at and around a power of two end it on a full, a one-row
+    # and a partial last step.
+    degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
+    cases = [
+        (ref_waves, -3.0, 0.18, "idler", 2),
+        (ref_waves, 2.0, 1.0, "signal", 4),
+        (ref_waves, -10.0, 0.02, "idler", 8),
+        (degenerate, -3.0, 0.18, "signal", 2),
+    ]
+    for waves, kappa, zeta_r, arm, panels in cases:
+        fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
+        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+        k_p = waves.pump.wavenumber
+        got = modebasis._coefficients(
+            k_p + k_a + k_b, k_p - k_a - k_b, k_b, np.array([kappa]), zeta_r, order, panels
+        )[0]
+        want_terms = np.abs(_power_form_on_rule(waves, fp, arm, order, panels)) ** 2
+        assert got.shape == (order + 1,)
+        gap = np.max(np.abs(np.abs(got) ** 2 - want_terms))
+        assert gap <= 1e-13 * want_terms.max(), (kappa, zeta_r, arm, gap / want_terms.max())
 
 
 def test_mode_sum_matches_adaptive_reference(ref_waves, ref_crystal):

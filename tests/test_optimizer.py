@@ -515,6 +515,53 @@ def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
     assert [row.error for row in rows] == [f"ValueError: {direct.value}"] * 2
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_non_finite_pump_power_rows_carry_the_direct_error(sweep_setup, power):
+    # Each row carries the error evaluate_source raises at its point: the
+    # set-up errors of its axes, then the pump power, before the overlaps
+    # of the failing mode sums at kappa = -5, zeta_R = 0.005.
+    waves, crystal, z_r, flt = sweep_setup
+    axes = [("kappa", (-5.0, -3.0, 3e4)), ("zeta_R", (0.005, 0.18)), ("Gamma_s", (0.0, MHZ))]
+    for pair in itertools.combinations(axes, 2):
+        rows = sweep(waves, crystal, z_r, flt, flt, power, [SweepAxis(*axis) for axis in pair])
+        assert all(row.report is None for row in rows), pair
+        for row in rows:
+            with pytest.raises(Exception) as direct:
+                _evaluate_point(waves, crystal, z_r, flt, power, row.coords)
+            assert row.error == f"{type(direct.value).__name__}: {direct.value}", row.coords
+        assert f"ValueError: pump_power must be finite, got {power!r}" in [r.error for r in rows]
+
+
+@pytest.mark.parametrize("name", ["bundled", "degenerate"])
+def test_report_rates_are_the_rate_formulas_bitwise(name):
+    # A sweep row and evaluate_source apply the pump power to factors set up
+    # once per stage; W2 and each W1 must be exactly what pair_rate and
+    # singles_rate give on the same inputs.
+    b = _built(name)
+    fp = derive_focus_params(b.waves, b.crystal, b.z_r)
+    axes = [
+        SweepAxis("P_p", (1e-4, 1e-3, 3.3e-3, 0.0)),
+        SweepAxis("Gamma_s", (0.7 * MHZ, 2.0 * MHZ, 13.0 * MHZ)),
+    ]
+    rows = sweep(b.waves, b.crystal, b.z_r, b.filter_s, b.filter_i, b.pump_power, axes)
+    reports = [row.report for row in rows]
+    reports.append(
+        quantum.evaluate_source(b.waves, b.crystal, fp, b.filter_s, b.filter_i, b.pump_power)
+    )
+    for report in reports:
+        p, q = report.pump_power, report.efficiencies
+        assert report.pair_rate_w2 == quantum.pair_rate(
+            b.waves, p, q.q_conversion, report.gamma_eff
+        )
+        assert report.singles_rate_signal == quantum.singles_rate(
+            b.waves, p, q.q_signal_arm, report.gamma_eff_s
+        )
+        assert report.singles_rate_idler == quantum.singles_rate(
+            b.waves, p, q.q_idler_arm, report.gamma_eff_i, "idler"
+        )
+    assert b.waves.degenerate == (name == "degenerate")
+
+
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -53,6 +53,16 @@ def test_singles_rate_arms(ref_waves):
         singles_rate(ref_waves, 1e-3, 8e-3, MHZ, collected="pump")
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_evaluate_source_refuses_a_non_finite_pump_power(ref_waves, ref_crystal, ref_fp, power):
+    # A NaN or infinite power would give a NaN or infinite W2 and W1; it is
+    # refused by the first check, before the linewidths and overlaps.
+    none = filters.Unfiltered()
+    for flt in (LORENTZIAN_2MHZ, none):
+        with pytest.raises(ValueError, match=f"pump_power must be finite, got {power!r}"):
+            evaluate_source(ref_waves, ref_crystal, ref_fp, flt, none, power)
+
+
 def test_conditional_efficiency_identity(ref_waves, ref_crystal, ref_fp):
     # eta must equal W2/W1 through the rate formulas, not by construction.
     overlaps = compute_overlaps(ref_waves, ref_crystal, ref_fp)
