@@ -31,16 +31,23 @@ no sampling grid:
                       Lorentzian times the segment's line;
   table x unfiltered  gamma_eff_single(table).
 
-gamma_eff_single still samples a table on a uniform grid, and so does the
-correlation: sqrt(T) is not piecewise polynomial, so its spectral sum runs
-on a uniform grid over the joint support of T_s(W) T_i(-W), at every tau at
-once as a chirp-z transform, and a tabulated arm needs a uniform tau grid.
+gamma_eff_single still samples a table on a uniform grid, once per table
+object, which keeps the value. So does the correlation: sqrt(T) is not
+piecewise polynomial, so its spectral sum runs on a uniform grid over the
+joint support of T_s(W) T_i(-W), at every tau at once as a chirp-z
+transform, and a tabulated arm needs a uniform tau grid. The chirp and
+linear phases are real arrays whose cos and sin fill one complex buffer.
+
+load_filter_table converts every data token in one float() pass and lets
+TabulatedFilter check the arrays; only a table that fails is read again row
+by row, so that the error names its first bad line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +134,14 @@ class TabulatedFilter:
 
     def amplitude_ft(self, omega: np.ndarray) -> np.ndarray:
         return np.sqrt(self.transmission(omega)).astype(complex)
+
+    # Cached in the instance __dict__, which the frozen dataclass's field-based
+    # equality, hash and replace() never look at.
+    @cached_property
+    def _gamma_eff_single(self) -> float:
+        """(2/pi) Int T dW by the trapezoid rule on max(4n, 4001) uniform points."""
+        w = np.linspace(*self.support, max(4 * self.omega.size, 4001))
+        return (2.0 / math.pi) * float(np.trapezoid(self.transmission(w), w))
 
 
 @dataclass(frozen=True)
@@ -273,18 +288,29 @@ def gamma_eff_single(flt: FilterSpec) -> float:
 
     Equals gamma exactly for a Lorentzian; for tabulated data it is computed
     through Parseval as (2/pi) Int T(W) dW, a trapezoid sum on a uniform
-    resampling of the table. Undefined for an unfiltered arm.
+    resampling of the table, worked out once per table. Undefined for an
+    unfiltered arm.
     """
     if isinstance(flt, Unfiltered):
         raise ValueError("gamma_eff_single is undefined for an unfiltered arm")
     if isinstance(flt, LorentzianFilter):
         return flt.gamma
-    w = np.linspace(*flt.support, max(4 * flt.omega.size, 4001))
-    return (2.0 / math.pi) * float(np.trapezoid(flt.transmission(w), w))
+    return flt._gamma_eff_single
 
 
-def _gamma_scales(f_s: FilterSpec, f_i: FilterSpec) -> list[float]:
-    return [gamma_eff_single(f) for f in (f_s, f_i) if not isinstance(f, Unfiltered)]
+def _gamma_scales(f_s: FilterSpec, f_i: FilterSpec) -> dict[str, float]:
+    """Gamma_eff,single of each filtered arm, by arm name."""
+    arms = (("filter_s", f_s), ("filter_i", f_i))
+    return {name: gamma_eff_single(f) for name, f in arms if not isinstance(f, Unfiltered)}
+
+
+def _grid_scales(f_s: FilterSpec, f_i: FilterSpec) -> list[float]:
+    """The scales a tau grid is sized from; an arm that transmits nothing has none."""
+    scales = _gamma_scales(f_s, f_i)
+    for name, gamma in scales.items():
+        if gamma == 0.0:
+            raise ValueError(f"{name} transmits nothing: its transmission is 0 everywhere")
+    return list(scales.values())
 
 
 def default_tau_grid(f_s: FilterSpec, f_i: FilterSpec, points: int | None = None) -> np.ndarray:
@@ -292,7 +318,7 @@ def default_tau_grid(f_s: FilterSpec, f_i: FilterSpec, points: int | None = None
 
     points defaults to 32769, or to min_tau_points for the span if larger.
     """
-    scales = _gamma_scales(f_s, f_i)
+    scales = _grid_scales(f_s, f_i)
     if not scales:
         raise ValueError("need at least one finite-bandwidth filter")
     span = 40.0 / min(scales)
@@ -316,7 +342,7 @@ def min_tau_points(f_s: FilterSpec, f_i: FilterSpec, half_span: float) -> int:
     alone exceed the limit, no grid numpy can hold resolves the span, and
     the count is that of the exact spacing.
     """
-    gamma_max = max(_gamma_scales(f_s, f_i))
+    gamma_max = max(_grid_scales(f_s, f_i))
     limit = _MAX_STEP_GAMMA / gamma_max
     step = limit * (1.0 - 4.0 * math.ulp(1.0)) - 8.0 * math.ulp(half_span)
     return max(9, math.ceil(2.0 * half_span / (step if step > 0.0 else limit)) + 1)
@@ -343,7 +369,7 @@ def correlation_shape(
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 9:
         raise ValueError("tau must be a 1-d grid with at least 9 points")
-    gamma_max = max(_gamma_scales(f_s, f_i))
+    gamma_max = max(_gamma_scales(f_s, f_i).values())
     step_gamma = _step_gamma(tau, gamma_max)
     if step_gamma > _MAX_STEP_GAMMA:
         raise TauGridError(
@@ -403,16 +429,27 @@ def _spectral_correlation(f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray) -> 
     weights[0] *= 0.5
     weights[-1] *= 0.5
     # conj(chirp[j]) = exp(-i theta j^2 / 2), theta = dW dtau; j^2 is exact in float.
-    chirp = np.exp(0.5j * d_w * d_tau * np.arange(max(w.size, tau.size), dtype=float) ** 2)
+    chirp = _phasor(0.5 * d_w * d_tau * np.arange(max(w.size, tau.size), dtype=float) ** 2)
     spectrum = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w) * weights / (2.0 * math.pi)
-    spectrum *= np.exp(-1j * (d_w * tau[0]) * np.arange(w.size)) * chirp[: w.size].conj()
+    spectrum *= _phasor(-(d_w * tau[0]) * np.arange(w.size)) * chirp[: w.size].conj()
     size = scipy.fft.next_fast_len(w.size + tau.size - 1)
     # chirp[m - k] for m - k in (-N, M), wrapped so a cyclic convolution is linear.
     kernel = np.zeros(size, dtype=complex)
     kernel[: tau.size] = chirp[: tau.size]
     kernel[size - w.size + 1 :] = chirp[w.size - 1 : 0 : -1]
     conv = scipy.fft.ifft(scipy.fft.fft(spectrum, size) * scipy.fft.fft(kernel))[: tau.size]
-    return np.exp(-1j * w[0] * tau) * chirp[: tau.size].conj() * conv
+    return _phasor(-w[0] * tau) * chirp[: tau.size].conj() * conv
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) of a real phase: cos and sin written into one complex buffer.
+
+    Complex np.exp spends its time on the exp of a real part that is 0 here.
+    """
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def load_filter_table(path: str | Path) -> TabulatedFilter:
@@ -423,23 +460,46 @@ def load_filter_table(path: str | Path) -> TabulatedFilter:
     frequency), then one ``offset transmission`` pair per line, with
     offsets strictly increasing and transmissions in [0, 1]. A bad row
     raises ValueError naming its line.
+
+    All data tokens are converted by one float() pass and checked as arrays;
+    only a table that fails is scanned row by row, to name its first bad line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    unit: str | None = None
-    offsets: list[float] = []
-    values: list[float] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    # Rows stay strings: a list per row, all alive at once, would set off
+    # garbage collections of the whole heap.
+    text = [raw.partition("#")[0].strip() for raw in lines]
+    header = next((k for k, line in enumerate(text) if line), None)
+    if header is None:
+        raise ValueError(f"{path}: missing 'units:' header")
+    key, _, unit = text[header].partition(":")
+    unit = unit.strip()
+    if key.strip() != "units" or unit not in ("MHz", "rad/s"):
+        raise ValueError(
+            f"{path}: line {header + 1}: expected a header 'units: MHz' or "
+            "'units: rad/s' before the data rows"
+        )
+    rows = [line for line in text[header + 1 :] if line]
+    try:
+        if set(map(len, map(str.split, rows))) == {2}:
+            table = np.fromiter(map(float, " ".join(rows).split()), float, 2 * len(rows))
+            # 1e308 MHz overflows to inf, which the table refuses as not finite.
+            with np.errstate(over="ignore"):
+                offsets = to_si(table[0::2], unit)
+            return TabulatedFilter(omega=offsets, transmission_values=table[1::2])
+    except ValueError:
+        pass
+    _raise_first_bad_row(path, text, header, unit)
+    raise ValueError(f"{path}: a table needs at least 2 data rows, got {len(rows)}")
+
+
+def _raise_first_bad_row(path: str | Path, text: list[str], header: int, unit: str) -> None:
+    """Raise a ValueError naming the first bad data row after the header, if any.
+
+    text holds each line of the file without its comment and outer whitespace.
+    """
+    previous = -math.inf
+    for line_no, line in enumerate(text[header + 1 :], start=header + 2):
         if not line:
-            continue
-        if unit is None:
-            key, _, value = line.partition(":")
-            if key.strip() != "units" or value.strip() not in ("MHz", "rad/s"):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected a header 'units: MHz' or "
-                    "'units: rad/s' before the data rows"
-                )
-            unit = value.strip()
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -455,15 +515,8 @@ def load_filter_table(path: str | Path) -> TabulatedFilter:
             raise ValueError(
                 f"{path}: line {line_no}: transmission must lie in [0, 1]: {line!r}"
             )
-        if offsets and not offset > offsets[-1]:
+        if not offset > previous:
             raise ValueError(
                 f"{path}: line {line_no}: offsets must be strictly increasing: {line!r}"
             )
-        offsets.append(offset)
-        values.append(value)
-    if unit is None:
-        raise ValueError(f"{path}: missing 'units:' header")
-    try:
-        return TabulatedFilter(omega=np.array(offsets), transmission_values=np.array(values))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        previous = offset

@@ -104,7 +104,7 @@ def pair_rate(
     identical photons behind a 50:50 splitter; counting each pair once
     would give /8 (docs/normalization.md, section 5).
     """
-    _check_nonneg(pump_power=pump_power)
+    _check_power(pump_power)
     f, q = _pair_factor(waves, q_conversion, gamma_eff)
     return f * pump_power * q
 
@@ -122,7 +122,7 @@ def singles_rate(
     full basis of the partner arm, or Q_APG for a degenerate source (where
     the frequency ratio below is exactly 1/4).
     """
-    _check_nonneg(pump_power=pump_power)
+    _check_power(pump_power)
     f, q = _singles_factor(waves, q_generation, gamma_eff_single, collected)
     return f * pump_power * q
 
@@ -171,7 +171,8 @@ def correlation_amplitude_sq(
 
     q_conversion is classical.q_conversion of the triple, as in pair_rate.
     """
-    _check_nonneg(pump_power=pump_power, q_conversion=q_conversion)
+    _check_power(pump_power)
+    _check_nonneg(q_conversion=q_conversion)
     w_s = waves.signal.angular_frequency
     w_i = waves.idler.angular_frequency
     w_p = waves.pump.angular_frequency

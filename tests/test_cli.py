@@ -463,6 +463,21 @@ def test_correlation_default_points_follow_the_filters(capsys, config_path, tmp_
     assert "use --points 2668 or more" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--tau-max", "1e-6"]], ids=["default-span", "tau-max"])
+def test_correlation_with_a_dark_table_is_one_error_line(capsys, config_path, tmp_path, extra):
+    # A table that transmits nothing used to end in a ZeroDivisionError
+    # traceback from sizing the tau grid.
+    text = Path(config_path).read_text(encoding="utf-8")
+    text = text.replace("filter_i      = lorentzian 2 MHz", "filter_i = table dark.txt")
+    (tmp_path / "dark.txt").write_text("units: MHz\n-1 0\n0 0\n1 0\n", encoding="utf-8")
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["correlation", "--config", str(cfg), *extra])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "error: filter_i transmits nothing: its transmission is 0 everywhere\n"
+
+
 
 @pytest.mark.parametrize("command", ["pairs", "singles"])
 def test_huge_basis_order_is_refused(capsys, config_path, command):

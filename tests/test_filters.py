@@ -1,11 +1,12 @@
 """Filter linewidths and correlation shapes against closed forms."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spdckit import filters
@@ -276,6 +277,25 @@ def test_disjoint_supports_give_zero():
     assert np.all(trace.f == 0.0)
 
 
+def test_a_dark_table_has_no_tau_grid():
+    # A table that transmits nothing has Gamma_eff,single = 0 and so no time
+    # scale: sizing a grid from it used to divide by zero. An explicit grid
+    # still gives the zero correlation.
+    dark = TabulatedFilter(np.array([-1.0, 0.0, 1.0]) * MHZ, np.zeros(3))
+    lorentzian = LorentzianFilter(2.0 * MHZ)
+    for f_s, f_i, name in [(lorentzian, dark, "filter_i"), (dark, Unfiltered(), "filter_s")]:
+        message = f"{name} transmits nothing: its transmission is 0 everywhere"
+        with pytest.raises(ValueError, match=message):
+            default_tau_grid(f_s, f_i)
+        with pytest.raises(ValueError, match=message):
+            min_tau_points(f_s, f_i, 1e-6)
+        with pytest.raises(ValueError, match=message):
+            correlation_shape(f_s, f_i)
+        trace = correlation_shape(f_s, f_i, tau=np.linspace(-1e-6, 1e-6, 101))
+        assert trace.gamma_eff == 0.0
+        assert np.all(trace.f == 0.0)
+
+
 def _exact_pair_integral(f_s, f_i) -> float:
     """Int T_s(W) T_i(-W) dW by adaptive quadrature between the merged breakpoints.
 
@@ -501,6 +521,14 @@ def test_load_filter_table(tmp_path):
         ("units: rad/s\n-inf 0.5\n1 0.5\n", "line 2: not finite"),
         ("# scan\nunits: MHz\n-1 0.5\n1e308 0.5\n", "line 4: not finite"),
         ("", "missing 'units:'"),
+        ("units: MHz\n-1 0.5\n", "bad.txt: a table needs at least 2 data rows, got 1$"),
+        ("# empty scan\nunits: rad/s\n\n", "bad.txt: a table needs at least 2 data rows, got 0$"),
+        # Two bad rows of different kinds: the first in the file is named.
+        ("units: MHz\n-2 0.5\n-1 1.5\n0 fast\n", r"line 3: transmission must lie in \[0, 1\]"),
+        ("units: MHz\n-2 0.5\n-1 fast\n0 1.5\n", "line 3: not numeric: '-1 fast'"),
+        ("units: MHz\n-2 0.5\n-3 0.5\n0 0.5 9\n", "line 3: offsets must be strictly increasing"),
+        ("units: MHz\n-2 0.5\n0 0.5 9\n-3 0.5\n", "line 3: expected 'offset transmission'$"),
+        ("units: MHz\n-2 0.5\n\n# gap\n-1 nan\n-1 2\n", "line 5: not finite: '-1 nan'"),
     ],
 )
 def test_load_filter_table_errors(tmp_path, body, message):
@@ -508,6 +536,119 @@ def test_load_filter_table_errors(tmp_path, body, message):
     table.write_text(body, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_filter_table(table)
+
+
+def _reference_load(path) -> tuple[np.ndarray, np.ndarray]:
+    """The table loader written row by row: the numbers and messages to keep."""
+    unit = None
+    offsets: list[float] = []
+    values: list[float] = []
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if unit is None:
+            key, _, value = line.partition(":")
+            if key.strip() != "units" or value.strip() not in ("MHz", "rad/s"):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected a header 'units: MHz' or "
+                    "'units: rad/s' before the data rows"
+                )
+            unit = value.strip()
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {line_no}: expected 'offset transmission'")
+        try:
+            offset, value = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: not numeric: {line!r}") from None
+        offset *= MHZ if unit == "MHz" else 1.0
+        if not (math.isfinite(offset) and math.isfinite(value)):
+            raise ValueError(f"{path}: line {line_no}: not finite: {line!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{path}: line {line_no}: transmission must lie in [0, 1]: {line!r}")
+        if offsets and not offset > offsets[-1]:
+            raise ValueError(
+                f"{path}: line {line_no}: offsets must be strictly increasing: {line!r}"
+            )
+        offsets.append(offset)
+        values.append(value)
+    if unit is None:
+        raise ValueError(f"{path}: missing 'units:' header")
+    if len(offsets) < 2:
+        raise ValueError(f"{path}: a table needs at least 2 data rows, got {len(offsets)}")
+    return np.array(offsets), np.array(values)
+
+
+# float() spellings beyond the plain decimal, and tokens it refuses.
+_ODD_TOKENS = [
+    "1_0", "+.5e-3", "Infinity", "-iNF", "nan", "-0.0", "1.5", "1e308", "0x10", "1,5", "0.5."
+]
+_HEADERS = ["units: MHz", "units: rad/s", "units:MHz # scan", "\tunits :  rad/s"]
+
+
+@st.composite
+def _table_texts(draw):
+    """A table file: rows in varied float() syntax between comments and blank lines.
+
+    Most files are valid; an odd token, a rounded duplicate offset or a row
+    of the wrong width makes some of them fail, and the loader must then
+    give the reference's message.
+    """
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    filler = st.sampled_from(["", "   ", "\t", "# note", "  # indented # twice"])
+    lines = draw(st.lists(filler, max_size=2))
+    lines.append(draw(st.sampled_from(_HEADERS)))
+    n = draw(st.integers(0, 12))
+    offsets = np.cumsum(draw(st.lists(st.floats(1e-4, 5.0), min_size=n, max_size=n))) - 8.0
+    for offset in offsets.tolist():
+        value = draw(st.floats(0.0, 1.0))
+        cells = [
+            draw(st.sampled_from([repr(x), f"{x:.4g}", f"{x:+.3e}", f"{x:_}", f" {x!r}"]))
+            for x in (offset, value)
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        if draw(st.integers(0, 19)) == 0:
+            cells = cells[: draw(st.sampled_from([1, 3]))] + ["0.5"]
+        sep = draw(st.sampled_from([" ", "\t", "  \t "]))
+        tail = draw(st.sampled_from(["", "  ", " # ok", "#"]))
+        lines.append(sep.join(cells) + tail)
+        lines += draw(st.lists(filler, max_size=1))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+# The drawn files drift with the literals in src/ (see above); the examples
+# pin the float() spellings, CRLF and comment placements the loader must keep.
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_table_texts())
+@example("# etalon\r\nunits: MHz\r\n-1_0\t0.5 # edge\r\n\r\n \t\r\n+.5e-3 1\r\n1_0 +.5e-3\r\n")
+@example("units: rad/s\n-Infinity 0.5\n1 0.5\n")
+@example("units: rad/s\n0 Infinity\n1 0.5\n")
+@example("  # header below\nunits:MHz# tight\n\t-2\t0\n2 1  \n")
+@example("units: MHz\n-1 0.5\n1 nan\n1 1.5\n")
+@example("units: MHz\n-1e308 0.5\n1e308 0.5\n")
+@example("units: MHz\n# only a comment\n")
+def test_load_filter_table_matches_the_row_by_row_reference(tmp_path, text):
+    table = tmp_path / "table.txt"
+    table.write_bytes(text.encode("utf-8"))
+    try:
+        omega, values = _reference_load(table)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_filter_table(table)
+        assert str(got.value) == str(exc)
+        return
+    flt = load_filter_table(table)
+    assert flt.omega.tobytes() == omega.tobytes()
+    assert flt.transmission_values.tobytes() == values.tobytes()
 
 
 def test_filters_module_exports():

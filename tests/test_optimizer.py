@@ -359,6 +359,32 @@ def test_sweep_2d_grid_order(sweep_setup):
     ]
 
 
+def test_table_linewidth_is_resampled_once_per_table(sweep_setup, monkeypatch):
+    # Gamma_eff,single of a table is a trapezoid sum on a resampled grid; the
+    # source, its correlation and a Gamma_s x P_p sweep with the table on the
+    # idler arm all share the one sum of each table object.
+    waves, crystal, z_r, _ = sweep_setup
+    table_s = filters.TabulatedFilter(
+        np.linspace(-3.0, 3.0, 7) * MHZ, [0.0, 0.3, 0.8, 1.0, 0.8, 0.3, 0.0]
+    )
+    table_i = filters.TabulatedFilter(np.linspace(-2.0, 4.0, 5) * MHZ, [0.1, 0.9, 1.0, 0.6, 0.0])
+    grids = []
+    trapezoid = np.trapezoid
+
+    def spy(y, x=None, *args, **kwargs):
+        grids.append((float(x[0]), float(x[-1])))
+        return trapezoid(y, x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "trapezoid", spy)
+    fp = derive_focus_params(waves, crystal, z_r)
+    report = quantum.evaluate_source(waves, crystal, fp, table_s, table_i, 1e-3)
+    filters.correlation_shape(table_s, table_i, tau=np.linspace(-2e-6, 2e-6, 201))
+    axes = [SweepAxis("Gamma_s", (1.0 * MHZ, 3.0 * MHZ)), SweepAxis("P_p", (1e-3, 2e-3))]
+    rows = sweep(waves, crystal, z_r, filters.LorentzianFilter(MHZ), table_i, 1e-3, axes)
+    assert all(row.report.gamma_eff_i == report.gamma_eff_i for row in rows)
+    assert sorted(grids) == sorted([table_s.support, table_i.support])
+
+
 def test_sweep_kappa_axis_retunes_poling(sweep_setup):
     waves, crystal, z_r, flt = sweep_setup
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [SweepAxis("kappa", (-3.0,))])

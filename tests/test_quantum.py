@@ -53,6 +53,27 @@ def test_singles_rate_arms(ref_waves):
         singles_rate(ref_waves, 1e-3, 8e-3, MHZ, collected="pump")
 
 
+@pytest.mark.parametrize(
+    "power, message",
+    [
+        (math.nan, "pump_power must be finite, got nan"),
+        (math.inf, "pump_power must be finite, got inf"),
+        (-math.inf, "pump_power must be >= 0"),
+        (-1e-3, "pump_power must be >= 0"),
+    ],
+)
+def test_rate_formulas_refuse_a_bad_pump_power(ref_waves, power, message):
+    # They used to return nan or inf, or a CorrelationScale of them.
+    calls = [
+        lambda: pair_rate(ref_waves, power, 8e-3, MHZ),
+        lambda: singles_rate(ref_waves, power, 8e-3, MHZ),
+        lambda: correlation_amplitude_sq(ref_waves, power, 8e-3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 @pytest.mark.parametrize("power", [math.nan, math.inf])
 def test_evaluate_source_refuses_a_non_finite_pump_power(ref_waves, ref_crystal, ref_fp, power):
     # A NaN or infinite power would give a NaN or infinite W2 and W1; it is
