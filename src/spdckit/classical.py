@@ -14,6 +14,7 @@ is the one place where the package chooses between the two processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple
@@ -45,9 +46,22 @@ class EfficiencyReport:
     q_idler_arm: float
 
     def __post_init__(self) -> None:
-        for name in ("q_conversion", "q_signal_arm", "q_idler_arm"):
-            if getattr(self, name) < 0:
+        q_c, q_s, q_i = self.q_conversion, self.q_signal_arm, self.q_idler_arm
+        if not (0.0 <= q_c < math.inf and 0.0 <= q_s < math.inf and 0.0 <= q_i < math.inf):
+            _check_nonneg(q_conversion=q_c, q_signal_arm=q_s, q_idler_arm=q_i)
+
+
+def _check_nonneg(**kwargs: float) -> None:
+    """Raise a ValueError naming the first value that is not finite and >= 0.
+
+    The keyword call costs several times the comparison, so the checks that
+    run once per sweep geometry or filter pair test 0.0 <= x < inf first.
+    """
+    for name, value in kwargs.items():
+        if not 0.0 <= value < math.inf:
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def q_conversion(waves: WaveTriple, crystal: CrystalSpec, i_sfg_sq: float) -> float:
@@ -75,17 +89,13 @@ def q_arm(
     return q_dfg(waves, crystal, i_dfg_sq, generated=_PARTNER[collected])
 
 
-def _check_overlap(i_sq: float) -> None:
-    if i_sq < 0:
-        raise ValueError("overlap magnitude |I|^2 must be >= 0")
-
-
 def q_sfg(waves: WaveTriple, crystal: CrystalSpec, i_sfg_sq: float) -> float:
     """Sum-frequency efficiency Q_SFG = P_pump / (P_signal P_idler) [1/W].
 
     Q_SFG = 2 omega_p^2 d^2 |I_SFG|^2 / (c^3 eps0 n_p n_s n_i).
     """
-    _check_overlap(i_sfg_sq)
+    if not 0.0 <= i_sfg_sq < math.inf:
+        _check_nonneg(i_sfg_sq=i_sfg_sq)
     if waves.degenerate:
         raise ValueError("degenerate configuration: use q_shg")
     w_p = waves.pump.angular_frequency
@@ -104,7 +114,8 @@ def q_shg(waves: WaveTriple, crystal: CrystalSpec, i_shg_sq: float) -> float:
     driving field halves the conversion amplitude, so this is q_sfg / 4 at
     equal overlap and matched indices.
     """
-    _check_overlap(i_shg_sq)
+    if not 0.0 <= i_shg_sq < math.inf:
+        _check_nonneg(i_shg_sq=i_shg_sq)
     if not waves.degenerate:
         raise ValueError("q_shg needs a degenerate configuration")
     w_p = waves.pump.angular_frequency
@@ -125,7 +136,8 @@ def q_dfg(
     omega_gen the generated (unseeded) arm: 'idler' when the signal is
     seeded and vice versa.
     """
-    _check_overlap(i_dfg_sq)
+    if not 0.0 <= i_dfg_sq < math.inf:
+        _check_nonneg(i_dfg_sq=i_dfg_sq)
     if waves.degenerate:
         raise ValueError("degenerate configuration: use q_apg")
     if generated == "idler":
@@ -147,7 +159,8 @@ def q_apg(waves: WaveTriple, crystal: CrystalSpec, i_apg_sq: float) -> float:
 
     Q_APG = 2 omega_s^2 d^2 |I_APG|^2 / (c^3 eps0 n_s^2 n_p).
     """
-    _check_overlap(i_apg_sq)
+    if not 0.0 <= i_apg_sq < math.inf:
+        _check_nonneg(i_apg_sq=i_apg_sq)
     if not waves.degenerate:
         raise ValueError("q_apg needs a degenerate configuration")
     w_s = waves.signal.angular_frequency

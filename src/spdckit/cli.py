@@ -246,6 +246,9 @@ def _cmd_correlation(args) -> int:
     i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp)
     q_value = classical.q_conversion(waves, built.crystal, i_sfg.abs_sq)
     scale = quantum.correlation_amplitude_sq(waves, built.pump_power, q_value)
+    # Refuse a pair that passes no photon pair, as pairs does; an explicit
+    # grid would otherwise give a trace of zeros.
+    quantum._linewidths(built.filter_s, built.filter_i)
     points = _TAU_POINTS if args.points is None else args.points
     if args.tau_max is not None:
         if args.tau_max <= 0:

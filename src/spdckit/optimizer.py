@@ -11,14 +11,10 @@ scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False: the same
 coefficients, initial simplex, stable sort, xatol/fatol test and maxfev
 rule, so every merit evaluation is the one scipy would make.
 
-The sweep engine re-evaluates a full source pipeline while one or two
-parameters vary, following the paper's split of every rate into a geometry
-part, a filter part and the pump power. Each distinct geometry (kappa,
-zeta_R, z_R, R_k) of the grid is set up once and its overlaps and
-efficiencies Q computed once, through quantum._overlaps, which decides
-which geometries share a mode sum. Each distinct pair of filter widths
-builds its filters and linewidths once, and each geometry and filter pair
-its eta once; a point then applies only its pump power.
+The sweep builds a 1D or 2D grid of source points and hands it to
+quantum._evaluate, the runner of the rate pipeline. Here each distinct
+point but its pump power sets up its waves, crystal, focus parameters and
+filters once; the runner then computes each step once per distinct input.
 """
 
 from __future__ import annotations
@@ -381,7 +377,7 @@ def sweep(
     A failing point is recorded as a SweepRow with an error string instead
     of aborting the grid. Rows come back in grid order, each the report or
     error evaluate_source gives at its point with the axes applied in axis
-    order, from the same steps, each run once per distinct input.
+    order.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -392,81 +388,42 @@ def sweep(
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
-    points = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
+    grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
     geometry = [name for name in names if name in _GEOMETRY_AXES]
     widths = [name for name in names if name in ("Gamma_s", "Gamma_i")]
-    keys = [(tuple([c[n] for n in geometry]), tuple([c[n] for n in widths])) for c in points]
-
-    # Each distinct geometry and each distinct filter pair is set up once. A
-    # failure keeps the axis whose step raised, or None for an error of the
-    # step after all its axes: derive_focus_params or the linewidths.
-    setups: dict[tuple, tuple[str | None, object]] = {}
-    for g in dict.fromkeys(g for g, _ in keys):
-        w, c, zr = waves, crystal, z_r
-        try:
-            for axis, value in zip(geometry, g):
-                w, c, zr = _geometry_step(w, c, zr, axis, value)
-            axis = None
-            setups[g] = None, (w, c, derive_focus_params(w, c, zr))
-        except Exception as exc:
-            setups[g] = axis, exc
-    lines: dict[tuple, tuple[str | None, object]] = {}
-    for f in dict.fromkeys(f for _, f in keys):
-        flt = {"Gamma_s": filter_s, "Gamma_i": filter_i}
-        try:
-            for axis, value in zip(widths, f):
-                if isinstance(flt[axis], filters.TabulatedFilter):
-                    raise ValueError(f"{axis} sweep needs a Lorentzian or absent filter")
-                flt[axis] = filters.LorentzianFilter(gamma=value)
-            axis = None
-            lines[f] = None, quantum._linewidths(flt["Gamma_s"], flt["Gamma_i"])
-        except Exception as exc:
-            lines[f] = axis, exc
-    # The overlaps and efficiencies Q depend on the geometry alone.
-    ready = {key: setup for key, (_, setup) in setups.items() if not isinstance(setup, Exception)}
-    rates = dict(zip(ready, quantum._overlaps(list(ready.values()), basis_order, quad_tol)))
-    for key, bundle in rates.items():
-        if not isinstance(bundle, Exception):
-            w, c, _ = ready[key]
+    # Each distinct point but its pump power sets up its waves, crystal, fp
+    # and filters once, the axes applied in axis order, so the first axis
+    # that raises gives the point's error.
+    geometries: dict = {}
+    filter_pairs: dict = {}
+    setups: dict = {}
+    points = []
+    for coords in grid:
+        key = g, f = tuple([coords[n] for n in geometry]), tuple([coords[n] for n in widths])
+        if key not in setups:
+            w, c, zr = waves, crystal, z_r
+            flt = {"Gamma_s": filter_s, "Gamma_i": filter_i}
             try:
-                rates[key] = w, quantum._efficiencies(w, c, bundle), bundle
+                for name, value in coords.items():
+                    if name in flt:
+                        if isinstance(flt[name], filters.TabulatedFilter):
+                            raise ValueError(f"{name} sweep needs a Lorentzian or absent filter")
+                        flt[name] = filters.LorentzianFilter(gamma=value)
+                    elif name != "P_p":
+                        w, c, zr = _geometry_step(w, c, zr, name, value)
+                geometries[g] = w, c, derive_focus_params(w, c, zr)
+                filter_pairs[f] = flt["Gamma_s"], flt["Gamma_i"]
+                setups[key] = None
             except Exception as exc:
-                rates[key] = exc
+                setups[key] = exc
+        error = setups[key]
+        points.append((g, f, coords.get("P_p", pump_power)) if error is None else error)
 
-    def stage(g: tuple, f: tuple) -> tuple[Exception | None, object]:
-        """A point's error before its power check, then after it the error or
-        its quantum._rate_factors, in evaluate_source's order.
-        """
-        (g_axis, setup), (f_axis, lw) = setups[g], lines[f]
-        for name in names:
-            if name in (g_axis, f_axis):
-                return (setup if name == g_axis else lw), None
-        if isinstance(setup, Exception):
-            return setup, None
-        for shared in (lw, rates[g]):
-            if isinstance(shared, Exception):
-                return None, shared
-        w, eff, bundle = rates[g]
-        try:
-            heralding = quantum._heralding(w, bundle, lw)
-            return None, quantum._rate_factors(w, eff, bundle, lw, heralding)
-        except Exception as exc:
-            return None, exc
-
-    stages = {key: stage(*key) for key in dict.fromkeys(keys)}
-
-    def run_point(coords: dict[str, float], key: tuple) -> SweepRow:
-        error, factors = stages[key]
-        power = coords.get("P_p", pump_power)
-        try:
-            if error is None:
-                if not isinstance(factors, Exception):
-                    return SweepRow(coords, quantum._rates(factors, power))
-                quantum._check_power(power)
-                error = factors
-        except Exception as exc:
-            error = exc
-        # An error shared by many points is reported, not raised again.
-        return SweepRow(coords, None, f"{type(error).__name__}: {error}")
-
-    return [run_point(coords, key) for coords, key in zip(points, keys)]
+    results = quantum._evaluate(geometries, filter_pairs, points, basis_order, quad_tol)
+    # An error shared by many points is reported, not raised again.
+    return [
+        SweepRow(coords, None, f"{type(r).__name__}: {r}")
+        if isinstance(r, Exception)
+        else SweepRow(coords, r)
+        for coords, r in zip(grid, results)
+    ]

@@ -17,14 +17,16 @@ exactly 1/16 and 1/4. At equal overlap Q_SHG = Q_SFG / 4, so the degenerate
 pair rate and heralding efficiency are a quarter of the two-field ones;
 pair_rate says how its 1/16 counts the identical photons.
 
-Only the overlaps depend on the geometry. compute_overlaps evaluates them
-at one geometry; the sweep engine hands every distinct geometry of a grid
-to _overlaps, the one place that decides which geometries share a mode sum
-(equal waves, crystal length and zeta_R). The rest is split as the paper
-splits the rates: _linewidths depends on the filters, _efficiencies on the
-overlaps, _heralding (eta has no P in it) on both, _rate_factors holds all
-of a report but P, each rate as the paper's W = (f P) q, and _rates applies
-the pump power; the sweep engine runs each once per distinct input.
+_evaluate is the one runner of the rate pipeline. It splits the work as
+the paper splits the rates: the linewidths Gamma_eff depend on the filter
+pair, the overlaps and efficiencies Q on the geometry, eta and each rate's
+factor f of W = (f P) Q on both, and only the last products on the pump
+power P. Each step runs once per distinct input, and a point reports the
+first error of: pump power, linewidths, overlaps, efficiencies, eta and
+rates. evaluate_source is its one-point call and optimizer.sweep its grid
+call. _overlaps alone decides which geometries share a mode sum (equal
+waves, crystal length and zeta_R); compute_overlaps is its one-geometry
+call.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical, filters, modebasis, overlap
+from .classical import _check_nonneg
 from .quantities import C_LIGHT, EPS0, HBAR, CrystalSpec, FocusParams, WaveTriple
 
 __all__ = [
@@ -53,23 +56,9 @@ __all__ = [
 _KAPPA_BLOCK = 64
 
 
-def _check_nonneg(**kwargs: float) -> None:
-    """Raise a ValueError naming the first negative value; NaN passes."""
-    for name, value in kwargs.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
-
-
-def _check_power(pump_power: float) -> None:
-    """Raise a ValueError naming pump_power unless it is finite and >= 0."""
-    if not 0.0 <= pump_power < math.inf:
-        _check_nonneg(pump_power=pump_power)
-        raise ValueError(f"pump_power must be finite, got {pump_power!r}")
-
-
 def _pair_factor(waves: WaveTriple, q_conversion: float, gamma_eff: float) -> tuple[float, float]:
     """(f, q) of W2 = (f P) q: all of pair_rate but the pump power."""
-    if not min(q_conversion, gamma_eff) >= 0:
+    if not (0.0 <= q_conversion < math.inf and 0.0 <= gamma_eff < math.inf):
         _check_nonneg(q_conversion=q_conversion, gamma_eff=gamma_eff)
     if waves.degenerate:
         return gamma_eff / 16.0, q_conversion
@@ -81,7 +70,7 @@ def _pair_factor(waves: WaveTriple, q_conversion: float, gamma_eff: float) -> tu
 
 def _singles_factor(waves: WaveTriple, q: float, gamma: float, arm: str) -> tuple[float, float]:
     """(f, q) of W1 = (f P) q: all of singles_rate but the pump power."""
-    if not min(q, gamma) >= 0:
+    if not (0.0 <= q < math.inf and 0.0 <= gamma < math.inf):
         _check_nonneg(q_generation=q, gamma_eff_single=gamma)
     if arm not in ("signal", "idler"):
         raise ValueError("collected must be 'signal' or 'idler'")
@@ -104,7 +93,7 @@ def pair_rate(
     identical photons behind a 50:50 splitter; counting each pair once
     would give /8 (docs/normalization.md, section 5).
     """
-    _check_power(pump_power)
+    _check_nonneg(pump_power=pump_power)
     f, q = _pair_factor(waves, q_conversion, gamma_eff)
     return f * pump_power * q
 
@@ -122,7 +111,7 @@ def singles_rate(
     full basis of the partner arm, or Q_APG for a degenerate source (where
     the frequency ratio below is exactly 1/4).
     """
-    _check_power(pump_power)
+    _check_nonneg(pump_power=pump_power)
     f, q = _singles_factor(waves, q_generation, gamma_eff_single, collected)
     return f * pump_power * q
 
@@ -144,8 +133,9 @@ def conditional_efficiency(
     """
     if i_dfg_sq <= 0 or gamma_eff_single <= 0:
         raise ValueError("singles denominator must be positive")
-    if not min(gamma_eff, i_sfg_sq) >= 0:
-        _check_nonneg(gamma_eff=gamma_eff, i_sfg_sq=i_sfg_sq)
+    _check_nonneg(
+        gamma_eff=gamma_eff, gamma_eff_single=gamma_eff_single, i_sfg_sq=i_sfg_sq, i_dfg_sq=i_dfg_sq
+    )
     eta = (gamma_eff / gamma_eff_single) * (i_sfg_sq / i_dfg_sq)
     return 0.25 * eta if waves.degenerate else eta
 
@@ -171,8 +161,7 @@ def correlation_amplitude_sq(
 
     q_conversion is classical.q_conversion of the triple, as in pair_rate.
     """
-    _check_power(pump_power)
-    _check_nonneg(q_conversion=q_conversion)
+    _check_nonneg(pump_power=pump_power, q_conversion=q_conversion)
     w_s = waves.signal.angular_frequency
     w_i = waves.idler.angular_frequency
     w_p = waves.pump.angular_frequency
@@ -333,67 +322,112 @@ def evaluate_source(
     quad_tol: float = 1e-9,
     overlaps: OverlapBundle | None = None,
 ) -> SourceReport:
-    """Full pipeline: overlaps, efficiencies, linewidths, heralding, rates.
+    """Full pipeline: linewidths, overlaps, efficiencies, heralding, rates.
 
     Precomputed overlaps may be passed in when only powers or filters vary.
-    The sweep engine runs the same steps, each once per distinct input. The
-    checks come in this order: pump power, linewidths, overlaps.
+    This is the one-point call of _evaluate; the checks come in its order:
+    pump power, linewidths, overlaps.
     """
-    _check_power(pump_power)
-    linewidths = _linewidths(filter_s, filter_i)
-    if overlaps is None:
-        overlaps = compute_overlaps(waves, crystal, fp, basis_order, quad_tol)
-    efficiencies = _efficiencies(waves, crystal, overlaps)
-    heralding = _heralding(waves, overlaps, linewidths)
-    return _rates(_rate_factors(waves, efficiencies, overlaps, linewidths, heralding), pump_power)
+    geometries, filter_pairs = {0: (waves, crystal, fp)}, {0: (filter_s, filter_i)}
+    points = [(0, 0, pump_power)]
+    (result,) = _evaluate(geometries, filter_pairs, points, basis_order, quad_tol, overlaps)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _efficiencies(
-    waves: WaveTriple, crystal: CrystalSpec, overlaps: OverlapBundle
-) -> classical.EfficiencyReport:
-    """Q_conversion and both arms' Q: they depend on the overlaps, not the filters or power."""
-    return classical.EfficiencyReport(
-        classical.q_conversion(waves, crystal, overlaps.i_sfg_sq),
-        classical.q_arm(waves, crystal, overlaps.i_dfg_sq_signal_arm, "signal"),
-        classical.q_arm(waves, crystal, overlaps.i_dfg_sq_idler_arm, "idler"),
-    )
+def _attempt(step, *args):
+    """step(*args), or the error it raises; the first error among args is returned instead."""
+    for arg in args:
+        if isinstance(arg, Exception):
+            return arg
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
 
 
-def _heralding(
-    waves: WaveTriple,
-    overlaps: OverlapBundle,
-    linewidths: tuple[float, float | None, float | None],
-) -> tuple[float | None, float | None]:
-    """eta of each arm, None if unfiltered: it depends on overlaps and filters, not power."""
-    gamma_eff, *singles = linewidths
-    arms = zip(singles, (overlaps.i_dfg_sq_signal_arm, overlaps.i_dfg_sq_idler_arm))
-    return tuple(
-        None if g is None else conditional_efficiency(waves, gamma_eff, g, overlaps.i_sfg_sq, dfg)
-        for g, dfg in arms
-    )
+def _evaluate(
+    geometries: dict,
+    filter_pairs: dict,
+    points: list,
+    basis_order: int,
+    quad_tol: float,
+    overlaps: OverlapBundle | None = None,
+):
+    """Yield each point's SourceReport, or the error evaluate_source raises there.
 
+    geometries maps a key to (waves, crystal, fp) and filter_pairs a key to
+    (filter_s, filter_i). A point is (geometry key, filter key, pump power),
+    or the error of its own set-up, which is yielded as it is. The
+    linewidths run once per filter pair. The overlaps (the bundle given,
+    else _overlaps) and Q run once per geometry, for all geometries at once
+    when the first point passes its power and linewidth checks. eta and the
+    rate factors run once per geometry and filter pair. A step that
+    receives an earlier step's error passes it on, and a point reports its
+    pump power error before all of them.
+    """
 
-def _rate_factors(
-    waves: WaveTriple,
-    efficiencies: classical.EfficiencyReport,
-    overlaps: OverlapBundle,
-    linewidths: tuple[float, float | None, float | None],
-    heralding: tuple[float | None, float | None],
-) -> tuple:
-    """All of a point's report but its pump power: each rate as its (f, q)."""
-    arms = zip(linewidths[1:], (efficiencies.q_signal_arm, efficiencies.q_idler_arm))
-    singles = [
-        None if g is None else _singles_factor(waves, q, g, arm)
-        for (g, q), arm in zip(arms, ("signal", "idler"))
-    ]
-    pair = _pair_factor(waves, efficiencies.q_conversion, linewidths[0])
-    return pair, *singles, (*heralding, *linewidths), efficiencies, overlaps
+    def efficiencies(waves, crystal, bundle):
+        """The bundle and its Q: they depend on the geometry, not the filters or power."""
+        return bundle, classical.EfficiencyReport(
+            classical.q_conversion(waves, crystal, bundle.i_sfg_sq),
+            classical.q_arm(waves, crystal, bundle.i_dfg_sq_signal_arm, "signal"),
+            classical.q_arm(waves, crystal, bundle.i_dfg_sq_idler_arm, "idler"),
+        )
 
+    def geometry_steps() -> dict:
+        """Each geometry's overlaps and Q, or the error of either, from one _overlaps call."""
+        if overlaps is None:
+            bundles = _overlaps(list(geometries.values()), basis_order, quad_tol)
+        else:
+            bundles = [overlaps] * len(geometries)
+        return {
+            g: _attempt(efficiencies, waves, crystal, bundle)
+            for (g, (waves, crystal, _)), bundle in zip(geometries.items(), bundles)
+        }
 
-def _rates(factors: tuple, pump_power: float) -> SourceReport:
-    """The report of one point, the only step its pump power enters."""
-    _check_power(pump_power)
-    (f, q), signal, idler, fields, eff, bundle = factors
-    w1_s = None if signal is None else signal[0] * pump_power * signal[1]
-    w1_i = None if idler is None else idler[0] * pump_power * idler[1]
-    return SourceReport(f * pump_power * q, w1_s, w1_i, *fields, pump_power, eff, bundle)
+    def rate_factors(waves, linewidths, geometry):
+        """All of a report but P: eta of each arm (None if unfiltered), each rate as its (f, q)."""
+        bundle, eff = geometry
+        gamma_eff, *singles = linewidths
+        dfg = (bundle.i_dfg_sq_signal_arm, bundle.i_dfg_sq_idler_arm)
+        eta = [
+            None if gs is None else conditional_efficiency(waves, gamma_eff, gs, bundle.i_sfg_sq, d)
+            for gs, d in zip(singles, dfg)
+        ]
+        arms = zip(singles, (eff.q_signal_arm, eff.q_idler_arm), ("signal", "idler"))
+        w1 = [None if gs is None else _singles_factor(waves, q, gs, arm) for gs, q, arm in arms]
+        pair = _pair_factor(waves, eff.q_conversion, gamma_eff)
+        return pair, *w1, (*eta, *linewidths), eff, bundle
+
+    lines: dict = {}
+    shared: dict = {}
+    factors: dict = {}
+    for result in points:
+        if not isinstance(result, Exception):
+            g, f, power = result
+            try:
+                if not 0.0 <= power < math.inf:
+                    _check_nonneg(pump_power=power)
+                stage = factors.get((g, f))
+                if stage is None:
+                    if f not in lines:
+                        lines[f] = _attempt(_linewidths, *filter_pairs[f])
+                    if not shared and not isinstance(lines[f], Exception):
+                        shared = geometry_steps()
+                    waves = geometries[g][0]
+                    stage = factors[g, f] = _attempt(rate_factors, waves, lines[f], shared.get(g))
+                if isinstance(stage, Exception):
+                    # Shared by many points: returned, not raised again.
+                    result = stage
+                else:
+                    # The only step a point's pump power enters.
+                    (f_pair, q_pair), signal, idler, fields, eff, bundle = stage
+                    w1_s = None if signal is None else signal[0] * power * signal[1]
+                    w1_i = None if idler is None else idler[0] * power * idler[1]
+                    w2 = f_pair * power * q_pair
+                    result = SourceReport(w2, w1_s, w1_i, *fields, power, eff, bundle)
+            except Exception as exc:
+                result = exc
+        yield result

@@ -463,10 +463,15 @@ def test_correlation_default_points_follow_the_filters(capsys, config_path, tmp_
     assert "use --points 2668 or more" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [[], ["--tau-max", "1e-6"]], ids=["default-span", "tau-max"])
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--tau-max", "1e-6"], ["--tau-max", "1e-6", "--points", "2001"]],
+    ids=["default-span", "tau-max", "explicit-grid"],
+)
 def test_correlation_with_a_dark_table_is_one_error_line(capsys, config_path, tmp_path, extra):
     # A table that transmits nothing used to end in a ZeroDivisionError
-    # traceback from sizing the tau grid.
+    # traceback from sizing the tau grid. On an explicit grid, which is not
+    # sized from the filters, it used to give rows of zeros.
     text = Path(config_path).read_text(encoding="utf-8")
     text = text.replace("filter_i      = lorentzian 2 MHz", "filter_i = table dark.txt")
     (tmp_path / "dark.txt").write_text("units: MHz\n-1 0\n0 0\n1 0\n", encoding="utf-8")
@@ -476,6 +481,24 @@ def test_correlation_with_a_dark_table_is_one_error_line(capsys, config_path, tm
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err == "error: filter_i transmits nothing: its transmission is 0 everywhere\n"
+
+
+def test_correlation_refuses_passbands_that_do_not_overlap(capsys, config_path, tmp_path):
+    # Both tables pass only 10-12 MHz, so T_s(W) T_i(-W) is 0 everywhere:
+    # correlation used to print gamma_eff_rad_s 0.0 and rows of zeros.
+    text = Path(config_path).read_text(encoding="utf-8")
+    text = text.replace("filter_s      = lorentzian 2 MHz", "filter_s = table band.txt")
+    text = text.replace("filter_i      = lorentzian 2 MHz", "filter_i = table band.txt")
+    (tmp_path / "band.txt").write_text("units: MHz\n10 1\n11 1\n12 1\n", encoding="utf-8")
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    for command in ("pairs", "correlation"):
+        code = main([command, "--config", str(cfg)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == "", command
+        assert out.err.startswith(
+            "error: the passbands of filter_s and filter_i do not overlap"
+        ), command
 
 
 

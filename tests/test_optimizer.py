@@ -671,6 +671,33 @@ def test_rate_only_grid_with_failing_overlaps_gives_error_rows(sweep_setup):
     assert rows[1].error == "ValueError: pump_power must be >= 0"
 
 
+def test_each_check_reports_in_pipeline_order(sweep_setup):
+    # One point fails every check: a negative pump power, an idler filter
+    # that transmits nothing and the order-40 mode sum at kappa = -5,
+    # zeta_R = 0.005. Mending one check at a time brings up the next, and a
+    # one-point sweep reports the text evaluate_source raises.
+    waves, crystal, _, flt = sweep_setup
+    length = crystal.length
+    point = dataclasses.replace(
+        crystal, poling_period=2.0 * math.pi / (waves.k_minus0 + 5.0 / length)
+    )
+    z_r = 0.005 * length
+    fp = derive_focus_params(waves, point, z_r)
+    dark = filters.TabulatedFilter(np.linspace(-1.0, 1.0, 3) * MHZ, [0.0, 0.0, 0.0])
+    cases = [
+        (-1e-3, dark, "ValueError: pump_power must be >= 0"),
+        (1e-3, dark, "ValueError: filter_i transmits nothing: its transmission is 0 everywhere"),
+        (1e-3, flt, "ModeSumError: "),
+    ]
+    for power, filter_i, text in cases:
+        with pytest.raises(Exception) as direct:
+            quantum.evaluate_source(waves, point, fp, flt, filter_i, power)
+        message = f"{type(direct.value).__name__}: {direct.value}"
+        assert message.startswith(text)
+        (row,) = sweep(waves, point, z_r, flt, filter_i, 1e-3, [SweepAxis("P_p", (power,))])
+        assert row.report is None and row.error == message
+
+
 def _evaluate_point(waves, crystal, z_r, flt, power, coords, overlaps=None):
     """evaluate_source at one sweep point, its axes applied in axis order."""
     fs = fi = flt
@@ -848,16 +875,16 @@ def test_efficiency_error_stays_in_its_geometry_rows(sweep_setup, monkeypatch):
     # An error of the efficiencies at one geometry is reported on that
     # geometry's rows, after each point's own checks; other rows are whole.
     waves, crystal, z_r, flt = sweep_setup
-    real = quantum._efficiencies
+    real = classical.q_conversion
 
-    def failing(w, c, bundle):
-        if bundle.i_sfg_sq == target:
+    def failing(w, c, i_sfg_sq):
+        if i_sfg_sq == target:
             raise ValueError("efficiency failed here")
-        return real(w, c, bundle)
+        return real(w, c, i_sfg_sq)
 
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, [SweepAxis("zeta_R", (0.1, 0.2))])
     target = rows[1].report.overlaps.i_sfg_sq
-    monkeypatch.setattr(quantum, "_efficiencies", failing)
+    monkeypatch.setattr(classical, "q_conversion", failing)
     axes = [SweepAxis("zeta_R", (0.1, 0.2)), SweepAxis("P_p", (1e-3, -1e-3))]
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
     assert [row.error for row in rows] == [

@@ -1,11 +1,13 @@
 """The package's top-level namespace."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import spdckit
+from spdckit import optimizer
 
 # Every name the top level exported before it was derived from the
 # submodules' __all__, less those removed because no pipeline stage, CLI
@@ -114,3 +116,12 @@ def test_import_leaves_scipy_signal_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_reaches_the_rate_pipeline_only_through_the_runner():
+    # quantum._evaluate holds the one order of the rate steps. A sweep that
+    # named one of its stages would be a second copy of that sequence.
+    source = Path(optimizer.__file__).read_text(encoding="utf-8")
+    stages = ("_linewidths", "_overlaps", "_efficiencies", "_heralding", "_rate_factors", "_rates")
+    assert [stage for stage in stages if re.search(rf"\b{stage}\b", source)] == []
+    assert "quantum._evaluate(" in source

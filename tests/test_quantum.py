@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spdckit import filters
+from spdckit import classical, filters
 from spdckit.quantities import CrystalSpec, WaveTriple, derive_focus_params
 from spdckit.quantum import (
     OverlapBundle,
@@ -72,6 +72,40 @@ def test_rate_formulas_refuse_a_bad_pump_power(ref_waves, power, message):
     for call in calls:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("q_conversion", lambda w, c, x: pair_rate(w, 1e-3, x, MHZ)),
+        ("gamma_eff", lambda w, c, x: pair_rate(w, 1e-3, 8e-3, x)),
+        ("q_generation", lambda w, c, x: singles_rate(w, 1e-3, x, MHZ)),
+        ("gamma_eff_single", lambda w, c, x: singles_rate(w, 1e-3, 8e-3, x)),
+        ("gamma_eff", lambda w, c, x: conditional_efficiency(w, x, 1.0, 1.0, 1.0)),
+        ("gamma_eff_single", lambda w, c, x: conditional_efficiency(w, 1.0, x, 1.0, 1.0)),
+        ("i_sfg_sq", lambda w, c, x: conditional_efficiency(w, 1.0, 1.0, x, 1.0)),
+        ("i_dfg_sq", lambda w, c, x: conditional_efficiency(w, 1.0, 1.0, 1.0, x)),
+        ("q_conversion", lambda w, c, x: correlation_amplitude_sq(w, 1e-3, x)),
+        ("i_sfg_sq", lambda w, c, x: classical.q_sfg(w, c, x)),
+        ("i_dfg_sq", lambda w, c, x: classical.q_dfg(w, c, x)),
+        ("q_conversion", lambda w, c, x: classical.EfficiencyReport(x, 1.0, 1.0)),
+        ("q_signal_arm", lambda w, c, x: classical.EfficiencyReport(1.0, x, 1.0)),
+        ("q_idler_arm", lambda w, c, x: classical.EfficiencyReport(1.0, 1.0, x)),
+    ],
+    ids=[
+        "pair_rate-q", "pair_rate-gamma", "singles_rate-q", "singles_rate-gamma",
+        "eta-gamma", "eta-gamma_single", "eta-i_sfg", "eta-i_dfg", "correlation-q",
+        "q_sfg", "q_dfg", "report-conversion", "report-signal", "report-idler",
+    ],
+)
+def test_rate_formulas_refuse_a_non_finite_q_gamma_or_overlap(
+    ref_waves, ref_crystal, name, call, bad
+):
+    # Each used to return nan or inf: min(a, b) >= 0 let a NaN second
+    # argument through, and the non-negativity checks let NaN pass.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        call(ref_waves, ref_crystal, bad)
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf])
