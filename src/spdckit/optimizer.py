@@ -420,7 +420,6 @@ def sweep(
         points.append((g, f, coords.get("P_p", pump_power)) if error is None else error)
 
     results = quantum._evaluate(geometries, filter_pairs, points, basis_order, quad_tol)
-    # An error shared by many points is reported, not raised again.
     return [
         SweepRow(coords, None, f"{type(r).__name__}: {r}")
         if isinstance(r, Exception)
