@@ -146,18 +146,24 @@ def emit(rows: list[dict], meta: dict, fmt: str, out=None) -> None:
         for start in blocks:
             out.write(_csv_block(rows[start : start + _BLOCK_ROWS], columns))
         return
-    # Widths span every row: a first pass keeps only the cell lengths, and
-    # the cells are formatted again block by block as they are written.
+    # Widths span every row: a first pass formats each block once and keeps
+    # each of its columns as one NUL-joined string (its cells as they are if
+    # a cell holds a NUL), and the second pads them.
     widths = list(map(len, columns))
+    kept = []
     for start in blocks:
         cells = _block_cells(rows[start : start + _BLOCK_ROWS], columns, fmt)
         widths = [max(w, *map(len, col)) for w, col in zip(widths, cells)]
+        joined = ["\0".join(col) for col in cells]
+        kept.append([j if j.count("\0") == len(c) - 1 else c for j, c in zip(joined, cells)])
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-    for start in blocks:
-        block = rows[start : start + _BLOCK_ROWS]
-        cells = _block_cells(block, columns, fmt)
-        cells = [[c.ljust(w) for c in col] for col, w in zip(cells, widths)]
-        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(cells, len(block))))
+    for start, block in zip(blocks, kept):
+        cells = [
+            [c.ljust(w) for c in (col.split("\0") if isinstance(col, str) else col)]
+            for col, w in zip(block, widths)
+        ]
+        n_rows = min(_BLOCK_ROWS, len(rows) - start)
+        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(cells, n_rows)))
 
 
 def _base_meta(args, command: str) -> dict:

@@ -19,12 +19,19 @@ The coefficient integrals run on a composite Gauss-Legendre rule in
 u = asinh(z / zeta_R), which spreads the nodes over the focal region at
 tight focus, with the panel count doubling until two rules agree. The
 phase mismatch kappa enters only through exp(i kappa z), so the
-coefficients of many kappa at one zeta_R come from one matrix product;
-quantum._overlaps uses that for the points that share a zeta_R.
+coefficients of many kappa at one zeta_R share one table of mode columns.
+_mode_sums computes all of them in one pass over tasks: a task is one
+(waves, crystal length, zeta_R, arm) with its kappas, and every task of a
+call doubles its rule in step with the others, so the tasks of a block
+build their nodes, mode columns and exponentials in the same array
+operations. quantum._overlaps hands it every geometry of a sweep at once;
+i_dfg_sq is its one-task call. One cap, _BLOCK_ELEMENTS, bounds the mode
+columns of a block (tasks x nodes x orders) and its exponentials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +51,15 @@ DEFAULT_MAX_ORDER = 40
 DEFAULT_TAIL_TOL = 1e-4
 
 # Composite Gauss-Legendre rule of the coefficient integrals: nodes per
-# panel, the panel-count cap, and the node block that bounds memory.
+# panel and the panel-count cap.
 _PANEL_NODES = 64
 _MAX_PANELS = 256
-_BLOCK_NODES = 2048
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Highest basis order: one _BLOCK_NODES block of the mode columns G is then
-# at most 4097 x 2048 complex values (128 MiB).
+# Complex values of one block of the coefficient pass: its mode columns G
+# (orders x tasks x nodes) hold at most this many (768 KiB), and so does its
+# exp(i kappa z) block.
+_BLOCK_ELEMENTS = 3 * 2**14
+# Highest basis order: a block of G then still spans 11 nodes.
 _MAX_ORDER = 4096
 
 
@@ -93,52 +102,110 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _coefficients(
-    k_plus: float,
-    k_minus0: float,
-    k_b: float,
-    kappas: np.ndarray,
-    zeta_r: float,
-    max_order: int,
-    panels: int,
-) -> np.ndarray:
-    """Coefficient integrals c_n(kappa) on the rule of the given panel count.
+def _constants(waves: WaveTriple, zeta_r: float, arm: str) -> tuple[complex, ...]:
+    """Rule constants of a basis on the given arm at zeta_R: one row of _coefficients' consts.
 
-    With u = asinh(z/zeta_R) the poles at z = +-i zeta_R no longer crowd the
+    With half_span = asinh(1 / (2 zeta_R)), the basis wavenumber k_b and
+    k_plus, k_minus0 the sum and difference of the pump and both arms, they
+    are half_span, zeta_R, half_span zeta_R, i zeta_R, k_plus zeta_R,
+    i k_minus0 and 2 k_b zeta_R.
+    """
+    k_p = waves.pump.wavenumber
+    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+    half_span = math.asinh(0.5 / zeta_r)
+    return (
+        half_span,
+        zeta_r,
+        half_span * zeta_r,
+        1j * zeta_r,
+        (k_p + k_a + k_b) * zeta_r,
+        1j * (k_p - k_a - k_b),
+        2.0 * k_b * zeta_r,
+    )
+
+
+def _coefficients(
+    consts: np.ndarray, kappas: list[np.ndarray], max_order: int, panels: int
+) -> np.ndarray:
+    """Coefficient integrals c_n(kappa) of every task on the rule of the given panel count.
+
+    Row t of the complex array consts holds task t's _constants, and
+    kappas[t] its kappas, at most max_order + 1 of them. With
+    u = asinh(z/zeta_R) the poles at z = +-i zeta_R no longer crowd the
     nodes at tight focus. The integrand of c_n is exp(i kappa z) G_n(z), where
     row n of G is base * ratio^n, built by doubling: row 1 is row 0 times
     ratio, then for m = 2, 4, ... power = ratio^m and rows m..2m-1 are rows
     0..m-1 times power. That is log2(max_order) broadcast multiplies, one
     complex multiply per entry. kappa enters only through the exponential,
-    so every kappa shares G and all of them come from one matrix product.
-    Its exponential takes len(kappas) x _BLOCK_NODES complex values.
-    Returns shape (len(kappas), max_order + 1).
+    so a task's kappas share its G and come from one matrix product.
+
+    The tasks of a block (_blocks) build their nodes, G and exponentials in
+    the same array operations. No block's exponentials outgrow its G, since
+    no task has more kappas than orders. A task's nodes split the same way
+    in any call, so it gets the same values in a batch as alone. Returns
+    shape (total kappa count, max_order + 1), each task's rows in turn.
     """
     x, w = _panel_rule(panels)
-    half_span = math.asinh(0.5 / zeta_r)
-    out = np.zeros((kappas.size, max_order + 1), dtype=complex)
-    # Blocks of nodes bound the memory of G at the largest rules.
-    for lo in range(0, x.size, _BLOCK_NODES):
-        u = half_span * x[lo : lo + _BLOCK_NODES]
+    width = max_order + 1
+    starts = [0, *itertools.accumulate(k.size for k in kappas)]
+    out = np.zeros((starts[-1], width), dtype=complex)
+    # One kappa per task: each block takes one product for all its tasks.
+    single = np.concatenate(kappas)[:, None] if starts[-1] == len(kappas) else None
+    work = None
+    for tasks, nodes in _blocks(len(kappas), x.size, width):
+        block = kappas[tasks]
+        # One (tasks, 1) column per constant, or for one task scalars, which
+        # numpy operates on faster. The complex ones meet complex operands,
+        # so no operation casts them.
+        columns = consts[tasks.start].tolist() if len(block) == 1 else consts[tasks].T[..., None]
+        half_span, zeta_r, stretch = (c.real for c in columns[:3])
+        pole, k_plus_z, i_k_minus0, k_b_z = columns[3:]
+        u = half_span * x[nodes]
         z = zeta_r * np.sinh(u)
-        dz = (half_span * zeta_r) * np.cosh(u) * w[lo : lo + _BLOCK_NODES]
-        qh = z - 1j * zeta_r
-        qhc = z + 1j * zeta_r
-        s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
-        g = np.empty((max_order + 1, z.size), dtype=complex)
+        dz = stretch * np.cosh(u) * w[nodes]
+        qh = z - pole
+        qhc = z + pole
+        s = (k_plus_z - i_k_minus0 * z) / k_b_z
+        # G[n] holds order n of every task: the doubling then reads and
+        # writes disjoint row ranges, which numpy multiplies without a copy.
+        size = width * len(block) * z.shape[-1]
+        if work is None:  # the first block is the largest; the others reuse its G
+            work = np.empty(size, dtype=complex)
+        g = work[:size].reshape(width, len(block), -1)
         g[0] = dz / (qhc * s)
         power = (qh / qhc) * (s - 1.0) / s
         np.multiply(g[0], power, out=g[1])
         m = 2
         while m <= max_order:
             power *= power
-            np.multiply(g[: min(m, max_order + 1 - m)], power, out=g[m : 2 * m])
+            np.multiply(g[: min(m, width - m)], power, out=g[m : 2 * m])
             m *= 2
-        e = np.exp(1j * np.outer(kappas, z))
-        # One kappa takes numpy's own loops: a BLAS product this small can
-        # stall on idle BLAS threads when their count is left at its default.
-        out += np.einsum("kj,nj->kn", e, g) if kappas.size == 1 else e @ g.T
+        if single is not None:
+            out[tasks] += np.einsum("tj,ntj->tn", np.exp(1j * (single[tasks] * z)), g)
+            continue
+        tasks_g, tasks_z = g.swapaxes(0, 1), z.reshape(len(block), -1)
+        for t, (k, g_t, z_t) in enumerate(zip(block, tasks_g, tasks_z), tasks.start):
+            e = np.exp(1j * np.outer(k, z_t))
+            # One kappa takes numpy's own loops: a BLAS product this small can
+            # stall on idle BLAS threads when their count is left at its default.
+            prod = np.einsum("kj,nj->kn", e, g_t) if k.size == 1 else e @ g_t.T
+            out[starts[t] : starts[t + 1]] += prod
     return out
+
+
+def _blocks(n_tasks: int, n_nodes: int, width: int):
+    """(task slice, node slice) of each block of _coefficients, in order.
+
+    The G of a block, tasks x nodes x width, holds at most _BLOCK_ELEMENTS
+    values. A task whose nodes alone exceed that has them split into spans
+    that depend only on n_nodes and width.
+    """
+    span = min(n_nodes, _BLOCK_ELEMENTS // width)
+    per_block = _BLOCK_ELEMENTS // (span * width)
+    for lo in range(0, n_tasks, per_block):
+        for node in range(0, n_nodes, span):
+            yield slice(lo, min(lo + per_block, n_tasks)), slice(node, min(node + span, n_nodes))
 
 
 def _tail_estimate(terms: np.ndarray, total: float, quad_tol: float, tail_tol: float) -> float:
@@ -189,40 +256,39 @@ def i_dfg_sq(
     as mode 0. An idler basis (default) gives the quantity that controls
     the signal singles rate, and vice versa. With identical signal and
     idler modes either basis gives the average-parametric-gain total
-    |I_APG|^2.
+    |I_APG|^2. This is the one-task call of _mode_sums.
     """
-    (result,) = _arm_mode_sums(
-        waves, crystal.length, [fp.kappa], fp.zeta_r, arm, basis_order, quad_tol, tail_tol
-    )
+    task = (waves, crystal.length, fp.zeta_r, arm, [fp.kappa])
+    ((result,),) = _mode_sums([task], basis_order, quad_tol, tail_tol)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _arm_mode_sums(
-    waves: WaveTriple,
-    length: float,
-    kappas,
-    zeta_r: float,
-    arm: str,
+def _mode_sums(
+    tasks: list[tuple],
     basis_order: int,
     quad_tol: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> list[ParsevalSum | ModeSumError | QuadratureError]:
-    """i_dfg_sq for every kappa at one zeta_R, in order.
+) -> list[list[ParsevalSum | ModeSumError | QuadratureError | ValueError]]:
+    """i_dfg_sq at every kappa of every task, in one pass.
 
-    Each entry is the ParsevalSum, or the error i_dfg_sq raises at that
-    kappa alone; invalid options raise ValueError for the whole call. With
-    the basis on the given arm, the sum is over |c_n|^2 for basis wavenumber
-    k_b driven by the pump and the other arm's k_a. All lengths enter
-    through (kappa, zeta_r) and the wavenumbers; the integral runs over the
-    scaled coordinate z/L in [-1/2, 1/2]. The panel count doubles from 1
-    until the rules of P and 2P panels agree to quad_tol (max norm over the
-    orders, relative to the largest coefficient). Each kappa keeps the 2P
-    rule of the first pair that agrees for it, so it gets the same rule in
-    a batch as alone, and the same result to rounding.
+    A task is (waves, crystal length, zeta_R, arm, kappas). Per task, the
+    result lists each kappa's ParsevalSum in order, or the error i_dfg_sq
+    raises at that kappa alone: a non-finite kappa or zeta_R fails its task
+    only. Invalid options raise ValueError for the whole call. With the
+    basis on the given arm, the sum is over |c_n|^2 for basis wavenumber k_b
+    driven by the pump and the other arm's k_a. All lengths enter through
+    (kappa, zeta_r) and the wavenumbers; the integral runs over the scaled
+    coordinate z/L in [-1/2, 1/2].
+
+    A task's kappas go to _coefficients at most basis_order + 1 at a time,
+    so that their exponentials are no larger than their G. The tasks then
+    converge in groups of as many as one block of the first rule holds,
+    one group after the other (_converge), so that only one group's
+    coefficient rows are held at a time.
     """
-    if arm not in ("signal", "idler"):
+    if any(task[3] not in ("signal", "idler") for task in tasks):
         raise ValueError("arm must be 'signal' or 'idler'")
     if basis_order < 1:
         raise ValueError("basis_order must be >= 1")
@@ -230,44 +296,86 @@ def _arm_mode_sums(
         raise ValueError(f"basis_order must be <= {_MAX_ORDER}, got {basis_order}")
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ValueError(f"quad_tol must be finite and > 0, got {quad_tol!r}")
-    kappas = np.asarray(kappas, dtype=float)
-    if not (np.all(np.isfinite(kappas)) and math.isfinite(zeta_r)):
-        raise ValueError("kappa and zeta_R must be finite")
-    k_p = waves.pump.wavenumber
-    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
-    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-    k_plus = k_p + k_a + k_b
-    k_minus0 = k_p - k_a - k_b
-    prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
-    results: list = [None] * kappas.size
-    active = np.arange(kappas.size)
-    panels = 1
-    prev = _coefficients(k_plus, k_minus0, k_b, kappas, zeta_r, basis_order, panels)
-    while active.size:
-        panels *= 2
-        cur = _coefficients(k_plus, k_minus0, k_b, kappas[active], zeta_r, basis_order, panels)
-        scale = np.max(np.abs(cur), axis=1)
-        diff = np.max(np.abs(cur - prev), axis=1)
-        done = diff <= quad_tol * scale
-        for j, coeffs, err, ok in zip(active, cur, diff / scale, done):
-            if ok:
-                terms = np.abs(prefactor * coeffs) ** 2
-                total = float(np.sum(terms))
-                try:
-                    tail = _tail_estimate(terms, total, quad_tol, tail_tol)
-                except ModeSumError as exc:
-                    results[j] = exc
-                else:
-                    results[j] = ParsevalSum(
-                        tuple(terms.tolist()), total, tail, _PANEL_NODES * panels, float(err)
-                    )
-            elif panels == _MAX_PANELS:
-                results[j] = QuadratureError(
-                    f"mode-sum quadrature not converged at kappa={kappas[j]:.6g}, "
-                    f"zeta_R={zeta_r:.6g}: the rules of {_PANEL_NODES * panels // 2} and "
-                    f"{_PANEL_NODES * panels} nodes differ by {err:.2e} > quad_tol {quad_tol:.0e}"
-                )
-        if panels == _MAX_PANELS:
-            break
-        active, prev = active[~done], cur[~done]
+    width = basis_order + 1
+    results: list[list] = []
+    # Per task as _converge takes them: its kappas, where their results go
+    # (result list, positions) with its mode-sum prefactor, and its row of
+    # rule constants.
+    kappas: list[np.ndarray] = []
+    owners: list[tuple[list, list[int], float]] = []
+    rows: list[tuple[complex, ...]] = []
+    for waves, length, zeta_r, arm, task_kappas in tasks:
+        out: list = [None] * len(task_kappas)
+        results.append(out)
+        if not (all(map(math.isfinite, task_kappas)) and math.isfinite(zeta_r)):
+            out[:] = [ValueError("kappa and zeta_R must be finite")] * len(out)
+            continue
+        k_p = waves.pump.wavenumber
+        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+        prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
+        rule = _constants(waves, zeta_r, arm)
+        for lo in range(0, len(out), width):
+            positions = list(range(lo, min(lo + width, len(out))))
+            kappas.append(np.array([task_kappas[j] for j in positions], dtype=float))
+            owners.append((out, positions, prefactor))
+            rows.append(rule)
+    consts = np.array(rows, dtype=complex)
+    group = max(1, _BLOCK_ELEMENTS // (_PANEL_NODES * width))
+    for lo in range(0, len(kappas), group):
+        hi = lo + group
+        _converge(consts[lo:hi], kappas[lo:hi], owners[lo:hi], basis_order, quad_tol, tail_tol)
     return results
+
+
+def _converge(consts, kappas, owners, basis_order, quad_tol, tail_tol) -> None:
+    """Settle every kappa of a group of _mode_sums' tasks into its owner's result list.
+
+    The panel count of every task doubles from 1 until the rules of P and
+    2P panels agree to quad_tol (max norm over the orders, relative to the
+    largest coefficient). Each kappa keeps the 2P rule of the first pair
+    that agrees for it, so it gets the same rule in a batch as alone, and
+    the same result to rounding.
+    """
+    panels, prev = 1, None
+    while kappas:
+        cur = _coefficients(consts, kappas, basis_order, panels)
+        if prev is not None:
+            scale = np.max(np.abs(cur), axis=1)
+            diff = np.max(np.abs(cur - prev), axis=1)
+            done = diff <= quad_tol * scale
+            rows = zip(cur, (diff / scale).tolist(), done.tolist())
+            live = []
+            for t, ((out, positions, prefactor), task_kappas) in enumerate(zip(owners, kappas)):
+                left = []
+                for i, (j, kappa, (coeffs, err, ok)) in enumerate(
+                    zip(positions, task_kappas.tolist(), rows)
+                ):
+                    if ok:
+                        terms = np.abs(prefactor * coeffs) ** 2
+                        total = float(np.sum(terms))
+                        try:
+                            tail = _tail_estimate(terms, total, quad_tol, tail_tol)
+                        except ModeSumError as exc:
+                            out[j] = exc
+                        else:
+                            out[j] = ParsevalSum(
+                                tuple(terms.tolist()), total, tail, _PANEL_NODES * panels, err
+                            )
+                    elif panels == _MAX_PANELS:
+                        out[j] = QuadratureError(
+                            f"mode-sum quadrature not converged at kappa={kappa:.6g}, "
+                            f"zeta_R={consts[t, 1].real:.6g}: the rules of "
+                            f"{_PANEL_NODES * panels // 2} and {_PANEL_NODES * panels} nodes "
+                            f"differ by {err:.2e} > quad_tol {quad_tol:.0e}"
+                        )
+                    else:
+                        left.append(i)
+                if left:  # the task's unsettled kappas go on to the next rule
+                    kappas[t] = task_kappas[left]
+                    owners[t] = out, [positions[i] for i in left], prefactor
+                    live.append(t)
+            kappas = [kappas[t] for t in live]
+            owners = [owners[t] for t in live]
+            consts, cur = consts[live], cur[~done]
+        prev, panels = cur, 2 * panels

@@ -24,9 +24,10 @@ factor f of W = (f P) Q on both, and only the last products on the pump
 power P. Each step runs once per distinct input, and a point reports the
 first error of: pump power, linewidths, overlaps, efficiencies, eta and
 rates. evaluate_source is its one-point call and optimizer.sweep its grid
-call. _overlaps alone decides which geometries share a mode sum (equal
-waves, crystal length and zeta_R); compute_overlaps is its one-geometry
-call.
+call. _overlaps alone decides which geometries share a mode-sum task
+(equal waves, crystal length and zeta_R, one task per arm) and hands the
+tasks of all its geometries to one modebasis._mode_sums pass, whose one
+block cap bounds its memory; compute_overlaps is its one-geometry call.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ __all__ = [
     "compute_overlaps",
     "evaluate_source",
 ]
-
-
-# Distinct kappa per mode-sum call: the rule's exp(i kappa z) block is then
-# 64 x 2048 complex values at most (2 MB).
-_KAPPA_BLOCK = 64
 
 
 def _pair_factor(waves: WaveTriple, q_conversion: float, gamma_eff: float) -> tuple[float, float]:
@@ -220,9 +216,10 @@ def _overlaps(
     """compute_overlaps at each (waves, crystal, fp): its bundle or the error it raises there.
 
     kappa enters the mode sums only through exp(i kappa z), so the points
-    that share waves, crystal length and zeta_R take them from one call per
-    arm, each distinct kappa summed once, in blocks of at most _KAPPA_BLOCK
-    kappa so that memory stays bounded however many points there are.
+    that share waves, crystal length and zeta_R make one mode-sum task per
+    arm, each distinct kappa summed once. Every task of every group goes to
+    one modebasis._mode_sums call, which bounds its own memory however many
+    points there are.
     """
     results: list = [None] * len(points)
     groups: dict[tuple, list[int]] = {}
@@ -233,24 +230,23 @@ def _overlaps(
             results[j] = exc
         else:
             groups.setdefault((waves, crystal.length, fp.zeta_r), []).append(j)
+    # Per group, the idler arm's task, then the signal arm's where its basis differs.
+    tasks = []
     for (waves, length, zeta_r), members in groups.items():
         kappas = list(dict.fromkeys(points[j][2].kappa for j in members))
-        sums: dict[float, tuple] = {}
-        for lo in range(0, len(kappas), _KAPPA_BLOCK):
-            block = kappas[lo : lo + _KAPPA_BLOCK]
-            try:
-                signal_arm = idler_arm = modebasis._arm_mode_sums(
-                    waves, length, block, zeta_r, "idler", basis_order, quad_tol
-                )
-                if waves.signal != waves.idler:
-                    idler_arm = modebasis._arm_mode_sums(
-                        waves, length, block, zeta_r, "signal", basis_order, quad_tol
-                    )
-            except Exception as exc:  # an error of the options: every kappa raises it
-                signal_arm = idler_arm = [exc] * len(block)
-            sums.update(zip(block, zip(signal_arm, idler_arm)))
+        for arm in ("idler",) if waves.signal == waves.idler else ("idler", "signal"):
+            tasks.append((waves, length, zeta_r, arm, kappas))
+    try:
+        sums = modebasis._mode_sums(tasks, basis_order, quad_tol)
+    except Exception as exc:  # an error of the options: every point raises it
+        sums = [[exc] * len(task[4]) for task in tasks]
+    done = iter(zip(tasks, sums))
+    for members in groups.values():
+        task, signal_arm = next(done)
+        idler_arm = signal_arm if task[0].signal == task[0].idler else next(done)[1]
+        by_kappa = dict(zip(task[4], zip(signal_arm, idler_arm)))
         for j in members:
-            s, i = sums[points[j][2].kappa]
+            s, i = by_kappa[points[j][2].kappa]
             if isinstance(s, Exception):
                 results[j] = s
             elif isinstance(i, Exception):

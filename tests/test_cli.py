@@ -653,6 +653,8 @@ _META = {"command": "test", "config": "x.cfg"}
 ])
 @example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0}, {"c": "late", "a": 4.0}])
 @example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}])
+# A text cell that holds the NUL the table's kept columns are joined with.
+@example(rows=[{"s": "a\0b", "x": 1.0}, {"s": "", "x": 2.0}])
 # More rows than one block; the keys change within the second block.
 @example(rows=[{"a": i / 7} for i in range(300)] + [{"b": "x", "a": 2.0}] * 300)
 def test_emit_matches_the_per_cell_reference(fmt, rows):

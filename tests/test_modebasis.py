@@ -67,6 +67,12 @@ def _power_form_on_rule(waves, fp, arm, order, panels):
     return _power_form_integrand(waves, fp, arm, order)(z) @ dz
 
 
+def _one_task_coefficients(waves, kappa, zeta_r, arm, order, panels):
+    """modebasis._coefficients of one task with one kappa."""
+    consts = np.array([modebasis._constants(waves, zeta_r, arm)])
+    return modebasis._coefficients(consts, [np.array([kappa])], order, panels)[0]
+
+
 def test_running_product_matches_power_form(ref_waves, ref_crystal):
     # The order table of _coefficients (built by doubling) against the
     # power form on the same rule, at seeded geometries of both arms.
@@ -88,12 +94,7 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal):
         except ModeSumError:
             psum = None  # a short basis may fail the decay test; its coefficients still count
         panels = 2 if psum is None else psum.n_nodes // modebasis._PANEL_NODES
-        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
-        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-        k_p = waves.pump.wavenumber
-        got = modebasis._coefficients(
-            k_p + k_a + k_b, k_p - k_a - k_b, k_b, np.array([kappa]), zeta_r, order, panels
-        )[0]
+        got = _one_task_coefficients(waves, kappa, zeta_r, arm, order, panels)
         want = _power_form_on_rule(waves, fp, arm, order, panels)
         got_terms = np.abs(got) ** 2
         want_terms = np.abs(want) ** 2
@@ -101,7 +102,9 @@ def test_running_product_matches_power_form(ref_waves, ref_crystal):
         assert np.max(np.abs(got_terms - want_terms)) <= 1e-13 * want_terms.max(), case
         if psum is not None:
             # The mode sum's terms are these coefficients, scaled.
-            scale = k_p * k_a * zeta_r * ref_crystal.length / (math.pi * k_b)
+            k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+            k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+            scale = waves.pump.wavenumber * k_a * zeta_r * ref_crystal.length / (math.pi * k_b)
             assert np.allclose(psum.terms, scale * got_terms, rtol=1e-14, atol=0), case
 
 
@@ -121,12 +124,7 @@ def test_doubling_table_matches_power_form_at_each_split(ref_waves, ref_crystal,
     ]
     for waves, kappa, zeta_r, arm, panels in cases:
         fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
-        k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
-        k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-        k_p = waves.pump.wavenumber
-        got = modebasis._coefficients(
-            k_p + k_a + k_b, k_p - k_a - k_b, k_b, np.array([kappa]), zeta_r, order, panels
-        )[0]
+        got = _one_task_coefficients(waves, kappa, zeta_r, arm, order, panels)
         want_terms = np.abs(_power_form_on_rule(waves, fp, arm, order, panels)) ** 2
         assert got.shape == (order + 1,)
         gap = np.max(np.abs(np.abs(got) ** 2 - want_terms))
@@ -237,21 +235,54 @@ def test_unconverged_rule_names_kappa_and_zeta_r(ref_waves, ref_crystal):
 
 
 def test_batch_matches_single_kappa(ref_waves, ref_crystal):
-    # Each kappa keeps its own rule: alone or in a batch with kappa that
-    # need more nodes, or that fail, it gets the same sum or the same error.
-    kappas = [-3.0, 1e6, -40.0, 0.0, -3.0]
-    batch = modebasis._arm_mode_sums(ref_waves, ref_crystal.length, kappas, 0.005, "idler", 40, 1e-9)
-    for kappa, got in zip(kappas, batch):
-        fp = FocusParams(kappa=kappa, zeta_r=0.005, r_k=ref_waves.r_k)
-        try:
-            alone = i_dfg_sq(ref_waves, ref_crystal, fp)
-        except (ModeSumError, quadrature.QuadratureError) as exc:
-            assert type(got) is type(exc) and str(got) == str(exc), kappa
-            continue
-        assert got.n_nodes == alone.n_nodes, kappa
-        assert math.isclose(got.total, alone.total, rel_tol=1e-13), kappa
-    assert isinstance(batch[1], quadrature.QuadratureError)
-    assert any(isinstance(got, modebasis.ParsevalSum) for got in batch)
+    # One pass over tasks of both source kinds, both arms and three zeta_R,
+    # with kappa that converge, that outrun the largest rule (1e6) and that
+    # fail the order-40 tail test at tight focus. Each kappa keeps its own
+    # rule, so each (task, kappa) gets the sum or the error of its one-task
+    # call.
+    degenerate = WaveTriple.from_wavelengths(800e-9, 800e-9, 1.8, 1.8, 1.9, degenerate=True)
+    kappas = [-3.0, 1e6, -5.0, 0.0, -40.0, -3.0]
+    tasks = [
+        (waves, ref_crystal.length, zeta_r, arm, kappas)
+        for waves in (ref_waves, degenerate)
+        for zeta_r in (0.005, 0.18, 2.0)
+        for arm in ("idler", "signal")
+    ]
+    batch = modebasis._mode_sums(tasks, 40, 1e-9)
+    kinds = set()
+    for (waves, _, zeta_r, arm, _), results in zip(tasks, batch):
+        assert len(results) == len(kappas)
+        for kappa, got in zip(kappas, results):
+            case = (waves.degenerate, zeta_r, arm, kappa)
+            kinds.add(type(got))
+            fp = FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=waves.r_k)
+            try:
+                alone = i_dfg_sq(waves, ref_crystal, fp, arm=arm)
+            except (ModeSumError, quadrature.QuadratureError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc), case
+                continue
+            assert got.n_nodes == alone.n_nodes, case
+            assert math.isclose(got.total, alone.total, rel_tol=1e-13), case
+    assert kinds == {modebasis.ParsevalSum, ModeSumError, quadrature.QuadratureError}
+    assert all(isinstance(results[1], quadrature.QuadratureError) for results in batch)
+
+
+def test_non_finite_zeta_r_fails_only_its_task(ref_waves, ref_crystal):
+    length = ref_crystal.length
+    tasks = [
+        (ref_waves, length, 0.18, "idler", [-3.0, -2.0]),
+        (ref_waves, length, math.nan, "idler", [-3.0, -2.0]),
+        (ref_waves, length, math.inf, "signal", [-3.0]),
+        (ref_waves, length, 0.18, "signal", [-3.0]),
+    ]
+    good_idler, nan_task, inf_task, good_signal = modebasis._mode_sums(tasks, 40, 1e-9)
+    for got in nan_task + inf_task:
+        assert isinstance(got, ValueError) and str(got) == "kappa and zeta_R must be finite"
+    for (waves, _, zeta_r, arm, kappas), results in zip(tasks[::3], (good_idler, good_signal)):
+        for kappa, got in zip(kappas, results):
+            alone = i_dfg_sq(waves, ref_crystal, FocusParams(kappa, zeta_r, waves.r_k), arm=arm)
+            assert got.n_nodes == alone.n_nodes
+            assert math.isclose(got.total, alone.total, rel_tol=1e-13)
 
 
 def test_arm_must_be_signal_or_idler(ref_waves, ref_crystal, ref_fp):

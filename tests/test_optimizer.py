@@ -495,33 +495,87 @@ def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
     assert 0 < errors < len(kappas)
 
 
-def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
-    # A long kappa axis at one zeta_R is split into blocks of at most
-    # quantum._KAPPA_BLOCK kappa, so no rule product sees more than that. Points
-    # whose mode sums fail take their group's error: none is evaluated alone.
+def _record_blocks(monkeypatch):
+    """Record each mode-sum pass and the blocks of its coefficient rounds.
+
+    Returns (passes, blocks, task_sizes): the task count of each
+    modebasis._mode_sums call; per block its task count, node count,
+    width (orders) and kappa count; and the kappa count of every task that
+    reached a round.
+    """
     from spdckit import modebasis
 
-    waves, crystal, z_r, flt = sweep_setup
+    passes, blocks, task_sizes = [], [], []
+    real_pass, real_coefficients, real_blocks = (
+        modebasis._mode_sums, modebasis._coefficients, modebasis._blocks
+    )
     sizes = []
-    real = modebasis._coefficients
 
-    def recording(k_plus, k_minus0, k_b, kappas, *args):
-        sizes.append(kappas.size)
-        return real(k_plus, k_minus0, k_b, kappas, *args)
+    def mode_sums(tasks, *args, **kwargs):
+        passes.append(len(tasks))
+        return real_pass(tasks, *args, **kwargs)
+
+    def coefficients(consts, kappas, *args):
+        sizes[:] = [k.size for k in kappas]
+        task_sizes.extend(sizes)
+        return real_coefficients(consts, kappas, *args)
+
+    def recording(n_tasks, n_nodes, width):
+        for tasks, nodes in real_blocks(n_tasks, n_nodes, width):
+            n_kappa = sum(sizes[tasks])
+            blocks.append((tasks.stop - tasks.start, nodes.stop - nodes.start, width, n_kappa))
+            yield tasks, nodes
+
+    monkeypatch.setattr(modebasis, "_mode_sums", mode_sums)
+    monkeypatch.setattr(modebasis, "_coefficients", coefficients)
+    monkeypatch.setattr(modebasis, "_blocks", recording)
+    return passes, blocks, task_sizes
+
+
+def _assert_blocks_within_cap(blocks):
+    from spdckit import modebasis
+
+    cap = modebasis._BLOCK_ELEMENTS
+    for n_tasks, n_nodes, width, n_kappa in blocks:
+        assert n_tasks * n_nodes * width <= cap  # the mode columns G
+        assert n_kappa * n_nodes <= cap  # the exp(i kappa z) rows
+
+
+def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
+    # A long kappa axis at one zeta_R makes one task per arm, whose kappas
+    # go to the coefficient rounds basis_order + 1 at a time, so that no
+    # block's exponentials outgrow its mode columns or the block cap. Points
+    # whose mode sums fail take their group's error: none is evaluated alone.
+    waves, crystal, z_r, flt = sweep_setup
+    passes, blocks, task_sizes = _record_blocks(monkeypatch)
 
     def alone(*args, **kwargs):
         raise AssertionError("a sweep point was evaluated alone")
 
-    monkeypatch.setattr(modebasis, "_coefficients", recording)
     monkeypatch.setattr(quantum, "compute_overlaps", alone)
     axes = [SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 150))), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
-    assert max(sizes) == quantum._KAPPA_BLOCK
-    # Three blocks (64 + 64 + 22 kappa), each summed for both arms.
-    assert sizes.count(quantum._KAPPA_BLOCK) >= 4 and 22 in sizes
+    assert passes == [2]
+    _assert_blocks_within_cap(blocks)
+    # Each arm's 150 kappas start as 41 + 41 + 41 + 27.
+    assert task_sizes[:8] == [41, 41, 41, 27] * 2
+    assert max(task_sizes) == 41
     failed = [row for row in rows if row.error is not None]
     assert 0 < len(failed) < len(rows)
     assert all(row.error.startswith("ModeSumError: ") for row in failed)
+
+
+def test_zeta_r_groups_share_one_pass_within_the_cap(sweep_setup, monkeypatch):
+    # 30 zeta_R groups at order 200 are 60 one-kappa tasks of one pass. Its
+    # blocks hold several tasks each, and none goes over the cap.
+    waves, crystal, z_r, flt = sweep_setup
+    passes, blocks, _ = _record_blocks(monkeypatch)
+    axes = [SweepAxis("zeta_R", tuple(np.geomspace(0.05, 3.0, 30)))]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes, basis_order=200)
+    assert passes == [60]
+    _assert_blocks_within_cap(blocks)
+    assert max(n_tasks for n_tasks, *_ in blocks) > 1
+    assert all(row.error is None for row in rows)
 
 
 def test_failed_group_point_reports_the_direct_error_first(sweep_setup):

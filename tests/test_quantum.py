@@ -288,22 +288,22 @@ def test_compute_overlaps_degenerate_one_mode_sum(
 
     deg, non_deg, crystal, fp = deg_setup
     calls = []
-    real = modebasis._arm_mode_sums
+    real = modebasis._mode_sums
 
-    def counting(waves, length, kappas, zeta_r, arm, *args):
-        calls.append(arm)
-        return real(waves, length, kappas, zeta_r, arm, *args)
+    def counting(tasks, *args):
+        calls.append([task[3] for task in tasks])
+        return real(tasks, *args)
 
-    monkeypatch.setattr(modebasis, "_arm_mode_sums", counting)
-    # Equal signal and idler waves share one mode sum, with or without the
-    # degenerate flag.
+    monkeypatch.setattr(modebasis, "_mode_sums", counting)
+    # Equal signal and idler waves share one mode-sum task, with or without
+    # the degenerate flag.
     for waves in (deg, non_deg):
         bundle = compute_overlaps(waves, crystal, fp)
-        assert calls == ["idler"]
+        assert calls == [["idler"]]
         assert bundle.i_dfg_sq_signal_arm == bundle.i_dfg_sq_idler_arm
         calls.clear()
     ref = compute_overlaps(ref_waves, ref_crystal, ref_fp)
-    assert calls == ["idler", "signal"]
+    assert calls == [["idler", "signal"]]
     assert ref.i_dfg_sq_signal_arm != ref.i_dfg_sq_idler_arm
 
 
