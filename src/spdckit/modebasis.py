@@ -21,10 +21,9 @@ tight focus, with the panel count doubling until two rules agree. The
 phase mismatch kappa enters only through exp(i kappa z), so the
 coefficients of many kappa at one zeta_R share one table of mode columns.
 _mode_sums computes all of them in one pass over tasks: a task is one
-(waves, crystal length, zeta_R, arm) with its kappas, and every task of a
-call doubles its rule in step with the others, so the tasks of a block
-build their nodes, mode columns and exponentials in the same array
-operations. quantum._overlaps hands it every geometry of a sweep at once;
+(waves, crystal length, zeta_R, arm) with its kappas, and the tasks of a
+group double their rule in step, so the tasks of a block build their
+nodes, mode columns and exponentials in the same array operations. quantum._overlaps hands it every geometry of a sweep at once;
 i_dfg_sq is its one-task call. One cap, _BLOCK_ELEMENTS, bounds the mode
 columns of a block (tasks x nodes x orders) and its exponentials.
 """
