@@ -1,7 +1,8 @@
 """Command line interface.
 
-Every subcommand reads a run configuration (except validate, which is
-self-contained), computes, and prints rows in one of three formats:
+Every subcommand reads a run configuration (validate is self-contained,
+and optimize takes --rk or --config), computes, and prints rows in one of
+three formats:
 
     table    aligned columns for eyes
     csv      comma separated, header row first
@@ -13,6 +14,12 @@ input: floats print with repr (shortest round-trip), no timestamps.
 Formatting goes by column: a column of 64-bit floats is converted by
 float.__repr__ in one pass, any other column cell by cell, with the same
 bytes either way.
+
+sfg, pairs and correlation take only the pair side of the source: I_SFG
+and its Q (_pair_side), and for pairs and correlation the filter pair's
+Gamma_eff. Only singles and sweep run the rate runner and its mode sums
+(quantum.evaluate_source, optimizer.sweep), so only they take
+--basis-order and --quad-tol.
 
 main builds the argparse parser once per process, on its first call, and
 reuses it for every later call.
@@ -33,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import classical, filters, overlap, quantum, validation
+from . import classical, filters, modebasis, overlap, quantum, validation
 from .config import ConfigError, load_and_build
 from .optimizer import _MAX_RESTARTS, _MIN_ZETA_R, AXIS_NAMES, SweepAxis, optimize_focus, sweep
 from .optimizer import _check_box
@@ -178,11 +185,17 @@ def _q_column(waves) -> str:
     return "q_shg_per_W" if waves.degenerate else "q_sfg_per_W"
 
 
+def _pair_side(built):
+    """I_SFG of the geometry and its Q: all of the overlaps that a pair rate takes."""
+    i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, built.fp)
+    return i_sfg, classical.q_conversion(built.waves, built.crystal, i_sfg.abs_sq)
+
+
 def _cmd_sfg(args) -> int:
     built = load_and_build(args.config)
     fp = built.fp
     ups = overlap.upsilon(fp)
-    i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, fp)
+    i_sfg, q_value = _pair_side(built)
     row = {
         "kappa": fp.kappa,
         "zeta_R": fp.zeta_r,
@@ -194,36 +207,24 @@ def _cmd_sfg(args) -> int:
         "i_sfg_re": i_sfg.i_value.real,
         "i_sfg_im": i_sfg.i_value.imag,
         "abs_i_sfg_sq": i_sfg.abs_sq,
-        _q_column(built.waves): classical.q_conversion(built.waves, built.crystal, i_sfg.abs_sq),
+        _q_column(built.waves): q_value,
     }
     emit([row], _base_meta(args, "sfg"), args.format)
     return 0
 
 
-def _evaluate(args, built):
-    return quantum.evaluate_source(
-        built.waves,
-        built.crystal,
-        built.fp,
-        built.filter_s,
-        built.filter_i,
-        built.pump_power,
-        basis_order=args.basis_order,
-        quad_tol=args.quad_tol,
-    )
-
-
 def _cmd_pairs(args) -> int:
     built = load_and_build(args.config)
-    report = _evaluate(args, built)
-    gamma_mhz = from_si(report.gamma_eff, "MHz")
-    power_mw = from_si(report.pump_power, "mW")
+    gamma_eff = quantum._linewidths(built.filter_s, built.filter_i)[0]
+    _, q_value = _pair_side(built)
+    w2 = quantum.pair_rate(built.waves, built.pump_power, q_value, gamma_eff)
+    gamma_mhz = from_si(gamma_eff, "MHz")
     row = {
-        "gamma_eff_rad_s": report.gamma_eff,
+        "gamma_eff_rad_s": gamma_eff,
         "gamma_eff_MHz": gamma_mhz,
-        _q_column(built.waves): report.efficiencies.q_conversion,
-        "w2_per_s": report.pair_rate_w2,
-        "pairs_per_s_mW_MHz": report.pair_rate_w2 / (power_mw * gamma_mhz),
+        _q_column(built.waves): q_value,
+        "w2_per_s": w2,
+        "pairs_per_s_mW_MHz": w2 / (from_si(built.pump_power, "mW") * gamma_mhz),
     }
     emit([row], _base_meta(args, "pairs"), args.format)
     return 0
@@ -231,7 +232,10 @@ def _cmd_pairs(args) -> int:
 
 def _cmd_singles(args) -> int:
     built = load_and_build(args.config)
-    report = _evaluate(args, built)
+    source = (built.waves, built.crystal, built.fp, built.filter_s, built.filter_i)
+    report = quantum.evaluate_source(
+        *source, built.pump_power, basis_order=args.basis_order, quad_tol=args.quad_tol
+    )
     row = {
         "w2_per_s": report.pair_rate_w2,
         "w1_signal_per_s": report.singles_rate_signal,
@@ -248,17 +252,13 @@ def _cmd_singles(args) -> int:
 
 def _cmd_correlation(args) -> int:
     built = load_and_build(args.config)
-    waves = built.waves
-    i_sfg = overlap.i_sfg_gaussian(waves, built.crystal, built.fp)
-    q_value = classical.q_conversion(waves, built.crystal, i_sfg.abs_sq)
-    scale = quantum.correlation_amplitude_sq(waves, built.pump_power, q_value)
     # Refuse a pair that passes no photon pair, as pairs does; an explicit
     # grid would otherwise give a trace of zeros.
     quantum._linewidths(built.filter_s, built.filter_i)
+    _, q_value = _pair_side(built)
+    scale = quantum.correlation_amplitude_sq(built.waves, built.pump_power, q_value)
     points = _TAU_POINTS if args.points is None else args.points
     if args.tau_max is not None:
-        if args.tau_max <= 0:
-            raise ValueError("--tau-max must be positive seconds")
         tau = np.linspace(-args.tau_max, args.tau_max, points)
     else:
         tau = filters.default_tau_grid(built.filter_s, built.filter_i, points=points)
@@ -318,15 +318,8 @@ def _cmd_optimize(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    built = None
-    if args.rk is not None:
-        r_k = args.rk
-    elif args.config:
-        built = load_and_build(args.config)
-        r_k = built.fp.r_k
-    else:
-        print("error: optimize needs --rk or --config", file=sys.stderr)
-        return 2
+    built = None if args.config is None else load_and_build(args.config)
+    r_k = args.rk if built is None else built.fp.r_k
     result = optimize_focus(
         r_k,
         kappa_bounds=(args.kappa_min, args.kappa_max),
@@ -458,9 +451,8 @@ def _int_range(low: int, high: int | None = None):
     return parse
 
 
-def _add_common(p, *, config_required=True, basis=False):
-    if config_required:
-        p.add_argument("--config", required=True, help="run configuration file")
+def _add_common(p, *, basis=False):
+    p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--format", choices=_FORMATS, default="table")
     if basis:
         p.add_argument(
@@ -469,7 +461,12 @@ def _add_common(p, *, config_required=True, basis=False):
             default=1e-9,
             help="relative mode-sum quadrature tolerance",
         )
-        p.add_argument("--basis-order", type=int, default=40, help="highest radial mode order")
+        p.add_argument(
+            "--basis-order",
+            type=_int_range(1, modebasis._MAX_ORDER),
+            default=modebasis.DEFAULT_MAX_ORDER,
+            help="highest radial mode order",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sfg)
 
     p = sub.add_parser("pairs", help="filtered pair rate")
-    _add_common(p, basis=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("singles", help="singles rates and heralding efficiencies")
@@ -498,12 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_range(9, _MAX_TAU_POINTS),
         help=f"tau grid size (default {_TAU_POINTS} or more)",
     )
-    p.add_argument("--tau-max", type=_finite_float, default=None, help="half-span in seconds")
+    p.add_argument("--tau-max", type=_positive_float, default=None, help="half-span in seconds")
     p.set_defaults(func=_cmd_correlation)
 
     p = sub.add_parser("optimize", help="maximize zeta_R |Upsilon|^2 over focusing")
-    p.add_argument("--config", help="take R_k (and hardware translation) from a config")
-    p.add_argument("--rk", type=float, default=None, help="wavenumber ratio R_k")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="take R_k (and hardware translation) from a config")
+    source.add_argument("--rk", type=float, help="wavenumber ratio R_k")
     p.add_argument("--kappa-min", type=_finite_float, default=-20.0)
     p.add_argument("--kappa-max", type=_finite_float, default=5.0)
     p.add_argument("--zeta-min", type=_finite_float, default=0.02)

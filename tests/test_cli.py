@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdckit import classical, cli, overlap
+from spdckit import classical, cli, filters, overlap, quantum
 from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
 from spdckit.optimizer import optimize_focus
@@ -88,6 +88,23 @@ def test_pairs_frozen_numbers(capsys, config_path):
     assert row["pairs_per_s_mW_MHz"] == pytest.approx(row["w2_per_s"], rel=1e-12)
 
 
+@pytest.mark.parametrize("zeta_r", ["0.004", "0.01"])
+def test_pairs_at_tight_focus_takes_the_pair_side(capsys, config_path, tmp_path, zeta_r):
+    # The order-40 mode sums fail here ("raise basis_order"), and pairs used
+    # to run them and exit 1, though W2 depends on I_SFG alone.
+    text = Path(config_path).read_text(encoding="utf-8")
+    assert "zeta_R        = 0.18" in text
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(text.replace("zeta_R        = 0.18", f"zeta_R = {zeta_r}"), encoding="utf-8")
+    code, _, rows, _ = run_ndjson(capsys, ["pairs", "--config", str(cfg)])
+    assert code == 0
+    built = load_and_build(str(cfg))
+    gamma_eff = filters.gamma_eff_pair(built.filter_s, built.filter_i)
+    i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, built.fp)
+    q = classical.q_conversion(built.waves, built.crystal, i_sfg.abs_sq)
+    assert rows[0]["w2_per_s"] == quantum.pair_rate(built.waves, built.pump_power, q, gamma_eff)
+
+
 def test_singles_frozen_numbers(capsys, config_path):
     code, _, rows, _ = run_ndjson(capsys, ["singles", "--config", config_path])
     assert code == 0
@@ -126,17 +143,29 @@ def test_correlation_trace(capsys, config_path):
 
 
 def test_singles_basis_order_below_one_names_the_option(capsys, config_path):
-    code = main(["singles", "--config", config_path, "--basis-order", "0"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and "basis_order must be >= 1" in err
+    # It used to exit 1 with the library's "basis_order must be >= 1".
+    with pytest.raises(SystemExit) as exc:
+        main(["singles", "--config", config_path, "--basis-order", "0"])
+    assert exc.value.code == 2
+    assert "argument --basis-order: must be from 1 to 4096, got '0'" in capsys.readouterr().err
+
+
+def test_sweep_basis_order_below_one_is_a_usage_error(capsys, config_path):
+    # It used to exit 0 with one ValueError row per point.
+    argv = ["sweep", "--config", config_path, "--basis-order", "0", "--sweep", "P_p=1:2:2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --basis-order: must be from 1 to 4096, got '0'" in out.err
 
 
 def test_correlation_bad_tau_max(capsys, config_path):
-    code = main(["correlation", "--config", config_path, "--tau-max", "-1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error:" in err and "--tau-max" in err
+    # -1 used to exit 1 while inf exited 2; both are usage errors now.
+    with pytest.raises(SystemExit) as exc:
+        main(["correlation", "--config", config_path, "--tau-max", "-1"])
+    assert exc.value.code == 2
+    assert "argument --tau-max: must be > 0, got '-1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--tau-max=inf", "--tau-max=nan", "--tau-max=-inf"])
@@ -170,7 +199,12 @@ def test_quad_tol_must_be_finite_and_positive(capsys, config_path, command, valu
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --quad-tol:" in err and "basis_order" not in err
+    assert "basis_order" not in err
+    # pairs runs no mode sum, so it has no --quad-tol to check.
+    if command == "pairs":
+        assert f"unrecognized arguments: --quad-tol {value}" in err
+    else:
+        assert "argument --quad-tol:" in err
 
 
 def test_sweep_non_finite_endpoint_names_the_range(capsys, config_path):
@@ -269,14 +303,21 @@ def test_exponent_form_negative_values_are_values(capsys):
 @pytest.mark.parametrize(
     "argv, dest, value",
     [
-        (["optimize", "--kappa-max", "-1E-1"], "kappa_max", -0.1),
-        (["optimize", "--zeta-min", "-.5e+1"], "zeta_min", -5.0),
+        (["optimize", "--rk", "0", "--kappa-max", "-1E-1"], "kappa_max", -0.1),
+        (["optimize", "--rk", "0", "--zeta-min", "-.5e+1"], "zeta_min", -5.0),
         (["optimize", "--rk", "-2.5e-2"], "rk", -0.025),
         (["correlation", "--config", "c", "--tau-max", "-1e-9"], "tau_max", -1e-9),
     ],
 )
-def test_every_numeric_option_takes_exponent_form_negatives(argv, dest, value):
-    assert getattr(build_parser().parse_args(argv), dest) == value
+def test_every_numeric_option_takes_exponent_form_negatives(capsys, argv, dest, value):
+    if dest != "tau_max":
+        assert getattr(build_parser().parse_args(argv), dest) == value
+        return
+    # Read as a value, so the refusal is --tau-max's own, not "expected one argument".
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "argument --tau-max: must be > 0, got '-1e-9'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
@@ -337,10 +378,18 @@ def test_optimize_trace_rows(capsys):
 
 
 def test_optimize_requires_rk_or_config(capsys):
-    code = main(["optimize"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "optimize needs --rk or --config" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize"])
+    assert exc.value.code == 2
+    assert "one of the arguments --config --rk is required" in capsys.readouterr().err
+
+
+def test_optimize_takes_rk_or_config_not_both(capsys, config_path):
+    # Both used to exit 0, ignoring the config and its hardware columns.
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", config_path, "--rk", "0"])
+    assert exc.value.code == 2
+    assert "argument --rk: not allowed with argument --config" in capsys.readouterr().err
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -350,14 +399,14 @@ def test_missing_config_is_usage_error(capsys):
     assert "error:" in err and "cannot read" in err
 
 
-@pytest.mark.parametrize("command", ["sfg", "correlation", "optimize"])
+@pytest.mark.parametrize("command", ["sfg", "pairs", "correlation", "optimize"])
 def test_quad_tol_only_on_mode_sum_commands(capsys, config_path, command):
     # Upsilon has no quadrature; --quad-tol sets the mode-sum tolerance only.
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", config_path, "--quad-tol", "1e-8"])
     assert exc.value.code == 2
     assert "--quad-tol" in capsys.readouterr().err
-    assert main(["pairs", "--config", config_path, "--quad-tol", "1e-8"]) == 0
+    assert main(["singles", "--config", config_path, "--quad-tol", "1e-8"]) == 0
 
 
 def test_sweep_power_axis(capsys, config_path):
@@ -502,20 +551,23 @@ def test_correlation_refuses_passbands_that_do_not_overlap(capsys, config_path, 
 
 
 
-@pytest.mark.parametrize("command", ["pairs", "singles"])
+@pytest.mark.parametrize("command", ["pairs", "singles", "sweep"])
 def test_huge_basis_order_is_refused(capsys, config_path, command):
-    # An order of 1e11 used to end in numpy's 1.46 TiB allocation traceback.
-    code = main([command, "--config", config_path, "--basis-order", "100000000000"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: basis_order must be <= 4096, got 100000000000\n"
-
-
-def test_huge_basis_order_fails_each_sweep_row(capsys, config_path):
-    argv = ["sweep", "--config", config_path, "--basis-order", "100000000000"]
-    code, _, rows, err = run_ndjson(capsys, argv + ["--sweep", "P_p=1:2:2"])
-    assert code == 0 and not err
-    message = "ValueError: basis_order must be <= 4096, got 100000000000"
-    assert [row["error"] for row in rows] == [message] * 2
+    # An order of 1e11 used to end in numpy's 1.46 TiB allocation traceback,
+    # then in exit 1, and in sweep in one ValueError row per point.
+    argv = [command, "--config", config_path, "--basis-order", "100000000000"]
+    if command == "sweep":
+        argv += ["--sweep", "P_p=1:2:2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    # pairs runs no mode sum, so it has no --basis-order.
+    if command == "pairs":
+        assert "unrecognized arguments: --basis-order 100000000000" in out.err
+    else:
+        assert "argument --basis-order: must be from 1 to 4096, got '100000000000'" in out.err
 
 
 

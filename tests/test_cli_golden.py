@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from spdckit import modebasis
 from spdckit.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -100,6 +101,21 @@ def test_cli_output_matches_golden(config, cmd, fmt):
             f"{len(got_lines)} lines, golden has {len(want_lines)} (or line ends differ)",
             pytrace=False,
         )
+
+
+@pytest.mark.parametrize(
+    "cmd", [["sfg"], ["pairs"], ["correlation", "--points", "401"]], ids=lambda cmd: cmd[0]
+)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_pair_side_commands_run_no_mode_sum(monkeypatch, config, cmd):
+    # A pair rate takes I_SFG alone; pairs used to run both arms' mode sums.
+    def no_mode_sum(*args, **kwargs):
+        raise AssertionError("modebasis._mode_sums called")
+
+    monkeypatch.setattr(modebasis, "_mode_sums", no_mode_sum)
+    golden = read_golden(config)
+    for fmt in FORMATS:
+        assert run_cli(config, cmd, fmt) == golden[_header(cmd, fmt)], fmt
 
 
 def test_compare_lines_separates_numbers_from_text():
