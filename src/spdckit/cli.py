@@ -360,41 +360,31 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     built = load_and_build(args.config)
     axes = []
-    display = []
+    names, values = [], []
     for text in args.sweep:
         axis = SweepAxis.parse(text)
         unit = _SWEEP_UNITS.get(axis.name)
-        display.append((axis.name + (f"_{unit}" if unit else ""), axis.values))
+        names.append(axis.name + (f"_{unit}" if unit else ""))
+        values.append(axis.values)
         if unit is not None:
             axis = SweepAxis(axis.name, tuple(to_si(v, unit) for v in axis.values))
         axes.append(axis)
-    rows_out = []
+    source = (built.waves, built.crystal, built.z_r, built.filter_s, built.filter_i)
     results = sweep(
-        built.waves,
-        built.crystal,
-        built.z_r,
-        built.filter_s,
-        built.filter_i,
-        built.pump_power,
-        axes,
-        quad_tol=args.quad_tol,
-        basis_order=args.basis_order,
+        *source, built.pump_power, axes, quad_tol=args.quad_tol, basis_order=args.basis_order
     )
-    # Rows arrive in product order; rebuild the display coordinates the same way.
-    coords_disp = [
-        dict(zip((name for name, _ in display), combo))
-        for combo in itertools.product(*(vals for _, vals in display))
-    ]
-    for disp, res in zip(coords_disp, results):
-        row = dict(disp)
+    # Rows arrive in product order; the display coordinates follow it.
+    rows = []
+    for combo, res in zip(itertools.product(*values), results):
+        row = dict(zip(names, combo))
         rep = res.report
         row["w2_per_s"] = None if rep is None else rep.pair_rate_w2
         row["eta_signal"] = None if rep is None else rep.eta_signal
         row["eta_idler"] = None if rep is None else rep.eta_idler
         row["gamma_eff_rad_s"] = None if rep is None else rep.gamma_eff
         row["error"] = res.error
-        rows_out.append(row)
-    emit(rows_out, _base_meta(args, "sweep"), args.format)
+        rows.append(row)
+    emit(rows, _base_meta(args, "sweep"), args.format)
     return 0
 
 
@@ -431,6 +421,14 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _wavenumber_ratio(text: str) -> float:
+    """argparse type for --rk: a finite number with |R_k| < 1."""
+    value = _finite_float(text)
+    if not abs(value) < 1.0:
+        raise argparse.ArgumentTypeError(f"must satisfy |R_k| < 1, got {text!r}")
     return value
 
 
@@ -501,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize zeta_R |Upsilon|^2 over focusing")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="take R_k (and hardware translation) from a config")
-    source.add_argument("--rk", type=float, help="wavenumber ratio R_k")
+    source.add_argument("--rk", type=_wavenumber_ratio, help="wavenumber ratio R_k")
     p.add_argument("--kappa-min", type=_finite_float, default=-20.0)
     p.add_argument("--kappa-max", type=_finite_float, default=5.0)
     p.add_argument("--zeta-min", type=_finite_float, default=0.02)

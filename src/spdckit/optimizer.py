@@ -11,10 +11,11 @@ scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False: the same
 coefficients, initial simplex, stable sort, xatol/fatol test and maxfev
 rule, so every merit evaluation is the one scipy would make.
 
-The sweep builds a 1D or 2D grid of source points and hands it to
-quantum._evaluate, the runner of the rate pipeline. Here each distinct
-point but its pump power sets up its waves, crystal, focus parameters and
-filters once; the runner then computes each step once per distinct input.
+The sweep hands quantum._evaluate, the runner of the rate pipeline, one
+run per combination of the axes other than P_p: that combination's waves,
+crystal, focus parameters and filters, each distinct combination set up
+once, with every pump power. The runner then computes each step once per
+distinct input, and the rows go back into grid order by index.
 """
 
 from __future__ import annotations
@@ -389,16 +390,16 @@ def sweep(
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
     grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
-    geometry = [name for name in names if name in _GEOMETRY_AXES]
-    widths = [name for name in names if name in ("Gamma_s", "Gamma_i")]
-    # Each distinct point but its pump power sets up its waves, crystal, fp
-    # and filters once, the axes applied in axis order, so the first axis
-    # that raises gives the point's error.
-    geometries: dict = {}
-    filter_pairs: dict = {}
-    setups: dict = {}
-    points = []
-    for coords in grid:
+    powers = axes[names.index("P_p")].values if "P_p" in names else (pump_power,)
+    others = [name for name in names if name != "P_p"]
+    geometry = [name for name in others if name in _GEOMETRY_AXES]
+    widths = [name for name in others if name in ("Gamma_s", "Gamma_i")]
+    # A run per combination of the other axes takes every power. Each distinct
+    # combination sets up its waves, crystal, fp and filters once, axes in
+    # axis order, so the first axis that raises gives the run's error.
+    geometries, filter_pairs, setups, runs = {}, {}, {}, []
+    for combo in itertools.product(*(ax.values for ax in axes if ax.name != "P_p")):
+        coords = dict(zip(others, combo))
         key = g, f = tuple([coords[n] for n in geometry]), tuple([coords[n] for n in widths])
         if key not in setups:
             w, c, zr = waves, crystal, z_r
@@ -409,17 +410,20 @@ def sweep(
                         if isinstance(flt[name], filters.TabulatedFilter):
                             raise ValueError(f"{name} sweep needs a Lorentzian or absent filter")
                         flt[name] = filters.LorentzianFilter(gamma=value)
-                    elif name != "P_p":
+                    else:
                         w, c, zr = _geometry_step(w, c, zr, name, value)
                 geometries[g] = w, c, derive_focus_params(w, c, zr)
                 filter_pairs[f] = flt["Gamma_s"], flt["Gamma_i"]
-                setups[key] = None
+                setups[key] = key
             except Exception as exc:
                 setups[key] = exc
-        error = setups[key]
-        points.append((g, f, coords.get("P_p", pump_power)) if error is None else error)
+        runs.append((setups[key], powers))
 
-    results = quantum._evaluate(geometries, filter_pairs, points, basis_order, quad_tol)
+    # Power i of run j is result j * P + i: row i * S + j with P_p the outer
+    # axis (the rows of power i are results[i::P]), else row j * P + i.
+    results = list(quantum._evaluate(geometries, filter_pairs, runs, basis_order, quad_tol))
+    if names[0] == "P_p":
+        results = [r for i in range(len(powers)) for r in results[i :: len(powers)]]
     return [
         SweepRow(coords, None, f"{type(r).__name__}: {r}")
         if isinstance(r, Exception)

@@ -21,10 +21,13 @@ _evaluate is the one runner of the rate pipeline. It splits the work as
 the paper splits the rates: the linewidths Gamma_eff depend on the filter
 pair, the overlaps and efficiencies Q on the geometry, eta and each rate's
 factor f of W = (f P) Q on both, and only the last products on the pump
-power P. Each step runs once per distinct input, and a point reports the
-first error of: pump power, linewidths, overlaps, efficiencies, eta and
-rates. evaluate_source is its one-point call and optimizer.sweep its grid
-call. _overlaps alone decides which geometries share a mode-sum task
+power P. Its unit of work is a run, one set-up of geometry and filters
+with its pump powers: a run fetches its stage once, and each power makes
+only its products and its report. Each step runs once per distinct input,
+and a point reports the first error of: pump power, linewidths, overlaps,
+efficiencies, eta and rates. evaluate_source is a call with one run and
+one power, and optimizer.sweep makes a run per combination of its other
+axes. _overlaps alone decides which geometries share a mode-sum task
 (equal waves, crystal length and zeta_R, one task per arm) and hands the
 tasks of all its geometries to one modebasis._mode_sums pass, whose one
 block cap bounds its memory; compute_overlaps is its one-geometry call.
@@ -325,20 +328,20 @@ def evaluate_source(
     pump power, linewidths, overlaps.
     """
     geometries, filter_pairs = {0: (waves, crystal, fp)}, {0: (filter_s, filter_i)}
-    points = [(0, 0, pump_power)]
-    (result,) = _evaluate(geometries, filter_pairs, points, basis_order, quad_tol, overlaps)
+    runs = [((0, 0), (pump_power,))]
+    (result,) = _evaluate(geometries, filter_pairs, runs, basis_order, quad_tol, overlaps)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _attempt(step, *args):
-    """step(*args), or the error it raises; the first error among args is returned instead."""
+def _attempt(step, *args, **kwargs):
+    """step(*args, **kwargs), or the error it raises; the first error among args instead."""
     for arg in args:
         if isinstance(arg, Exception):
             return arg
     try:
-        return step(*args)
+        return step(*args, **kwargs)
     except Exception as exc:
         return exc
 
@@ -346,22 +349,23 @@ def _attempt(step, *args):
 def _evaluate(
     geometries: dict,
     filter_pairs: dict,
-    points: list,
+    runs: list,
     basis_order: int,
     quad_tol: float,
     overlaps: OverlapBundle | None = None,
 ):
-    """Yield each point's SourceReport, or the error evaluate_source raises there.
+    """Yield the SourceReport, or the error evaluate_source raises, at each power of each run.
 
     geometries maps a key to (waves, crystal, fp) and filter_pairs a key to
-    (filter_s, filter_i). A point is (geometry key, filter key, pump power),
-    or the error of its own set-up, which is yielded as it is. The
-    linewidths run once per filter pair. The overlaps (the bundle given,
-    else _overlaps) and Q run once per geometry, for all geometries at once
-    when the first point passes its power and linewidth checks. eta and the
-    rate factors run once per geometry and filter pair. A step that
-    receives an earlier step's error passes it on, and a point reports its
-    pump power error before all of them.
+    (filter_s, filter_i). A run is (set-up, powers), the set-up being
+    (geometry key, filter key) or the error of its own set-up, which each
+    power yields as it is; results come run by run. The linewidths run once
+    per filter pair. The overlaps (the bundle given, else _overlaps) and Q
+    run once per geometry, for all at once when the first power passes its
+    check and its linewidths. eta and the rate factors, a set-up's stage,
+    run once per set-up; a run fetches its stage once, and each power then
+    makes its products and report. A step that receives an earlier step's
+    error passes it on, and a power reports its own error before all.
     """
 
     def efficiencies(waves, crystal, bundle):
@@ -397,33 +401,35 @@ def _evaluate(
         pair = _pair_factor(waves, eff.q_conversion, gamma_eff)
         return pair, *w1, (*eta, *linewidths), eff, bundle
 
-    lines: dict = {}
-    shared: dict = {}
-    factors: dict = {}
-    for result in points:
-        if not isinstance(result, Exception):
-            g, f, power = result
-            try:
-                if not 0.0 <= power < math.inf:
-                    _check_nonneg(pump_power=power)
-                stage = factors.get((g, f))
-                if stage is None:
-                    if f not in lines:
-                        lines[f] = _attempt(_linewidths, *filter_pairs[f])
-                    if not shared and not isinstance(lines[f], Exception):
-                        shared = geometry_steps()
-                    waves = geometries[g][0]
-                    stage = factors[g, f] = _attempt(rate_factors, waves, lines[f], shared.get(g))
-                if isinstance(stage, Exception):
-                    # Shared by many points: returned, not raised again.
-                    result = stage
-                else:
-                    # The only step a point's pump power enters.
-                    (f_pair, q_pair), signal, idler, fields, eff, bundle = stage
-                    w1_s = None if signal is None else signal[0] * power * signal[1]
-                    w1_i = None if idler is None else idler[0] * power * idler[1]
+    lines, shared, stages = {}, {}, {}
+    for setup, powers in runs:
+        if isinstance(setup, Exception):
+            yield from [setup] * len(powers)
+            continue
+        stage = stages.get(setup)
+        if stage is None and any(0.0 <= power < math.inf for power in powers):
+            g, f = setup
+            if f not in lines:
+                lines[f] = _attempt(_linewidths, *filter_pairs[f])
+            if not shared and not isinstance(lines[f], Exception):
+                shared = geometry_steps()
+            stage = stages[setup] = _attempt(rate_factors, geometries[g][0], lines[f], shared.get(g))
+        # A failed stage is shared by many points: returned, not raised again.
+        failed = isinstance(stage, Exception)
+        if stage is not None and not failed:
+            (f_pair, q_pair), signal, idler, fields, eff, bundle = stage
+        for power in powers:
+            if not 0.0 <= power < math.inf:
+                yield _attempt(_check_nonneg, pump_power=power)
+            elif failed:
+                yield stage
+            else:
+                # The only step a point's pump power enters.
+                w1_s = None if signal is None else signal[0] * power * signal[1]
+                w1_i = None if idler is None else idler[0] * power * idler[1]
+                try:
                     w2 = f_pair * power * q_pair
                     result = SourceReport(w2, w1_s, w1_i, *fields, power, eff, bundle)
-            except Exception as exc:
-                result = exc
-        yield result
+                except Exception as exc:
+                    result = exc
+                yield result

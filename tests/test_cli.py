@@ -384,6 +384,28 @@ def test_optimize_requires_rk_or_config(capsys):
     assert "one of the arguments --config --rk is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rk", "1"], "argument --rk: must satisfy |R_k| < 1, got '1'"),
+        (["--rk", "-1"], "argument --rk: must satisfy |R_k| < 1, got '-1'"),
+        (["--rk", "1e300"], "argument --rk: must satisfy |R_k| < 1, got '1e300'"),
+        (["--rk=nan"], "argument --rk: must be finite, got 'nan'"),
+        (["--rk=inf"], "argument --rk: must be finite, got 'inf'"),
+        (["--rk", "-inf"], "argument --rk: must be finite, got '-inf'"),
+        (["--rk", "x"], "argument --rk: not a number: 'x'"),
+    ],
+)
+def test_optimize_rk_outside_its_range_is_a_usage_error(capsys, argv, message):
+    # These used to exit 1 with "r_k must satisfy |r_k| < 1", which named no
+    # option and gave NaN the wrong reason.
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_optimize_takes_rk_or_config_not_both(capsys, config_path):
     # Both used to exit 0, ignoring the config and its hardware columns.
     with pytest.raises(SystemExit) as exc:

@@ -802,6 +802,11 @@ def _evaluate_point(waves, crystal, z_r, flt, power, coords, overlaps=None):
         [("kappa", (-3.0, 3e4, -3.0, -1.0)), ("Gamma_s", (MHZ, 0.0, -0.0, MHZ))],
         [("Gamma_i", (0.0, 2.0 * MHZ, -0.0, 2.0 * MHZ)), ("zeta_R", (0.18, 0.0, 0.18, 0.005))],
         [("R_k", (0.04, 1.0, 0.04)), ("P_p", (1e-3, -1e-3, 1e-3))],
+        # Rate-only grids, one run of powers per width: with P_p outermost,
+        # power i of run j is row i * S + j. Invalid, signed-zero and repeated
+        # powers pin each row's error and place in both layouts.
+        [("P_p", (1e-3, -1e-3, -0.0, 1e-3, 4e-3)), ("Gamma_s", (MHZ, 0.0, 3.0 * MHZ, MHZ))],
+        [("P_p", (1e-3, -1e-3, -0.0, 1e-3, 4e-3))],
     ],
     ids=lambda axes: "-".join(name for name, _ in axes),
 )
@@ -923,6 +928,28 @@ def test_linewidths_are_computed_once_per_filter_pair(sweep_setup, monkeypatch):
     rows = sweep(waves, crystal, z_r, flt, table, 1e-3, axes)
     assert len(rows) == 12 and all(row.error is None for row in rows)
     assert 0 < calls["table_single"] <= 4
+
+
+@pytest.mark.parametrize("power_outer", [True, False])
+def test_rate_factors_are_computed_once_per_setup(sweep_setup, monkeypatch, power_outer):
+    # A 40 x 40 grid of P_p and Gamma_s, each of 20 widths given twice, has
+    # 20 distinct set-ups: each makes its pair factor once, whichever axis is
+    # outer, and its 80 points then take only their power.
+    waves, crystal, z_r, flt = sweep_setup
+    calls = []
+    real = quantum._pair_factor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quantum, "_pair_factor", counted)
+    powers = SweepAxis("P_p", tuple(np.linspace(1e-4, 1e-2, 40)))
+    widths = SweepAxis("Gamma_s", tuple(np.linspace(1.0 * MHZ, 20.0 * MHZ, 20)) * 2)
+    axes = [powers, widths] if power_outer else [widths, powers]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    assert len(rows) == 1600 and all(row.error is None for row in rows)
+    assert len(calls) == 20
 
 
 def test_efficiency_error_stays_in_its_geometry_rows(sweep_setup, monkeypatch):
