@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .quadrature import QuadratureError
 from .quantities import CrystalSpec, FocusParams, WaveTriple
@@ -91,10 +90,12 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each of the equal panels carries _PANEL_NODES nodes. Panel counts are
     powers of two up to _MAX_PANELS, so the cache holds at most nine rules.
+    The panel rule is numpy's: scipy's Legendre roots would import
+    scipy.linalg, 7 MB and 57 ms on the first mode sum.
     """
     rule = _RULES.get(panels)
     if rule is None:
-        t, w = special.roots_legendre(_PANEL_NODES)
+        t, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
         left = -1.0 + 2.0 * np.arange(panels) / panels
         nodes = (left[:, None] + (t + 1.0) / panels).ravel()
         rule = _RULES[panels] = (nodes, np.tile(w / panels, panels))

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1
 
+from .quadrature import integrate
 from .quantities import CrystalSpec, FocusParams, WaveTriple
 
 __all__ = [
@@ -223,9 +223,10 @@ def i_sfg_direct3d(
     """Brute-force overlap: volume integral of the three Gaussian modes.
 
     The transverse integral of the Gaussian product is done analytically,
-    the longitudinal integral numerically with an independent routine
-    (scipy.quad at relative tolerance 1e-10), so this is an oracle for
-    i_sfg_gaussian rather than a rescaled copy of it.
+    the longitudinal integral numerically, at relative tolerance 1e-10, by
+    the adaptive Gauss-Kronrod engine of quadrature.py rather than through
+    Upsilon, so this is an oracle for i_sfg_gaussian rather than a rescaled
+    copy of it. Raises QuadratureError when that engine does not converge.
     """
     _check_focus_consistency(waves, crystal, fp)
     k_p = waves.pump.wavenumber
@@ -243,37 +244,5 @@ def i_sfg_direct3d(
         a = (k_s + k_i) / (2.0 * q) - k_p / (2.0 * qb)
         return pref * np.exp(-1j * delta_k * z) / (qb * q * q) * (1j * math.pi / a)
 
-    import scipy.integrate  # only this oracle needs it; kept out of `import spdckit`
-
-    rel_tol = 1e-10
-    # One component of a nearly pure-real or pure-imaginary result cannot
-    # meet a relative tolerance; anchor epsabs to the overall magnitude so
-    # quad can terminate on absolute error there.
-    scale = abs(_trapz_complex(line_density, -half_l, half_l, 129))
-    eps_abs = rel_tol * max(scale, 1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        re, re_err = scipy.integrate.quad(
-            lambda z: line_density(z).real,
-            -half_l,
-            half_l,
-            epsabs=eps_abs,
-            epsrel=rel_tol,
-            limit=400,
-        )
-        im, im_err = scipy.integrate.quad(
-            lambda z: line_density(z).imag,
-            -half_l,
-            half_l,
-            epsabs=eps_abs,
-            epsrel=rel_tol,
-            limit=400,
-        )
-    return OverlapResult(
-        i_value=complex(re, im), method="direct-3d", est_error=re_err + im_err
-    )
-
-
-def _trapz_complex(f, a: float, b: float, n: int) -> complex:
-    z = np.linspace(a, b, n)
-    return complex(np.trapezoid(f(z), z))
+    res = integrate(line_density, -half_l, half_l, rel_tol=1e-10)
+    return OverlapResult(i_value=res.value, method="direct-3d", est_error=res.est_error)

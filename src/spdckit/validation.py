@@ -221,7 +221,7 @@ def oracle_reduction_vs_direct() -> OracleReport:
         "reduced single-integral |I_SFG|^2 vs direct 3D quadrature",
         main,
         oracle,
-        1e-6,
+        1e-9,
     )
 
 

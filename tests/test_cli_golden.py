@@ -15,9 +15,13 @@ and see first, without writing anything, how the current output moves
 against them (changed lines, largest relative move of a numeric token, any
 non-numeric change) with:
 
-    PYTHONPATH=src python tests/test_cli_golden.py --compare
+    PYTHONPATH=src python tests/test_cli_golden.py --compare [--max-rel 1e-13]
+
+which exits 1 on any non-numeric change or relative move above --max-rel,
+and 0 otherwise.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -127,6 +131,21 @@ def test_compare_lines_separates_numbers_from_text():
     assert compare_lines('{"x": 2.0, "e": null}', '{"x": 2.0, "e": "V1"}')[1]
 
 
+def test_compare_golden_passes_only_small_numeric_moves(monkeypatch):
+    goldens = {config: _golden_file(config).read_text() for config in CONFIGS}
+    # Move the first number of one file's first data row by 4.4e-13 relative.
+    old_line = next(line for line in goldens["bundled"].splitlines() if _NUMBER.match(line))
+    number = _NUMBER.split(old_line)[1]
+    moved = old_line.replace(number, repr(float(number) * (1.0 + 4.4e-13)), 1)
+    outputs = {**goldens, "bundled": goldens["bundled"].replace(old_line, moved, 1)}
+    monkeypatch.setitem(globals(), "generate", outputs.__getitem__)
+    assert compare_text(goldens["bundled"], outputs["bundled"])[::2] == (1, False)
+    assert not compare_golden(1e-13)
+    assert compare_golden(1e-12)
+    outputs["degenerate"] += "new line\n"
+    assert not compare_golden(1e-12)
+
+
 def generate(config: str) -> str:
     return "".join(
         _header(cmd, fmt) + run_cli(config, cmd, fmt) for cmd in COMMANDS for fmt in FORMATS
@@ -161,22 +180,44 @@ def compare_lines(old: str, new: str) -> tuple[float, bool]:
     return move, text_changed
 
 
-def compare_golden() -> None:
-    """Print, per golden file, how the current output differs from it."""
+def compare_text(old: str, new: str) -> tuple[int, float, bool]:
+    """(lines changed, largest relative move of a numeric token, whether other text changed)."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    moves = [compare_lines(x, y) for x, y in zip(old_lines, new_lines) if x != y]
+    largest = max((m for m, _ in moves), default=0.0)
+    text = len(old_lines) != len(new_lines) or any(t for _, t in moves)
+    return len(moves), largest, text
+
+
+def compare_golden(max_rel: float) -> bool:
+    """Print, per golden file, how the current output differs from it.
+
+    True when every change is a numeric move of at most max_rel relative.
+    """
+    ok = True
     for config in CONFIGS:
-        old = _golden_file(config).read_text().splitlines()
-        new = generate(config).splitlines()
-        changed = [(x, y) for x, y in zip(old, new) if x != y]
-        moves = [compare_lines(x, y) for x, y in changed]
-        largest = max((m for m, _ in moves), default=0.0)
-        text = len(old) != len(new) or any(t for _, t in moves)
+        old, new = _golden_file(config).read_text(), generate(config)
+        changed, largest, text = compare_text(old, new)
+        n_old, n_new = len(old.splitlines()), len(new.splitlines())
         print(
-            f"{_golden_file(config).name}: {len(changed)} of {len(old)} lines changed"
-            f"{f' (now {len(new)} lines)' if len(new) != len(old) else ''}, "
+            f"{_golden_file(config).name}: {changed} of {n_old} lines changed"
+            f"{f' (now {n_new} lines)' if n_new != n_old else ''}, "
             f"largest relative move {largest:.2e}, "
             f"non-numeric change: {'yes' if text else 'no'}"
         )
+        ok = ok and not text and largest <= max_rel
+    return ok
 
 
 if __name__ == "__main__":
-    compare_golden() if sys.argv[1:] == ["--compare"] else write_golden()
+    parser = argparse.ArgumentParser(description="Write or check the CLI golden files.")
+    parser.add_argument(
+        "--compare",
+        action="store_true",
+        help="write nothing; exit 1 on a non-numeric change or a move above --max-rel",
+    )
+    parser.add_argument("--max-rel", type=float, default=1e-13, help="default: %(default)g")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(0 if compare_golden(args.max_rel) else 1)
+    write_golden()

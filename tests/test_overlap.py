@@ -226,6 +226,34 @@ def test_direct3d_agrees_with_reduction(ref_waves, ref_crystal, ref_fp):
     assert abs(direct.i_value - reduced.i_value) < 1e-9 * abs(reduced.i_value)
 
 
+def _geometry(waves, kappa, zeta_r):
+    from spdckit.quantities import CrystalSpec, derive_focus_params
+
+    length = 1e-2
+    poling = 2.0 * math.pi / (waves.k_minus0 - kappa / length)
+    crystal = CrystalSpec(length=length, d_eff=2.4e-12, poling_period=poling)
+    return crystal, derive_focus_params(waves, crystal, zeta_r * length)
+
+
+@pytest.mark.parametrize(
+    "kappa,zeta_r", [(-3.0, 0.18), (-3.0, 0.0005), (-300.0, 0.18), (-800.0, 0.02)]
+)
+def test_direct3d_error_bounds_gap_to_reduction(ref_waves, kappa, zeta_r):
+    crystal, fp = _geometry(ref_waves, kappa, zeta_r)
+    reduced = overlap.i_sfg_gaussian(ref_waves, crystal, fp)
+    direct = overlap.i_sfg_direct3d(ref_waves, crystal, fp)
+    assert abs(direct.i_value - reduced.i_value) <= direct.est_error
+    assert direct.est_error <= 1e-10 * abs(direct.i_value)
+
+
+def test_direct3d_raises_when_it_does_not_converge(ref_waves):
+    # Over a hundred oscillations across the crystal the 1e-10 target is not
+    # met within the panel budget; no value with a larger error comes back.
+    crystal, fp = _geometry(ref_waves, -3000.0, 0.18)
+    with pytest.raises(quadrature.QuadratureError, match="no convergence"):
+        overlap.i_sfg_direct3d(ref_waves, crystal, fp)
+
+
 def test_focus_consistency_enforced(ref_waves, ref_crystal, ref_fp):
     wrong_kappa = FocusParams(kappa=1.0, zeta_r=ref_fp.zeta_r, r_k=ref_fp.r_k)
     with pytest.raises(ValueError, match="kappa"):

@@ -98,24 +98,55 @@ def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal adds about 0.7 s to the import, more than the package
     # itself costs; the chirp-z correlation is written on scipy.fft instead.
     # scipy.optimize and scipy.integrate add 0.2-0.4 s together: the focus
-    # optimizer has its own simplex, and only the i_sfg_direct3d oracle
-    # imports scipy.integrate, when it runs.
+    # optimizer has its own simplex and the direct 3D overlap oracle runs on
+    # the package's own quadrature. No command loads them either (below).
+    heavy = ("scipy.signal", "scipy.optimize", "scipy.integrate")
+    assert _loaded_after("import spdckit", heavy) == []
+
+
+# Each of these adds megabytes and tenths of a second to a command that
+# loads it: scipy.integrate pulls in scipy.optimize, scipy.sparse and
+# scipy.spatial, and scipy's Legendre roots pull in scipy.linalg.
+HEAVY_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.signal")
+
+
+def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of modules that a fresh interpreter has loaded after running code."""
     src = str(Path(spdckit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    heavy = ("scipy.signal", "scipy.optimize", "scipy.integrate")
+    script = f"import sys\n{code}\nprint(*[m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import sys, spdckit; print([m for m in {heavy!r} if m in sys.modules])",
-        ],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_commands_leave_heavy_scipy_modules_unloaded():
+    tabulated = Path(__file__).resolve().parent / "golden" / "tabulated.cfg"
+    code = f"""
+import contextlib, io
+from importlib import resources
+from spdckit.cli import main
+bundled = str(resources.files("spdckit").joinpath("data/ppktp_800_typeII.cfg"))
+commands = [["validate"]] + [
+    [*cmd, "--config", config]
+    for config in (bundled, {str(tabulated)!r})
+    for cmd in (
+        ["singles", "--basis-order", "120"],
+        ["sweep", "--sweep", "kappa=-5:-1:5"],
+        ["correlation", "--points", "401"],
+    )
+]
+for cmd in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd) == 0, cmd
+"""
+    assert _loaded_after(code, HEAVY_SCIPY) == []
 
 
 def test_sweep_reaches_the_rate_pipeline_only_through_the_runner():
