@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdckit import overlap, quadrature
-from spdckit.quantities import FocusParams
+from spdckit.quantities import CrystalSpec, FocusParams, derive_focus_params
 
 
 def closed_form_kappa0(zeta_r: float) -> complex:
@@ -227,8 +227,6 @@ def test_direct3d_agrees_with_reduction(ref_waves, ref_crystal, ref_fp):
 
 
 def _geometry(waves, kappa, zeta_r):
-    from spdckit.quantities import CrystalSpec, derive_focus_params
-
     length = 1e-2
     poling = 2.0 * math.pi / (waves.k_minus0 - kappa / length)
     crystal = CrystalSpec(length=length, d_eff=2.4e-12, poling_period=poling)
