@@ -18,8 +18,9 @@ bytes either way.
 sfg, pairs and correlation take only the pair side of the source: I_SFG
 and its Q (_pair_side), and for pairs and correlation the filter pair's
 Gamma_eff. Only singles and sweep run the rate runner and its mode sums
-(quantum.evaluate_source, optimizer.sweep), so only they take
---basis-order and --quad-tol.
+(quantum.evaluate_source, optimizer.sweep), so only they take --quad-tol.
+The mode sums run over every mode, with no basis order; singles and sweep
+still accept --basis-order (1 to 4096) and ignore it.
 
 main builds the argparse parser once per process, on its first call, and
 reuses it for every later call.
@@ -40,7 +41,7 @@ import sys
 
 import numpy as np
 
-from . import classical, filters, modebasis, overlap, quantum, validation
+from . import classical, filters, overlap, quantum, validation
 from .config import ConfigError, load_and_build
 from .optimizer import _MAX_RESTARTS, _MIN_ZETA_R, AXIS_NAMES, SweepAxis, optimize_focus, sweep
 from .optimizer import _check_box
@@ -233,9 +234,7 @@ def _cmd_pairs(args) -> int:
 def _cmd_singles(args) -> int:
     built = load_and_build(args.config)
     source = (built.waves, built.crystal, built.fp, built.filter_s, built.filter_i)
-    report = quantum.evaluate_source(
-        *source, built.pump_power, basis_order=args.basis_order, quad_tol=args.quad_tol
-    )
+    report = quantum.evaluate_source(*source, built.pump_power, quad_tol=args.quad_tol)
     row = {
         "w2_per_s": report.pair_rate_w2,
         "w1_signal_per_s": report.singles_rate_signal,
@@ -370,9 +369,7 @@ def _cmd_sweep(args) -> int:
             axis = SweepAxis(axis.name, tuple(to_si(v, unit) for v in axis.values))
         axes.append(axis)
     source = (built.waves, built.crystal, built.z_r, built.filter_s, built.filter_i)
-    results = sweep(
-        *source, built.pump_power, axes, quad_tol=args.quad_tol, basis_order=args.basis_order
-    )
+    results = sweep(*source, built.pump_power, axes, quad_tol=args.quad_tol)
     # Rows arrive in product order; the display coordinates follow it.
     rows = []
     for combo, res in zip(itertools.product(*values), results):
@@ -461,9 +458,8 @@ def _add_common(p, *, basis=False):
         )
         p.add_argument(
             "--basis-order",
-            type=_int_range(1, modebasis._MAX_ORDER),
-            default=modebasis.DEFAULT_MAX_ORDER,
-            help="highest radial mode order",
+            type=_int_range(1, 4096),
+            help="ignored: the mode sums run over every mode",
         )
 
 

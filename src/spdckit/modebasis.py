@@ -1,31 +1,39 @@
-"""Laguerre-Gauss mode sums for the difference-frequency overlap totals.
+"""Singles totals: the difference-frequency overlap summed over every collection mode.
 
-Collecting a single Gaussian mode captures only part of the light a pump and
-signal beam generate; the singles rate needs the total |I_DFG|^2 summed over
-a complete transverse basis on the output plane. For circular Gaussian
-sources only the l = 0 radial Laguerre-Gauss modes contribute, and each
-projection reduces to a one-dimensional integral: the radial integral of the
-Gaussian source against an LG polynomial is the Laguerre generating-function
-Laplace transform
+The singles rate needs the total |I_DFG|^2 that a pump and signal beam
+generate, summed over the radial Laguerre-Gauss basis of the other arm. With
+z in units of the crystal length, the coefficient of order n is
+c_n = Int exp(i kappa z) base(z) r(z)^n dz over [-1/2, 1/2], where
 
-    Int_0^inf L_n(x) exp(-s x) dx = (s - 1)^n / s^(n+1),
+    base = 1 / ((z + i zeta_R) s),  r = ((z - i zeta_R) / (z + i zeta_R)) (s - 1) / s,
+    s = alpha - i beta z,  alpha = k_plus / 2 k_b,  beta = k_minus0 / (2 k_b zeta_R),
 
-so the n-th coefficient just carries an extra factor of a fixed complex
-ratio to the n-th power, which a doubling table supplies for every order.
-Basis mode 0 is the collection mode itself, which makes term 0 exactly
-|I_SFG|^2 and the heralding bound structural.
+k_b is the basis wavenumber, k_a the other arm's, k_plus = k_p + k_a + k_b
+and k_minus0 = k_p - k_a - k_b. Since |r| < 1 (Re s = alpha > 1/2), the
+sum over all orders is a geometric series under a double integral:
 
-The coefficient integrals run on a composite Gauss-Legendre rule in
-u = asinh(z / zeta_R), which spreads the nodes over the focal region at
-tight focus, with the panel count doubling until two rules agree. The
-phase mismatch kappa enters only through exp(i kappa z), so the
-coefficients of many kappa at one zeta_R share one table of mode columns.
-_mode_sums computes all of them in one pass over tasks: a task is one
-(waves, crystal length, zeta_R, arm) with its kappas, and the tasks of a
-group double their rule in step, so the tasks of a block build their
-nodes, mode columns and exponentials in the same array operations. quantum._overlaps hands it every geometry of a sweep at once;
-i_dfg_sq is its one-task call. One cap, _BLOCK_ELEMENTS, bounds the mode
-columns of a block (tasks x nodes x orders) and its exponentials.
+    Sum_n |c_n|^2 = Int Int exp(i kappa (z - z')) K(z, z') dz dz',
+    K(z, z') = base(z) conj(base(z')) / (1 - r(z) conj(r(z'))),
+
+so the total, (k_p k_a zeta_R L / pi k_b) times the double integral, has no
+basis order and no tail. docs/normalization.md section 8 derives it, and
+validation.dfg_total_closed computes it with the inner integral in closed
+form. Mode 0 is the collection mode, so |c_0|^2 is |I_SFG|^2.
+
+The double integral runs on a composite Gauss-Legendre rule in
+u = asinh(z / zeta_R), which crowds the nodes near a tight focus; the panel
+count doubles from 1 until the totals of two rules agree to quad_tol, and
+past _MAX_PANELS a kappa raises QuadratureError naming kappa and zeta_R.
+The rule is symmetric about z = 0, where base(-z) = -conj(base(z)) and
+r(-z) = conj(r(z)). With e = w exp(i kappa z) base on the nodes z > 0 alone
+(weights w folded in), the total is therefore
+
+    2 Re [e^T A conj(e) - e^T B e],  A = 1 / (1 - r r'*),  B = 1 / (1 - r r'),
+
+half the kernel of the whole rule. kappa enters only through e, so the
+kappas of a geometry share their kernel. _mode_sums takes every total of a
+sweep in one pass over tasks, each one (waves, crystal length, zeta_R, arm)
+with its kappas; one cap, _BLOCK_ELEMENTS, bounds a block's kernel rows.
 """
 
 from __future__ import annotations
@@ -37,61 +45,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureError
-from .quantities import CrystalSpec, FocusParams, WaveTriple
 
-__all__ = [
-    "ModeSumError",
-    "ParsevalSum",
-    "i_dfg_sq",
-]
+__all__: list[str] = []
 
-DEFAULT_MAX_ORDER = 40
-DEFAULT_TAIL_TOL = 1e-4
-
-# Composite Gauss-Legendre rule of the coefficient integrals: nodes per
-# panel and the panel-count cap.
-_PANEL_NODES = 64
-_MAX_PANELS = 256
+# Composite Gauss-Legendre rule: nodes per panel and the panel-count cap. The
+# kernel total settles on far fewer nodes than high-order coefficients do: at
+# zeta_R = 0.18, kappa = -3 the rules of 32 and 64 nodes agree to 1.2e-11.
+# zeta_R = 0.002 settles on 1024 nodes at |kappa| <= 12, and kappa = -2117
+# (an R_k sweep) at zeta_R = 0.18 on 4096, the cap.
+_PANEL_NODES = 32
+_MAX_PANELS = 128
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Complex values of one block of the coefficient pass: its mode columns G
-# (orders x tasks x nodes) hold at most this many (768 KiB), and so does its
-# exp(i kappa z) block.
+# Complex values in one block's kernel rows (tasks x rows x columns), 768 KiB.
 _BLOCK_ELEMENTS = 3 * 2**14
-# Highest basis order: a block of G then still spans 11 nodes.
-_MAX_ORDER = 4096
-
-
-class ModeSumError(RuntimeError):
-    """Mode sum truncated before the tail estimate met its threshold."""
+# Kappas of one task per round: their exponentials on the largest rule fit a block.
+_KAPPA_CHUNK = _BLOCK_ELEMENTS // (_PANEL_NODES * _MAX_PANELS)
 
 
 @dataclass(frozen=True)
 class ParsevalSum:
-    """Per-order contributions |c_n|^2 (dimensionless), their total and tail bound.
+    """A total |I_DFG|^2 (dimensionless) and the rule it came from.
 
-    n_nodes is the size of the quadrature rule the coefficients came from,
-    and quad_error the max-norm difference of its coefficients from the
-    rule of half as many nodes, relative to the largest coefficient.
+    quad_error is the relative difference of the total from that of the
+    rule of half as many nodes; the total is within quad_error of the
+    double integral, plus rounding of about 1e-14 relative.
     """
 
-    terms: tuple[float, ...]
     total: float
-    tail_estimate: float  # relative to total
     n_nodes: int
     quad_error: float
-
-    @property
-    def term0(self) -> float:
-        return self.terms[0]
 
 
 def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [-1, 1], cached per panel count.
 
-    Each of the equal panels carries _PANEL_NODES nodes. Panel counts are
-    powers of two up to _MAX_PANELS, so the cache holds at most nine rules.
-    The panel rule is numpy's: scipy's Legendre roots would import
-    scipy.linalg, 7 MB and 57 ms on the first mode sum.
+    Each of the equal panels carries _PANEL_NODES nodes; panel counts are
+    powers of two up to _MAX_PANELS. The panel rule is numpy's: scipy's
+    Legendre roots would import scipy.linalg, 7 MB and 57 ms.
     """
     rule = _RULES.get(panels)
     if rule is None:
@@ -102,208 +92,97 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _constants(waves: WaveTriple, zeta_r: float, arm: str) -> tuple[complex, ...]:
-    """Rule constants of a basis on the given arm at zeta_R: one row of _coefficients' consts.
+def _totals(consts: np.ndarray, kappas: list[np.ndarray], panels: int) -> np.ndarray:
+    """Kernel totals of every kappa of every task on the rule of the given panel count.
 
-    With half_span = asinh(1 / (2 zeta_R)), the basis wavenumber k_b and
-    k_plus, k_minus0 the sum and difference of the pump and both arms, they
-    are half_span, zeta_R, half_span zeta_R, i zeta_R, k_plus zeta_R,
-    i k_minus0 and 2 k_b zeta_R.
-    """
-    k_p = waves.pump.wavenumber
-    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
-    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-    half_span = math.asinh(0.5 / zeta_r)
-    return (
-        half_span,
-        zeta_r,
-        half_span * zeta_r,
-        1j * zeta_r,
-        (k_p + k_a + k_b) * zeta_r,
-        1j * (k_p - k_a - k_b),
-        2.0 * k_b * zeta_r,
-    )
-
-
-def _coefficients(
-    consts: np.ndarray, kappas: list[np.ndarray], max_order: int, panels: int
-) -> np.ndarray:
-    """Coefficient integrals c_n(kappa) of every task on the rule of the given panel count.
-
-    Row t of the complex array consts holds task t's _constants, and
-    kappas[t] its kappas, at most max_order + 1 of them. With
-    u = asinh(z/zeta_R) the poles at z = +-i zeta_R no longer crowd the
-    nodes at tight focus. The integrand of c_n is exp(i kappa z) G_n(z), where
-    row n of G is base * ratio^n, built by doubling: row 1 is row 0 times
-    ratio, then for m = 2, 4, ... power = ratio^m and rows m..2m-1 are rows
-    0..m-1 times power. That is log2(max_order) broadcast multiplies, one
-    complex multiply per entry. kappa enters only through the exponential,
-    so a task's kappas share its G and come from one matrix product.
-
-    The tasks of a block (_blocks) build their nodes, G and exponentials in
-    the same array operations. No block's exponentials outgrow its G, since
-    no task has more kappas than orders. A task's nodes split the same way
-    in any call, so it gets the same values in a batch as alone. Returns
-    shape (total kappa count, max_order + 1), each task's rows in turn.
+    Row t of consts is task t's (asinh(1 / 2 zeta_R), zeta_R, alpha, beta)
+    and kappas[t] its kappas. On the rule's m nodes z > 0 a task's kernel
+    rows are 1 / (1 - r_j c_k) with c = (conj r, r), and each kappa's total
+    is 2 Re sum_j e_j (kernel (conj e, -e))_j. The tasks of a block
+    (_blocks) build their nodes, kernel rows and exponentials in the same
+    array operations, and take one batched matrix product when they have
+    equally many kappas; the row blocks of one task share its nodes. A
+    task's rows split the same way in any call, so it gets the same total
+    in a batch as alone. Returns the totals, each task's in turn.
     """
     x, w = _panel_rule(panels)
-    width = max_order + 1
-    starts = [0, *itertools.accumulate(k.size for k in kappas)]
-    out = np.zeros((starts[-1], width), dtype=complex)
-    # One kappa per task: each block takes one product for all its tasks.
-    single = np.concatenate(kappas)[:, None] if starts[-1] == len(kappas) else None
-    work = None
-    for tasks, nodes in _blocks(len(kappas), x.size, width):
-        block = kappas[tasks]
-        # One (tasks, 1) column per constant, or for one task scalars, which
-        # numpy operates on faster. The complex ones meet complex operands,
-        # so no operation casts them.
-        columns = consts[tasks.start].tolist() if len(block) == 1 else consts[tasks].T[..., None]
-        half_span, zeta_r, stretch = (c.real for c in columns[:3])
-        pole, k_plus_z, i_k_minus0, k_b_z = columns[3:]
-        u = half_span * x[nodes]
-        z = zeta_r * np.sinh(u)
-        dz = stretch * np.cosh(u) * w[nodes]
-        qh = z - pole
-        qhc = z + pole
-        s = (k_plus_z - i_k_minus0 * z) / k_b_z
-        # G[n] holds order n of every task: the doubling then reads and
-        # writes disjoint row ranges, which numpy multiplies without a copy.
-        size = width * len(block) * z.shape[-1]
-        if work is None:  # the first block is the largest; the others reuse its G
+    m = x.size // 2
+    x, w = x[m:], w[m:]
+    sizes = [k.size for k in kappas]
+    starts = [0, *itertools.accumulate(sizes)]
+    out = np.zeros(starts[-1])
+    work = current = None
+    for tasks, rows in _blocks(len(kappas), m, 2 * m):
+        if tasks != current:
+            current = tasks
+            half_span, zeta_r, alpha, beta = consts[tasks].T[..., None]
+            u = half_span * x
+            z = zeta_r * np.sinh(u)
+            s = alpha - 1j * beta * z
+            q = z + 1j * zeta_r
+            base = zeta_r * half_span * np.cosh(u) * w / (q * s)
+            r = (z - 1j * zeta_r) / q * (s - 1.0) / s
+            columns = np.concatenate([r.conj(), r], axis=1)[:, None]
+            steps = [(t, t + 1) for t in range(len(r))]
+            if len(set(sizes[tasks])) == 1:
+                steps = [(0, len(r))]
+            parts = []
+            for lo, hi in steps:
+                e = np.exp(1j * np.stack(kappas[tasks][lo:hi])[..., None] * z[lo:hi, None])
+                e *= base[lo:hi, None]
+                parts.append((lo, hi, e, np.concatenate([e.conj(), -e], axis=2)))
+        size = len(r) * (rows.stop - rows.start) * 2 * m
+        if work is None:  # the first block is the largest; the others reuse its rows
             work = np.empty(size, dtype=complex)
-        g = work[:size].reshape(width, len(block), -1)
-        g[0] = dz / (qhc * s)
-        power = (qh / qhc) * (s - 1.0) / s
-        np.multiply(g[0], power, out=g[1])
-        m = 2
-        while m <= max_order:
-            power *= power
-            np.multiply(g[: min(m, width - m)], power, out=g[m : 2 * m])
-            m *= 2
-        if single is not None:
-            out[tasks] += np.einsum("tj,ntj->tn", np.exp(1j * (single[tasks] * z)), g)
-            continue
-        tasks_g, tasks_z = g.swapaxes(0, 1), z.reshape(len(block), -1)
-        for t, (k, g_t, z_t) in enumerate(zip(block, tasks_g, tasks_z), tasks.start):
-            e = np.exp(1j * np.outer(k, z_t))
-            # One kappa takes numpy's own loops: a BLAS product this small can
-            # stall on idle BLAS threads when their count is left at its default.
-            prod = np.einsum("kj,nj->kn", e, g_t) if k.size == 1 else e @ g_t.T
-            out[starts[t] : starts[t + 1]] += prod
+        kernel = work[:size].reshape(len(r), -1, 2 * m)
+        np.multiply(r[:, rows, None], columns, out=kernel)
+        np.subtract(1.0, kernel, out=kernel)
+        np.reciprocal(kernel, out=kernel)
+        for lo, hi, e, v in parts:
+            total = 2.0 * np.einsum("tkj,tkj->tk", e[..., rows] @ kernel[lo:hi], v).real
+            out[starts[tasks.start + lo] : starts[tasks.start + hi]] += total.ravel()
     return out
 
 
-def _blocks(n_tasks: int, n_nodes: int, width: int):
-    """(task slice, node slice) of each block of _coefficients, in order.
+def _blocks(n_tasks: int, n_rows: int, width: int):
+    """(task slice, row slice) of each block of _totals, in order.
 
-    The G of a block, tasks x nodes x width, holds at most _BLOCK_ELEMENTS
-    values. A task whose nodes alone exceed that has them split into spans
-    that depend only on n_nodes and width.
+    The kernel rows of a block, tasks x rows x width, hold at most
+    _BLOCK_ELEMENTS values. A task whose rows alone exceed that has them
+    split into spans that depend only on n_rows and width.
     """
-    span = min(n_nodes, _BLOCK_ELEMENTS // width)
+    span = min(n_rows, _BLOCK_ELEMENTS // width)
     per_block = _BLOCK_ELEMENTS // (span * width)
     for lo in range(0, n_tasks, per_block):
-        for node in range(0, n_nodes, span):
-            yield slice(lo, min(lo + per_block, n_tasks)), slice(node, min(node + span, n_nodes))
-
-
-def _tail_estimate(terms: np.ndarray, total: float, quad_tol: float, tail_tol: float) -> float:
-    """Relative tail beyond the last order; raises ModeSumError above tail_tol."""
-    max_order = terms.size - 1
-    # Geometric tail bound from the last few orders. terms[n] decays like
-    # |(s-1)/s|^(2n), so the running ratio is the honest extrapolation.
-    window = min(5, max_order + 1)
-    t_last = float(terms[-1])
-    t_first = float(terms[-window])
-    # |c_n| is only resolved down to ~quad_tol of the largest coefficient;
-    # below that the ratio test would measure quadrature noise, not decay.
-    noise_floor = (10.0 * quad_tol) ** 2 * float(np.max(terms))
-    if t_last == 0.0 or total == 0.0:
-        tail_rel = 0.0
-    elif t_first <= noise_floor and t_last <= noise_floor:
-        tail_rel = window * noise_floor / total
-    else:
-        ratio = (t_last / t_first) ** (1.0 / (window - 1)) if t_first > 0 else 1.0
-        if ratio >= 1.0:
-            raise ModeSumError(
-                f"mode terms not decaying at order {max_order} "
-                f"(last-term ratio {ratio:.3f}); raise basis_order"
-            )
-        tail = t_last * ratio / (1.0 - ratio)
-        tail_rel = tail / (total + tail)
-    if tail_rel > tail_tol:
-        raise ModeSumError(
-            f"mode sum truncated at order {max_order} with relative tail "
-            f"{tail_rel:.2e} > {tail_tol:.0e}; raise basis_order"
-        )
-    return tail_rel
-
-
-def i_dfg_sq(
-    waves: WaveTriple,
-    crystal: CrystalSpec,
-    fp: FocusParams,
-    arm: str = "idler",
-    basis_order: int = DEFAULT_MAX_ORDER,
-    quad_tol: float = 1e-9,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> ParsevalSum:
-    """Total difference-frequency overlap |I_DFG|^2 (dimensionless).
-
-    The basis of radial orders 0..basis_order sits on the given arm, with
-    that arm's collection mode (same wavelength, index and Rayleigh range)
-    as mode 0. An idler basis (default) gives the quantity that controls
-    the signal singles rate, and vice versa. With identical signal and
-    idler modes either basis gives the average-parametric-gain total
-    |I_APG|^2. This is the one-task call of _mode_sums.
-    """
-    task = (waves, crystal.length, fp.zeta_r, arm, [fp.kappa])
-    ((result,),) = _mode_sums([task], basis_order, quad_tol, tail_tol)
-    if isinstance(result, Exception):
-        raise result
-    return result
+        for row in range(0, n_rows, span):
+            yield slice(lo, min(lo + per_block, n_tasks)), slice(row, min(row + span, n_rows))
 
 
 def _mode_sums(
-    tasks: list[tuple],
-    basis_order: int,
-    quad_tol: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> list[list[ParsevalSum | ModeSumError | QuadratureError | ValueError]]:
-    """i_dfg_sq at every kappa of every task, in one pass.
+    tasks: list[tuple], quad_tol: float
+) -> list[list[ParsevalSum | QuadratureError | ValueError]]:
+    """The total |I_DFG|^2 at every kappa of every task, in one pass.
 
-    A task is (waves, crystal length, zeta_R, arm, kappas). Per task, the
-    result lists each kappa's ParsevalSum in order, or the error i_dfg_sq
-    raises at that kappa alone: a non-finite kappa or zeta_R fails its task
-    only. Invalid options raise ValueError for the whole call. With the
-    basis on the given arm, the sum is over |c_n|^2 for basis wavenumber k_b
-    driven by the pump and the other arm's k_a. All lengths enter through
-    (kappa, zeta_r) and the wavenumbers; the integral runs over the scaled
-    coordinate z/L in [-1/2, 1/2].
-
-    A task's kappas go to _coefficients at most basis_order + 1 at a time,
-    so that their exponentials are no larger than their G. The tasks then
-    converge in groups of as many as one block of the first rule holds,
-    one group after the other (_converge), so that only one group's
-    coefficient rows are held at a time.
+    A task is (waves, crystal length, zeta_R, arm, kappas), with the basis
+    on the given arm and that arm's collection mode as mode 0. An idler
+    basis gives the total of the signal singles rate, and vice versa; with
+    identical signal and idler modes either gives |I_APG|^2. Per task, the
+    result lists each kappa's ParsevalSum in order, or the error at that
+    kappa alone: a non-finite kappa or zeta_R fails its task only. Invalid
+    options raise ValueError for the whole call. A task's kappas go to
+    _totals at most _KAPPA_CHUNK at a time, and the tasks converge in groups
+    of as many as one block of the first rule holds (_converge).
     """
     if any(task[3] not in ("signal", "idler") for task in tasks):
         raise ValueError("arm must be 'signal' or 'idler'")
-    if basis_order < 1:
-        raise ValueError("basis_order must be >= 1")
-    if basis_order > _MAX_ORDER:
-        raise ValueError(f"basis_order must be <= {_MAX_ORDER}, got {basis_order}")
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ValueError(f"quad_tol must be finite and > 0, got {quad_tol!r}")
-    width = basis_order + 1
     results: list[list] = []
     # Per task as _converge takes them: its kappas, where their results go
-    # (result list, positions) with its mode-sum prefactor, and its row of
-    # rule constants.
+    # (result list, positions) with the total's prefactor, and its constants.
     kappas: list[np.ndarray] = []
     owners: list[tuple[list, list[int], float]] = []
-    rows: list[tuple[complex, ...]] = []
+    rows: list[tuple[float, ...]] = []
     for waves, length, zeta_r, arm, task_kappas in tasks:
         out: list = [None] * len(task_kappas)
         results.append(out)
@@ -313,61 +192,50 @@ def _mode_sums(
         k_p = waves.pump.wavenumber
         k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
         k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
-        prefactor = math.sqrt(k_p * k_a * zeta_r * length / (math.pi * k_b))
-        rule = _constants(waves, zeta_r, arm)
-        for lo in range(0, len(out), width):
-            positions = list(range(lo, min(lo + width, len(out))))
+        prefactor = k_p * k_a * zeta_r * length / (math.pi * k_b)
+        alpha, beta = (k_p + k_a + k_b) / (2.0 * k_b), (k_p - k_a - k_b) / (2.0 * k_b * zeta_r)
+        for lo in range(0, len(out), _KAPPA_CHUNK):
+            positions = list(range(lo, min(lo + _KAPPA_CHUNK, len(out))))
             kappas.append(np.array([task_kappas[j] for j in positions], dtype=float))
             owners.append((out, positions, prefactor))
-            rows.append(rule)
-    consts = np.array(rows, dtype=complex)
-    group = max(1, _BLOCK_ELEMENTS // (_PANEL_NODES * width))
+            rows.append((math.asinh(0.5 / zeta_r), zeta_r, alpha, beta))
+    consts = np.array(rows, dtype=float).reshape(-1, 4)
+    group = 2 * _BLOCK_ELEMENTS // _PANEL_NODES**2
     for lo in range(0, len(kappas), group):
         hi = lo + group
-        _converge(consts[lo:hi], kappas[lo:hi], owners[lo:hi], basis_order, quad_tol, tail_tol)
+        _converge(consts[lo:hi], kappas[lo:hi], owners[lo:hi], quad_tol)
     return results
 
 
-def _converge(consts, kappas, owners, basis_order, quad_tol, tail_tol) -> None:
+def _converge(consts, kappas, owners, quad_tol) -> None:
     """Settle every kappa of a group of _mode_sums' tasks into its owner's result list.
 
-    The panel count of every task doubles from 1 until the rules of P and
-    2P panels agree to quad_tol (max norm over the orders, relative to the
-    largest coefficient). Each kappa keeps the 2P rule of the first pair
-    that agrees for it, so it gets the same rule in a batch as alone, and
-    the same result to rounding.
+    The panel count of every task doubles from 1 until the totals of the
+    rules of P and 2P panels agree to quad_tol, relative. Each kappa keeps
+    the 2P rule of the first pair that agrees for it, so it gets the same
+    rule in a batch as alone, and the same result to rounding.
     """
     panels, prev = 1, None
     while kappas:
-        cur = _coefficients(consts, kappas, basis_order, panels)
+        cur = _totals(consts, kappas, panels)
         if prev is not None:
-            scale = np.max(np.abs(cur), axis=1)
-            diff = np.max(np.abs(cur - prev), axis=1)
-            done = diff <= quad_tol * scale
-            rows = zip(cur, (diff / scale).tolist(), done.tolist())
+            err = np.abs(cur - prev) / np.abs(cur)
+            done = err <= quad_tol
+            settled = zip(cur.tolist(), err.tolist(), done.tolist())
             live = []
             for t, ((out, positions, prefactor), task_kappas) in enumerate(zip(owners, kappas)):
                 left = []
-                for i, (j, kappa, (coeffs, err, ok)) in enumerate(
-                    zip(positions, task_kappas.tolist(), rows)
+                for i, j, kappa, (total, diff, ok) in zip(
+                    itertools.count(), positions, task_kappas.tolist(), settled
                 ):
                     if ok:
-                        terms = np.abs(prefactor * coeffs) ** 2
-                        total = float(np.sum(terms))
-                        try:
-                            tail = _tail_estimate(terms, total, quad_tol, tail_tol)
-                        except ModeSumError as exc:
-                            out[j] = exc
-                        else:
-                            out[j] = ParsevalSum(
-                                tuple(terms.tolist()), total, tail, _PANEL_NODES * panels, err
-                            )
+                        out[j] = ParsevalSum(prefactor * total, _PANEL_NODES * panels, diff)
                     elif panels == _MAX_PANELS:
                         out[j] = QuadratureError(
                             f"mode-sum quadrature not converged at kappa={kappa:.6g}, "
-                            f"zeta_R={consts[t, 1].real:.6g}: the rules of "
+                            f"zeta_R={consts[t, 1]:.6g}: the rules of "
                             f"{_PANEL_NODES * panels // 2} and {_PANEL_NODES * panels} nodes "
-                            f"differ by {err:.2e} > quad_tol {quad_tol:.0e}"
+                            f"differ by {diff:.2e} > quad_tol {quad_tol:.0e}"
                         )
                     else:
                         left.append(i)

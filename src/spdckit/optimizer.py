@@ -378,7 +378,8 @@ def sweep(
     A failing point is recorded as a SweepRow with an error string instead
     of aborting the grid. Rows come back in grid order, each the report or
     error evaluate_source gives at its point with the axes applied in axis
-    order.
+    order. basis_order is accepted and ignored: the mode sums have no basis
+    order (modebasis).
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
@@ -421,7 +422,7 @@ def sweep(
 
     # Power i of run j is result j * P + i: row i * S + j with P_p the outer
     # axis (the rows of power i are results[i::P]), else row j * P + i.
-    results = list(quantum._evaluate(geometries, filter_pairs, runs, basis_order, quad_tol))
+    results = list(quantum._evaluate(geometries, filter_pairs, runs, quad_tol))
     if names[0] == "P_p":
         results = [r for i in range(len(powers)) for r in results[i :: len(powers)]]
     return [

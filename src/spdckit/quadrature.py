@@ -1,11 +1,11 @@
 """Adaptive Gauss-Kronrod quadrature for complex and vector integrands.
 
 This is the oracle engine of validation.py, kept apart from every hot
-path: the closed-form Upsilon, the Gauss-Legendre rule of the mode sums,
-the table-free joint linewidth and, through the direct 3D overlap, the
-reduced I_SFG are each checked against it. Their integrands are smooth but
-oscillatory, sharply peaked near the beam focus for small zeta_R, and
-complex valued (sometimes vector valued, one component per basis order).
+path: the closed-form Upsilon, the mode-sum kernel (through its closed-form
+inner integral), the table-free joint linewidth and, through the direct 3D
+overlap, the reduced I_SFG are each checked against it. Their integrands
+are smooth but oscillatory, sharply peaked near the beam focus for small
+zeta_R, and complex valued (sometimes vector valued).
 scipy's quad handles none of those in a single pass, so this module
 provides a small deterministic engine: a 15-point Kronrod rule with
 embedded 7-point Gauss error estimate, plus worst-interval-first

@@ -195,17 +195,16 @@ def compute_overlaps(
     waves: WaveTriple,
     crystal: CrystalSpec,
     fp: FocusParams,
-    basis_order: int = modebasis.DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
 ) -> OverlapBundle:
     """Evaluate |I_SFG|^2 and both arms' mode-sum totals for one geometry.
 
-    The signal arm's total is the mode sum on the idler basis and the idler
-    arm's on the signal basis, each of radial orders 0..basis_order. When
-    the signal and idler waves are equal (always so for a degenerate
-    triple) the two bases coincide and one mode sum serves both arms.
+    The signal arm's total is the sum over every mode of the idler basis
+    and the idler arm's over the signal basis (modebasis). When the signal
+    and idler waves are equal (always so for a degenerate triple) the two
+    bases coincide and one mode sum serves both arms.
     """
-    (result,) = _overlaps([(waves, crystal, fp)], basis_order, quad_tol)
+    (result,) = _overlaps([(waves, crystal, fp)], quad_tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -213,7 +212,6 @@ def compute_overlaps(
 
 def _overlaps(
     points: list[tuple[WaveTriple, CrystalSpec, FocusParams]],
-    basis_order: int,
     quad_tol: float,
 ) -> list[OverlapBundle | Exception]:
     """compute_overlaps at each (waves, crystal, fp): its bundle or the error it raises there.
@@ -240,7 +238,7 @@ def _overlaps(
         for arm in ("idler",) if waves.signal == waves.idler else ("idler", "signal"):
             tasks.append((waves, length, zeta_r, arm, kappas))
     try:
-        sums = modebasis._mode_sums(tasks, basis_order, quad_tol)
+        sums = modebasis._mode_sums(tasks, quad_tol)
     except Exception as exc:  # an error of the options: every point raises it
         sums = [[exc] * len(task[4]) for task in tasks]
     done = iter(zip(tasks, sums))
@@ -317,7 +315,6 @@ def evaluate_source(
     filter_i: filters.FilterSpec,
     pump_power: float,
     *,
-    basis_order: int = modebasis.DEFAULT_MAX_ORDER,
     quad_tol: float = 1e-9,
     overlaps: OverlapBundle | None = None,
 ) -> SourceReport:
@@ -329,7 +326,7 @@ def evaluate_source(
     """
     geometries, filter_pairs = {0: (waves, crystal, fp)}, {0: (filter_s, filter_i)}
     runs = [((0, 0), (pump_power,))]
-    (result,) = _evaluate(geometries, filter_pairs, runs, basis_order, quad_tol, overlaps)
+    (result,) = _evaluate(geometries, filter_pairs, runs, quad_tol, overlaps)
     if isinstance(result, Exception):
         raise result
     return result
@@ -350,7 +347,6 @@ def _evaluate(
     geometries: dict,
     filter_pairs: dict,
     runs: list,
-    basis_order: int,
     quad_tol: float,
     overlaps: OverlapBundle | None = None,
 ):
@@ -379,7 +375,7 @@ def _evaluate(
     def geometry_steps() -> dict:
         """Each geometry's overlaps and Q, or the error of either, from one _overlaps call."""
         if overlaps is None:
-            bundles = _overlaps(list(geometries.values()), basis_order, quad_tol)
+            bundles = _overlaps(list(geometries.values()), quad_tol)
         else:
             bundles = [overlaps] * len(geometries)
         return {

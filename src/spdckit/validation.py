@@ -4,13 +4,14 @@ Every oracle here recomputes a package quantity by a genuinely different
 method: closed forms, direct Fresnel propagation of thin source slices
 (each one Gaussian in r, so plane integrals are exact Gaussian moments), a
 thin-crystal plane-wave rate formula, and the Boyd-Kleinman focusing
-constant. The package quadrature engine (adaptive Gauss-Kronrod) runs on no
-hot path; it is the oracle of three routes that do not use it: the closed
+constant. The package quadrature engine (adaptive Gauss-Kronrod) runs on
+no rate path; it is the oracle of routes that do not use it: the closed
 form of Upsilon, the Lorentzian joint linewidth Gamma_eff
-(gamma_eff_pair_spectral), and the Gauss-Legendre rule of the mode sums
-(mode-sum-vs-quadrature). Every other integration in this module is a
-Gauss-Legendre rule over slices in asinh(z / z_R), a plain trapezoid sum
-or scipy.quad.
+(gamma_eff_pair_spectral), the mode-sum kernel (dfg_total_closed, whose
+inner integral is in closed form, at the bundled and at a tight focus)
+and, through i_sfg_direct3d, the reduced I_SFG. Every other integration in
+this module is a Gauss-Legendre rule over slices in asinh(z / z_R) or a
+plain trapezoid sum.
 
 The absolute route (absolute_q_fresnel, absolute_pair_rate_fresnel) fixes
 the absolute scale of Q_SFG and W2 from SI fields and the driven wave
@@ -26,8 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from . import classical, filters, modebasis, overlap, quadrature, quantum
+from . import classical, filters, overlap, quadrature, quantum
 from .optimizer import optimize_focus
 from .quantities import (
     C_LIGHT,
@@ -45,7 +47,8 @@ __all__ = [
     "closed_form_upsilon_kappa0",
     "oracle_upsilon_closed_form",
     "oracle_upsilon_vs_quadrature",
-    "oracle_mode_sum_vs_quadrature",
+    "dfg_total_closed",
+    "oracle_dfg_closed",
     "gamma_eff_pair_spectral",
     "oracle_reduction_vs_direct",
     "oracle_fresnel_self_test",
@@ -144,38 +147,83 @@ def oracle_upsilon_vs_quadrature() -> OracleReport:
     )
 
 
-def oracle_mode_sum_vs_quadrature() -> OracleReport:
-    """Order-40 mode-sum total against adaptive quadrature of its coefficients.
+def _pole_integrals(kappa: float, p: np.ndarray) -> np.ndarray:
+    """J(p) = Int_{-1/2}^{1/2} exp(-i kappa z) / (z - p) dz at complex poles p off the segment.
 
-    The oracle side takes r(z)^n as numpy's complex power of each order, not
-    from the doubling table of modebasis._coefficients, and integrates in z
-    itself, not in asinh(z / zeta_R).
+    As in overlap: J = e^{i kappa/2} g(t1) - e^{-i kappa/2} g(t2) with
+    t1,2 = i kappa (-+1/2 - p) and g(t) = e^t E1(t). The path from t1 to t2
+    runs at Re t = kappa Im p and crosses the branch cut of E1 when that is
+    negative and |Re p| < 1/2; J then picks up -sign(kappa) 2 pi i e^{-i kappa p}.
+    At |kappa| < overlap._KAPPA_ZERO, J is the log of the endpoint ratio.
+    """
+    if abs(kappa) < overlap._KAPPA_ZERO:
+        return np.log(0.5 - p) - np.log(-0.5 - p)
+    t = 1j * kappa * np.stack([-0.5 - p, 0.5 - p])
+    near = np.abs(t) <= overlap._SERIES_MIN_ABS
+    g = np.exp(np.where(near, t, 0.0)) * special.exp1(np.where(near, t, 1.0))
+    for j in zip(*np.nonzero(~near)):
+        g[j] = overlap._scaled_e1(complex(t[j]))
+    value = cmath.exp(0.5j * kappa) * g[0] - cmath.exp(-0.5j * kappa) * g[1]
+    cut = (kappa * p.imag < 0.0) & (np.abs(p.real) < 0.5)
+    jump = 2j * math.copysign(math.pi, kappa) * np.exp(-1j * kappa * np.where(cut, p, 0.0))
+    return value - np.where(cut, jump, 0.0)
+
+
+def dfg_total_closed(
+    waves: WaveTriple, length: float, kappa: float, zeta_r: float, arm: str = "idler"
+) -> tuple[float, float]:
+    """The total |I_DFG|^2 on the given arm's basis, with its error bound.
+
+    The mode sum is Int Int exp(i kappa (z - z')) K(z, z') dz dz' with
+    K = base(z) conj(base(z')) / (1 - r(z) conj(r(z'))) (modebasis). For
+    fixed z, conj(base(z')) / (1 - r(z) conj(r(z'))) = 1 / Q(z'), with Q
+    the quadratic (z' - i zeta_R) conj(s(z')) - r(z) (z' + i zeta_R)
+    (conj(s(z')) - 1). So the inner integral is two E1 pole terms,
+    [J(p_near) - J(p_far)] / sqrt(disc), over the roots of Q; the outer one
+    runs in z itself on adaptive quadrature to 1e-12.
+    """
+    k_p = waves.pump.wavenumber
+    k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
+    k_a, k_b = (k_s, k_i) if arm == "idler" else (k_i, k_s)
+    alpha = (k_p + k_a + k_b) / (2.0 * k_b)
+    beta = (k_p - k_a - k_b) / (2.0 * k_b * zeta_r)
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        s = alpha - 1j * beta * z
+        r = (z - 1j * zeta_r) / (z + 1j * zeta_r) * (s - 1.0) / s
+        a2 = 1j * beta * (1.0 - r)
+        a1 = alpha + beta * zeta_r - r * (alpha - 1.0 - beta * zeta_r)
+        a0 = -1j * zeta_r * (alpha + r * (alpha - 1.0))
+        root = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+        root = np.where((a1.conj() * root).real >= 0.0, root, -root)
+        q = -0.5 * (a1 + root)  # the roots of Q are a0 / q and q / a2, without cancellation
+        near, far = _pole_integrals(kappa, np.stack([a0 / q, q / a2]))
+        inner = (near - far) / root
+        return np.exp(1j * kappa * z) * inner / ((z + 1j * zeta_r) * s)
+
+    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-12)
+    prefactor = k_p * k_a * zeta_r * length / (math.pi * k_b)
+    return prefactor * res.value.real, prefactor * res.est_error
+
+
+def oracle_dfg_closed(kappa: float = -3.0, zeta_r: float = 0.18) -> OracleReport:
+    """Singles total of the hot path against its closed-form inner integral.
+
+    The main side is quantum.compute_overlaps' idler-basis total (signal
+    arm) on the reference waves; the oracle side is dfg_total_closed, which
+    shares no code with modebasis.
     """
     waves = _reference_waves()
-    kappa, zeta_r, order = -3.0, 0.18, 40
     q = waves.k_minus0 - kappa / _LENGTH
     crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
     fp = derive_focus_params(waves, crystal, zeta_r * _LENGTH)
-    main = modebasis.i_dfg_sq(waves, crystal, fp, basis_order=order).total
-
-    # Idler basis: k_a = k_s, k_b = k_i.
-    k_p, k_a, k_b = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
-    k_plus, k_minus0 = k_p + k_a + k_b, k_p - k_a - k_b
-    orders = np.arange(order + 1)[:, None]
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        s = (k_plus * zeta_r - 1j * k_minus0 * z) / (2.0 * k_b * zeta_r)
-        base = np.exp(1j * kappa * z) / ((z + 1j * zeta_r) * s)
-        return base * (((z - 1j * zeta_r) / (z + 1j * zeta_r)) * (s - 1.0) / s) ** orders
-
-    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-13)
-    prefactor_sq = k_p * k_a * zeta_r * _LENGTH / (math.pi * k_b)
+    main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
+    oracle, _ = dfg_total_closed(waves, _LENGTH, fp.kappa, fp.zeta_r)
     return _report(
-        "mode-sum-vs-quadrature",
-        f"Gauss-Legendre mode sum vs adaptive quadrature at kappa={kappa:g}, "
-        f"zeta_R={zeta_r:g}, order {order}",
+        f"dfg-closed-{zeta_r:g}",
+        f"kernel mode sum vs closed-form inner integral at kappa={kappa:g}, zeta_R={zeta_r:g}",
         main,
-        prefactor_sq * float(np.sum(np.abs(res.value) ** 2)),
+        oracle,
         1e-10,
     )
 
@@ -337,7 +385,7 @@ def oracle_dfg_fresnel() -> OracleReport:
     crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
     z_r = 0.18 * _LENGTH
     fp = derive_focus_params(waves, crystal, z_r)
-    main = modebasis.i_dfg_sq(waves, crystal, fp).total
+    main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
 
     k_p, k_s, k_i = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
     mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
@@ -364,7 +412,7 @@ def oracle_dfg_thin_crystal(zeta_r: float = 2000.0) -> OracleReport:
     crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
     z_r = zeta_r * _LENGTH
     fp = derive_focus_params(waves, crystal, z_r)
-    main = modebasis.i_dfg_sq(waves, crystal, fp).total
+    main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
     k_p = waves.pump.wavenumber
     k_s = waves.signal.wavenumber
     oracle = _LENGTH**2 * k_p * k_s / (math.pi * z_r * (k_p + k_s))
@@ -612,5 +660,6 @@ def run_all_oracles() -> list[OracleReport]:
         ling_comparator(),
         boyd_kleinman_report(),
         oracle_upsilon_vs_quadrature(),
-        oracle_mode_sum_vs_quadrature(),
+        oracle_dfg_closed(-3.0, 0.18),
+        oracle_dfg_closed(-3.0, 0.005),
     ]

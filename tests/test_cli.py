@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdckit import classical, cli, filters, overlap, quantum
+from spdckit import classical, cli, filters, overlap, quantum, validation
 from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
 from spdckit.optimizer import optimize_focus
@@ -90,8 +90,8 @@ def test_pairs_frozen_numbers(capsys, config_path):
 
 @pytest.mark.parametrize("zeta_r", ["0.004", "0.01"])
 def test_pairs_at_tight_focus_takes_the_pair_side(capsys, config_path, tmp_path, zeta_r):
-    # The order-40 mode sums fail here ("raise basis_order"), and pairs used
-    # to run them and exit 1, though W2 depends on I_SFG alone.
+    # The order-40 mode sums that pairs used to run failed here ("raise
+    # basis_order") and pairs exited 1, though W2 depends on I_SFG alone.
     text = Path(config_path).read_text(encoding="utf-8")
     assert "zeta_R        = 0.18" in text
     cfg = tmp_path / "tight.cfg"
@@ -103,6 +103,30 @@ def test_pairs_at_tight_focus_takes_the_pair_side(capsys, config_path, tmp_path,
     i_sfg = overlap.i_sfg_gaussian(built.waves, built.crystal, built.fp)
     q = classical.q_conversion(built.waves, built.crystal, i_sfg.abs_sq)
     assert rows[0]["w2_per_s"] == quantum.pair_rate(built.waves, built.pump_power, q, gamma_eff)
+
+
+@pytest.mark.parametrize("zeta_r", ["0.004", "0.01"])
+def test_singles_at_tight_focus_sums_every_mode(capsys, config_path, tmp_path, zeta_r):
+    # The order-40 mode sums made singles exit 1 here ("relative tail
+    # 2.35e-03" at 0.004, "not decaying, ratio 2.028" at 0.01). W1 of each
+    # arm is (omega / 4 omega_partner) Gamma_eff,single P Q_DFG, with the
+    # total |I_DFG|^2 from the closed-form oracle.
+    text = Path(config_path).read_text(encoding="utf-8")
+    assert "zeta_R        = 0.18" in text
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(text.replace("zeta_R        = 0.18", f"zeta_R = {zeta_r}"), encoding="utf-8")
+    code, _, rows, _ = run_ndjson(capsys, ["singles", "--config", str(cfg)])
+    assert code == 0
+    built = load_and_build(str(cfg))
+    waves, crystal, fp = built.waves, built.crystal, built.fp
+    for column, arm, basis, flt in (
+        ("w1_signal_per_s", "signal", "idler", built.filter_s),
+        ("w1_idler_per_s", "idler", "signal", built.filter_i),
+    ):
+        total, _ = validation.dfg_total_closed(waves, crystal.length, fp.kappa, fp.zeta_r, basis)
+        q = classical.q_arm(waves, crystal, total, arm)
+        w1 = quantum.singles_rate(waves, built.pump_power, q, filters.gamma_eff_single(flt), arm)
+        assert rows[0][column] == pytest.approx(w1, rel=1e-9), column
 
 
 def test_singles_frozen_numbers(capsys, config_path):

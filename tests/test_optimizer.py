@@ -453,11 +453,11 @@ def test_rate_only_sweep_rows_equal_direct_evaluation(sweep_setup):
 
 def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
     # Every row of a kappa and a kappa x zeta_R sweep is the report
-    # evaluate_source gives at its point. At zeta_R = 0.005 some kappa fail
-    # the order-40 tail test; those rows carry the error of the direct call.
+    # evaluate_source gives at its point. kappa = -3000 outruns the largest
+    # mode-sum rule; its rows carry the error of the direct call.
     waves, crystal, z_r, flt = sweep_setup
     length = crystal.length
-    kappas = (-5.0, -4.0, -3.0, -2.0, -1.0)
+    kappas = (-5.0, -4.0, -3.0, -2.0, -3000.0)
     grids = (
         [SweepAxis("kappa", kappas)],
         [SweepAxis("kappa", kappas), SweepAxis("zeta_R", (0.005, 0.18))],
@@ -477,7 +477,7 @@ def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
             except Exception as exc:
                 assert row.report is None
                 assert row.error == f"{type(exc).__name__}: {exc}"
-                assert row.error.startswith("ModeSumError: ")
+                assert row.error.startswith("QuadratureError: ")
                 errors += 1
                 continue
             assert row.error is None, row.coords
@@ -491,23 +491,23 @@ def test_geometry_sweep_rows_equal_direct_evaluation(sweep_setup):
                 assert math.isclose(
                     getattr(got.overlaps, name), getattr(direct.overlaps, name), rel_tol=1e-13
                 ), (row.coords, name)
-    # The zeta_R = 0.005 group mixes failing and converged points.
-    assert 0 < errors < len(kappas)
+    # Each zeta_R group mixes failing and converged points.
+    assert errors == 3
 
 
 def _record_blocks(monkeypatch):
-    """Record each mode-sum pass and the blocks of its coefficient rounds.
+    """Record each mode-sum pass and the blocks of its kernel rounds.
 
     Returns (passes, blocks, task_sizes): the task count of each
-    modebasis._mode_sums call; per block its task count, node count,
-    width (orders) and kappa count; and the kappa count of every task that
-    reached a round.
+    modebasis._mode_sums call; per block its task count, kernel row count,
+    kernel width (columns) and kappa count; and the kappa count of every
+    task that reached a round.
     """
     from spdckit import modebasis
 
     passes, blocks, task_sizes = [], [], []
-    real_pass, real_coefficients, real_blocks = (
-        modebasis._mode_sums, modebasis._coefficients, modebasis._blocks
+    real_pass, real_totals, real_blocks = (
+        modebasis._mode_sums, modebasis._totals, modebasis._blocks
     )
     sizes = []
 
@@ -515,19 +515,19 @@ def _record_blocks(monkeypatch):
         passes.append(len(tasks))
         return real_pass(tasks, *args, **kwargs)
 
-    def coefficients(consts, kappas, *args):
+    def totals(consts, kappas, *args):
         sizes[:] = [k.size for k in kappas]
         task_sizes.extend(sizes)
-        return real_coefficients(consts, kappas, *args)
+        return real_totals(consts, kappas, *args)
 
-    def recording(n_tasks, n_nodes, width):
-        for tasks, nodes in real_blocks(n_tasks, n_nodes, width):
+    def recording(n_tasks, n_rows, width):
+        for tasks, rows in real_blocks(n_tasks, n_rows, width):
             n_kappa = sum(sizes[tasks])
-            blocks.append((tasks.stop - tasks.start, nodes.stop - nodes.start, width, n_kappa))
-            yield tasks, nodes
+            blocks.append((tasks.stop - tasks.start, rows.stop - rows.start, width, n_kappa))
+            yield tasks, rows
 
     monkeypatch.setattr(modebasis, "_mode_sums", mode_sums)
-    monkeypatch.setattr(modebasis, "_coefficients", coefficients)
+    monkeypatch.setattr(modebasis, "_totals", totals)
     monkeypatch.setattr(modebasis, "_blocks", recording)
     return passes, blocks, task_sizes
 
@@ -536,16 +536,17 @@ def _assert_blocks_within_cap(blocks):
     from spdckit import modebasis
 
     cap = modebasis._BLOCK_ELEMENTS
-    for n_tasks, n_nodes, width, n_kappa in blocks:
-        assert n_tasks * n_nodes * width <= cap  # the mode columns G
-        assert n_kappa * n_nodes <= cap  # the exp(i kappa z) rows
+    for n_tasks, n_rows, width, n_kappa in blocks:
+        assert n_tasks * n_rows * width <= cap  # the kernel rows K
+        assert n_kappa * width <= cap  # the exp(i kappa z) columns
 
 
 def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
     # A long kappa axis at one zeta_R makes one task per arm, whose kappas
-    # go to the coefficient rounds basis_order + 1 at a time, so that no
-    # block's exponentials outgrow its mode columns or the block cap. Points
-    # whose mode sums fail take their group's error: none is evaluated alone.
+    # go to the kernel rounds 12 at a time, so that no block's exponentials
+    # outgrow the block cap on the largest rule. Points whose mode sums fail
+    # (kappa = -3000 and -4000 outrun that rule) take their group's error:
+    # none is evaluated alone.
     waves, crystal, z_r, flt = sweep_setup
     passes, blocks, task_sizes = _record_blocks(monkeypatch)
 
@@ -553,21 +554,23 @@ def test_long_kappa_axis_is_summed_in_bounded_groups(sweep_setup, monkeypatch):
         raise AssertionError("a sweep point was evaluated alone")
 
     monkeypatch.setattr(quantum, "compute_overlaps", alone)
-    axes = [SweepAxis("kappa", tuple(np.linspace(-5.0, -1.0, 150))), SweepAxis("zeta_R", (0.005,))]
+    kappas = (*np.linspace(-5.0, -1.0, 148), -3000.0, -4000.0)
+    axes = [SweepAxis("kappa", kappas), SweepAxis("zeta_R", (0.005,))]
     rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
     assert passes == [2]
     _assert_blocks_within_cap(blocks)
-    # Each arm's 150 kappas start as 41 + 41 + 41 + 27.
-    assert task_sizes[:8] == [41, 41, 41, 27] * 2
-    assert max(task_sizes) == 41
+    # Each arm's 150 kappas start as 12 rounds of 12 and one of 6.
+    assert task_sizes[:26] == ([12] * 12 + [6]) * 2
+    assert max(task_sizes) == 12
     failed = [row for row in rows if row.error is not None]
-    assert 0 < len(failed) < len(rows)
-    assert all(row.error.startswith("ModeSumError: ") for row in failed)
+    assert [row.coords["kappa"] for row in failed] == [-3000.0, -4000.0]
+    assert all(row.error.startswith("QuadratureError: ") for row in failed)
 
 
 def test_zeta_r_groups_share_one_pass_within_the_cap(sweep_setup, monkeypatch):
-    # 30 zeta_R groups at order 200 are 60 one-kappa tasks of one pass. Its
-    # blocks hold several tasks each, and none goes over the cap.
+    # 30 zeta_R groups are 60 one-kappa tasks of one pass. Its blocks hold
+    # several tasks each, and none goes over the cap. The basis order a
+    # caller passes is ignored.
     waves, crystal, z_r, flt = sweep_setup
     passes, blocks, _ = _record_blocks(monkeypatch)
     axes = [SweepAxis("zeta_R", tuple(np.geomspace(0.05, 3.0, 30)))]
@@ -580,9 +583,10 @@ def test_zeta_r_groups_share_one_pass_within_the_cap(sweep_setup, monkeypatch):
 
 def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
     # evaluate_source checks the pump power before the overlaps, so a point
-    # whose mode sums fail still reports the power error the direct call gives.
+    # whose mode sums fail (zeta_R = 2e-4 outruns the largest rule) still
+    # reports the power error the direct call gives.
     waves, crystal, z_r, flt = sweep_setup
-    axes = [SweepAxis("kappa", (-5.0, -3.0)), SweepAxis("zeta_R", (0.005,))]
+    axes = [SweepAxis("kappa", (-5.0, -3.0)), SweepAxis("zeta_R", (2e-4,))]
     rows = sweep(waves, crystal, z_r, flt, flt, -1e-3, axes)
     assert [row.error for row in rows] == ["ValueError: pump_power must be >= 0"] * 2
     # The filter pair's linewidth error comes next, also before the overlaps.
@@ -599,7 +603,7 @@ def test_failed_group_point_reports_the_direct_error_first(sweep_setup):
 def test_non_finite_pump_power_rows_carry_the_direct_error(sweep_setup, power):
     # Each row carries the error evaluate_source raises at its point: the
     # set-up errors of its axes, then the pump power, before the overlaps
-    # of the failing mode sums at kappa = -5, zeta_R = 0.005.
+    # of the mode sums that fail at kappa = 3e4.
     waves, crystal, z_r, flt = sweep_setup
     axes = [("kappa", (-5.0, -3.0, 3e4)), ("zeta_R", (0.005, 0.18)), ("Gamma_s", (0.0, MHZ))]
     for pair in itertools.combinations(axes, 2):
@@ -704,15 +708,15 @@ def test_rate_only_rows_equal_direct_evaluation(name, unfiltered_s, axes):
 
 
 def test_rate_only_grid_with_failing_overlaps_gives_error_rows(sweep_setup):
-    # At zeta_R = 0.005 the order-40 mode sum fails at kappa = -5. A
-    # rate-only grid there reports that error on every row, after the power
-    # check each point makes first, instead of aborting the grid.
+    # At zeta_R = 2e-4 the mode sum outruns its largest rule at kappa = -5.
+    # A rate-only grid there reports that error on every row, after the
+    # power check each point makes first, instead of aborting the grid.
     waves, crystal, _, flt = sweep_setup
     length = crystal.length
     point = dataclasses.replace(
         crystal, poling_period=2.0 * math.pi / (waves.k_minus0 + 5.0 / length)
     )
-    z_r = 0.005 * length
+    z_r = 2e-4 * length
     fp = derive_focus_params(waves, point, z_r)
     powers = (1e-3, -1e-3)
     rows = sweep(waves, point, z_r, flt, flt, 1e-3, [SweepAxis("P_p", powers)])
@@ -721,27 +725,27 @@ def test_rate_only_grid_with_failing_overlaps_gives_error_rows(sweep_setup):
             quantum.evaluate_source(waves, point, fp, flt, flt, power)
         assert row.report is None
         assert row.error == f"{type(direct.value).__name__}: {direct.value}"
-    assert rows[0].error.startswith("ModeSumError: ")
+    assert rows[0].error.startswith("QuadratureError: ")
     assert rows[1].error == "ValueError: pump_power must be >= 0"
 
 
 def test_each_check_reports_in_pipeline_order(sweep_setup):
     # One point fails every check: a negative pump power, an idler filter
-    # that transmits nothing and the order-40 mode sum at kappa = -5,
-    # zeta_R = 0.005. Mending one check at a time brings up the next, and a
+    # that transmits nothing and the mode sum at kappa = -5, zeta_R = 2e-4,
+    # past its largest rule. Mending one check at a time brings up the next, and a
     # one-point sweep reports the text evaluate_source raises.
     waves, crystal, _, flt = sweep_setup
     length = crystal.length
     point = dataclasses.replace(
         crystal, poling_period=2.0 * math.pi / (waves.k_minus0 + 5.0 / length)
     )
-    z_r = 0.005 * length
+    z_r = 2e-4 * length
     fp = derive_focus_params(waves, point, z_r)
     dark = filters.TabulatedFilter(np.linspace(-1.0, 1.0, 3) * MHZ, [0.0, 0.0, 0.0])
     cases = [
         (-1e-3, dark, "ValueError: pump_power must be >= 0"),
         (1e-3, dark, "ValueError: filter_i transmits nothing: its transmission is 0 everywhere"),
-        (1e-3, flt, "ModeSumError: "),
+        (1e-3, flt, "QuadratureError: "),
     ]
     for power, filter_i, text in cases:
         with pytest.raises(Exception) as direct:

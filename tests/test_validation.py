@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spdckit import classical, modebasis, overlap, quantum, validation
+from spdckit import classical, overlap, quantum, validation
 from spdckit.filters import LorentzianFilter, Unfiltered, gamma_eff_pair
 from spdckit.quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple, derive_focus_params
 
@@ -42,17 +42,24 @@ def test_reports_cover_both_routes():
     assert any("rate" in n for n in names)
     assert any("closed-form" in n for n in names)
     assert "upsilon-vs-quadrature" in names
-    assert "mode-sum-vs-quadrature" in names
+    # The singles total at the bundled and at a tight focus.
+    assert {"dfg-closed-0.18", "dfg-closed-0.005"} <= names
     # The absolute route is a test-time oracle, not part of `spdckit validate`.
     assert not any("absolute" in n for n in names)
 
 
 def test_mode_sum_oracle_compares_the_hot_path_total():
-    # kappa = -3, zeta_R = 0.18, order 40: the frozen idler-basis total of
-    # the reference source (the oracle's waves are the same triple).
-    report = validation.oracle_mode_sum_vs_quadrature()
+    # kappa = -3 at zeta_R = 0.18 and 0.005: the idler-basis totals of the
+    # reference source (the oracle's waves are the same triple). At 0.005
+    # the order-40 mode sum gave 1325.899005, 1.4e-3 low, so this row would
+    # have failed there.
+    report = validation.oracle_dfg_closed(-3.0, 0.18)
     assert report.main_value == pytest.approx(47711.82572248832, rel=1e-12)
     assert report.rel_diff <= 1e-12 and report.tolerance == 1e-10
+    tight = validation.oracle_dfg_closed(-3.0, 0.005)
+    assert tight.main_value == pytest.approx(1327.733948795726, rel=1e-12)
+    assert tight.rel_diff <= 1e-12 and tight.tolerance == 1e-10
+    assert abs(1325.899005 - tight.oracle_value) > 1e-3 * tight.oracle_value
 
 
 def _source(waves, zeta_r, kappa, length=1e-2):
@@ -226,14 +233,14 @@ def test_fresnel_oracles_meet_the_tight_tolerances():
 @pytest.mark.parametrize("kappa", [-10.0, -3.0, 2.0])
 def test_fresnel_plane_power_matches_the_mode_sum_across_the_domain(ref_waves, zeta_r, kappa):
     # The second route of oracle_dfg_fresnel away from its reference point:
-    # the 128-node plane power against an order-800 Parseval total.
+    # the 128-node plane power against the mode-sum total of the hot path.
     crystal, fp = _source(ref_waves, zeta_r, kappa)
     k_p = ref_waves.pump.wavenumber
     k_s, k_i = ref_waves.signal.wavenumber, ref_waves.idler.wavenumber
     mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
     args = (k_i, k_p, k_s, True, mismatch, crystal.length, fp.rayleigh_range, 128)
     power = validation._plane_power(*validation._generated_field(*args)[1:])
-    total = modebasis.i_dfg_sq(ref_waves, crystal, fp, basis_order=800).total
+    total = quantum.compute_overlaps(ref_waves, crystal, fp).i_dfg_sq_signal_arm
     assert power == pytest.approx(total, rel=1e-12)
 
 
