@@ -222,8 +222,8 @@ def test_totals_lie_within_their_error_of_the_closed_form(ref_waves, kappa, log_
     # difference of its rule from the rule of half as many nodes
     # (quad_error), plus the rounding of a sum over the kernel's entries
     # (1e-13), plus the oracle's own error. Or the call raises a typed
-    # error. At the parent of this kernel, the order-40 sum at
-    # kappa = -3, zeta_R = 0.005 was 1.4e-3 low and reported no error.
+    # error. The order-40 sum this kernel replaced was 1.4e-3 low at
+    # kappa = -3, zeta_R = 0.005 and reported no error.
     name, arm = source
     waves = _WAVES[name] or ref_waves
     zeta_r = math.exp(log_zeta)
@@ -231,7 +231,7 @@ def test_totals_lie_within_their_error_of_the_closed_form(ref_waves, kappa, log_
     if isinstance(got, quadrature.QuadratureError):
         return
     want, want_error = validation.dfg_total_closed(waves, LENGTH, kappa, zeta_r, arm)
-    bound = (max(got.quad_error, 0.0) + 1e-13) * got.total + want_error
+    bound = (got.quad_error + 1e-13) * got.total + want_error
     assert abs(got.total - want) <= bound, (got, want, want_error)
 
 
