@@ -14,8 +14,10 @@ rule, so every merit evaluation is the one scipy would make.
 The sweep hands quantum._evaluate, the runner of the rate pipeline, one
 run per combination of the axes other than P_p: that combination's waves,
 crystal, focus parameters and filters, each distinct combination set up
-once, with every pump power. The runner then computes each step once per
-distinct input, and the rows go back into grid order by index.
+once, with every pump power (_grid). The runner computes each step once
+per distinct input and maps each row of the grid to its run and power.
+sweep builds its rows from the runs' columns, and the CLI writes its
+output from the same runs a block at a time.
 """
 
 from __future__ import annotations
@@ -361,7 +363,7 @@ def _geometry_step(
     return dataclasses.replace(waves, pump=pump), crystal, z_r
 
 
-def sweep(
+def _grid(
     waves: WaveTriple,
     crystal: CrystalSpec,
     z_r: float,
@@ -369,18 +371,9 @@ def sweep(
     filter_i: filters.FilterSpec,
     pump_power: float,
     axes: list[SweepAxis],
-    *,
-    quad_tol: float = 1e-9,
-    basis_order: int = 40,
-) -> list[SweepRow]:
-    """Evaluate the source over a 1D or 2D grid, first axis outermost.
-
-    A failing point is recorded as a SweepRow with an error string instead
-    of aborting the grid. Rows come back in grid order, each the report or
-    error evaluate_source gives at its point with the axes applied in axis
-    order. basis_order is accepted and ignored: the mode sums have no basis
-    order (modebasis).
-    """
+    quad_tol: float,
+) -> quantum._Runs:
+    """The runs of a sweep grid in grid order, each with its stage from quantum._evaluate."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two axes")
     names = [ax.name for ax in axes]
@@ -390,7 +383,6 @@ def sweep(
     if total > _MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
 
-    grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
     powers = axes[names.index("P_p")].values if "P_p" in names else (pump_power,)
     others = [name for name in names if name != "P_p"]
     geometry = [name for name in others if name in _GEOMETRY_AXES]
@@ -418,16 +410,36 @@ def sweep(
                 setups[key] = key
             except Exception as exc:
                 setups[key] = exc
-        runs.append((setups[key], powers))
+        runs.append(setups[key])
+    return quantum._evaluate(geometries, filter_pairs, runs, powers, quad_tol, names[0] == "P_p")
 
-    # Power i of run j is result j * P + i: row i * S + j with P_p the outer
-    # axis (the rows of power i are results[i::P]), else row j * P + i.
-    results = list(quantum._evaluate(geometries, filter_pairs, runs, quad_tol))
-    if names[0] == "P_p":
-        results = [r for i in range(len(powers)) for r in results[i :: len(powers)]]
+
+def sweep(
+    waves: WaveTriple,
+    crystal: CrystalSpec,
+    z_r: float,
+    filter_s: filters.FilterSpec,
+    filter_i: filters.FilterSpec,
+    pump_power: float,
+    axes: list[SweepAxis],
+    *,
+    quad_tol: float = 1e-9,
+    basis_order: int = 40,
+) -> list[SweepRow]:
+    """Evaluate the source over a 1D or 2D grid, first axis outermost.
+
+    A failing point is recorded as a SweepRow with an error string instead
+    of aborting the grid. Rows come back in grid order, each the report or
+    error evaluate_source gives at its point with the axes applied in axis
+    order. basis_order is accepted and ignored: the mode sums have no basis
+    order (modebasis).
+    """
+    runs = _grid(waves, crystal, z_r, filter_s, filter_i, pump_power, axes, quad_tol)
+    results = runs.results(*runs.index(0, len(runs)))
+    names = [ax.name for ax in axes]
     return [
-        SweepRow(coords, None, f"{type(r).__name__}: {r}")
+        SweepRow(dict(zip(names, combo)), None, f"{type(r).__name__}: {r}")
         if isinstance(r, Exception)
-        else SweepRow(coords, r)
-        for coords, r in zip(grid, results)
+        else SweepRow(dict(zip(names, combo)), r)
+        for combo, r in zip(itertools.product(*(ax.values for ax in axes)), results)
     ]

@@ -22,21 +22,26 @@ the paper splits the rates: the linewidths Gamma_eff depend on the filter
 pair, the overlaps and efficiencies Q on the geometry, eta and each rate's
 factor f of W = (f P) Q on both, and only the last products on the pump
 power P. Its unit of work is a run, one set-up of geometry and filters
-with its pump powers: a run fetches its stage once, and each power makes
-only its products and its report. Each step runs once per distinct input,
-and a point reports the first error of: pump power, linewidths, overlaps,
-efficiencies, eta and rates. evaluate_source is a call with one run and
-one power, and optimizer.sweep makes a run per combination of its other
-axes. _overlaps alone decides which geometries share a mode-sum task
-(equal waves, crystal length and zeta_R, one task per arm) and hands the
-tasks of all its geometries to one modebasis._mode_sums pass, whose one
-block cap bounds its memory; compute_overlaps is its one-geometry call.
+with the pump powers of the grid: it hands over each run's stage once,
+and _Runs forms the products over any points as float64 arrays, checks
+them as arrays, and builds reports from those columns. Each step runs
+once per distinct input, and a point reports the first error of: its
+set-up, pump power, linewidths, overlaps, efficiencies, eta and rates.
+evaluate_source is a call with one run and one power, and optimizer
+makes a run per combination of its other axes. _overlaps alone decides
+which geometries share a mode-sum task (equal waves, crystal length and
+zeta_R, one task per arm) and hands the tasks of all its geometries to
+one modebasis._mode_sums pass, whose one block cap bounds its memory;
+compute_overlaps is its one-geometry call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import classical, filters, modebasis, overlap
 from .classical import _check_nonneg
@@ -278,12 +283,25 @@ class SourceReport:
     overlaps: OverlapBundle
 
     def __post_init__(self) -> None:
-        for eta in (self.eta_signal, self.eta_idler):
-            if eta is not None and not 0.0 < eta <= 1.0 + 1e-9:
-                raise ValueError(f"heralding efficiency {eta} outside (0, 1]")
+        _check_eta(self.eta_signal, self.eta_idler)
         for singles in (self.singles_rate_signal, self.singles_rate_idler):
-            if singles is not None and self.pair_rate_w2 > singles * (1.0 + 1e-9):
-                raise ValueError("pair rate exceeds a singles rate")
+            if singles is not None and _exceeds(self.pair_rate_w2, singles):
+                raise ValueError(_EXCEEDS)
+
+
+_EXCEEDS = "pair rate exceeds a singles rate"
+
+
+def _check_eta(*etas: float | None) -> None:
+    """Raise the ValueError of the first heralding efficiency outside (0, 1]."""
+    for eta in etas:
+        if eta is not None and not 0.0 < eta <= 1.0 + 1e-9:
+            raise ValueError(f"heralding efficiency {eta} outside (0, 1]")
+
+
+def _exceeds(w2, w1):
+    """Whether the pair rate exceeds the singles rate; elementwise on arrays."""
+    return w2 > w1 * (1.0 + 1e-9)
 
 
 def _linewidths(
@@ -325,8 +343,8 @@ def evaluate_source(
     pump power, linewidths, overlaps.
     """
     geometries, filter_pairs = {0: (waves, crystal, fp)}, {0: (filter_s, filter_i)}
-    runs = [((0, 0), (pump_power,))]
-    (result,) = _evaluate(geometries, filter_pairs, runs, quad_tol, overlaps)
+    runs = _evaluate(geometries, filter_pairs, [(0, 0)], (pump_power,), quad_tol, False, overlaps)
+    (result,) = runs.results(*runs.index(0, 1))
     if isinstance(result, Exception):
         raise result
     return result
@@ -343,25 +361,110 @@ def _attempt(step, *args, **kwargs):
         return exc
 
 
+class _Stage(NamedTuple):
+    """All of a run's reports but the pump power."""
+
+    pair: tuple[float, float]  # (f, q) of W2 = (f P) q
+    signal: tuple[float, float] | None  # (f, q) of W1_s; None if unfiltered
+    idler: tuple[float, float] | None
+    fields: tuple  # eta_s, eta_i, Gamma_eff, Gamma_eff_s, Gamma_eff_i
+    efficiencies: classical.EfficiencyReport
+    overlaps: OverlapBundle
+
+
+class _Runs:
+    """The runs of a grid as columns: the stage of each run, and the pump powers every run takes.
+
+    Point (j, i) is power i of run j, and the grid's row i * S + j (S runs)
+    if the powers are its outer axis, else its row j * P + i (P powers).
+    A run's stage is a _Stage, or the
+    error its points report: before their own power check if it is the
+    error of the run's set-up (early), after it if not. columns forms
+    W = (f P) q as float64 arrays over any points; each IEEE product is the
+    scalar one bit for bit.
+    """
+
+    def __init__(self, stages: list, early: list, powers: tuple, p: np.ndarray, outer: bool):
+        self.stages, self.powers, self._p, self._outer = stages, powers, p, outer
+        self._early = np.array(early, dtype=bool)
+        self._failed = np.array([not isinstance(s, _Stage) for s in stages])
+        nan = (math.nan, math.nan)
+        factors = [
+            (*s.pair, *(s.signal or nan), *(s.idler or nan)) if isinstance(s, _Stage) else nan * 3
+            for s in stages
+        ]
+        self._factors = np.array(factors).reshape(len(stages), 6)
+
+    def __len__(self) -> int:
+        return len(self.stages) * len(self.powers)
+
+    def index(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The run and power index of each row from start to stop."""
+        shape = len(self.stages), len(self.powers)
+        return np.unravel_index(np.arange(start, stop), shape, order="F" if self._outer else "C")
+
+    def columns(self, jj: np.ndarray, ii: np.ndarray):
+        """W2, W1_s and W1_i at each point (jj[k], ii[k]), NaN for an unfiltered arm,
+        and the point's error: None, or the one evaluate_source raises there."""
+        p, f = self._p[ii], self._factors[jj]
+        with np.errstate(all="ignore"):
+            w2, w1_s, w1_i = (f[:, m] * p * f[:, m + 1] for m in (0, 2, 4))
+            exceeds = _exceeds(w2, w1_s) | _exceeds(w2, w1_i)
+            bad = ~((p >= 0.0) & (p < math.inf))
+        early, failed = self._early[jj], self._failed[jj]
+        errors = [None] * len(p)
+        for k in np.flatnonzero(early | bad | failed | exceeds).tolist():
+            if early[k] or (failed[k] and not bad[k]):
+                errors[k] = self.stages[jj[k]]
+            elif bad[k]:
+                errors[k] = _attempt(_check_nonneg, pump_power=self.powers[ii[k]])
+            else:
+                errors[k] = ValueError(_EXCEEDS)
+        return w2, w1_s, w1_i, errors
+
+    def results(self, jj: np.ndarray, ii: np.ndarray) -> list:
+        """The SourceReport, or the error evaluate_source raises, at each point.
+
+        A rate is a float, or a numpy float64 where the pump power is a
+        numpy scalar, as the scalar product (f P) q would be.
+        """
+        w2, w1_s, w1_i, errors = self.columns(jj, ii)
+        rates = zip(w2.tolist(), w1_s.tolist(), w1_i.tolist())
+        out = []
+        for k, (j, i, error, (a, b, c)) in enumerate(zip(jj.tolist(), ii.tolist(), errors, rates)):
+            if error is not None:
+                out.append(error)
+                continue
+            stage, power = self.stages[j], self.powers[i]
+            if type(power) is not float and isinstance(power, np.generic):
+                a, b, c = w2[k], w1_s[k], w1_i[k]
+            b = None if stage.signal is None else b
+            c = None if stage.idler is None else c
+            out.append(
+                SourceReport(a, b, c, *stage.fields, power, stage.efficiencies, stage.overlaps)
+            )
+        return out
+
+
 def _evaluate(
     geometries: dict,
     filter_pairs: dict,
-    runs: list,
+    setups: list,
+    powers: tuple,
     quad_tol: float,
+    power_outer: bool = False,
     overlaps: OverlapBundle | None = None,
-):
-    """Yield the SourceReport, or the error evaluate_source raises, at each power of each run.
+) -> _Runs:
+    """The runs of a grid: each run's stage, every run taking all the powers.
 
     geometries maps a key to (waves, crystal, fp) and filter_pairs a key to
-    (filter_s, filter_i). A run is (set-up, powers), the set-up being
-    (geometry key, filter key) or the error of its own set-up, which each
-    power yields as it is; results come run by run. The linewidths run once
-    per filter pair. The overlaps (the bundle given, else _overlaps) and Q
-    run once per geometry, for all at once when the first power passes its
-    check and its linewidths. eta and the rate factors, a set-up's stage,
-    run once per set-up; a run fetches its stage once, and each power then
-    makes its products and report. A step that receives an earlier step's
-    error passes it on, and a power reports its own error before all.
+    (filter_s, filter_i). Run j has setups[j], a (geometry key, filter key)
+    or the error of its own set-up, which its points report before their
+    power check. The linewidths run once per filter pair. The overlaps (the
+    bundle given, else _overlaps) and Q run once per geometry, for all at
+    once when a run first passes its linewidths. eta, its check and the
+    rate factors run once per set-up. Nothing runs when no power passes
+    its check. A step that receives an earlier step's error passes it on.
     """
 
     def efficiencies(waves, crystal, bundle):
@@ -383,7 +486,7 @@ def _evaluate(
             for (g, (waves, crystal, _)), bundle in zip(geometries.items(), bundles)
         }
 
-    def rate_factors(waves, linewidths, geometry):
+    def rate_factors(waves, linewidths, geometry) -> _Stage:
         """All of a report but P: eta of each arm (None if unfiltered), each rate as its (f, q)."""
         bundle, eff = geometry
         gamma_eff, *singles = linewidths
@@ -392,40 +495,27 @@ def _evaluate(
             None if gs is None else conditional_efficiency(waves, gamma_eff, gs, bundle.i_sfg_sq, d)
             for gs, d in zip(singles, dfg)
         ]
+        _check_eta(*eta)
         arms = zip(singles, (eff.q_signal_arm, eff.q_idler_arm), ("signal", "idler"))
         w1 = [None if gs is None else _singles_factor(waves, q, gs, arm) for gs, q, arm in arms]
         pair = _pair_factor(waves, eff.q_conversion, gamma_eff)
-        return pair, *w1, (*eta, *linewidths), eff, bundle
+        return _Stage(pair, *w1, (*eta, *linewidths), eff, bundle)
 
+    p = np.array(powers, dtype=float)
+    reached = bool(((p >= 0.0) & (p < math.inf)).any())
     lines, shared, stages = {}, {}, {}
-    for setup, powers in runs:
-        if isinstance(setup, Exception):
-            yield from [setup] * len(powers)
-            continue
-        stage = stages.get(setup)
-        if stage is None and any(0.0 <= power < math.inf for power in powers):
+
+    def stage(setup):
+        if isinstance(setup, Exception) or not reached:
+            return setup  # its own error, or a set-up that no point reaches
+        if setup not in stages:
             g, f = setup
             if f not in lines:
                 lines[f] = _attempt(_linewidths, *filter_pairs[f])
             if not shared and not isinstance(lines[f], Exception):
-                shared = geometry_steps()
-            stage = stages[setup] = _attempt(rate_factors, geometries[g][0], lines[f], shared.get(g))
-        # A failed stage is shared by many points: returned, not raised again.
-        failed = isinstance(stage, Exception)
-        if stage is not None and not failed:
-            (f_pair, q_pair), signal, idler, fields, eff, bundle = stage
-        for power in powers:
-            if not 0.0 <= power < math.inf:
-                yield _attempt(_check_nonneg, pump_power=power)
-            elif failed:
-                yield stage
-            else:
-                # The only step a point's pump power enters.
-                w1_s = None if signal is None else signal[0] * power * signal[1]
-                w1_i = None if idler is None else idler[0] * power * idler[1]
-                try:
-                    w2 = f_pair * power * q_pair
-                    result = SourceReport(w2, w1_s, w1_i, *fields, power, eff, bundle)
-                except Exception as exc:
-                    result = exc
-                yield result
+                shared.update(geometry_steps())
+            stages[setup] = _attempt(rate_factors, geometries[g][0], lines[f], shared.get(g))
+        return stages[setup]
+
+    early = [isinstance(s, Exception) for s in setups]
+    return _Runs([stage(s) for s in setups], early, powers, p, power_outer)

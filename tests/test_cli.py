@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from spdckit import classical, cli, filters, overlap, quantum, validation
 from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
-from spdckit.optimizer import optimize_focus
+from spdckit.optimizer import SweepAxis, optimize_focus, sweep
+from spdckit.quantities import to_si
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -773,6 +777,42 @@ def emitted_rows(monkeypatch):
     return seen
 
 
+def _library_sweep_rows(config: str, texts: list[str]) -> list[dict]:
+    """A CLI sweep's rows as dicts, made from the library optimizer.sweep rows."""
+    built = load_and_build(config)
+    axes, names, values = [], [], []
+    for text in texts:
+        axis = SweepAxis.parse(text)
+        unit = cli._SWEEP_UNITS.get(axis.name)
+        names.append(axis.name + (f"_{unit}" if unit else ""))
+        values.append(axis.values)
+        if unit is not None:
+            axis = SweepAxis(axis.name, tuple(to_si(v, unit) for v in axis.values))
+        axes.append(axis)
+    source = (built.waves, built.crystal, built.z_r, built.filter_s, built.filter_i)
+    rows = []
+    for combo, res in zip(itertools.product(*values), sweep(*source, built.pump_power, axes)):
+        rep = res.report
+        rows.append({
+            **dict(zip(names, combo)),
+            "w2_per_s": None if rep is None else rep.pair_rate_w2,
+            "eta_signal": None if rep is None else rep.eta_signal,
+            "eta_idler": None if rep is None else rep.eta_idler,
+            "gamma_eff_rad_s": None if rep is None else rep.gamma_eff,
+            "error": res.error,
+        })
+    return rows
+
+
+def _sweep_matches_the_library_rows(capsys, config: str, texts: list[str]) -> None:
+    rows = _library_sweep_rows(config, texts)
+    meta = {"command": "sweep", "config": config}
+    argv = ["sweep", "--config", config, *itertools.chain(*(["--sweep", t] for t in texts))]
+    for fmt in ("table", "csv", "ndjson"):
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == _reference_emit(rows, meta, fmt), fmt
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -783,11 +823,60 @@ def emitted_rows(monkeypatch):
     ids=["correlation-300000", "sweep-40x40-errors"],
 )
 def test_large_outputs_match_the_per_cell_reference(capsys, config_path, emitted_rows, argv):
+    # A sweep hands emit no row dicts; its reference is the library rows.
+    if argv[0] == "sweep":
+        _sweep_matches_the_library_rows(capsys, config_path, argv[2::2])
+        return
     assert main([*argv, "--config", config_path, "--format", "csv"]) == 0
     assert capsys.readouterr().out == _reference_emit(*emitted_rows[0], "csv")
     rows, meta = emitted_rows[0]
     for fmt in ("table", "ndjson"):
         assert _emitted(rows, meta, fmt) == _reference_emit(rows, meta, fmt)
+
+
+_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "config, texts",
+    [
+        # P_p outer: a 256-row block takes its points from many runs.
+        (None, ["P_p=-0.5:3:9", "Gamma_s=0.5:20:60"]),
+        # Runs of 70 powers, which blocks split.
+        (None, ["kappa=-6:2:5", "P_p=0.5:2:70"]),
+        (None, ["P_p=-1:4:600"]),
+        (None, ["Gamma_s=-1:5:20", "Gamma_i=0.5:3:15"]),
+        # kappa = -3000 is past the mode-sum kernel's node cap: error rows.
+        (None, ["kappa=-3000:-3:3", "P_p=-1:2:4"]),
+        (None, ["P_p=-0:1:3", "Gamma_s=1:1:300"]),
+        (None, ["Gamma_s=2:2:3", "P_p=1:1:100"]),
+        # An unfiltered idler: empty eta_idler cells.
+        ("tabulated.cfg", ["P_p=-0.5:2:300"]),
+        ("tabulated.cfg", ["Gamma_s=1:2:2", "P_p=0.5:2:3"]),
+        ("degenerate.cfg", ["P_p=2:0:5", "kappa=-4:-2:60"]),
+    ],
+)
+def test_sweep_output_is_the_library_rows(capsys, config_path, config, texts):
+    # The CLI writes a sweep block by block from its runs; every format
+    # gives the bytes of the library rows through the per-cell reference.
+    path = config_path if config is None else str(_GOLDEN_DIR / config)
+    _sweep_matches_the_library_rows(capsys, path, texts)
+
+
+def test_rate_only_sweep_holds_one_block(config_path):
+    # 100k points, P_p outer: the CLI holds one block of cells and the runs'
+    # stages, not a record per point (about 0.85 KB each when it did).
+    argv = ["sweep", "--config", config_path, "--format", "csv",
+            "--sweep", "P_p=0.1:5:200", "--sweep", "Gamma_s=0.5:40:500"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # warm: parser, imports
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def _run_main(argv):

@@ -978,3 +978,71 @@ def test_efficiency_error_stays_in_its_geometry_rows(sweep_setup, monkeypatch):
         "ValueError: efficiency failed here",
         "ValueError: pump_power must be >= 0",
     ]
+
+
+@pytest.mark.parametrize("power_outer", [True, False])
+def test_heralding_check_fails_exactly_its_run(sweep_setup, monkeypatch, power_outer):
+    # conditional_efficiency gives 1.5 at one signal width. The eta check
+    # runs once per run, over the run's array of powers: exactly that run's
+    # rows carry the error evaluate_source raises there, and every other
+    # row is a report.
+    waves, crystal, z_r, flt = sweep_setup
+    target = 3.0 * MHZ
+    real = quantum.conditional_efficiency
+
+    def patched(w, gamma_eff, gamma_eff_single, i_sfg_sq, i_dfg_sq):
+        if gamma_eff_single == target:
+            return 1.5
+        return real(w, gamma_eff, gamma_eff_single, i_sfg_sq, i_dfg_sq)
+
+    monkeypatch.setattr(quantum, "conditional_efficiency", patched)
+    fp = derive_focus_params(waves, crystal, z_r)
+    powers = SweepAxis("P_p", (1e-3, 2e-3, 3e-3, 0.0))
+    widths = SweepAxis("Gamma_s", (MHZ, target, 5.0 * MHZ))
+    axes = [powers, widths] if power_outer else [widths, powers]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    assert len(rows) == 12
+    for row in rows:
+        fs = filters.LorentzianFilter(row.coords["Gamma_s"])
+        if row.coords["Gamma_s"] != target:
+            assert row.error is None and row.report is not None, row.coords
+            continue
+        with pytest.raises(ValueError) as direct:
+            quantum.evaluate_source(waves, crystal, fp, fs, flt, row.coords["P_p"])
+        assert row.report is None
+        assert row.error == f"ValueError: {direct.value}"
+        assert row.error == "ValueError: heralding efficiency 1.5 outside (0, 1]"
+
+
+def test_rate_check_fails_exactly_its_points(sweep_setup, monkeypatch):
+    # A signal rate factor a tenth of its value at one width puts W1_s below
+    # W2 at every power but 0 (where both are 0): the rate check runs over
+    # the arrays of W2 and W1, so exactly those points carry the error
+    # evaluate_source raises there.
+    waves, crystal, z_r, flt = sweep_setup
+    target = 3.0 * MHZ
+    real = quantum._singles_factor
+
+    def patched(w, q, gamma, arm):
+        f, q = real(w, q, gamma, arm)
+        return (0.1 * f if arm == "signal" and gamma == target else f), q
+
+    monkeypatch.setattr(quantum, "_singles_factor", patched)
+    fp = derive_focus_params(waves, crystal, z_r)
+    axes = [SweepAxis("P_p", (1e-3, 0.0, -1e-3)), SweepAxis("Gamma_s", (MHZ, target))]
+    rows = sweep(waves, crystal, z_r, flt, flt, 1e-3, axes)
+    errors = []
+    for row in rows:
+        fs = filters.LorentzianFilter(row.coords["Gamma_s"])
+        try:
+            direct = quantum.evaluate_source(waves, crystal, fp, fs, flt, row.coords["P_p"])
+        except ValueError as exc:
+            assert row.error == f"ValueError: {exc}", row.coords
+            errors.append(row.error)
+        else:
+            assert row.error is None and row.report == direct, row.coords
+    assert errors == [
+        "ValueError: pair rate exceeds a singles rate",
+        "ValueError: pump_power must be >= 0",
+        "ValueError: pump_power must be >= 0",
+    ]
