@@ -437,9 +437,10 @@ def sweep(
     runs = _grid(waves, crystal, z_r, filter_s, filter_i, pump_power, axes, quad_tol)
     results = runs.results(*runs.index(0, len(runs)))
     names = [ax.name for ax in axes]
+    grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
     return [
-        SweepRow(dict(zip(names, combo)), None, f"{type(r).__name__}: {r}")
+        SweepRow(coords, None, f"{type(r).__name__}: {r}")
         if isinstance(r, Exception)
-        else SweepRow(dict(zip(names, combo)), r)
-        for combo, r in zip(itertools.product(*(ax.values for ax in axes)), results)
+        else SweepRow(coords, r)
+        for coords, r in zip(grid, results)
     ]

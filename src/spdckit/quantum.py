@@ -283,12 +283,17 @@ class SourceReport:
     overlaps: OverlapBundle
 
     def __post_init__(self) -> None:
-        _check_eta(self.eta_signal, self.eta_idler)
+        for eta in (self.eta_signal, self.eta_idler):
+            if eta is not None and not 0.0 < eta <= 1.0 + 1e-9:
+                raise ValueError(f"heralding efficiency {eta} outside (0, 1]")
         for singles in (self.singles_rate_signal, self.singles_rate_idler):
-            if singles is not None and _exceeds(self.pair_rate_w2, singles):
+            if singles is not None and self.pair_rate_w2 > singles * (1.0 + 1e-9):
                 raise ValueError(_EXCEEDS)
 
 
+# SourceReport's checks as the runner makes them: eta once per stage, the
+# rates over arrays of points. A report repeats them inline, as a call per
+# check would cost each sweep row more than the check.
 _EXCEEDS = "pair rate exceeds a singles rate"
 
 
@@ -373,20 +378,25 @@ class _Stage(NamedTuple):
 
 
 class _Runs:
-    """The runs of a grid as columns: the stage of each run, and the pump powers every run takes.
+    """The runs of a grid as columns: each run's stage, and the pump powers all runs take.
 
     Point (j, i) is power i of run j, and the grid's row i * S + j (S runs)
     if the powers are its outer axis, else its row j * P + i (P powers).
-    A run's stage is a _Stage, or the
-    error its points report: before their own power check if it is the
-    error of the run's set-up (early), after it if not. columns forms
-    W = (f P) q as float64 arrays over any points; each IEEE product is the
-    scalar one bit for bit.
+    A run's stage is a _Stage, or the error its points report: before their
+    own power check if it is the error of the run's set-up (early), after
+    it if not. columns forms W = (f P) q as float64 arrays over any points;
+    each IEEE product is the scalar one bit for bit.
     """
 
-    def __init__(self, stages: list, early: list, powers: tuple, p: np.ndarray, outer: bool):
-        self.stages, self.powers, self._p, self._outer = stages, powers, p, outer
-        self._early = np.array(early, dtype=bool)
+    def __init__(self, setups: list, powers: tuple, outer: bool, stage) -> None:
+        """The runs of set-ups taking powers; stage(setup) gives a set-up's stage."""
+        self.powers, self._outer = powers, outer
+        self._p = np.array(powers, dtype=float)
+        self._bad = ~((self._p >= 0.0) & (self._p < math.inf))
+        # Nothing runs when no power passes its check: each point checks it first.
+        reached = not self._bad.all()
+        self.stages = stages = [stage(s) if reached else s for s in setups]
+        self._early = np.array([isinstance(s, Exception) for s in setups], dtype=bool)
         self._failed = np.array([not isinstance(s, _Stage) for s in stages])
         nan = (math.nan, math.nan)
         factors = [
@@ -404,20 +414,22 @@ class _Runs:
         return np.unravel_index(np.arange(start, stop), shape, order="F" if self._outer else "C")
 
     def columns(self, jj: np.ndarray, ii: np.ndarray):
-        """W2, W1_s and W1_i at each point (jj[k], ii[k]), NaN for an unfiltered arm,
-        and the point's error: None, or the one evaluate_source raises there."""
+        """W2, W1_s and W1_i at each point (jj[k], ii[k]), and each point's error.
+
+        A rate of an unfiltered arm is NaN. An error is None, or the one
+        evaluate_source raises at the point.
+        """
         p, f = self._p[ii], self._factors[jj]
         with np.errstate(all="ignore"):
             w2, w1_s, w1_i = (f[:, m] * p * f[:, m + 1] for m in (0, 2, 4))
             exceeds = _exceeds(w2, w1_s) | _exceeds(w2, w1_i)
-            bad = ~((p >= 0.0) & (p < math.inf))
-        early, failed = self._early[jj], self._failed[jj]
         errors = [None] * len(p)
-        for k in np.flatnonzero(early | bad | failed | exceeds).tolist():
-            if early[k] or (failed[k] and not bad[k]):
-                errors[k] = self.stages[jj[k]]
-            elif bad[k]:
-                errors[k] = _attempt(_check_nonneg, pump_power=self.powers[ii[k]])
+        for k in np.flatnonzero(self._bad[ii] | self._failed[jj] | exceeds).tolist():
+            j, i = jj[k], ii[k]
+            if self._early[j] or (self._failed[j] and not self._bad[i]):
+                errors[k] = self.stages[j]
+            elif self._bad[i]:
+                errors[k] = _attempt(_check_nonneg, pump_power=self.powers[i])
             else:
                 errors[k] = ValueError(_EXCEEDS)
         return w2, w1_s, w1_i, errors
@@ -429,20 +441,21 @@ class _Runs:
         numpy scalar, as the scalar product (f P) q would be.
         """
         w2, w1_s, w1_i, errors = self.columns(jj, ii)
-        rates = zip(w2.tolist(), w1_s.tolist(), w1_i.tolist())
+        rates = [w2.tolist(), w1_s.tolist(), w1_i.tolist()]
+        jj, ii, stages, powers = jj.tolist(), ii.tolist(), self.stages, self.powers
+        if any(isinstance(power, np.generic) for power in powers):
+            for k, i in enumerate(ii):
+                if isinstance(powers[i], np.generic):
+                    for col, array in zip(rates, (w2, w1_s, w1_i)):
+                        col[k] = array[k]
         out = []
-        for k, (j, i, error, (a, b, c)) in enumerate(zip(jj.tolist(), ii.tolist(), errors, rates)):
-            if error is not None:
-                out.append(error)
-                continue
-            stage, power = self.stages[j], self.powers[i]
-            if type(power) is not float and isinstance(power, np.generic):
-                a, b, c = w2[k], w1_s[k], w1_i[k]
-            b = None if stage.signal is None else b
-            c = None if stage.idler is None else c
-            out.append(
-                SourceReport(a, b, c, *stage.fields, power, stage.efficiencies, stage.overlaps)
-            )
+        for j, i, error, a, b, c in zip(jj, ii, errors, *rates):
+            if error is None:
+                _, signal, idler, fields, eff, bundle = stages[j]
+                b = None if signal is None else b
+                c = None if idler is None else c
+                error = SourceReport(a, b, c, *fields, powers[i], eff, bundle)
+            out.append(error)
         return out
 
 
@@ -463,8 +476,8 @@ def _evaluate(
     power check. The linewidths run once per filter pair. The overlaps (the
     bundle given, else _overlaps) and Q run once per geometry, for all at
     once when a run first passes its linewidths. eta, its check and the
-    rate factors run once per set-up. Nothing runs when no power passes
-    its check. A step that receives an earlier step's error passes it on.
+    rate factors run once per set-up. A step that receives an earlier
+    step's error passes it on.
     """
 
     def efficiencies(waves, crystal, bundle):
@@ -501,13 +514,11 @@ def _evaluate(
         pair = _pair_factor(waves, eff.q_conversion, gamma_eff)
         return _Stage(pair, *w1, (*eta, *linewidths), eff, bundle)
 
-    p = np.array(powers, dtype=float)
-    reached = bool(((p >= 0.0) & (p < math.inf)).any())
     lines, shared, stages = {}, {}, {}
 
     def stage(setup):
-        if isinstance(setup, Exception) or not reached:
-            return setup  # its own error, or a set-up that no point reaches
+        if isinstance(setup, Exception):
+            return setup
         if setup not in stages:
             g, f = setup
             if f not in lines:
@@ -517,5 +528,4 @@ def _evaluate(
             stages[setup] = _attempt(rate_factors, geometries[g][0], lines[f], shared.get(g))
         return stages[setup]
 
-    early = [isinstance(s, Exception) for s in setups]
-    return _Runs([stage(s) for s in setups], early, powers, p, power_outer)
+    return _Runs(setups, powers, power_outer, stage)
