@@ -363,6 +363,19 @@ def _geometry_step(
     return dataclasses.replace(waves, pump=pump), crystal, z_r
 
 
+def _axis_names(axes: list[SweepAxis]) -> list[str]:
+    """The names of a sweep's axes, checked: one or two, distinct, a grid within the cap."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError("sweep takes one or two axes")
+    names = [ax.name for ax in axes]
+    if len(set(names)) != len(names):
+        raise ValueError("sweep axes must be distinct")
+    total = math.prod(len(ax.values) for ax in axes)
+    if total > _MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
+    return names
+
+
 def _grid(
     waves: WaveTriple,
     crystal: CrystalSpec,
@@ -374,15 +387,7 @@ def _grid(
     quad_tol: float,
 ) -> quantum._Runs:
     """The runs of a sweep grid in grid order, each with its stage from quantum._evaluate."""
-    if not 1 <= len(axes) <= 2:
-        raise ValueError("sweep takes one or two axes")
-    names = [ax.name for ax in axes]
-    if len(set(names)) != len(names):
-        raise ValueError("sweep axes must be distinct")
-    total = math.prod(len(ax.values) for ax in axes)
-    if total > _MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep grid of {total} points exceeds {_MAX_SWEEP_POINTS}")
-
+    names = _axis_names(axes)
     powers = axes[names.index("P_p")].values if "P_p" in names else (pump_power,)
     others = [name for name in names if name != "P_p"]
     geometry = [name for name in others if name in _GEOMETRY_AXES]
@@ -434,10 +439,13 @@ def sweep(
     order. basis_order is accepted and ignored: the mode sums have no basis
     order (modebasis).
     """
+    # The coords come first, as the set-ups and reports then live through
+    # fewer collections of the young generations: fewer reach the oldest,
+    # whose full collections (about 20 ms each) land in later sweeps.
+    names = _axis_names(axes)
+    grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
     runs = _grid(waves, crystal, z_r, filter_s, filter_i, pump_power, axes, quad_tol)
     results = runs.results(*runs.index(0, len(runs)))
-    names = [ax.name for ax in axes]
-    grid = [dict(zip(names, combo)) for combo in itertools.product(*(ax.values for ax in axes))]
     return [
         SweepRow(coords, None, f"{type(r).__name__}: {r}")
         if isinstance(r, Exception)

@@ -125,7 +125,8 @@ def emit(rows, meta: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
     if isinstance(rows, list):
         # ndjson rows carry their own keys.
-        columns = [] if fmt == "ndjson" else list(dict.fromkeys(itertools.chain.from_iterable(rows)))
+        keys = [] if fmt == "ndjson" else itertools.chain.from_iterable(rows)
+        columns = list(dict.fromkeys(keys))
         blocks = _dict_blocks(rows, columns, fmt)
     else:
         columns, blocks = rows.columns, rows.blocks(fmt)
@@ -149,7 +150,8 @@ def emit(rows, meta: dict, fmt: str, out=None) -> None:
     for n_rows, cells in blocks:
         widths = [max(w, *map(len, col)) for w, col in zip(widths, cells)]
         joined = ["\0".join(col) for col in cells]
-        kept.append((n_rows, [j if j.count("\0") == len(c) - 1 else c for j, c in zip(joined, cells)]))
+        cells = [j if j.count("\0") == len(c) - 1 else c for j, c in zip(joined, cells)]
+        kept.append((n_rows, cells))
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
     for n_rows, block in kept:
         cells = [

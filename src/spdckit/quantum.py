@@ -267,7 +267,9 @@ class SourceReport:
     """Everything computed for one source configuration.
 
     Rates are None for an arm whose filter is Unfiltered (its singles rate
-    is unbounded in the narrow-band model).
+    is unbounded in the narrow-band model). The runner that makes every
+    report checks its invariants: each eta in (0, 1], and a pair rate no
+    larger than either singles rate (_check_eta, _exceeds).
     """
 
     pair_rate_w2: float
@@ -282,18 +284,10 @@ class SourceReport:
     efficiencies: classical.EfficiencyReport
     overlaps: OverlapBundle
 
-    def __post_init__(self) -> None:
-        for eta in (self.eta_signal, self.eta_idler):
-            if eta is not None and not 0.0 < eta <= 1.0 + 1e-9:
-                raise ValueError(f"heralding efficiency {eta} outside (0, 1]")
-        for singles in (self.singles_rate_signal, self.singles_rate_idler):
-            if singles is not None and self.pair_rate_w2 > singles * (1.0 + 1e-9):
-                raise ValueError(_EXCEEDS)
 
 
-# SourceReport's checks as the runner makes them: eta once per stage, the
-# rates over arrays of points. A report repeats them inline, as a call per
-# check would cost each sweep row more than the check.
+# SourceReport's invariants, checked by the runner: eta once per stage, the
+# rates over arrays of points.
 _EXCEEDS = "pair rate exceeds a singles rate"
 
 
@@ -369,10 +363,8 @@ def _attempt(step, *args, **kwargs):
 class _Stage(NamedTuple):
     """All of a run's reports but the pump power."""
 
-    pair: tuple[float, float]  # (f, q) of W2 = (f P) q
-    signal: tuple[float, float] | None  # (f, q) of W1_s; None if unfiltered
-    idler: tuple[float, float] | None
-    fields: tuple  # eta_s, eta_i, Gamma_eff, Gamma_eff_s, Gamma_eff_i
+    factors: tuple  # f and q of W = (f P) q for W2, W1_s, W1_i; NaN for an unfiltered arm
+    fields: tuple  # eta_s, eta_i, Gamma_eff, Gamma_eff_s, Gamma_eff_i (None if unfiltered)
     efficiencies: classical.EfficiencyReport
     overlaps: OverlapBundle
 
@@ -390,20 +382,15 @@ class _Runs:
 
     def __init__(self, setups: list, powers: tuple, outer: bool, stage) -> None:
         """The runs of set-ups taking powers; stage(setup) gives a set-up's stage."""
-        self.powers, self._outer = powers, outer
+        self.powers, self._outer, self._setups = powers, outer, setups
         self._p = np.array(powers, dtype=float)
         self._bad = ~((self._p >= 0.0) & (self._p < math.inf))
         # Nothing runs when no power passes its check: each point checks it first.
-        reached = not self._bad.all()
+        reached = any(0.0 <= power < math.inf for power in powers)
         self.stages = stages = [stage(s) if reached else s for s in setups]
-        self._early = np.array([isinstance(s, Exception) for s in setups], dtype=bool)
-        self._failed = np.array([not isinstance(s, _Stage) for s in stages])
-        nan = (math.nan, math.nan)
-        factors = [
-            (*s.pair, *(s.signal or nan), *(s.idler or nan)) if isinstance(s, _Stage) else nan * 3
-            for s in stages
-        ]
-        self._factors = np.array(factors).reshape(len(stages), 6)
+        failed = (math.nan,) * 6
+        self._factors = np.array([s.factors if isinstance(s, _Stage) else failed for s in stages])
+        self._failed = np.isnan(self._factors[:, 0])  # a stage's factors are finite
 
     def __len__(self) -> int:
         return len(self.stages) * len(self.powers)
@@ -419,20 +406,20 @@ class _Runs:
         A rate of an unfiltered arm is NaN. An error is None, or the one
         evaluate_source raises at the point.
         """
-        p, f = self._p[ii], self._factors[jj]
+        f = self._factors[jj]
         with np.errstate(all="ignore"):
-            w2, w1_s, w1_i = (f[:, m] * p * f[:, m + 1] for m in (0, 2, 4))
-            exceeds = _exceeds(w2, w1_s) | _exceeds(w2, w1_i)
-        errors = [None] * len(p)
+            w = f[:, 0::2] * self._p[ii, None] * f[:, 1::2]  # W2, W1_s, W1_i as columns
+            exceeds = _exceeds(w[:, 0], np.fmin(w[:, 1], w[:, 2]))  # fmin skips an unfiltered NaN
+        errors = [None] * len(w)
         for k in np.flatnonzero(self._bad[ii] | self._failed[jj] | exceeds).tolist():
             j, i = jj[k], ii[k]
-            if self._early[j] or (self._failed[j] and not self._bad[i]):
+            if isinstance(self._setups[j], Exception) or (self._failed[j] and not self._bad[i]):
                 errors[k] = self.stages[j]
             elif self._bad[i]:
                 errors[k] = _attempt(_check_nonneg, pump_power=self.powers[i])
             else:
                 errors[k] = ValueError(_EXCEEDS)
-        return w2, w1_s, w1_i, errors
+        return *w.T, errors
 
     def results(self, jj: np.ndarray, ii: np.ndarray) -> list:
         """The SourceReport, or the error evaluate_source raises, at each point.
@@ -440,20 +427,20 @@ class _Runs:
         A rate is a float, or a numpy float64 where the pump power is a
         numpy scalar, as the scalar product (f P) q would be.
         """
-        w2, w1_s, w1_i, errors = self.columns(jj, ii)
-        rates = [w2.tolist(), w1_s.tolist(), w1_i.tolist()]
+        *w, errors = self.columns(jj, ii)
+        rates = [col.tolist() for col in w]
         jj, ii, stages, powers = jj.tolist(), ii.tolist(), self.stages, self.powers
         if any(isinstance(power, np.generic) for power in powers):
             for k, i in enumerate(ii):
                 if isinstance(powers[i], np.generic):
-                    for col, array in zip(rates, (w2, w1_s, w1_i)):
+                    for col, array in zip(rates, w):
                         col[k] = array[k]
         out = []
         for j, i, error, a, b, c in zip(jj, ii, errors, *rates):
             if error is None:
-                _, signal, idler, fields, eff, bundle = stages[j]
-                b = None if signal is None else b
-                c = None if idler is None else c
+                _, fields, eff, bundle = stages[j]
+                b = None if fields[3] is None else b
+                c = None if fields[4] is None else c
                 error = SourceReport(a, b, c, *fields, powers[i], eff, bundle)
             out.append(error)
         return out
@@ -510,9 +497,12 @@ def _evaluate(
         ]
         _check_eta(*eta)
         arms = zip(singles, (eff.q_signal_arm, eff.q_idler_arm), ("signal", "idler"))
-        w1 = [None if gs is None else _singles_factor(waves, q, gs, arm) for gs, q, arm in arms]
+        w1 = [
+            (math.nan, math.nan) if gs is None else _singles_factor(waves, q, gs, arm)
+            for gs, q, arm in arms
+        ]
         pair = _pair_factor(waves, eff.q_conversion, gamma_eff)
-        return _Stage(pair, *w1, (*eta, *linewidths), eff, bundle)
+        return _Stage((*pair, *w1[0], *w1[1]), (*eta, *linewidths), eff, bundle)
 
     lines, shared, stages = {}, {}, {}
 

@@ -7,8 +7,6 @@ import pytest
 from spdckit import classical, filters
 from spdckit.quantities import CrystalSpec, WaveTriple, derive_focus_params
 from spdckit.quantum import (
-    OverlapBundle,
-    SourceReport,
     compute_overlaps,
     conditional_efficiency,
     correlation_amplitude_sq,
@@ -307,34 +305,20 @@ def test_compute_overlaps_degenerate_one_mode_sum(
     assert ref.i_dfg_sq_signal_arm != ref.i_dfg_sq_idler_arm
 
 
-def test_source_report_invariants_enforced():
-    from spdckit.classical import EfficiencyReport
+def test_source_report_invariants_enforced(ref_waves, ref_crystal, ref_fp, monkeypatch):
+    # The runner makes every report and checks its invariants: eta in (0, 1]
+    # once per stage, the pair rate against each singles rate over the
+    # arrays of points. A point that breaks one reports the error instead.
+    from spdckit import quantum
 
-    eff = EfficiencyReport(1e-3, 1e-3, 1e-3)
-    bundle = OverlapBundle(1.0, 1.0, 1.0)
-    common = dict(
-        gamma_eff=MHZ,
-        gamma_eff_s=MHZ,
-        gamma_eff_i=MHZ,
-        pump_power=1e-3,
-        efficiencies=eff,
-        overlaps=bundle,
-    )
-    with pytest.raises(ValueError, match="outside"):
-        SourceReport(
-            pair_rate_w2=1.0,
-            singles_rate_signal=2.0,
-            singles_rate_idler=2.0,
-            eta_signal=1.5,
-            eta_idler=0.5,
-            **common,
-        )
-    with pytest.raises(ValueError, match="exceeds"):
-        SourceReport(
-            pair_rate_w2=3.0,
-            singles_rate_signal=2.0,
-            singles_rate_idler=2.0,
-            eta_signal=0.5,
-            eta_idler=0.5,
-            **common,
-        )
+    source = (ref_waves, ref_crystal, ref_fp, LORENTZIAN_2MHZ, LORENTZIAN_2MHZ, 1e-3)
+    with monkeypatch.context() as m:
+        m.setattr(quantum, "conditional_efficiency", lambda *args: 1.5)
+        with pytest.raises(ValueError, match=r"heralding efficiency 1\.5 outside \(0, 1\]"):
+            evaluate_source(*source)
+    real = quantum._singles_factor
+    with monkeypatch.context() as m:
+        m.setattr(quantum, "_singles_factor", lambda *args: (0.1 * real(*args)[0], real(*args)[1]))
+        with pytest.raises(ValueError, match="pair rate exceeds a singles rate"):
+            evaluate_source(*source)
+    assert evaluate_source(*source).eta_signal < 1.0
