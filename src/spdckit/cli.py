@@ -1,21 +1,13 @@
 """Command line interface.
 
 Every subcommand reads a run configuration (validate is self-contained,
-and optimize takes --rk or --config), computes, and prints rows in one of
-three formats:
+and optimize takes --rk or --config), computes, and prints rows as table,
+csv or ndjson (output.emit). Output is deterministic for a given input:
+no timestamps.
 
-    table    aligned columns for eyes
-    csv      comma separated, header row first
-    ndjson   one JSON object per row
-
-table and csv are preceded by '#' metadata lines; ndjson instead starts
-with one {"_meta": {...}} object (output.emit). Output is deterministic
-for a given input: floats print with repr (shortest round-trip), no
-timestamps.
-
-sweep computes its grid per run as columns (optimizer._grid) and hands
-emit the runs, which it writes a block at a time; the command holds one
-block (table: each block's cells) and never a record per point.
+correlation hands emit its trace's arrays, and sweep its grid's runs
+(optimizer._grid), as columns; emit writes them a block at a time, so
+neither holds a record per point.
 
 sfg, pairs and correlation take only the pair side of the source: I_SFG
 and its Q (_pair_side), and for pairs and correlation the filter pair's
@@ -45,7 +37,7 @@ from . import classical, filters, overlap, quantum, validation
 from .config import ConfigError, load_and_build
 from .optimizer import _MAX_RESTARTS, _MIN_ZETA_R, AXIS_NAMES, SweepAxis, optimize_focus
 from .optimizer import _check_box, _grid
-from .output import _BLOCK_ROWS, _SweepRows, _fmt, emit
+from .output import Columns, _SweepRows, _fmt, emit, rows_of
 from .quantities import from_si, to_si
 
 __all__ = ["main"]
@@ -101,7 +93,7 @@ def _cmd_sfg(args) -> int:
         "abs_i_sfg_sq": i_sfg.abs_sq,
         _q_column(built.waves): q_value,
     }
-    emit([row], _base_meta(args, "sfg"), args.format)
+    emit(rows_of([row]), _base_meta(args, "sfg"), args.format)
     return 0
 
 
@@ -118,7 +110,7 @@ def _cmd_pairs(args) -> int:
         "w2_per_s": w2,
         "pairs_per_s_mW_MHz": w2 / (from_si(built.pump_power, "mW") * gamma_mhz),
     }
-    emit([row], _base_meta(args, "pairs"), args.format)
+    emit(rows_of([row]), _base_meta(args, "pairs"), args.format)
     return 0
 
 
@@ -136,7 +128,7 @@ def _cmd_singles(args) -> int:
         "gamma_s_rad_s": report.gamma_eff_s,
         "gamma_i_rad_s": report.gamma_eff_i,
     }
-    emit([row], _base_meta(args, "singles"), args.format)
+    emit(rows_of([row]), _base_meta(args, "singles"), args.format)
     return 0
 
 
@@ -165,28 +157,24 @@ def _cmd_correlation(args) -> int:
         raise ValueError(
             f"{exc}; use --points {need} or more for this span, or a smaller --tau-max"
         ) from None
-    # Python floats from whole columns, a block at a time. abs of a Python
-    # complex is hypot, as for a numpy scalar; np.abs of an array may round
-    # otherwise.
-    rows = []
-    for start in range(0, len(trace.tau), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        rows += [
-            {
-                "tau_s": t,
-                "f_re": f.real,
-                "f_im": f.imag,
-                "abs_f_sq": abs(f) ** 2,
-                "w2_density_per_s2": w,
-            }
-            for t, f, w in zip(
-                trace.tau[block].tolist(), trace.f[block].tolist(), trace.w2_density[block].tolist()
-            )
+
+    def values(start, stop):
+        # abs of a Python complex is hypot, as for a numpy scalar; np.abs of
+        # an array may round otherwise.
+        f = trace.f[start:stop]
+        return [
+            trace.tau[start:stop].tolist(),
+            f.real.tolist(),
+            f.imag.tolist(),
+            [abs(z) ** 2 for z in f.tolist()],
+            trace.w2_density[start:stop].tolist(),
         ]
+
+    names = ["tau_s", "f_re", "f_im", "abs_f_sq", "w2_density_per_s2"]
     meta = _base_meta(args, "correlation")
     meta["gamma_eff_rad_s"] = repr(trace.gamma_eff)
     meta["a_sq"] = repr(scale.a_sq)
-    emit(rows, meta, args.format)
+    emit(Columns(names, len(trace.tau), values), meta, args.format)
     return 0
 
 
@@ -227,7 +215,7 @@ def _cmd_optimize(args) -> int:
         ]
         meta["best_objective"] = repr(result.best_objective)
         meta["converged"] = _fmt(result.converged)
-        emit(rows, meta, args.format)
+        emit(rows_of(rows), meta, args.format)
         return 0
     row = {
         "r_k": r_k,
@@ -243,7 +231,7 @@ def _cmd_optimize(args) -> int:
         q = built.waves.k_minus0 - result.best_kappa / length
         row["z_R_m"] = result.best_zeta_r * length
         row["poling_period_m"] = None if q <= 0 else 2.0 * np.pi / q
-    emit([row], meta, args.format)
+    emit(rows_of([row]), meta, args.format)
     return 0
 
 
@@ -278,7 +266,7 @@ def _cmd_validate(args) -> int:
         }
         for r in reports
     ]
-    emit(rows, {"command": "validate"}, args.format)
+    emit(rows_of(rows), {"command": "validate"}, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 

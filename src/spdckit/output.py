@@ -10,11 +10,14 @@ round-trip). Formatting goes by column: a column of 64-bit floats is
 converted by float.__repr__ in one pass, any other column cell by cell,
 with the same bytes either way.
 
-emit writes blocks of _BLOCK_ROWS rows: csv and ndjson write each block
-as it is formatted, and table keeps each block's cells to pad every
-column to its widest cell. Its rows are a list of dicts, or a sweep's
-runs (_SweepRows), whose blocks are made from the runs' columns as they
-are written, so a sweep holds one block and never a record per point.
+emit takes one form of rows: a source with columns (their names), len()
+its row count, and cells(start, stop, fmt), each column's text over those
+rows. Columns makes them from values given a block at a time (rows_of:
+from row dicts), and _SweepRows from a sweep's runs. emit writes blocks
+of _BLOCK_ROWS rows: csv and ndjson write each block as it is formatted,
+and table keeps each block's cells to pad every column to its widest
+cell. So emit holds one block (table: each block's cells), never a
+record per row.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import numpy as np
 
 from . import quantum
 
-__all__ = ["emit"]
+__all__ = ["Columns", "emit", "rows_of"]
 
-# Rows per block: csv and ndjson are formatted and written, and the
-# correlation rows built, a block at a time. This bounds the temporaries,
-# so a 300000-row trace peaks no higher than writing row by row did.
+# Rows per block: csv and ndjson are formatted and written a block at a
+# time. This bounds the temporaries, so a 300000-row trace peaks no higher
+# than writing row by row did.
 _BLOCK_ROWS = 256
 # Formatted cells a sweep keeps between blocks: of this many runs, and of as
 # many powers.
@@ -53,14 +56,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _json_cell(value) -> str:
-    return json.dumps(_jsonable(value))
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    return json.dumps(value)
 
 
 def _cells(values: list, fmt: str) -> list[str]:
@@ -78,87 +77,77 @@ def _cells(values: list, fmt: str) -> list[str]:
     return list(map(_json_cell if fmt == "ndjson" else _fmt, values))
 
 
-def _lines(columns: list[list[str]], n_rows: int):
-    """Rows of cells from columns of cells; a row without columns is empty."""
-    return zip(*columns) if columns else [()] * n_rows
+class Columns:
+    """Rows for emit from columns of values made on request.
 
-
-def _block_cells(rows: list[dict], columns: list[str], fmt: str) -> list[list[str]]:
-    """Each column's text over a block of rows."""
-    return [_cells([row.get(c) for row in rows], fmt) for c in columns]
-
-
-def _heads(keys) -> list[str]:
-    """The ndjson text before each key's value."""
-    return [json.dumps(k) + ": " for k in keys]
-
-
-def _dict_blocks(rows: list[dict], columns: list[str], fmt: str):
-    """(rows, cells of each column) of each block of row dicts.
-
-    An ndjson cell is its member's text, head and value. A block whose rows
-    do not all have the same keys in the same order is one column of each
-    row's members.
+    values(start, stop) gives each column's values over rows start to stop,
+    in the order of names.
     """
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        if fmt != "ndjson":
-            yield len(block), _block_cells(block, columns, fmt)
-            continue
-        keys = list(block[0])
-        if all(list(row) == keys for row in block):
-            cells = [
-                [head + cell for cell in _cells([row[k] for row in block], fmt)]
-                for k, head in zip(keys, _heads(keys))
-            ]
-        else:
-            cells = [[json.dumps({k: _jsonable(v) for k, v in row.items()})[1:-1] for row in block]]
-        yield len(block), cells
+
+    def __init__(self, names: list[str], n_rows: int, values) -> None:
+        self.columns, self._n_rows, self.values = list(names), n_rows, values
+
+    def __len__(self) -> int:
+        return self._n_rows
+
+    def cells(self, start: int, stop: int, fmt: str) -> list[list[str]]:
+        """Each column's text over rows start to stop."""
+        return [_cells(col, fmt) for col in self.values(start, stop)]
+
+
+def rows_of(rows: list[dict]) -> Columns:
+    """Columns of row dicts that all have the same keys in the same order."""
+    names = list(rows[0]) if rows else []
+
+    def values(start, stop):
+        block = rows[start:stop]
+        return [[row[k] for row in block] for k in names]
+
+    return Columns(names, len(rows), values)
 
 
 def emit(rows, meta: dict, fmt: str, out=None) -> None:
     """Write meta, then rows in fmt.
 
-    rows is a list of dicts, or a sized source of blocks (a sweep's rows,
-    _SweepRows) that gives its columns and each block's cells.
+    rows is a source of at least one column: Columns, or a sweep's runs
+    (_SweepRows). emit asks it for one block of cells at a time.
     """
     out = out or sys.stdout
-    if isinstance(rows, list):
-        # ndjson rows carry their own keys.
-        keys = [] if fmt == "ndjson" else itertools.chain.from_iterable(rows)
-        columns = list(dict.fromkeys(keys))
-        blocks = _dict_blocks(rows, columns, fmt)
-    else:
-        columns, blocks = rows.columns, rows.blocks(fmt)
+    n_rows = len(rows)
+    blocks = (
+        rows.cells(start, min(start + _BLOCK_ROWS, n_rows), fmt)
+        for start in range(0, n_rows, _BLOCK_ROWS)
+    )
     if fmt == "ndjson":
         out.write(json.dumps({"_meta": meta}) + "\n")
-        for n_rows, cells in blocks:
-            out.write("".join("{" + ", ".join(line) + "}\n" for line in _lines(cells, n_rows)))
+        heads = (json.dumps(k).replace("%", "%%") + ": %s" for k in rows.columns)
+        line = "{" + ", ".join(heads) + "}\n"
+        for cells in blocks:
+            out.write("".join(map(line.__mod__, zip(*cells))))
         return
     for key, value in meta.items():
         out.write(f"# {key}: {value}\n")
     if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        for n_rows, cells in blocks:
-            out.write("".join(",".join(line) + "\n" for line in _lines(cells, n_rows)))
+        out.write(",".join(rows.columns) + "\n")
+        for cells in blocks:
+            out.write("".join(",".join(line) + "\n" for line in zip(*cells)))
         return
     # Widths span every row: a first pass formats each block once and keeps
     # each of its columns as one NUL-joined string (its cells as they are if
     # a cell holds a NUL), and the second pads them.
-    widths = list(map(len, columns))
+    widths = list(map(len, rows.columns))
     kept = []
-    for n_rows, cells in blocks:
+    for cells in blocks:
         widths = [max(w, *map(len, col)) for w, col in zip(widths, cells)]
         joined = ["\0".join(col) for col in cells]
-        cells = [j if j.count("\0") == len(c) - 1 else c for j, c in zip(joined, cells)]
-        kept.append((n_rows, cells))
-    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-    for n_rows, block in kept:
+        kept.append([j if j.count("\0") == len(c) - 1 else c for j, c in zip(joined, cells)])
+    out.write("  ".join(c.ljust(w) for c, w in zip(rows.columns, widths)).rstrip() + "\n")
+    for block in kept:
         cells = [
             [c.ljust(w) for c in (col.split("\0") if isinstance(col, str) else col)]
             for col, w in zip(block, widths)
         ]
-        out.write("".join("  ".join(line).rstrip() + "\n" for line in _lines(cells, n_rows)))
+        out.write("".join("  ".join(line).rstrip() + "\n" for line in zip(*cells)))
 
 
 def _kept(kept: dict, keys: list, make) -> list:
@@ -189,21 +178,15 @@ class _SweepRows:
         self.columns = [*names, "w2_per_s", "eta_signal", "eta_idler", "gamma_eff_rad_s", "error"]
         others = [values for k, values in enumerate(display) if k != power]
         self._coords = list(itertools.product(*others))  # of each run
+        self._kept = {}  # of each format: the kept cells of runs, and of powers
 
     def __len__(self) -> int:
         return len(self.runs)
 
-    def blocks(self, fmt: str):
-        """(rows, cells of each column) of each block, in grid order."""
-        heads = _heads(self.columns) if fmt == "ndjson" else [""] * len(self.columns)
-        blank = [head + ("null" if fmt == "ndjson" else "") for head in heads]
-        n_axes = len(self._display)
-        run_heads = [h for k, h in enumerate(heads[:n_axes]) if k != self._power]
-        run_heads += heads[n_axes + 1 : n_axes + 4]
-
-        def headed(head, values):
-            cells = _cells(values, fmt)
-            return [head + cell for cell in cells] if head else cells
+    def cells(self, start: int, stop: int, fmt: str) -> list[list[str]]:
+        """Each column's text over rows start to stop, in grid order."""
+        kept_runs, kept_powers = self._kept.setdefault(fmt, ({}, {}))
+        blank, n_axes = "null" if fmt == "ndjson" else "", len(self._display)
 
         def run_cells(new):
             stages = [self.runs.stages[j] for j in new]
@@ -211,27 +194,26 @@ class _SweepRows:
                 (*self._coords[j], *(s.fields[:3] if isinstance(s, quantum._Stage) else [None] * 3))
                 for j, s in zip(new, stages)
             ]
-            return list(zip(*map(headed, run_heads, zip(*values))))
+            return list(zip(*(_cells(col, fmt) for col in zip(*values))))
 
         def power_cells(new):
-            return headed(heads[self._power], [self._display[self._power][i] for i in new])
+            return _cells([self._display[self._power][i] for i in new], fmt)
 
-        kept_runs, kept_powers = {}, {}
-        for start in range(0, len(self), _BLOCK_ROWS):
-            jj, ii = self.runs.index(start, min(start + _BLOCK_ROWS, len(self)))
-            w2, _, _, errors = self.runs.columns(jj, ii)
-            failed = [k for k, error in enumerate(errors) if error is not None]
-            w2[failed] = 0.0  # not printed; keeps the column finite
-            per_run = [list(col) for col in zip(*_kept(kept_runs, jj.tolist(), run_cells))]
-            coords = iter(per_run[:-3])
-            cells = [
-                _kept(kept_powers, ii.tolist(), power_cells) if k == self._power else next(coords)
-                for k in range(n_axes)
-            ]
-            cells += [headed(heads[n_axes], w2.tolist()), *per_run[-3:], [blank[-1]] * len(errors)]
-            texts = headed(heads[-1], [f"{type(errors[k]).__name__}: {errors[k]}" for k in failed])
-            for k, text in zip(failed, texts):
-                for col, empty in zip(cells[n_axes:-1], blank[n_axes:-1]):
-                    col[k] = empty
-                cells[-1][k] = text
-            yield len(errors), cells
+        jj, ii = self.runs.index(start, stop)
+        w2, _, _, errors = self.runs.columns(jj, ii)
+        failed = [k for k, error in enumerate(errors) if error is not None]
+        for k in failed:
+            w2[k] = 0.0  # not printed; keeps the column finite
+        per_run = [list(col) for col in zip(*_kept(kept_runs, jj.tolist(), run_cells))]
+        coords = iter(per_run[:-3])
+        cells = [
+            _kept(kept_powers, ii.tolist(), power_cells) if k == self._power else next(coords)
+            for k in range(n_axes)
+        ]
+        cells += [_cells(w2, fmt), *per_run[-3:], [blank] * len(errors)]
+        texts = _cells([f"{type(errors[k]).__name__}: {errors[k]}" for k in failed], fmt)
+        for k, text in zip(failed, texts):
+            for col in cells[n_axes:-1]:
+                col[k] = blank
+            cells[-1][k] = text
+        return cells

@@ -269,7 +269,7 @@ class SourceReport:
     Rates are None for an arm whose filter is Unfiltered (its singles rate
     is unbounded in the narrow-band model). The runner that makes every
     report checks its invariants: each eta in (0, 1], and a pair rate no
-    larger than either singles rate (_check_eta, _exceeds).
+    larger than either singles rate (_check_eta, _EXCEEDS).
     """
 
     pair_rate_w2: float
@@ -285,7 +285,6 @@ class SourceReport:
     overlaps: OverlapBundle
 
 
-
 # SourceReport's invariants, checked by the runner: eta once per stage, the
 # rates over arrays of points.
 _EXCEEDS = "pair rate exceeds a singles rate"
@@ -296,11 +295,6 @@ def _check_eta(*etas: float | None) -> None:
     for eta in etas:
         if eta is not None and not 0.0 < eta <= 1.0 + 1e-9:
             raise ValueError(f"heralding efficiency {eta} outside (0, 1]")
-
-
-def _exceeds(w2, w1):
-    """Whether the pair rate exceeds the singles rate; elementwise on arrays."""
-    return w2 > w1 * (1.0 + 1e-9)
 
 
 def _linewidths(
@@ -376,7 +370,7 @@ class _Runs:
     if the powers are its outer axis, else its row j * P + i (P powers).
     A run's stage is a _Stage, or the error its points report: before their
     own power check if it is the error of the run's set-up (early), after
-    it if not. columns forms W = (f P) q as float64 arrays over any points;
+    it if not. columns forms W = (f P) q over any points in float64 arrays;
     each IEEE product is the scalar one bit for bit.
     """
 
@@ -384,13 +378,12 @@ class _Runs:
         """The runs of set-ups taking powers; stage(setup) gives a set-up's stage."""
         self.powers, self._outer, self._setups = powers, outer, setups
         self._p = np.array(powers, dtype=float)
-        self._bad = ~((self._p >= 0.0) & (self._p < math.inf))
+        self._bad = bad = [not 0.0 <= power < math.inf for power in powers]
         # Nothing runs when no power passes its check: each point checks it first.
-        reached = any(0.0 <= power < math.inf for power in powers)
-        self.stages = stages = [stage(s) if reached else s for s in setups]
+        self.stages = stages = list(setups) if all(bad) else [stage(s) for s in setups]
         failed = (math.nan,) * 6
         self._factors = np.array([s.factors if isinstance(s, _Stage) else failed for s in stages])
-        self._failed = np.isnan(self._factors[:, 0])  # a stage's factors are finite
+        self._failed = [not isinstance(s, _Stage) for s in stages]
 
     def __len__(self) -> int:
         return len(self.stages) * len(self.powers)
@@ -401,7 +394,7 @@ class _Runs:
         return np.unravel_index(np.arange(start, stop), shape, order="F" if self._outer else "C")
 
     def columns(self, jj: np.ndarray, ii: np.ndarray):
-        """W2, W1_s and W1_i at each point (jj[k], ii[k]), and each point's error.
+        """W2, W1_s and W1_i at each point (jj[k], ii[k]) as lists, and each point's error.
 
         A rate of an unfiltered arm is NaN. An error is None, or the one
         evaluate_source raises at the point.
@@ -409,17 +402,22 @@ class _Runs:
         f = self._factors[jj]
         with np.errstate(all="ignore"):
             w = f[:, 0::2] * self._p[ii, None] * f[:, 1::2]  # W2, W1_s, W1_i as columns
-            exceeds = _exceeds(w[:, 0], np.fmin(w[:, 1], w[:, 2]))  # fmin skips an unfiltered NaN
-        errors = [None] * len(w)
-        for k in np.flatnonzero(self._bad[ii] | self._failed[jj] | exceeds).tolist():
+            # W2 above either W1; fmin skips an unfiltered NaN
+            exceeds = w[:, 0] > np.fmin(w[:, 1], w[:, 2]) * (1.0 + 1e-9)
+        bad, failed, errors = self._bad, self._failed, [None] * len(w)
+        flagged = np.flatnonzero(exceeds).tolist() if exceeds.any() else []
+        if any(bad) or any(failed):
+            points = enumerate(zip(jj.tolist(), ii.tolist()))
+            flagged += [k for k, (j, i) in points if bad[i] or failed[j]]
+        for k in flagged:
             j, i = jj[k], ii[k]
-            if isinstance(self._setups[j], Exception) or (self._failed[j] and not self._bad[i]):
+            if isinstance(self._setups[j], Exception) or (failed[j] and not bad[i]):
                 errors[k] = self.stages[j]
-            elif self._bad[i]:
+            elif bad[i]:
                 errors[k] = _attempt(_check_nonneg, pump_power=self.powers[i])
             else:
                 errors[k] = ValueError(_EXCEEDS)
-        return *w.T, errors
+        return *w.T.tolist(), errors
 
     def results(self, jj: np.ndarray, ii: np.ndarray) -> list:
         """The SourceReport, or the error evaluate_source raises, at each point.
@@ -427,14 +425,13 @@ class _Runs:
         A rate is a float, or a numpy float64 where the pump power is a
         numpy scalar, as the scalar product (f P) q would be.
         """
-        *w, errors = self.columns(jj, ii)
-        rates = [col.tolist() for col in w]
+        *rates, errors = self.columns(jj, ii)
         jj, ii, stages, powers = jj.tolist(), ii.tolist(), self.stages, self.powers
         if any(isinstance(power, np.generic) for power in powers):
             for k, i in enumerate(ii):
                 if isinstance(powers[i], np.generic):
-                    for col, array in zip(rates, w):
-                        col[k] = array[k]
+                    for col in rates:
+                        col[k] = np.float64(col[k])
         out = []
         for j, i, error, a, b, c in zip(jj, ii, errors, *rates):
             if error is None:

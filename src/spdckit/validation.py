@@ -180,7 +180,8 @@ def dfg_total_closed(
     the quadratic (z' - i zeta_R) conj(s(z')) - r(z) (z' + i zeta_R)
     (conj(s(z')) - 1). So the inner integral is two E1 pole terms,
     [J(p_near) - J(p_far)] / sqrt(disc), over the roots of Q; the outer one
-    runs in z itself on adaptive quadrature to 1e-12.
+    runs on adaptive quadrature to 1e-12 in u = asinh(z / zeta_R), which
+    spreads the focus's width zeta_R over the span.
     """
     k_p = waves.pump.wavenumber
     k_s, k_i = waves.signal.wavenumber, waves.idler.wavenumber
@@ -201,7 +202,11 @@ def dfg_total_closed(
         inner = (near - far) / root
         return np.exp(1j * kappa * z) * inner / ((z + 1j * zeta_r) * s)
 
-    res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-12)
+    def outer(u: np.ndarray) -> np.ndarray:
+        return integrand(zeta_r * np.sinh(u)) * (zeta_r * np.cosh(u))  # dz = zeta_R cosh(u) du
+
+    u_max = math.asinh(0.5 / zeta_r)
+    res = quadrature.integrate(outer, -u_max, u_max, rel_tol=1e-12)
     prefactor = k_p * k_a * zeta_r * length / (math.pi * k_b)
     return prefactor * res.value.real, prefactor * res.est_error
 

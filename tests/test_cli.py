@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdckit import classical, cli, filters, overlap, quantum, validation
+from spdckit.output import rows_of
 from spdckit.cli import build_parser, main
 from spdckit.config import load_and_build
 from spdckit.optimizer import SweepAxis, optimize_focus, sweep
@@ -714,7 +715,7 @@ _CELLS = st.one_of(
     st.none(),
     st.text(max_size=4),
 )
-# Columns of one kind each (the common CLI case) and ragged rows of any cells.
+# Columns of one kind each, or of any cells.
 _COLUMN_KINDS = st.sampled_from([
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
@@ -732,16 +733,12 @@ def _column_rows(draw):
     return [dict(zip(names, values)) for values in zip(*columns)]
 
 
-_ROWS = st.one_of(
-    _column_rows(),
-    st.lists(st.dictionaries(st.sampled_from(["a", "b", "c"]), _CELLS, max_size=3), max_size=5),
-)
 _META = {"command": "test", "config": "x.cfg"}
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "ndjson"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(rows=_ROWS)
+@given(rows=_column_rows())
 @example(rows=[])
 @example(rows=[{"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0}])
 @example(rows=[{"x": 1.5, "y": -0.0}, {"x": math.nan, "y": 2.0}])
@@ -753,14 +750,14 @@ _META = {"command": "test", "config": "x.cfg"}
     {"x": np.float64(0.1), "y": np.float32(0.1)},
     {"x": np.float64(math.nan), "y": np.float32(2.5)},
 ])
-@example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0}, {"c": "late", "a": 4.0}])
-@example(rows=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}])
+# Names that hold the % of the ndjson row template.
+@example(rows=[{"100%": 1.0, "%s": "x", "%%": None}])
 # A text cell that holds the NUL the table's kept columns are joined with.
 @example(rows=[{"s": "a\0b", "x": 1.0}, {"s": "", "x": 2.0}])
-# More rows than one block; the keys change within the second block.
-@example(rows=[{"a": i / 7} for i in range(300)] + [{"b": "x", "a": 2.0}] * 300)
+# More rows than one block; a column's kind changes within the second block.
+@example(rows=[{"a": i / 7, "b": None} for i in range(300)] + [{"a": 2.0, "b": "x"}] * 300)
 def test_emit_matches_the_per_cell_reference(fmt, rows):
-    assert _emitted(rows, _META, fmt) == _reference_emit(rows, _META, fmt)
+    assert _emitted(rows_of(rows), _META, fmt) == _reference_emit(rows, _META, fmt)
 
 
 @pytest.fixture
@@ -823,15 +820,17 @@ def _sweep_matches_the_library_rows(capsys, config: str, texts: list[str]) -> No
     ids=["correlation-300000", "sweep-40x40-errors"],
 )
 def test_large_outputs_match_the_per_cell_reference(capsys, config_path, emitted_rows, argv):
-    # A sweep hands emit no row dicts; its reference is the library rows.
+    # A sweep's reference is the library rows; correlation's, the row dicts
+    # of the columns it hands emit.
     if argv[0] == "sweep":
         _sweep_matches_the_library_rows(capsys, config_path, argv[2::2])
         return
     assert main([*argv, "--config", config_path, "--format", "csv"]) == 0
-    assert capsys.readouterr().out == _reference_emit(*emitted_rows[0], "csv")
-    rows, meta = emitted_rows[0]
+    source, meta = emitted_rows[0]
+    rows = [dict(zip(source.columns, row)) for row in zip(*source.values(0, len(source)))]
+    assert capsys.readouterr().out == _reference_emit(rows, meta, "csv")
     for fmt in ("table", "ndjson"):
-        assert _emitted(rows, meta, fmt) == _reference_emit(rows, meta, fmt)
+        assert _emitted(source, meta, fmt) == _reference_emit(rows, meta, fmt)
 
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -877,6 +876,21 @@ def test_rate_only_sweep_holds_one_block(config_path):
         finally:
             tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+def test_correlation_holds_one_block(config_path):
+    # 300000 tau points: the CLI holds the trace's arrays and one block of
+    # cells, not a row dict per point (about 0.3 KB each when it did).
+    argv = ["correlation", "--config", config_path, "--format", "csv"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # warm: parser, imports
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--points", "300000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def _run_main(argv):
