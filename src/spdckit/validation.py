@@ -68,7 +68,6 @@ class OracleReport:
     """One main-route value against its independently computed twin."""
 
     name: str
-    description: str
     main_value: float
     oracle_value: float
     rel_diff: float
@@ -76,13 +75,10 @@ class OracleReport:
     passed: bool
 
 
-def _report(
-    name: str, description: str, main: float, oracle: float, tol: float
-) -> OracleReport:
+def _report(name: str, main: float, oracle: float, tol: float) -> OracleReport:
     rel = abs(main - oracle) / max(abs(oracle), 1e-300)
     return OracleReport(
         name=name,
-        description=description,
         main_value=float(main),
         oracle_value=float(oracle),
         rel_diff=float(rel),
@@ -99,8 +95,14 @@ _D_EFF = 2.4e-12
 _LENGTH = 1e-2
 
 
-def _reference_waves() -> WaveTriple:
-    return WaveTriple.from_wavelengths(_LAMBDA, _LAMBDA, _N_S, _N_I, _N_P)
+def _reference_point(
+    kappa: float, zeta_r: float
+) -> tuple[WaveTriple, CrystalSpec, FocusParams]:
+    """The reference waves, their crystal poled for kappa, and its focus at zeta_r."""
+    waves = WaveTriple.from_wavelengths(_LAMBDA, _LAMBDA, _N_S, _N_I, _N_P)
+    q = waves.k_minus0 - kappa / _LENGTH
+    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
+    return waves, crystal, derive_focus_params(waves, crystal, zeta_r * _LENGTH)
 
 
 def closed_form_upsilon_kappa0(zeta_r: float) -> float:
@@ -117,18 +119,13 @@ def closed_form_upsilon_kappa0(zeta_r: float) -> float:
 def oracle_upsilon_closed_form(zeta_r: float = 0.5) -> OracleReport:
     fp = FocusParams(kappa=0.0, zeta_r=zeta_r, r_k=0.0)
     main = overlap.upsilon(fp).value.real
-    return _report(
-        f"upsilon-closed-form-{zeta_r:g}",
-        "closed-form kappa=0 branch vs log antiderivative at r_k=0",
-        main,
-        closed_form_upsilon_kappa0(zeta_r),
-        1e-9,
-    )
+    oracle = closed_form_upsilon_kappa0(zeta_r)
+    return _report(f"upsilon-closed-form-{zeta_r:g}", main, oracle, 1e-9)
 
 
 def oracle_upsilon_vs_quadrature() -> OracleReport:
     """Closed-form Upsilon against adaptive quadrature of its raw integrand."""
-    # The reference geometry of oracle_reduction_vs_direct.
+    # The bundled reference point; r_k is its R_k = 0.0434320627, rounded.
     kappa, zeta_r, r_k = -3.0, 0.18, 0.0434
 
     def integrand(z: np.ndarray) -> np.ndarray:
@@ -137,14 +134,7 @@ def oracle_upsilon_vs_quadrature() -> OracleReport:
     scale = zeta_r / (2.0 * math.pi)
     res = quadrature.integrate(integrand, -0.5, 0.5, rel_tol=1e-13, abs_floor=1e-13 / scale)
     main = overlap.upsilon(FocusParams(kappa=kappa, zeta_r=zeta_r, r_k=r_k)).value.real
-    return _report(
-        "upsilon-vs-quadrature",
-        f"closed form vs adaptive quadrature at kappa={kappa:g}, "
-        f"zeta_R={zeta_r:g}, r_k={r_k:g}",
-        main,
-        (scale * res.value).real,
-        1e-10,
-    )
+    return _report("upsilon-vs-quadrature", main, (scale * res.value).real, 1e-10)
 
 
 def _pole_integrals(kappa: float, p: np.ndarray) -> np.ndarray:
@@ -218,19 +208,10 @@ def oracle_dfg_closed(kappa: float = -3.0, zeta_r: float = 0.18) -> OracleReport
     arm) on the reference waves; the oracle side is dfg_total_closed, which
     shares no code with modebasis.
     """
-    waves = _reference_waves()
-    q = waves.k_minus0 - kappa / _LENGTH
-    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    fp = derive_focus_params(waves, crystal, zeta_r * _LENGTH)
+    waves, crystal, fp = _reference_point(kappa, zeta_r)
     main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
     oracle, _ = dfg_total_closed(waves, _LENGTH, fp.kappa, fp.zeta_r)
-    return _report(
-        f"dfg-closed-{zeta_r:g}",
-        f"kernel mode sum vs closed-form inner integral at kappa={kappa:g}, zeta_R={zeta_r:g}",
-        main,
-        oracle,
-        1e-10,
-    )
+    return _report(f"dfg-closed-{zeta_r:g}", main, oracle, 1e-10)
 
 
 def gamma_eff_pair_spectral(f_s: filters.FilterSpec, f_i: filters.FilterSpec) -> float:
@@ -261,21 +242,10 @@ def gamma_eff_pair_spectral(f_s: filters.FilterSpec, f_i: filters.FilterSpec) ->
 
 def oracle_reduction_vs_direct() -> OracleReport:
     """Reduced 1D sum-frequency overlap against the direct 3D integral."""
-    waves = _reference_waves()
-    z_r = 0.18 * _LENGTH
-    # Poling tuned for kappa = -3 so the check runs at a generic point.
-    q = waves.k_minus0 + 3.0 / _LENGTH
-    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    fp = derive_focus_params(waves, crystal, z_r)
+    waves, crystal, fp = _reference_point(-3.0, 0.18)  # kappa = -3: a generic point
     main = overlap.i_sfg_gaussian(waves, crystal, fp).abs_sq
     oracle = overlap.i_sfg_direct3d(waves, crystal, fp).abs_sq
-    return _report(
-        "sfg-reduction-vs-3d",
-        "reduced single-integral |I_SFG|^2 vs direct 3D quadrature",
-        main,
-        oracle,
-        1e-9,
-    )
+    return _report("sfg-reduction-vs-3d", main, oracle, 1e-9)
 
 
 def _fresnel_field(
@@ -344,6 +314,27 @@ def _generated_field(
     return (z0, *_fresnel_field(z0, z_mid, dz, k_gen, amp, source))
 
 
+def _driven(waves: WaveTriple, crystal: CrystalSpec, z_r: float, generated: str) -> tuple:
+    """_generated_field's arguments but the slice count, for the generated wave.
+
+    "pump": signal and idler drive sum-frequency generation. "idler": the
+    pump and a signal seed drive seeded difference-frequency generation.
+    """
+    k_p, k_s, k_i = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
+    qpm = crystal.qpm_wavenumber
+    if generated == "pump":
+        return k_p, k_s, k_i, False, k_s + k_i + qpm - k_p, crystal.length, z_r
+    return k_i, k_p, k_s, True, k_p - k_s - qpm - k_i, crystal.length, z_r
+
+
+def _doubled(measure, size, tol: float, what: str):
+    """measure(n) at n = 64 and 128 slices: the latter, once size() of the two agree to tol."""
+    coarse, fine = measure(64), measure(128)
+    if abs(size(fine) - size(coarse)) > tol * abs(size(fine)):
+        raise ValueError(f"{what} not converged: {coarse!r} vs {fine!r} after doubling")
+    return fine
+
+
 def _check_decay(c: np.ndarray) -> None:
     """ValueError unless every slice's Gaussian exp(c_j r^2) decays, Re c_j < 0."""
     bad = np.flatnonzero(~(c.real < 0.0))
@@ -368,13 +359,7 @@ def oracle_fresnel_self_test() -> OracleReport:
     coef, c = _fresnel_field(
         5.0 * z_r, np.zeros(1), 1.0, k_b, amp, lambda zp: (k_b / (2.0 * q_b), q_b, 1.0)
     )
-    return _report(
-        "fresnel-propagator-self-test",
-        "Fresnel kernel applied to a normalized mode keeps unit power",
-        _plane_power(coef, c),
-        1.0,
-        1e-12,
-    )
+    return _report("fresnel-propagator-self-test", _plane_power(coef, c), 1.0, 1e-12)
 
 
 def oracle_dfg_fresnel() -> OracleReport:
@@ -385,49 +370,39 @@ def oracle_dfg_fresnel() -> OracleReport:
     oracle side doubles its slice count, 64 to 128 nodes, and requires
     self-consistency to 1e-10 before it is trusted.
     """
-    waves = _reference_waves()
-    q = waves.k_minus0 + 3.0 / _LENGTH
-    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    z_r = 0.18 * _LENGTH
-    fp = derive_focus_params(waves, crystal, z_r)
+    waves, crystal, fp = _reference_point(-3.0, 0.18)
     main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
-
-    k_p, k_s, k_i = waves.pump.wavenumber, waves.signal.wavenumber, waves.idler.wavenumber
-    mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
-    args = (k_i, k_p, k_s, True, mismatch, _LENGTH, z_r)
-    coarse = _plane_power(*_generated_field(*args, 64)[1:])
-    fine = _plane_power(*_generated_field(*args, 128)[1:])
-    if abs(fine - coarse) > 1e-10 * abs(fine):
-        raise ValueError(
-            f"Fresnel oracle not converged: {coarse!r} vs {fine!r} after doubling"
-        )
-    return _report(
-        "dfg-parseval-vs-fresnel",
-        "Laguerre-Gauss Parseval total vs propagated plane integral",
-        main,
-        fine,
-        1e-10,
+    args = _driven(waves, crystal, fp.rayleigh_range, "idler")
+    power = _doubled(
+        lambda n: _plane_power(*_generated_field(*args, n)[1:]), abs, 1e-10, "Fresnel oracle"
     )
+    return _report("dfg-parseval-vs-fresnel", main, power, 1e-10)
 
 
 def oracle_dfg_thin_crystal(zeta_r: float = 2000.0) -> OracleReport:
     """Thin-crystal limit: |I_DFG|^2 -> L^2 k_p k_s / (pi z_R (k_p + k_s))."""
-    waves = _reference_waves()
-    q = waves.k_minus0  # kappa = 0 exactly
-    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    z_r = zeta_r * _LENGTH
-    fp = derive_focus_params(waves, crystal, z_r)
+    waves, crystal, fp = _reference_point(0.0, zeta_r)
     main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
     k_p = waves.pump.wavenumber
     k_s = waves.signal.wavenumber
-    oracle = _LENGTH**2 * k_p * k_s / (math.pi * z_r * (k_p + k_s))
-    return _report(
-        "dfg-thin-crystal-limit",
-        "mode-sum total vs single-slice closed form at very loose focus",
-        main,
-        oracle,
-        1e-4,
-    )
+    oracle = _LENGTH**2 * k_p * k_s / (math.pi * fp.rayleigh_range * (k_p + k_s))
+    return _report("dfg-thin-crystal-limit", main, oracle, 1e-4)
+
+
+def _joint_trapezoid(
+    filter_s: filters.LorentzianFilter, filter_i: filters.LorentzianFilter
+) -> float:
+    """Int T_s(W) T_i(-W) dW [rad/s] of two Lorentzians at most 100 times apart.
+
+    A trapezoid sum over +-300 of the wider FWHM, in steps of 1/20 of the
+    narrower: 12001 points at equal widths.
+    """
+    wide = max(filter_s.gamma, filter_i.gamma)
+    narrow = min(filter_s.gamma, filter_i.gamma)
+    if wide > 100.0 * narrow:
+        raise ValueError("filter widths more than 100 times apart")
+    omega = np.linspace(-300.0 * wide, 300.0 * wide, int(12000 * wide / narrow) + 1)
+    return float(np.trapezoid(filter_s.transmission(omega) * filter_i.transmission(-omega), omega))
 
 
 def ling_comparator(zeta_r: float = 50.0, gamma: float = 2.0 * math.pi * 2e6) -> OracleReport:
@@ -446,11 +421,8 @@ def ling_comparator(zeta_r: float = 50.0, gamma: float = 2.0 * math.pi * 2e6) ->
     """
     if zeta_r < 50.0:
         raise ValueError("comparator is only valid at loose focus (zeta_r >= 50)")
-    waves = _reference_waves()
-    q = waves.k_minus0  # kappa = 0: the plane-wave route assumes it
-    crystal = CrystalSpec(length=_LENGTH, d_eff=_D_EFF, poling_period=2.0 * math.pi / q)
-    z_r = zeta_r * _LENGTH
-    fp = derive_focus_params(waves, crystal, z_r)
+    waves, crystal, fp = _reference_point(0.0, zeta_r)  # the plane-wave route needs kappa = 0
+    z_r = fp.rayleigh_range
     pump_power = 1e-3
     flt = filters.LorentzianFilter(gamma=gamma)
 
@@ -472,16 +444,8 @@ def ling_comparator(zeta_r: float = 50.0, gamma: float = 2.0 * math.pi * 2e6) ->
     rate_density = (
         w_s * w_i * _D_EFF**2 / (math.pi * C_LIGHT**3 * EPS0 * n_p * n_s * n_i)
     ) * pump_power * mode_factor_sq
-    omega = np.linspace(-300.0 * gamma, 300.0 * gamma, 12001)
-    t_product = flt.transmission(omega) * flt.transmission(-omega)
-    oracle = rate_density * float(np.trapezoid(t_product, omega))
-    return _report(
-        f"ling-rate-equivalence-{zeta_r:g}",
-        "focused pair rate vs plane-wave spectral density at loose focus",
-        main,
-        oracle,
-        1e-3,
-    )
+    oracle = rate_density * _joint_trapezoid(flt, flt)
+    return _report(f"ling-rate-equivalence-{zeta_r:g}", main, oracle, 1e-3)
 
 
 def boyd_kleinman_report() -> OracleReport:
@@ -493,13 +457,7 @@ def boyd_kleinman_report() -> OracleReport:
     """
     result = optimize_focus(0.0, restarts=2, rel_tol=1e-8)
     h = 2.0 * math.pi**2 * result.best_objective
-    return _report(
-        "boyd-kleinman-hmax",
-        "2 pi^2 max(zeta_R |Upsilon|^2) vs tabulated h_max",
-        h,
-        1.0679,
-        1e-3,
-    )
+    return _report("boyd-kleinman-hmax", h, 1.0679, 1e-3)
 
 
 # Absolute route to the conversion efficiency and the pair rate. Nothing
@@ -514,8 +472,6 @@ def boyd_kleinman_report() -> OracleReport:
 
 ABSOLUTE_ROUTE_TOL = 1e-8
 """Relative agreement the absolute route demands of itself on grid doubling."""
-
-_ABSOLUTE_SLICES = 64
 
 
 def _mode_projection(
@@ -543,17 +499,6 @@ def _mode_projection(
     _check_decay(c)
     g0 = math.sqrt(k_gen * z_r / math.pi) / (1j * q)
     return complex(math.pi * g0.conjugate() * np.sum(coef / -(c + gamma.conjugate())))
-
-
-def _converged_projection(*args) -> complex:
-    """_mode_projection on doubled slice counts; raises unless they agree."""
-    coarse = _mode_projection(*args, _ABSOLUTE_SLICES)
-    fine = _mode_projection(*args, 2 * _ABSOLUTE_SLICES)
-    if abs(abs(fine) ** 2 - abs(coarse) ** 2) > ABSOLUTE_ROUTE_TOL * abs(fine) ** 2:
-        raise ValueError(
-            f"absolute route not converged: {coarse!r} vs {fine!r} after doubling"
-        )
-    return fine
 
 
 def _field_amplitude(wave: OpticalWave, power: float) -> float:
@@ -585,19 +530,18 @@ def absolute_q_fresnel(
     """
     if single_field and not waves.degenerate:
         raise ValueError("a single driving field needs a degenerate triple")
-    pump, signal, idler = waves.pump, waves.signal, waves.idler
-    mismatch = signal.wavenumber + idler.wavenumber + crystal.qpm_wavenumber - pump.wavenumber
-    projection = _converged_projection(
-        pump.wavenumber, signal.wavenumber, idler.wavenumber, False, mismatch,
-        crystal.length, z_r,
+    args = _driven(waves, crystal, z_r, "pump")
+    projection = _doubled(
+        lambda n: _mode_projection(*args, n), lambda p: abs(p) ** 2,
+        ABSOLUTE_ROUTE_TOL, "absolute route",
     )
     p_in = 1.0  # W in each driving beam
-    e_s = _field_amplitude(signal, p_in)
+    e_s = _field_amplitude(waves.signal, p_in)
     if single_field:
         polarization = EPS0 * crystal.d_eff * e_s * e_s
     else:
-        polarization = 2.0 * EPS0 * crystal.d_eff * e_s * _field_amplitude(idler, p_in)
-    return _generated_power(pump, polarization, projection) / p_in**2
+        polarization = 2.0 * EPS0 * crystal.d_eff * e_s * _field_amplitude(waves.idler, p_in)
+    return _generated_power(waves.pump, polarization, projection) / p_in**2
 
 
 def absolute_pair_rate_fresnel(
@@ -616,8 +560,7 @@ def absolute_pair_rate_fresnel(
     gain G = (P_i / hbar omega_i) / (P_s / hbar omega_s). Spontaneous
     emission is the same process seeded by vacuum, one photon per mode per
     unit bandwidth, so pairs reach the two collection modes at
-    W2 = G Int T_s(W) T_i(-W) dW / 2 pi. The integral is a trapezoid sum
-    over +-300 of the wider filter's FWHM, in steps of 1/20 of the narrower.
+    W2 = G Int T_s(W) T_i(-W) dW / 2 pi, the integral by _joint_trapezoid.
     Two-field sources and Lorentzian filters at most 100 times apart only.
     """
     if waves.degenerate:
@@ -627,16 +570,13 @@ def absolute_pair_rate_fresnel(
         and isinstance(filter_i, filters.LorentzianFilter)
     ):
         raise ValueError("the absolute pair-rate route needs Lorentzian filters")
-    wide = max(filter_s.gamma, filter_i.gamma)
-    narrow = min(filter_s.gamma, filter_i.gamma)
-    if wide > 100.0 * narrow:
-        raise ValueError("filter widths more than 100 times apart")
-    pump, signal, idler = waves.pump, waves.signal, waves.idler
-    mismatch = pump.wavenumber - signal.wavenumber - crystal.qpm_wavenumber - idler.wavenumber
-    projection = _converged_projection(
-        idler.wavenumber, pump.wavenumber, signal.wavenumber, True, mismatch,
-        crystal.length, z_r,
+    joint = _joint_trapezoid(filter_s, filter_i)
+    args = _driven(waves, crystal, z_r, "idler")
+    projection = _doubled(
+        lambda n: _mode_projection(*args, n), lambda p: abs(p) ** 2,
+        ABSOLUTE_ROUTE_TOL, "absolute route",
     )
+    pump, signal, idler = waves.pump, waves.signal, waves.idler
     p_seed = 1.0  # W
     polarization = (
         2.0 * EPS0 * crystal.d_eff
@@ -647,9 +587,7 @@ def absolute_pair_rate_fresnel(
     gain = (p_idler / (HBAR * idler.angular_frequency)) / (
         p_seed / (HBAR * signal.angular_frequency)
     )
-    omega = np.linspace(-300.0 * wide, 300.0 * wide, int(12000 * wide / narrow) + 1)
-    joint = np.trapezoid(filter_s.transmission(omega) * filter_i.transmission(-omega), omega)
-    return gain * float(joint) / (2.0 * math.pi)
+    return gain * joint / (2.0 * math.pi)
 
 
 def run_all_oracles() -> list[OracleReport]:

@@ -8,7 +8,7 @@ import pytest
 
 from spdckit import classical, overlap, quantum, validation
 from spdckit.filters import LorentzianFilter, Unfiltered, gamma_eff_pair
-from spdckit.quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple, derive_focus_params
+from spdckit.quantities import C_LIGHT, EPS0, CrystalSpec, WaveTriple
 
 
 def test_closed_form_kappa0_hand_value():
@@ -33,6 +33,34 @@ def test_all_oracles_pass():
         assert math.isfinite(r.main_value)
         assert math.isfinite(r.oracle_value)
         assert 0 < r.tolerance <= 1e-2
+
+
+# Each `validate` row as (name, tolerance, main_value, oracle_value), to the
+# repr digit, as the CLI goldens pin their cells.
+_VALIDATE_ROWS = [
+    ("upsilon-closed-form-0.18", 1e-09, 0.3900062424748615, 0.3900062424748615),
+    ("upsilon-closed-form-0.5", 1e-09, 0.25, 0.25),
+    ("upsilon-closed-form-2", 1e-09, 0.07797913037736932, 0.07797913037736934),
+    ("sfg-reduction-vs-3d", 1e-09, 47154.76059832304, 47154.760598322755),
+    ("fresnel-propagator-self-test", 1e-12, 1.0, 1.0),
+    ("dfg-parseval-vs-fresnel", 1e-10, 47711.82572248864, 47711.82572248864),
+    ("dfg-thin-crystal-limit", 0.0001, 15.686137874632806, 15.686139986139986),
+    ("ling-rate-equivalence-50", 0.001, 0.029671385036158817, 0.02967345269818193),
+    ("boyd-kleinman-hmax", 0.001, 1.0677249747653113, 1.0679),
+    ("upsilon-vs-quadrature", 1e-10, 0.5472111174518993, 0.5472111174518977),
+    ("dfg-closed-0.18", 1e-10, 47711.82572248864, 47711.82572248847),
+    ("dfg-closed-0.005", 1e-10, 1327.733948795741, 1327.7339487957222),
+]
+
+
+def test_validate_rows_are_pinned():
+    rows = [
+        (r.name, r.tolerance, r.main_value, r.oracle_value)
+        for r in validation.run_all_oracles()
+    ]
+    assert [row[0] for row in rows] == [row[0] for row in _VALIDATE_ROWS]
+    for row, pin in zip(rows, _VALIDATE_ROWS):
+        assert row == pin, row[0]
 
 
 def test_reports_cover_both_routes():
@@ -62,24 +90,17 @@ def test_mode_sum_oracle_compares_the_hot_path_total():
     assert abs(1325.899005 - tight.oracle_value) > 1e-3 * tight.oracle_value
 
 
-def _source(waves, zeta_r, kappa, length=1e-2):
-    """Crystal poled for kappa at the given triple, and its focus at zeta_r."""
-    poling = 2.0 * math.pi / (waves.k_minus0 - kappa / length)
-    crystal = CrystalSpec(length=length, d_eff=2.4e-12, poling_period=poling)
-    return crystal, derive_focus_params(waves, crystal, zeta_r * length)
-
-
 # (zeta_R, kappa, rounded value): the reference source of criteria 2 and 3,
 # a tight focus whose slices must crowd near z = 0, and a loose focus far off
 # phase matching, where 200/400 midpoint slices did not settle to 1e-4.
 @pytest.mark.parametrize(
     "zeta_r, kappa, pin", [(0.18, -3.0, 7.9e-3), (0.02, -3.0, 1.1e-3), (2.0, -10.0, 7.9e-5)]
 )
-def test_absolute_route_two_field_matches_q_sfg(ref_waves, zeta_r, kappa, pin):
-    crystal, fp = _source(ref_waves, zeta_r, kappa)
-    route = validation.absolute_q_fresnel(ref_waves, crystal, fp.rayleigh_range)
-    i_sfg = overlap.i_sfg_gaussian(ref_waves, crystal, fp)
-    program = classical.q_sfg(ref_waves, crystal, i_sfg.abs_sq)
+def test_absolute_route_two_field_matches_q_sfg(zeta_r, kappa, pin):
+    waves, crystal, fp = validation._reference_point(kappa, zeta_r)
+    route = validation.absolute_q_fresnel(waves, crystal, fp.rayleigh_range)
+    i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
+    program = classical.q_sfg(waves, crystal, i_sfg.abs_sq)
     assert math.isclose(route, program, rel_tol=1e-12)
     assert float(f"{route:.2g}") == pin  # criterion 2 pin at (0.18, -3)
 
@@ -109,16 +130,16 @@ def test_absolute_route_single_field_matches_boyd_kleinman():
 @pytest.mark.parametrize(
     "zeta_r, kappa, pin", [(0.18, -3.0, 3.12), (0.02, -3.0, 0.435), (2.0, -10.0, 0.031)]
 )
-def test_absolute_route_pair_rate_matches_pair_rate(ref_waves, zeta_r, kappa, pin):
+def test_absolute_route_pair_rate_matches_pair_rate(zeta_r, kappa, pin):
     # The route's floor is its +-300-FWHM filter trapezoid, 2.0e-9 here.
-    crystal, fp = _source(ref_waves, zeta_r, kappa)
+    waves, crystal, fp = validation._reference_point(kappa, zeta_r)
     flt = LorentzianFilter(2.0 * math.pi * 2e6)  # Gamma_eff = 2 pi x 1 MHz
     route = validation.absolute_pair_rate_fresnel(
-        ref_waves, crystal, fp.rayleigh_range, 1e-3, flt, flt
+        waves, crystal, fp.rayleigh_range, 1e-3, flt, flt
     )
-    i_sfg = overlap.i_sfg_gaussian(ref_waves, crystal, fp)
-    q_sfg = classical.q_sfg(ref_waves, crystal, i_sfg.abs_sq)
-    program = quantum.pair_rate(ref_waves, 1e-3, q_sfg, gamma_eff_pair(flt, flt))
+    i_sfg = overlap.i_sfg_gaussian(waves, crystal, fp)
+    q_sfg = classical.q_sfg(waves, crystal, i_sfg.abs_sq)
+    program = quantum.pair_rate(waves, 1e-3, q_sfg, gamma_eff_pair(flt, flt))
     assert math.isclose(route, program, rel_tol=validation.ABSOLUTE_ROUTE_TOL)
     assert float(f"{route:.3g}") == pin  # criterion 3 pin at (0.18, -3)
 
@@ -178,14 +199,10 @@ def test_fresnel_closed_forms_match_dense_trapezoid(ref_waves, ref_crystal, arm)
     # against a radial trapezoid of the same 50-slice Gaussian sum, 40001
     # radii out to 16 output waists (the trapezoid's own error is 4e-8 to
     # 6e-8 here, O(h^2) from the r = 0 end).
-    k_p = ref_waves.pump.wavenumber
-    k_s, k_i = ref_waves.signal.wavenumber, ref_waves.idler.wavenumber
-    qpm = ref_crystal.qpm_wavenumber
+    # "idler": the DFG field of oracle_dfg_fresnel and the pair-rate route;
+    # "pump": the SFG field of absolute_q_fresnel.
     z_r = 0.18 * ref_crystal.length
-    if arm == "idler":  # the DFG field of oracle_dfg_fresnel and the pair-rate route
-        args = (k_i, k_p, k_s, True, k_p - k_s - qpm - k_i, ref_crystal.length, z_r)
-    else:  # the SFG field of absolute_q_fresnel
-        args = (k_p, k_s, k_i, False, k_s + k_i + qpm - k_p, ref_crystal.length, z_r)
+    args = validation._driven(ref_waves, ref_crystal, z_r, arm)
     k_gen = args[0]
     z0, coef, c = validation._generated_field(*args, 50)
     w_out = math.sqrt(2.0 * (z0**2 + z_r**2) / (k_gen * z_r))
@@ -211,14 +228,10 @@ def test_fresnel_closed_forms_refuse_a_growing_gaussian(ref_waves, ref_crystal):
         validation._plane_power(coef[:1], np.array([1e-3j]))
     with pytest.raises(ValueError, match="slice 1 does not decay"):
         validation._plane_power(coef[:2], np.array([-1.0, np.nan]))
-    k_p = ref_waves.pump.wavenumber
-    k_s, k_i = ref_waves.signal.wavenumber, ref_waves.idler.wavenumber
-    mismatch = k_p - k_s - ref_crystal.qpm_wavenumber - k_i
     for z_r in (-1.8e-3, 0.0):
+        args = validation._driven(ref_waves, ref_crystal, z_r, "idler")
         with pytest.raises(ValueError, match="Rayleigh range"):
-            validation._mode_projection(
-                k_i, k_p, k_s, True, mismatch, ref_crystal.length, z_r, 50
-            )
+            validation._mode_projection(*args, 50)
 
 
 def test_fresnel_oracles_meet_the_tight_tolerances():
@@ -231,16 +244,13 @@ def test_fresnel_oracles_meet_the_tight_tolerances():
 
 @pytest.mark.parametrize("zeta_r", [0.02, 0.18, 2.0])
 @pytest.mark.parametrize("kappa", [-10.0, -3.0, 2.0])
-def test_fresnel_plane_power_matches_the_mode_sum_across_the_domain(ref_waves, zeta_r, kappa):
+def test_fresnel_plane_power_matches_the_mode_sum_across_the_domain(zeta_r, kappa):
     # The second route of oracle_dfg_fresnel away from its reference point:
     # the 128-node plane power against the mode-sum total of the hot path.
-    crystal, fp = _source(ref_waves, zeta_r, kappa)
-    k_p = ref_waves.pump.wavenumber
-    k_s, k_i = ref_waves.signal.wavenumber, ref_waves.idler.wavenumber
-    mismatch = k_p - k_s - crystal.qpm_wavenumber - k_i
-    args = (k_i, k_p, k_s, True, mismatch, crystal.length, fp.rayleigh_range, 128)
-    power = validation._plane_power(*validation._generated_field(*args)[1:])
-    total = quantum.compute_overlaps(ref_waves, crystal, fp).i_dfg_sq_signal_arm
+    waves, crystal, fp = validation._reference_point(kappa, zeta_r)
+    args = validation._driven(waves, crystal, fp.rayleigh_range, "idler")
+    power = validation._plane_power(*validation._generated_field(*args, 128)[1:])
+    total = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
     assert power == pytest.approx(total, rel=1e-12)
 
 
