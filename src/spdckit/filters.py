@@ -35,8 +35,8 @@ gamma_eff_single still samples a table on a uniform grid, once per table
 object, which keeps the value. So does the correlation: sqrt(T) is not
 piecewise polynomial, so its spectral sum runs on a uniform grid over the
 joint support of T_s(W) T_i(-W), at every tau at once as a chirp-z
-transform, and a tabulated arm needs a uniform tau grid. The chirp and
-linear phases are real arrays whose cos and sin fill one complex buffer.
+transform, and a tabulated arm needs a uniform tau grid. Its two length-N
+phasors take O(sqrt N) cos and sin values each; its three FFTs run in place.
 
 load_filter_table converts every data token in one float() pass and lets
 TabulatedFilter check the arrays; only a table that fails is read again row
@@ -76,6 +76,10 @@ _MAX_STEP_GAMMA = 0.4
 # Largest offset of a tau point from the uniform grid tau_0 + m d_tau, as a
 # fraction of d_tau, that the chirp-z correlation of a tabulated filter accepts.
 _MAX_TAU_OFF_GRID = 1e-9
+# Points of the uniform joint-support grid of the tabulated spectral sum.
+_SPECTRAL_POINTS = 32001
+# Block B of the split j = a B + b in _quadratic_phasor.
+_PHASOR_BLOCK = 256
 
 
 class TauGridError(ValueError):
@@ -133,7 +137,7 @@ class TabulatedFilter:
         return np.interp(np.asarray(omega), self.omega, self.transmission_values, left=0.0, right=0.0)
 
     def amplitude_ft(self, omega: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.transmission(omega)).astype(complex)
+        return np.sqrt(self.transmission(omega))
 
     # Cached in the instance __dict__, which the frozen dataclass's field-based
     # equality, hash and replace() never look at.
@@ -369,6 +373,10 @@ def correlation_shape(
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 9:
         raise ValueError("tau must be a 1-d grid with at least 9 points")
+    # A NaN passes every comparison below, so both routes refuse it here.
+    bad = np.flatnonzero(~np.isfinite(tau))
+    if bad.size:
+        raise ValueError(f"tau must be finite: tau[{bad[0]}] = {float(tau[bad[0]])!r}")
     gamma_max = max(_gamma_scales(f_s, f_i).values())
     step_gamma = _step_gamma(tau, gamma_max)
     if step_gamma > _MAX_STEP_GAMMA:
@@ -406,11 +414,12 @@ def _spectral_correlation(f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray) -> 
     """f(tau) = (1/2pi) Int Fhat_s(W) Fhat_i(-W) exp(-i W tau) dW, by chirp-z.
 
     At least one arm is tabulated, so the joint support is finite. The
-    integral is the trapezoid sum over the 32001-point joint grid
+    integral is the trapezoid sum over the _SPECTRAL_POINTS-point joint grid
     W_k = W_0 + k dW. On a uniform tau grid tau_m = tau_0 + m dtau that sum
     is a chirp-z transform: with mk = (m^2 + k^2 - (m - k)^2)/2 it becomes
     one FFT convolution of length >= N + M - 1 (Bluestein's algorithm), so
-    the cost is O((N + M) log(N + M)) rather than O(N M).
+    the cost is O((N + M) log(N + M)) rather than O(N M). The chirp and the
+    premultiplier come from _quadratic_phasor; the three FFTs run in place.
     """
     d_tau = (tau[-1] - tau[0]) / (tau.size - 1)
     off = np.abs(tau - np.linspace(tau[0], tau[-1], tau.size))
@@ -421,30 +430,58 @@ def _spectral_correlation(f_s: FilterSpec, f_i: FilterSpec, tau: np.ndarray) -> 
             f"(d_tau = {d_tau!r} s); a tabulated filter needs a uniform grid, "
             "e.g. from np.linspace or default_tau_grid"
         )
-    w = _joint_grid(f_s, f_i, 32001)
+    w = _joint_grid(f_s, f_i, _SPECTRAL_POINTS)
     if w.size == 0:
         return np.zeros(tau.size, dtype=complex)
     d_w = w[1] - w[0]
-    weights = np.full(w.size, d_w)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    # conj(chirp[j]) = exp(-i theta j^2 / 2), theta = dW dtau; j^2 is exact in float.
-    chirp = _phasor(0.5 * d_w * d_tau * np.arange(max(w.size, tau.size), dtype=float) ** 2)
-    spectrum = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w) * weights / (2.0 * math.pi)
-    spectrum *= _phasor(-(d_w * tau[0]) * np.arange(w.size)) * chirp[: w.size].conj()
+    half_theta = 0.5 * d_w * d_tau
+    # chirp[j] = exp(i theta j^2 / 2), theta = dW dtau.
+    chirp = _quadratic_phasor(half_theta, 0.0, max(w.size, tau.size))
     size = scipy.fft.next_fast_len(w.size + tau.size - 1)
+    padded = np.zeros(size, dtype=complex)
+    # exp(-i (dW tau_0 k + theta k^2 / 2)) times the trapezoid-weighted amplitudes.
+    premultiplier = _quadratic_phasor(-half_theta, -d_w * tau[0], w.size)
+    spectrum = np.multiply(premultiplier, f_s.amplitude_ft(w), out=padded[: w.size])
+    spectrum *= f_i.amplitude_ft(-w)
+    spectrum *= d_w / (2.0 * math.pi)
+    spectrum[[0, -1]] *= 0.5
     # chirp[m - k] for m - k in (-N, M), wrapped so a cyclic convolution is linear.
     kernel = np.zeros(size, dtype=complex)
     kernel[: tau.size] = chirp[: tau.size]
     kernel[size - w.size + 1 :] = chirp[w.size - 1 : 0 : -1]
-    conv = scipy.fft.ifft(scipy.fft.fft(spectrum, size) * scipy.fft.fft(kernel))[: tau.size]
+    conv = scipy.fft.fft(padded, overwrite_x=True)
+    conv *= scipy.fft.fft(kernel, overwrite_x=True)
+    conv = scipy.fft.ifft(conv, overwrite_x=True)[: tau.size]
     return _phasor(-w[0] * tau) * chirp[: tau.size].conj() * conv
+
+
+def _quadratic_phasor(q: float, l: float, n: int) -> np.ndarray:
+    """exp(i (q j^2 + l j)) for j < n, from O(sqrt n) cos and sin values.
+
+    With j = a B + b the phase is q (aB)^2 + l aB per row, q b^2 + l b per
+    column and 2 q aB b across; r_a^b, r_a = exp(2i q aB), fills by doubling,
+    g[:, m:2m] = g[:, :m] r_a^m. Each factor is the phasor of its own rounded
+    phase, none larger than the full one, and an entry is a product of at
+    most log2(B) + 2 of them.
+    """
+    a = _PHASOR_BLOCK * np.arange(-(-n // _PHASOR_BLOCK), dtype=float)
+    b = np.arange(min(n, _PHASOR_BLOCK), dtype=float)
+    g = np.empty((a.size, b.size), dtype=complex)
+    g[:, 0] = _phasor(q * a**2 + l * a)
+    m = 1
+    while m < b.size:
+        k = min(m, b.size - m)
+        np.multiply(g[:, :k], _phasor((2.0 * m * q) * a)[:, None], out=g[:, m : m + k])
+        m *= 2
+    g *= _phasor(q * b**2 + l * b)
+    return g.reshape(-1)[:n]
 
 
 def _phasor(phase: np.ndarray) -> np.ndarray:
     """exp(i phase) of a real phase: cos and sin written into one complex buffer.
 
     Complex np.exp spends its time on the exp of a real part that is 0 here.
+    _quadratic_phasor calls it on O(sqrt n) phases for a length-n phasor.
     """
     out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)

@@ -210,14 +210,17 @@ TAU_GRIDS = {
     "off-centre": (np.linspace(-0.4e-6, 1.3e-6, 777), 19),
     "minimum": (np.linspace(-30e-9, 50e-9, 9), 1),
     "more-tau-than-omega": (np.linspace(-2e-6, 2e-6, 40001), 1000),
+    # The --points cap, and so the widest chirp.
+    "widest": (np.linspace(-5e-6, 5e-6, 1_000_000), 50_000),
 }
 
 
 def _direct_correlation(f_s, f_i, tau: np.ndarray) -> np.ndarray:
-    """Reference f(tau): the 32001-point trapezoid sum over the joint support, term by term."""
+    """Reference f(tau): the chirp-z's trapezoid sum over the joint support, term by term."""
     sup_i = None if f_i.support is None else (-f_i.support[1], -f_i.support[0])
     bounds = [b for b in (f_s.support, sup_i) if b is not None]
-    w = np.linspace(max(b[0] for b in bounds), min(b[1] for b in bounds), 32001)
+    lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+    w = np.linspace(lo, hi, filters._SPECTRAL_POINTS)
     weights = np.full(w.size, w[1] - w[0])
     weights[[0, -1]] *= 0.5
     weighted = f_s.amplitude_ft(w) * f_i.amplitude_ft(-w) * weights / (2.0 * math.pi)
@@ -233,6 +236,40 @@ def test_spectral_correlation_matches_direct_sum(pair, grid):
     idx = np.union1d(np.arange(0, tau.size, stride), [tau.size - 1, np.argmax(np.abs(f))])
     expected = _direct_correlation(f_s, f_i, tau[idx])
     assert np.max(np.abs(f[idx] - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [9, 255, 256, 257, 32001, 1_000_000])
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("l_sign", [1.0, -1.0, 0.0])
+def test_quadratic_phasor_is_as_accurate_as_the_rounded_phase(n, q_sign, l_sign):
+    # Phases of a few thousand radians at the last index, as in the chirp-z.
+    q = q_sign * math.e * 1e3 / n**2
+    l = l_sign * math.pi * 1e2 / n
+    j = np.arange(n, dtype=np.longdouble)
+    exact = np.longdouble(q) * j * j + np.longdouble(l) * j
+    cos, sin = np.cos(exact), np.sin(exact)
+
+    def error(z):
+        return float(np.max(np.hypot(z.real - cos, z.imag - sin)))
+
+    j = np.arange(n, dtype=float)
+    rounded = filters._phasor(q * j**2 + l * j)
+    # Each entry is a few rounded products of phasors: a few ulp of 1 on top.
+    bound = error(rounded) + 16.0 * np.finfo(float).eps
+    assert error(filters._quadratic_phasor(q, l, n)) <= bound
+
+
+@pytest.mark.parametrize(
+    "f_s, f_i", [(_LORENTZ, _LORENTZ), (_TABLE_A, _LORENTZ)], ids=["closed", "spectral"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correlation_refuses_a_non_finite_tau(f_s, f_i, bad):
+    tau = np.linspace(-0.5e-6, 0.5e-6, 101)
+    assert np.all(np.isfinite(correlation_shape(f_s, f_i, tau=tau).f))
+    broken = tau.copy()
+    broken[[37, 80]] = bad
+    with pytest.raises(ValueError, match=rf"tau must be finite: tau\[37\] = {bad!r}"):
+        correlation_shape(f_s, f_i, tau=broken)
 
 
 def test_tabulated_correlation_needs_uniform_tau():
