@@ -368,9 +368,9 @@ def correlation_shape(
     """
     if isinstance(f_s, Unfiltered) and isinstance(f_i, Unfiltered):
         raise ValueError("correlation shape is undefined with both arms unfiltered")
-    if tau is None:
-        tau = default_tau_grid(f_s, f_i)
-    tau = np.asarray(tau, dtype=float)
+    # The trace freezes its tau, so a caller's grid is copied rather than
+    # frozen in the caller's hands.
+    tau = default_tau_grid(f_s, f_i) if tau is None else np.array(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 9:
         raise ValueError("tau must be a 1-d grid with at least 9 points")
     # A NaN passes every comparison below, so both routes refuse it here.

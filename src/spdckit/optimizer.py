@@ -3,13 +3,17 @@
 The focusing merit function is zeta_R |Upsilon(kappa, zeta_R, R_k)|^2, the
 quantity proportional to conversion efficiency once wavelengths and material
 are fixed. It is smooth but multimodal in kappa (phase-mismatch lobes), so
-the optimizer is a multistart Nelder-Mead: one deterministic start near the
-known R_k = 0 optimum plus seeded random restarts, each restart warmed by a
-coarse presample so it lands in the global basin before refining. The
-simplex is written here on plain floats and takes exactly the steps of
-scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False: the same
-coefficients, initial simplex, stable sort, xatol/fatol test and maxfev
-rule, so every merit evaluation is the one scipy would make.
+optimize_focus refines several starts: one deterministic start near the
+known R_k = 0 optimum plus seeded restarts, each the best of a coarse
+presample, so that it starts in the global basin. Each start is refined by
+a damped trust-region Newton method (Nocedal & Wright, ch. 4) on the exact
+gradient and Hessian of the merit, which overlap._upsilon_jet gives with the
+value from one E1 evaluation per pole. The step is solved on a closed-form
+eigen-split of the 2 x 2 Hessian; a box edge is held while the gradient
+points out of the box, so an optimum on an edge ends as a KKT point. A
+start stops once its quadratic model bounds the merit's remaining rise by
+1e-3 rel_tol of it, after one more Newton step. The result carries that
+certificate: the gradient norm and Hessian eigenvalues at the best point.
 
 The sweep hands quantum._evaluate, the runner of the rate pipeline, one
 run per combination of the axes other than P_p: that combination's waves,
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters, quantum
-from .overlap import _upsilon_core
+from .overlap import _upsilon_core, _upsilon_jet
 from .quantities import CrystalSpec, OpticalWave, WaveTriple, derive_focus_params
 
 __all__ = [
@@ -46,8 +50,9 @@ __all__ = [
 # basin rather than a secondary phase-mismatch lobe.
 _PRESAMPLES = 64
 _MAX_SWEEP_POINTS = 1_000_000
-# Restarts per optimize_focus call. Each costs 1-2 ms and keeps its merit
-# evaluations in the trace, so an unbounded count runs without end.
+# Restarts per optimize_focus call. Each costs about 0.5 ms (64 presamples
+# and a refine of about 6 merit evaluations) and keeps its evaluations in
+# the trace, so an unbounded count runs without end.
 _MAX_RESTARTS = 1000
 _MIN_ZETA_R = 0.01  # lowest zeta_R an optimizer box may reach
 
@@ -56,10 +61,13 @@ AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
 _GEOMETRY_AXES = ("kappa", "zeta_R", "R_k", "z_R")
 
 
-# Nelder-Mead reflection, expansion, contraction and shrink coefficients and
-# the initial simplex steps, as scipy sets them with adaptive=False.
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
+# Merit evaluations per refine, its first included. The refine ends sooner
+# once certified; the cap ends one whose certificate rel_tol puts out of reach.
+_REFINE_CALLS = 40
+# Trust radius of a refine's first step, in units of the box's spans.
+_FIRST_RADIUS = 0.1
+# A certified point's quadratic model rises by at most this times rel_tol of it.
+_CERTIFY = 1e-3
 
 
 def focusing_objective(kappa: float, zeta_r: float, r_k: float) -> float:
@@ -79,6 +87,24 @@ def _objective(kappa: float, zeta_r: float, r_k: float) -> float:
     return zeta_r * abs(_upsilon_core(kappa, zeta_r, r_k)[0]) ** 2
 
 
+def _merit_jet(kappa: float, zeta_r: float, r_k: float):
+    """_objective, bit for bit, with its gradient and Hessian in (kappa, zeta_R).
+
+    Returns (f, (f_k, f_z), (f_kk, f_kz, f_zz)) for f = zeta_R U^2.
+    """
+    u, (u_k, u_z, u_kk, u_kz, u_zz) = _upsilon_jet(kappa, zeta_r, r_k)
+    a = 2.0 * zeta_r * u
+    return (
+        zeta_r * abs(u) ** 2,
+        (a * u_k, u * u + a * u_z),
+        (
+            2.0 * zeta_r * u_k * u_k + a * u_kk,
+            2.0 * u * u_k + 2.0 * zeta_r * u_z * u_k + a * u_kz,
+            4.0 * u * u_z + 2.0 * zeta_r * u_z * u_z + a * u_zz,
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     best_kappa: float
@@ -87,6 +113,11 @@ class OptimizationResult:
     converged: bool
     # (kappa, zeta_r, objective) for every merit evaluation, in order.
     trace: tuple[tuple[float, float, float], ...]
+    # The certificate at the best point, on its free coordinates: those not
+    # held at a box edge by a gradient pointing out of the box. The norm of
+    # the merit's gradient there and the Hessian's eigenvalues, ascending.
+    gradient_norm: float = math.inf
+    hessian_eigenvalues: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.trace:
@@ -97,6 +128,23 @@ class OptimizationResult:
     @property
     def evaluations(self) -> int:
         return len(self.trace)
+
+    @property
+    def gain_bound(self) -> float:
+        """How far the merit's quadratic model rises above the best point.
+
+        gradient_norm^2 / (2 min |eigenvalue|) when every eigenvalue is
+        negative, 0 at a corner held by both edges, inf otherwise.
+        """
+        return _gain_bound(self.gradient_norm, self.hessian_eigenvalues)
+
+
+def _gain_bound(gnorm: float, eigs: tuple[float, ...]) -> float:
+    if not all(e < 0.0 for e in eigs):
+        return math.inf
+    if not eigs:
+        return 0.0 if gnorm == 0.0 else math.inf
+    return gnorm**2 / (2.0 * min(-e for e in eigs))
 
 
 def _check_box(name: str, low: float, high: float, floor: float = -math.inf) -> None:
@@ -121,11 +169,12 @@ def optimize_focus(
     """Maximize the focusing merit over the given (kappa, zeta_R) box.
 
     Returns the best point found even when the restarts disagree; converged
-    is True only when every start refines to the same objective within
-    2 * rel_tol and the simplex terminations were clean.
+    is True only when the best point is certified (gain_bound at most
+    1e-3 * rel_tol of its merit: an interior maximum, or a KKT point on an
+    edge) and every start refines to the same objective within 2 * rel_tol.
     """
-    # These checks cover every merit evaluation: a clipped point lies in the
-    # box, so its kappa is finite and its zeta_R at least 0.01.
+    # These checks cover every merit evaluation: each lies in the box, so
+    # its kappa is finite and its zeta_R at least 0.01.
     if not abs(r_k) < 1.0:
         raise ValueError("r_k must satisfy |r_k| < 1")
     k_lo, k_hi = map(float, kappa_bounds)
@@ -140,30 +189,23 @@ def optimize_focus(
         raise ValueError(f"seed must be >= 0, got {seed!r}")
 
     trace: list[tuple[float, float, float]] = []
+    refined: list[tuple] = []  # (f, x, gradient, Hessian) of each refine call
 
     def merit(kappa: float, zeta_r: float) -> float:
         value = _objective(kappa, zeta_r, r_k)
         trace.append((kappa, zeta_r, value))
         return value
 
-    # Single-point box: nothing to search.
+    def jet(x: tuple[float, float]):
+        value, grad, hess = _merit_jet(*x, r_k)
+        trace.append((*x, value))
+        refined.append((value, x, grad, hess))
+        return value, grad, hess
+
+    # Single-point box: nothing to search, and no coordinate is free.
     if k_lo == k_hi and z_lo == z_hi:
         value = merit(k_lo, z_lo)
-        return OptimizationResult(k_lo, z_lo, value, True, tuple(trace))
-
-    k_span = max(k_hi - k_lo, 1e-9)
-    z_span = max(z_hi - z_lo, 1e-9)
-
-    def neg_merit(kappa: float, zeta_r: float) -> float:
-        # Out-of-box points are evaluated at the clipped coordinates with a
-        # linear pull-back so the simplex cannot wander outside.
-        kc = min(max(kappa, k_lo), k_hi)
-        zc = min(max(zeta_r, z_lo), z_hi)
-        if kc == kappa and zc == zeta_r:
-            dist = 0.0  # what np.hypot(0.0, 0.0) gives
-        else:
-            dist = float(np.hypot((kappa - kc) / k_span, (zeta_r - zc) / z_span))
-        return -merit(kc, zc) + dist
+        return OptimizationResult(k_lo, z_lo, value, True, tuple(trace), 0.0, ())
 
     rng = np.random.default_rng(seed)
     starts = [(min(max(-3.0, k_lo), k_hi), min(max(0.18, z_lo), z_hi))]
@@ -174,111 +216,172 @@ def optimize_focus(
         j = int(np.argmax(values))
         starts.append((cand_k[j], cand_z[j]))
 
-    finals: list[float] = []
-    clean = True
-    for x0 in starts:
-        low, ok = _nelder_mead(neg_merit, x0, xatol=1e-7, fatol=rel_tol * 1e-3, maxfev=2000)
-        finals.append(-low)
-        clean = clean and ok
+    box = (k_lo, z_lo), (k_hi, z_hi)
+    ftol = _CERTIFY * rel_tol
+    finals = [_refine(jet, x0, *box, ftol) for x0 in starts]
 
-    best_k, best_z, best_f = max(trace, key=lambda t: t[2])
+    # Each start's first call repeats its presample's best point, bit for
+    # bit, so the best refine call is the best of the whole trace.
+    best_f, (best_k, best_z), grad, hess = max(refined, key=lambda r: r[0])
+    gnorm, eigs = _certificate((best_k, best_z), grad, hess, *box)
     spread = max(finals) - min(finals)
-    converged = clean and spread <= 2.0 * rel_tol * max(abs(best_f), 1e-30)
-    return OptimizationResult(
-        best_kappa=best_k,
-        best_zeta_r=best_z,
-        best_objective=best_f,
-        converged=converged,
-        trace=tuple(trace),
+    converged = (
+        _gain_bound(gnorm, eigs) <= ftol * abs(best_f)
+        and spread <= 2.0 * rel_tol * max(abs(best_f), 1e-30)
     )
+    return OptimizationResult(best_k, best_z, best_f, converged, tuple(trace), gnorm, eigs)
 
 
-class _OutOfEvaluations(Exception):
-    """The evaluation budget is spent (scipy's _MaxFuncCallError)."""
-
-
-def _nelder_mead(func, x0, *, xatol: float, fatol: float, maxfev: int) -> tuple[float, bool]:
-    """Minimize func(x, y) from x0 = (x, y) with scipy's 2-D Nelder-Mead steps.
-
-    Returns the lowest value in the final simplex and whether the search
-    stopped on the xatol/fatol test rather than at maxfev evaluations.
-    Each step is scipy's arithmetic on floats instead of length-2 arrays,
-    so the evaluations and their order are the same bit for bit.
-    """
-    calls = 0
-
-    def f(x: float, y: float) -> float:
-        nonlocal calls
-        if calls >= maxfev:
-            raise _OutOfEvaluations
-        calls += 1
-        return func(x, y)
-
-    def step(coef: float, c: float, w: float) -> float:
-        # A point on the line through the centroid c and the worst vertex w.
-        return (1 + coef) * c - coef * w
-
-    x, y = x0
-    sim = [
-        (x, y),
-        ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y),
-        (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT),
+def _free(x, grad, lo, hi) -> list[int]:
+    """Coordinates of x that may move: not a degenerate span, nor held at an
+    edge by a gradient pointing out of the box."""
+    return [
+        i
+        for i in (0, 1)
+        if lo[i] < hi[i]
+        and not (x[i] <= lo[i] and grad[i] < 0.0)
+        and not (x[i] >= hi[i] and grad[i] > 0.0)
     ]
-    fs = [math.inf] * 3
-    try:
-        for k in range(3):
-            fs[k] = f(*sim[k])
-    except _OutOfEvaluations:
-        pass
 
-    while True:
-        # A stable sort, as numpy's argsort is on three values.
-        order = sorted(range(3), key=fs.__getitem__)
-        sim = [sim[k] for k in order]
-        fs = [fs[k] for k in order]
-        if calls >= maxfev:
+
+def _certificate(x, grad, hess, lo, hi) -> tuple[float, tuple[float, ...]]:
+    """Gradient norm and ascending Hessian eigenvalues on the free coordinates."""
+    free = _free(x, grad, lo, hi)
+    if len(free) == 2:
+        return math.hypot(*grad), _eigen2(*hess)[:2]
+    if free:
+        return abs(grad[free[0]]), (hess[2 * free[0]],)
+    return 0.0, ()
+
+
+def _eigen2(a: float, b: float, c: float) -> tuple[float, float, tuple[float, float]]:
+    """Eigenvalues lo <= hi of [[a, b], [b, c]] and the unit eigenvector of lo.
+
+    The eigenvalue of larger size comes from the mean and radius, the other
+    from the determinant, so neither loses digits to cancellation.
+    """
+    mean, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    if rad == 0.0:
+        return mean, mean, (1.0, 0.0)
+    det = a * c - b * b
+    if mean >= 0.0:
+        hi = mean + rad
+        lo = det / hi
+    else:
+        lo = mean - rad
+        hi = det / lo
+    # Of the two forms of the eigenvector, the one with no cancellation.
+    vx, vy = (b, lo - a) if a >= c else (lo - c, b)
+    norm = math.hypot(vx, vy)
+    return lo, hi, (vx / norm, vy / norm)
+
+
+def _trust_step(g: list[float], b: list[list[float]], delta: float) -> list[float]:
+    """Minimize g.p + p.B.p / 2 over |p| <= delta, on one or two coordinates.
+
+    Moré-Sorensen (Nocedal & Wright, ch. 4) on the closed-form eigen-split
+    of B: the Newton step when B is positive definite and the step fits;
+    otherwise p(s) = -(B + s I)^-1 g on the boundary |p| = delta, where
+    Newton's method on 1/|p(s)| climbs to the root from below. In the hard
+    case, where g has no part along the lowest eigenvector and B + s I is
+    singular at the root, the step runs along that eigenvector.
+    """
+    if len(g) == 1:
+        if b[0][0] > 0.0 and abs(g[0]) <= b[0][0] * delta:
+            return [-g[0] / b[0][0]]
+        return [-math.copysign(delta, g[0])]
+    lam1, lam2, (cs, sn) = _eigen2(b[0][0], b[0][1], b[1][1])
+    alpha = (cs * g[0] + sn * g[1], cs * g[1] - sn * g[0])
+    if lam1 > 0.0:
+        z = [-alpha[0] / lam1, -alpha[1] / lam2]
+        if math.hypot(*z) <= delta:
+            return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
+        base = (lam1, lam2)
+    else:
+        # s counts from -lam1, so the lowest term's pole sits at s = 0 exactly.
+        base = (0.0, lam2 - lam1)
+    terms = [(a, d) for a, d in zip(alpha, base) if a != 0.0]
+    if alpha[0] == 0.0 and base[0] == 0.0 and all(d > 0.0 for _, d in terms):
+        z2 = -alpha[1] / base[1] if alpha[1] else 0.0
+        if abs(z2) <= delta:  # the hard case
+            z = [math.sqrt(delta * delta - z2 * z2), z2]
+            return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
+    # |p(s)| falls from above delta to below it; a term with its pole at 0
+    # gives a start below the root.
+    s = max([abs(a) / delta for a, d in terms if d == 0.0], default=0.0)
+    for _ in range(50):
+        norm = math.hypot(*(a / (d + s) for a, d in terms))
+        if norm - delta <= 1e-12 * delta:
             break
-        (bx, by), (mx, my), (wx, wy) = sim
-        if (
-            abs(mx - bx) <= xatol
-            and abs(my - by) <= xatol
-            and abs(wx - bx) <= xatol
-            and abs(wy - by) <= xatol
-            and abs(fs[0] - fs[1]) <= fatol
-            and abs(fs[0] - fs[2]) <= fatol
-        ):
+        cube = sum(a * a / (d + s) ** 3 for a, d in terms)
+        s += (norm / delta - 1.0) * norm * norm / cube
+    z = [-a / (d + s) if a else 0.0 for a, d in zip(alpha, base)]
+    return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
+
+
+def _refine(jet, x, lo, hi, ftol: float) -> float:
+    """Trust-region Newton ascent of the merit from x inside the box.
+
+    Works in coordinates scaled by the box's spans. Each step solves the
+    trust-region problem on the free coordinates; a step that points out of
+    the box at an edge it sits on holds that coordinate, and a step that
+    would leave the box stops where it meets the edge. The search is
+    certified once the gain bound of the current point is at most
+    ftol of its merit; it then takes one more step, which squares the gap,
+    and stops. Returns the best merit it reached.
+    """
+    span = (hi[0] - lo[0], hi[1] - lo[1])
+    f, grad, hess = jet(x)
+    delta = _FIRST_RADIUS
+    certified = False
+    for _ in range(_REFINE_CALLS - 1):
+        if certified:
             break
-        cx, cy = (bx + mx) / 2, (by + my) / 2
-        try:
-            xr = (step(_RHO, cx, wx), step(_RHO, cy, wy))
-            fxr = f(*xr)
-            if fxr < fs[0]:
-                xe = (step(_RHO * _CHI, cx, wx), step(_RHO * _CHI, cy, wy))
-                fxe = f(*xe)
-                sim[2], fs[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fs[1]:
-                sim[2], fs[2] = xr, fxr
-            else:
-                if fxr < fs[2]:
-                    # Outside contraction.
-                    xc = (step(_PSI * _RHO, cx, wx), step(_PSI * _RHO, cy, wy))
-                    fxc = f(*xc)
-                    shrink = not fxc <= fxr
-                else:
-                    # Inside contraction.
-                    xc = ((1 - _PSI) * cx + _PSI * wx, (1 - _PSI) * cy + _PSI * wy)
-                    fxc = f(*xc)
-                    shrink = not fxc < fs[2]
-                if not shrink:
-                    sim[2], fs[2] = xc, fxc
-                else:
-                    for j in (1, 2):
-                        sx, sy = sim[j]
-                        sim[j] = (bx + _SIGMA * (sx - bx), by + _SIGMA * (sy - by))
-                        fs[j] = f(*sim[j])
-        except _OutOfEvaluations:
-            pass
-    return fs[0], calls < maxfev
+        gnorm, eigs = _certificate(x, grad, hess, lo, hi)
+        certified = _gain_bound(gnorm, eigs) <= ftol * abs(f)
+        free = _free(x, grad, lo, hi)
+        while free:
+            g = [-grad[i] * span[i] for i in free]
+            b = [[-hess[i + j] * span[i] * span[j] for j in free] for i in free]
+            p = _trust_step(g, b, delta)
+            held = [
+                i for i, pi in zip(free, p)
+                if (pi < 0.0 and x[i] <= lo[i]) or (pi > 0.0 and x[i] >= hi[i])
+            ]
+            if not held:
+                break
+            free = [i for i in free if i not in held]
+        if not free:
+            break
+        # The longest part of p that stays in the box.
+        frac, edge = 1.0, None
+        for i, pi in zip(free, p):
+            if pi != 0.0:
+                bound = hi[i] if pi > 0.0 else lo[i]
+                room = (bound - x[i]) / span[i] / pi
+                if room < frac:
+                    frac, edge = room, (i, bound)
+        trial = list(x)
+        for i, pi in zip(free, p):
+            trial[i] = min(max(x[i] + frac * pi * span[i], lo[i]), hi[i])
+        if edge is not None:
+            trial[edge[0]] = edge[1]
+        trial = tuple(trial)
+        gp = sum(gi * pi for gi, pi in zip(g, p))
+        pbp = sum(p[i] * b[i][j] * p[j] for i in range(len(p)) for j in range(len(p)))
+        gain = -frac * (gp + 0.5 * frac * pbp)
+        if not gain > 0.0 or trial == x:
+            break
+        f_t, grad_t, hess_t = jet(trial)
+        rho = (f_t - f) / gain
+        length = frac * math.hypot(*p)
+        if rho < 0.25:
+            delta = 0.25 * length
+        elif rho > 0.75 and length >= 0.99 * delta:
+            delta = min(2.0 * delta, 1.0)
+        if rho > 0.0:
+            x, f, grad, hess = trial, f_t, grad_t, hess_t
+    return f
 
 
 @dataclass(frozen=True)

@@ -92,19 +92,25 @@ def read_golden(config: str) -> dict[str, str]:
     ids=[f"{name}-{'-'.join(c.lstrip('-') for c in cmd)}-{fmt}" for name, cmd, fmt in CASES],
 )
 def test_cli_output_matches_golden(config, cmd, fmt):
-    got = run_cli(config, cmd, fmt)
-    want = read_golden(config)[_header(cmd, fmt)]
-    if got != want:
-        # Name the first differing line: pytest's own diff of two strings
-        # this long takes minutes.
-        got_lines, want_lines = got.splitlines(), want.splitlines()
-        for n, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
-            if g != w:
-                pytest.fail(f"line {n} differs:\n  got:  {g}\n  want: {w}", pytrace=False)
-        pytest.fail(
-            f"{len(got_lines)} lines, golden has {len(want_lines)} (or line ends differ)",
-            pytrace=False,
-        )
+    assert_same_output(run_cli(config, cmd, fmt), read_golden(config)[_header(cmd, fmt)])
+
+
+def assert_same_output(got: str, want: str, label: str = "") -> None:
+    """Fail unless got == want, naming the first differing line.
+
+    pytest's own diff of two strings this long takes minutes.
+    """
+    if got == want:
+        return
+    prefix = f"{label}: " if label else ""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for n, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            pytest.fail(f"{prefix}line {n} differs:\n  got:  {g}\n  want: {w}", pytrace=False)
+    pytest.fail(
+        f"{prefix}{len(got_lines)} lines, golden has {len(want_lines)} (or line ends differ)",
+        pytrace=False,
+    )
 
 
 @pytest.mark.parametrize(
@@ -119,7 +125,16 @@ def test_pair_side_commands_run_no_mode_sum(monkeypatch, config, cmd):
     monkeypatch.setattr(modebasis, "_mode_sums", no_mode_sum)
     golden = read_golden(config)
     for fmt in FORMATS:
-        assert run_cli(config, cmd, fmt) == golden[_header(cmd, fmt)], fmt
+        assert_same_output(run_cli(config, cmd, fmt), golden[_header(cmd, fmt)], fmt)
+
+
+def test_assert_same_output_names_the_first_differing_line():
+    want = "".join(f"row {n}\n" for n in range(400))
+    assert_same_output(want, want)
+    with pytest.raises(pytest.fail.Exception, match=r"pairs: line 8 differs:\n  got:  row x"):
+        assert_same_output(want.replace("row 7\n", "row x\n"), want, "pairs")
+    with pytest.raises(pytest.fail.Exception, match="399 lines, golden has 400"):
+        assert_same_output(want[: -len("row 399\n")], want)
 
 
 def test_compare_lines_separates_numbers_from_text():

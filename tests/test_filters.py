@@ -272,6 +272,21 @@ def test_correlation_refuses_a_non_finite_tau(f_s, f_i, bad):
         correlation_shape(f_s, f_i, tau=broken)
 
 
+@pytest.mark.parametrize(
+    "f_s, f_i", [(_LORENTZ, _LORENTZ), (_TABLE_A, _LORENTZ)], ids=["closed", "spectral"]
+)
+def test_correlation_leaves_the_callers_tau_writable(f_s, f_i):
+    # The trace used to freeze the caller's own array: a later tau[i] = x
+    # raised "assignment destination is read-only".
+    tau = np.linspace(-0.5e-6, 0.5e-6, 101)
+    trace = correlation_shape(f_s, f_i, tau=tau)
+    tau[3] = 0.0
+    assert tau.flags.writeable and not trace.tau.flags.writeable
+    assert trace.tau[3] == np.linspace(-0.5e-6, 0.5e-6, 101)[3]
+    with pytest.raises(ValueError, match="read-only"):
+        trace.tau[3] = 0.0
+
+
 def test_tabulated_correlation_needs_uniform_tau():
     tau = np.linspace(-1e-6, 1e-6, 2001)
     step = tau[1] - tau[0]

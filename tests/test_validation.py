@@ -46,7 +46,7 @@ _VALIDATE_ROWS = [
     ("dfg-parseval-vs-fresnel", 1e-10, 47711.82572248864, 47711.82572248864),
     ("dfg-thin-crystal-limit", 0.0001, 15.686137874632806, 15.686139986139986),
     ("ling-rate-equivalence-50", 0.001, 0.029671385036158817, 0.02967345269818193),
-    ("boyd-kleinman-hmax", 0.001, 1.0677249747653113, 1.0679),
+    ("boyd-kleinman-hmax", 0.001, 1.067724974765312, 1.0679),
     ("upsilon-vs-quadrature", 1e-10, 0.5472111174518993, 0.5472111174518977),
     ("dfg-closed-0.18", 1e-10, 47711.82572248864, 47711.82572248847),
     ("dfg-closed-0.005", 1e-10, 1327.733948795741, 1327.7339487957222),
