@@ -223,7 +223,7 @@ def optimize_focus(
     # Each start's first call repeats its presample's best point, bit for
     # bit, so the best refine call is the best of the whole trace.
     best_f, (best_k, best_z), grad, hess = max(refined, key=lambda r: r[0])
-    gnorm, eigs = _certificate((best_k, best_z), grad, hess, *box)
+    gnorm, eigs = _certificate(_free((best_k, best_z), grad, *box), grad, hess)
     spread = max(finals) - min(finals)
     converged = (
         _gain_bound(gnorm, eigs) <= ftol * abs(best_f)
@@ -244,9 +244,8 @@ def _free(x, grad, lo, hi) -> list[int]:
     ]
 
 
-def _certificate(x, grad, hess, lo, hi) -> tuple[float, tuple[float, ...]]:
+def _certificate(free, grad, hess) -> tuple[float, tuple[float, ...]]:
     """Gradient norm and ascending Hessian eigenvalues on the free coordinates."""
-    free = _free(x, grad, lo, hi)
     if len(free) == 2:
         return math.hypot(*grad), _eigen2(*hess)[:2]
     if free:
@@ -337,9 +336,8 @@ def _refine(jet, x, lo, hi, ftol: float) -> float:
     for _ in range(_REFINE_CALLS - 1):
         if certified:
             break
-        gnorm, eigs = _certificate(x, grad, hess, lo, hi)
-        certified = _gain_bound(gnorm, eigs) <= ftol * abs(f)
         free = _free(x, grad, lo, hi)
+        certified = _gain_bound(*_certificate(free, grad, hess)) <= ftol * abs(f)
         while free:
             g = [-grad[i] * span[i] for i in free]
             b = [[-hess[i + j] * span[i] * span[j] for j in free] for i in free]
