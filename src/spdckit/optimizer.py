@@ -6,14 +6,16 @@ are fixed. It is smooth but multimodal in kappa (phase-mismatch lobes), so
 optimize_focus refines several starts: one deterministic start near the
 known R_k = 0 optimum plus seeded restarts, each the best of a coarse
 presample, so that it starts in the global basin. Each start is refined by
-a damped trust-region Newton method (Nocedal & Wright, ch. 4) on the exact
-gradient and Hessian of the merit, which overlap._upsilon_jet gives with the
-value from one E1 evaluation per pole. The step is solved on a closed-form
-eigen-split of the 2 x 2 Hessian; a box edge is held while the gradient
-points out of the box, so an optimum on an edge ends as a KKT point. A
-start stops once its quadratic model bounds the merit's remaining rise by
-1e-3 rel_tol of it, after one more Newton step. The result carries that
-certificate: the gradient norm and Hessian eigenvalues at the best point.
+Newton steps on the exact gradient and Hessian of the merit, which
+overlap._upsilon_jet gives with the value from one E1 evaluation per pole.
+Each step is damped by the quadratic hill-climbing shift (Goldfeld, Quandt
+& Trotter 1966), taken from a closed-form eigen-split of the 2 x 2 Hessian;
+a box edge is held while the gradient points out of the box, so an
+optimum on an edge ends as a KKT point. A start stops once its quadratic
+model bounds the merit's remaining rise by 1e-3 rel_tol of it, after one
+more Newton step. The result carries that certificate: the gradient norm
+and Hessian eigenvalues at the best point. A start on a saddle, where no
+shift certifies, ends uncertified.
 
 The sweep hands quantum._evaluate, the runner of the rate pipeline, one
 run per combination of the axes other than P_p: that combination's waves,
@@ -64,7 +66,7 @@ _GEOMETRY_AXES = ("kappa", "zeta_R", "R_k", "z_R")
 # Merit evaluations per refine, its first included. The refine ends sooner
 # once certified; the cap ends one whose certificate rel_tol puts out of reach.
 _REFINE_CALLS = 40
-# Trust radius of a refine's first step, in units of the box's spans.
+# Longest first step of a refine, in units of the box's spans.
 _FIRST_RADIUS = 0.1
 # A certified point's quadratic model rises by at most this times rel_tol of it.
 _CERTIFY = 1e-3
@@ -247,91 +249,65 @@ def _free(x, grad, lo, hi) -> list[int]:
 def _certificate(free, grad, hess) -> tuple[float, tuple[float, ...]]:
     """Gradient norm and ascending Hessian eigenvalues on the free coordinates."""
     if len(free) == 2:
-        return math.hypot(*grad), _eigen2(*hess)[:2]
+        return math.hypot(*grad), _eigen2(*hess)
     if free:
         return abs(grad[free[0]]), (hess[2 * free[0]],)
     return 0.0, ()
 
 
-def _eigen2(a: float, b: float, c: float) -> tuple[float, float, tuple[float, float]]:
-    """Eigenvalues lo <= hi of [[a, b], [b, c]] and the unit eigenvector of lo.
+def _eigen2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues lo <= hi of [[a, b], [b, c]].
 
     The eigenvalue of larger size comes from the mean and radius, the other
     from the determinant, so neither loses digits to cancellation.
     """
     mean, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
     if rad == 0.0:
-        return mean, mean, (1.0, 0.0)
+        return mean, mean
     det = a * c - b * b
     if mean >= 0.0:
         hi = mean + rad
-        lo = det / hi
-    else:
-        lo = mean - rad
-        hi = det / lo
-    # Of the two forms of the eigenvector, the one with no cancellation.
-    vx, vy = (b, lo - a) if a >= c else (lo - c, b)
-    norm = math.hypot(vx, vy)
-    return lo, hi, (vx / norm, vy / norm)
+        return det / hi, hi
+    lo = mean - rad
+    return lo, det / lo
 
 
-def _trust_step(g: list[float], b: list[list[float]], delta: float) -> list[float]:
-    """Minimize g.p + p.B.p / 2 over |p| <= delta, on one or two coordinates.
+def _damped_step(g: list[float], b: list[list[float]], nu: float) -> list[float]:
+    """p = -(B + mu I)^-1 g with mu = max(0, -lambda_min(B)) + nu, on one or two coordinates.
 
-    Moré-Sorensen (Nocedal & Wright, ch. 4) on the closed-form eigen-split
-    of B: the Newton step when B is positive definite and the step fits;
-    otherwise p(s) = -(B + s I)^-1 g on the boundary |p| = delta, where
-    Newton's method on 1/|p(s)| climbs to the root from below. In the hard
-    case, where g has no part along the lowest eigenvector and B + s I is
-    singular at the root, the step runs along that eigenvector.
+    The quadratic hill-climbing shift (Goldfeld, Quandt & Trotter 1966):
+    B + mu I has every eigenvalue at least nu, so p descends the model
+    g.p + p.B.p / 2 with |p| <= |g| / nu; a zero g takes no step. The 2 x 2
+    solve divides the adjugate by (lam1 + mu)(lam2 + mu), which does not cancel.
     """
+    if not any(g):
+        return [0.0] * len(g)
     if len(g) == 1:
-        if b[0][0] > 0.0 and abs(g[0]) <= b[0][0] * delta:
-            return [-g[0] / b[0][0]]
-        return [-math.copysign(delta, g[0])]
-    lam1, lam2, (cs, sn) = _eigen2(b[0][0], b[0][1], b[1][1])
-    alpha = (cs * g[0] + sn * g[1], cs * g[1] - sn * g[0])
-    if lam1 > 0.0:
-        z = [-alpha[0] / lam1, -alpha[1] / lam2]
-        if math.hypot(*z) <= delta:
-            return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
-        base = (lam1, lam2)
-    else:
-        # s counts from -lam1, so the lowest term's pole sits at s = 0 exactly.
-        base = (0.0, lam2 - lam1)
-    terms = [(a, d) for a, d in zip(alpha, base) if a != 0.0]
-    if alpha[0] == 0.0 and base[0] == 0.0 and all(d > 0.0 for _, d in terms):
-        z2 = -alpha[1] / base[1] if alpha[1] else 0.0
-        if abs(z2) <= delta:  # the hard case
-            z = [math.sqrt(delta * delta - z2 * z2), z2]
-            return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
-    # |p(s)| falls from above delta to below it; a term with its pole at 0
-    # gives a start below the root.
-    s = max([abs(a) / delta for a, d in terms if d == 0.0], default=0.0)
-    for _ in range(50):
-        norm = math.hypot(*(a / (d + s) for a, d in terms))
-        if norm - delta <= 1e-12 * delta:
-            break
-        cube = sum(a * a / (d + s) ** 3 for a, d in terms)
-        s += (norm / delta - 1.0) * norm * norm / cube
-    z = [-a / (d + s) if a else 0.0 for a, d in zip(alpha, base)]
-    return [cs * z[0] - sn * z[1], sn * z[0] + cs * z[1]]
+        return [-g[0] / (max(b[0][0], 0.0) + nu)]
+    lam1, lam2 = _eigen2(b[0][0], b[0][1], b[1][1])
+    mu = max(0.0, -lam1) + nu
+    det = (max(lam1, 0.0) + nu) * (lam2 + mu)
+    a, c = b[0][0] + mu, b[1][1] + mu
+    return [(b[0][1] * g[1] - c * g[0]) / det, (b[0][1] * g[0] - a * g[1]) / det]
 
 
 def _refine(jet, x, lo, hi, ftol: float) -> float:
-    """Trust-region Newton ascent of the merit from x inside the box.
+    """Damped Newton ascent of the merit from x inside the box.
 
-    Works in coordinates scaled by the box's spans. Each step solves the
-    trust-region problem on the free coordinates; a step that points out of
-    the box at an edge it sits on holds that coordinate, and a step that
-    would leave the box stops where it meets the edge. The search is
-    certified once the gain bound of the current point is at most
-    ftol of its merit; it then takes one more step, which squares the gap,
-    and stops. Returns the best merit it reached.
+    Works in coordinates scaled by the box's spans. Each step is
+    _damped_step on the free coordinates; a step that points out of the
+    box at an edge it sits on holds that coordinate, and a step that would
+    leave the box stops where it meets the edge. The damping nu starts at
+    |g| / _FIRST_RADIUS; it doubles after a step whose merit gains less
+    than a quarter of its model's gain, and falls eightfold after one that
+    gains more than three quarters. The search is certified once the gain
+    bound of the current point is at most ftol of its merit; it then takes
+    one more step, which squares the gap, and stops. Returns the best
+    merit it reached.
     """
     span = (hi[0] - lo[0], hi[1] - lo[1])
     f, grad, hess = jet(x)
-    delta = _FIRST_RADIUS
+    nu = math.hypot(*(grad[i] * span[i] for i in _free(x, grad, lo, hi))) / _FIRST_RADIUS
     certified = False
     for _ in range(_REFINE_CALLS - 1):
         if certified:
@@ -341,7 +317,7 @@ def _refine(jet, x, lo, hi, ftol: float) -> float:
         while free:
             g = [-grad[i] * span[i] for i in free]
             b = [[-hess[i + j] * span[i] * span[j] for j in free] for i in free]
-            p = _trust_step(g, b, delta)
+            p = _damped_step(g, b, nu)
             held = [
                 i for i, pi in zip(free, p)
                 if (pi < 0.0 and x[i] <= lo[i]) or (pi > 0.0 and x[i] >= hi[i])
@@ -372,11 +348,10 @@ def _refine(jet, x, lo, hi, ftol: float) -> float:
             break
         f_t, grad_t, hess_t = jet(trial)
         rho = (f_t - f) / gain
-        length = frac * math.hypot(*p)
         if rho < 0.25:
-            delta = 0.25 * length
-        elif rho > 0.75 and length >= 0.99 * delta:
-            delta = min(2.0 * delta, 1.0)
+            nu *= 2.0
+        elif rho > 0.75:
+            nu /= 8.0
         if rho > 0.0:
             x, f, grad, hess = trial, f_t, grad_t, hess_t
     return f

@@ -97,8 +97,9 @@ def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal adds about 0.7 s to the import, more than the package
     # itself costs; the chirp-z correlation is written on scipy.fft instead.
     # scipy.optimize and scipy.integrate add 0.2-0.4 s together: the focus
-    # optimizer has its own simplex and the direct 3D overlap oracle runs on
-    # the package's own quadrature. No command loads them either (below).
+    # optimizer takes its own damped Newton steps and the direct 3D overlap
+    # oracle runs on the package's own quadrature. No command loads them
+    # either (below).
     heavy = ("scipy.signal", "scipy.optimize", "scipy.integrate")
     assert _loaded_after("import spdckit", heavy) == []
 
@@ -132,7 +133,7 @@ import contextlib, io
 from importlib import resources
 from spdckit.cli import main
 bundled = str(resources.files("spdckit").joinpath("data/ppktp_800_typeII.cfg"))
-commands = [["validate"]] + [
+commands = [["validate"], ["optimize", "--rk", "0.04"], ["optimize", "--config", bundled]] + [
     [*cmd, "--config", config]
     for config in (bundled, {str(tabulated)!r})
     for cmd in (
