@@ -328,11 +328,17 @@ def _driven(waves: WaveTriple, crystal: CrystalSpec, z_r: float, generated: str)
 
 
 def _doubled(measure, size, tol: float, what: str):
-    """measure(n) at n = 64 and 128 slices: the latter, once size() of the two agree to tol."""
-    coarse, fine = measure(64), measure(128)
-    if abs(size(fine) - size(coarse)) > tol * abs(size(fine)):
-        raise ValueError(f"{what} not converged: {coarse!r} vs {fine!r} after doubling")
-    return fine
+    """measure(n) at n = 64, 128, ..., 1024 slices: the finer of the first
+    two counts whose size() agree to tol. The plane sums are O(n^2), and
+    1024 slices make 16 MB Gram matrices."""
+    coarse = measure(64)
+    for n in (128, 256, 512, 1024):
+        fine = measure(n)
+        if abs(size(fine) - size(coarse)) <= tol * abs(size(fine)):
+            return fine
+        if n < 1024:
+            coarse = fine
+    raise ValueError(f"{what} not converged: {coarse!r} at 512 slices vs {fine!r} at 1024")
 
 
 def _check_decay(c: np.ndarray) -> None:
@@ -362,15 +368,15 @@ def oracle_fresnel_self_test() -> OracleReport:
     return _report("fresnel-propagator-self-test", _plane_power(coef, c), 1.0, 1e-12)
 
 
-def oracle_dfg_fresnel() -> OracleReport:
+def oracle_dfg_fresnel(kappa: float = -3.0, zeta_r: float = 0.18) -> OracleReport:
     """Mode-sum |I_DFG|^2 total against direct Fresnel propagation.
 
-    At zeta_R = 0.18 and kappa = -3, the plane power of the idler field the
-    pump and signal modes drive equals the all-mode Parseval total. The
-    oracle side doubles its slice count, 64 to 128 nodes, and requires
-    self-consistency to 1e-10 before it is trusted.
+    On the reference waves poled for kappa and focused at zeta_r, the plane
+    power of the idler field the pump and signal modes drive equals the
+    all-mode Parseval total. The oracle side doubles its slice count from
+    64 nodes until two counts agree to 1e-10; a tight focus needs more.
     """
-    waves, crystal, fp = _reference_point(-3.0, 0.18)
+    waves, crystal, fp = _reference_point(kappa, zeta_r)
     main = quantum.compute_overlaps(waves, crystal, fp).i_dfg_sq_signal_arm
     args = _driven(waves, crystal, fp.rayleigh_range, "idler")
     power = _doubled(

@@ -269,6 +269,37 @@ def test_oracles_build_fresnel_fields_on_64_and_128_nodes_only(monkeypatch):
     assert sorted(counts) == [64, 128]
 
 
+@pytest.mark.parametrize("kappa, zeta_r", [(2.0, 0.02), (-3.0, 0.005)])
+def test_fresnel_oracle_doubles_its_slices_at_tight_focus(monkeypatch, kappa, zeta_r):
+    # Here 64 and 128 slices differ by 4.7e-9 and 6.8e-8 of the plane
+    # power, 128 and 256 by 8.9e-14 and 1.4e-14: the oracle doubles once
+    # more, and 256 slices match the mode-sum total to 1.3e-14 and 9.8e-15.
+    counts = []
+    build = validation._generated_field
+
+    def counted(*args):
+        counts.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(validation, "_generated_field", counted)
+    report = validation.oracle_dfg_fresnel(kappa, zeta_r)
+    assert counts == [64, 128, 256]
+    assert report.passed and report.rel_diff <= 1e-13
+
+
+def test_slice_doubling_stops_at_its_cap_naming_the_last_two_counts():
+    counts = []
+
+    def measure(n):
+        counts.append(n)
+        return float(n)
+
+    match = r"^test route not converged: 512\.0 at 512 slices vs 1024\.0 at 1024$"
+    with pytest.raises(ValueError, match=match):
+        validation._doubled(measure, abs, 1e-10, "test route")
+    assert counts == [64, 128, 256, 512, 1024]
+
+
 def test_fresnel_oracle_holds_no_slice_by_slice_matrix():
     # The 128 x 128 complex Gram matrix of the fine plane power is 256 KB,
     # a traced peak of 0.8 MB when measured; one 800 x 800 matrix, as the
