@@ -14,8 +14,8 @@ a box edge is held while the gradient points out of the box, so an
 optimum on an edge ends as a KKT point. A start stops once its quadratic
 model bounds the merit's remaining rise by 1e-3 rel_tol of it, after one
 more Newton step. The result carries that certificate: the gradient norm
-and Hessian eigenvalues at the best point. A start on a saddle, where no
-shift certifies, ends uncertified.
+and Hessian eigenvalues at the best point. A start stuck on a saddle ends
+uncertified, as an indefinite Hessian never certifies.
 
 The sweep hands quantum._evaluate, the runner of the rate pipeline, one
 run per combination of the axes other than P_p: that combination's waves,
