@@ -5,7 +5,14 @@ quantity proportional to conversion efficiency once wavelengths and material
 are fixed. It is smooth but multimodal in kappa (phase-mismatch lobes), so
 optimize_focus refines several starts: one deterministic start near the
 known R_k = 0 optimum plus seeded restarts, each the best of a coarse
-presample, so that it starts in the global basin. Each start is refined by
+presample, so that it starts in the global basin. Upsilon is the
+difference of a near and a far pole term, and only the far one depends on
+R_k: _presample draws a box's presample once per (box, restarts, seed)
+and keeps it with its near-pole terms in a small cache, and each call adds
+the far pole over the whole presample in one array pass
+(overlap._pole_terms). Every presample value is _objective's, bit for bit,
+so each restart's best point is the one a scalar loop would pick, and its
+refine's first call repeats that value. Each start is refined by
 Newton steps on the exact gradient and Hessian of the merit, which
 overlap._upsilon_jet gives with the value from one E1 evaluation per pole.
 Each step is damped by the quadratic hill-climbing shift (Goldfeld, Quandt
@@ -29,14 +36,16 @@ output from the same runs a block at a time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import filters, quantum
-from .overlap import _upsilon_core, _upsilon_jet
+from .overlap import _pole_terms, _upsilon_core, _upsilon_jet
 from .quantities import CrystalSpec, OpticalWave, WaveTriple, derive_focus_params
 
 __all__ = [
@@ -52,10 +61,14 @@ __all__ = [
 # basin rather than a secondary phase-mismatch lobe.
 _PRESAMPLES = 64
 _MAX_SWEEP_POINTS = 1_000_000
-# Restarts per optimize_focus call. Each costs about 0.5 ms (64 presamples
-# and a refine of about 6 merit evaluations) and keeps its evaluations in
-# the trace, so an unbounded count runs without end.
+# Restarts per optimize_focus call. Each costs about 0.3 ms (64 presamples,
+# with their near poles cached, and a refine of about 6 merit evaluations;
+# about 0.5 ms on a cold cache) and keeps its evaluations in the trace, so
+# an unbounded count runs without end.
 _MAX_RESTARTS = 1000
+# Presamples kept with their near-pole terms, one per (box, restarts, seed);
+# one of _MAX_RESTARTS restarts holds 64000 points in about 1.5 MB.
+_PRESAMPLE_CACHE = 8
 _MIN_ZETA_R = 0.01  # lowest zeta_R an optimizer box may reach
 
 AXIS_NAMES = ("kappa", "zeta_R", "R_k", "z_R", "Gamma_s", "Gamma_i", "P_p")
@@ -190,33 +203,36 @@ def optimize_focus(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
 
-    trace: list[tuple[float, float, float]] = []
-    refined: list[tuple] = []  # (f, x, gradient, Hessian) of each refine call
+    # Single-point box: nothing to search, and no coordinate is free.
+    if k_lo == k_hi and z_lo == z_hi:
+        value = _objective(k_lo, z_lo, r_k)
+        return OptimizationResult(k_lo, z_lo, value, True, ((k_lo, z_lo, value),), 0.0, ())
 
-    def merit(kappa: float, zeta_r: float) -> float:
-        value = _objective(kappa, zeta_r, r_k)
-        trace.append((kappa, zeta_r, value))
-        return value
+    # The presample's merit, each value _objective's bit for bit.
+    cand_k, cand_z, u = _presample(
+        k_lo, k_hi, z_lo, z_hi, operator.index(restarts), operator.index(seed)
+    )
+    if r_k != 0.0:
+        # As in Python's float division, a far pole beyond 1e308 lies at inf.
+        with np.errstate(over="ignore"):
+            y = -cand_z / r_k
+        u = (u - _pole_terms(cand_k, y)) / (1.0 + r_k)
+    cand_k, cand_z = cand_k.tolist(), cand_z.tolist()
+    values = [cz * abs(cu) ** 2 for cz, cu in zip(cand_z, (u / math.pi).tolist())]
+    trace: list[tuple[float, float, float]] = list(zip(cand_k, cand_z, values))
+    starts = [(min(max(-3.0, k_lo), k_hi), min(max(0.18, z_lo), z_hi))]
+    for j in np.argmax(np.reshape(values, (-1, _PRESAMPLES)), axis=1) + np.arange(
+        0, len(values), _PRESAMPLES
+    ):
+        starts.append((cand_k[j], cand_z[j]))
+
+    refined: list[tuple] = []  # (f, x, gradient, Hessian) of each refine call
 
     def jet(x: tuple[float, float]):
         value, grad, hess = _merit_jet(*x, r_k)
         trace.append((*x, value))
         refined.append((value, x, grad, hess))
         return value, grad, hess
-
-    # Single-point box: nothing to search, and no coordinate is free.
-    if k_lo == k_hi and z_lo == z_hi:
-        value = merit(k_lo, z_lo)
-        return OptimizationResult(k_lo, z_lo, value, True, tuple(trace), 0.0, ())
-
-    rng = np.random.default_rng(seed)
-    starts = [(min(max(-3.0, k_lo), k_hi), min(max(0.18, z_lo), z_hi))]
-    for _ in range(restarts):
-        cand_k = rng.uniform(k_lo, k_hi, _PRESAMPLES).tolist()
-        cand_z = rng.uniform(z_lo, z_hi, _PRESAMPLES).tolist()
-        values = [merit(ck, cz) for ck, cz in zip(cand_k, cand_z)]
-        j = int(np.argmax(values))
-        starts.append((cand_k[j], cand_z[j]))
 
     box = (k_lo, z_lo), (k_hi, z_hi)
     ftol = _CERTIFY * rel_tol
@@ -232,6 +248,26 @@ def optimize_focus(
         and spread <= 2.0 * rel_tol * max(abs(best_f), 1e-30)
     )
     return OptimizationResult(best_k, best_z, best_f, converged, tuple(trace), gnorm, eigs)
+
+
+@functools.lru_cache(maxsize=_PRESAMPLE_CACHE)
+def _presample(k_lo, k_hi, z_lo, z_hi, restarts: int, seed: int):
+    """The seeded presample of a checked box and its near pole, read-only.
+
+    Per restart, _PRESAMPLES kappa then _PRESAMPLES zeta_R from the seed's
+    generator. Returns the kappa and zeta_R of every restart in order, and
+    the near-pole term K(kappa, zeta_R) there, which does not depend on r_k.
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.empty((restarts, 2, _PRESAMPLES))
+    for row in draws:
+        row[0] = rng.uniform(k_lo, k_hi, _PRESAMPLES)
+        row[1] = rng.uniform(z_lo, z_hi, _PRESAMPLES)
+    cand_k, cand_z = draws.transpose(1, 0, 2).reshape(2, -1)
+    near = _pole_terms(cand_k, cand_z)
+    for a in (cand_k, cand_z, near):
+        a.flags.writeable = False
+    return cand_k, cand_z, near
 
 
 def _free(x, grad, lo, hi) -> list[int]:

@@ -34,6 +34,10 @@ crosses the branch cut of E1 on the negative real axis, and J picks up
 |kappa| < 1e-15, kappa = 0 included, J(p) is the log of the endpoint ratio,
 log(1/2 - p) - log(-1/2 - p) = 2 i atan(1 / (2 Im p)), written so that a
 far pole keeps its digits.
+
+Every scalar call stays scalar: a numpy version of one Upsilon costs far
+more than the Python one. The one array form is _pole_terms, the pole
+term over a whole optimizer presample, bit for bit _pole_term's.
 """
 
 from __future__ import annotations
@@ -174,6 +178,44 @@ def _pole_term(kappa: float, y: float) -> tuple[float, float]:
         k -= cut
         size += abs(cut)
     return k, size
+
+
+def _pole_terms(kappa: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K of _pole_term, bit for bit, over 1-D float arrays of kappa and y.
+
+    The E1 lanes run in numpy, with one exp1 call, and take each complex
+    product from real and imaginary parts as Python's complex multiply
+    does; numpy's own complex multiply and real exp round differently. The
+    branch-cut term is taken per lane with math.exp. Lanes at
+    |kappa| < _KAPPA_ZERO or |t| > _SERIES_MIN_ABS go to _pole_term, so
+    that the kappa = 0 branch and the asymptotic series have one form each.
+    Only the E1 lanes are computed here, so kappa y cannot overflow: a
+    lane with |kappa| > 1000 or |y| > 1e300 has |t| > 500.
+    """
+    out = np.empty(kappa.shape)
+    a, b = np.abs(kappa), np.abs(y)
+    lanes = np.flatnonzero((a >= _KAPPA_ZERO) & (a <= 1e3) & (b <= 1e300))
+    k = kappa[lanes]
+    ky = k * y[lanes]
+    near = np.hypot(ky, 0.5 * k) <= _SERIES_MIN_ABS
+    lanes, k, ky = lanes[near], k[near], ky[near]
+    t = ky.astype(complex)
+    t.imag = -0.5 * k
+    e1, et = exp1(t), np.exp(t)
+    g_re = et.real * e1.real - et.imag * e1.imag
+    g_im = et.real * e1.imag + et.imag * e1.real
+    rot = np.zeros(k.shape, complex)
+    rot.imag = 0.5 * k
+    rot = np.exp(rot)
+    value = rot.real * g_im + rot.imag * g_re
+    cut = np.flatnonzero(ky < 0.0)
+    value[cut] -= np.copysign(math.pi, k[cut]) * [math.exp(v) for v in ky[cut].tolist()]
+    out[lanes] = value
+    rest = np.ones(kappa.shape, bool)
+    rest[lanes] = False
+    for i, kr, yr in zip(np.flatnonzero(rest), kappa[rest].tolist(), y[rest].tolist()):
+        out[i] = _pole_term(kr, yr)[0]
+    return out
 
 
 def _ein_jet(s: complex) -> tuple[complex, complex, complex]:

@@ -313,7 +313,8 @@ def test_optimize_bad_box_is_a_usage_error(capsys, monkeypatch, options, message
     def no_evaluation(*args):
         raise AssertionError("merit evaluated")
 
-    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    for name in ("_objective", "_presample", "_pole_terms", "_merit_jet"):
+        monkeypatch.setattr(optimizer, name, no_evaluation)
     assert main(["optimize", "--rk", "0", *options]) == 2
     err = capsys.readouterr().err
     assert err == message + "\n"

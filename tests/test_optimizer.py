@@ -92,6 +92,17 @@ def test_optimize_focus_validation():
         optimize_focus(0.0, restarts=-1)
 
 
+def _forbid_merit(monkeypatch):
+    """Make every route to a merit value raise: the scalar merit, the cached
+    presample with its array pole terms, and the refine's jet."""
+
+    def no_evaluation(*args):
+        raise AssertionError("merit evaluated")
+
+    for name in ("_objective", "_presample", "_pole_terms", "_merit_jet"):
+        monkeypatch.setattr(optimizer, name, no_evaluation)
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
@@ -105,10 +116,7 @@ def test_optimize_focus_bounds_restarts_and_seed(monkeypatch, kwargs, match, box
     # 1e8 restarts used to run without end while the trace grew, and seed -1
     # failed inside numpy with "expected non-negative integer". Both are
     # refused before the first merit evaluation, also for a one-point box.
-    def no_evaluation(*args):
-        raise AssertionError("merit evaluated")
-
-    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    _forbid_merit(monkeypatch)
     with pytest.raises(ValueError, match=match):
         optimize_focus(0.0, **box, **kwargs)
 
@@ -126,10 +134,7 @@ def test_optimize_focus_names_a_bad_box(monkeypatch, kwargs, match):
     # A reversed box or a zeta_R floor below 0.01 used to raise "bounds must
     # be ordered (low, high)" or "zeta_R lower bound must be >= 0.01", which
     # name no argument. Both are refused before the first merit evaluation.
-    def no_evaluation(*args):
-        raise AssertionError("merit evaluated")
-
-    monkeypatch.setattr(optimizer, "_objective", no_evaluation)
+    _forbid_merit(monkeypatch)
     with pytest.raises(ValueError, match=match):
         optimize_focus(0.0, **kwargs)
 
@@ -378,6 +383,136 @@ def test_merit_derivatives_match_central_differences(kappa, zeta_r, r_k):
     assert max(abs(a - b) for a, b in zip(grad, fd_grad)) <= 1e-6 * g_scale
     want = (hess[0], hess[1], hess[1], hess[2])
     assert max(abs(a - b) for a, b in zip(want, fd_hess)) <= 1e-6 * h_scale
+
+
+_BATCH_RKS = [0.0, 0.29, -0.29, 0.9, -0.9, 5e-324, -5e-324]
+
+
+def _pole_grid():
+    """(kappa, y) reaching every lane of _pole_terms: both sides of the cut,
+    |t| above _SERIES_MIN_ABS, |kappa| below _KAPPA_ZERO, a far pole at inf."""
+    from spdckit import overlap
+
+    rng = np.random.default_rng(33)
+    kappa = np.concatenate([
+        rng.uniform(-20.0, 5.0, 400),
+        rng.uniform(-1e4, 1e4, 100),
+        [0.0, -0.0, 1e-16, -9e-16, 1e-15, -1e-15, 1e-12, 1e3, -1e3, 1e3 + 1e-9],
+    ])
+    zeta = rng.uniform(0.01, 5.0, kappa.size)
+    with np.errstate(over="ignore"):  # -zeta / +-5e-324 is +-inf, as in Python
+        y = np.concatenate([zeta if r == 0.0 else -zeta / r for r in _BATCH_RKS])
+    kappa = np.tile(kappa, len(_BATCH_RKS))
+    finite = np.isfinite(y)
+    t = np.full(y.shape, math.inf)
+    t[finite] = np.hypot(kappa[finite] * y[finite], 0.5 * kappa[finite])
+    assert (t[finite] > overlap._SERIES_MIN_ABS).any() and (t < overlap._SERIES_MIN_ABS).any()
+    assert (np.abs(kappa) < overlap._KAPPA_ZERO).any() and (~finite).any()
+    ky = kappa[finite] * y[finite]
+    assert (ky < 0.0).any() and (ky > 0.0).any()
+    return kappa, y
+
+
+def test_pole_terms_equal_the_scalar_pole_term_bit_for_bit():
+    from spdckit import overlap
+
+    kappa, y = _pole_grid()
+    got = overlap._pole_terms(kappa, y)
+    want = [overlap._pole_term(k, v)[0] for k, v in zip(kappa.tolist(), y.tolist())]
+    assert got.tolist() == want
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("r_k", _BATCH_RKS)
+def test_presample_values_equal_the_scalar_merit(monkeypatch, r_k):
+    # The presample runs as one array pass; each of its trace entries is the
+    # scalar merit's, bit for bit, and each refine's first call repeats its
+    # restart's best presample point and value. At +-5e-324 the far pole
+    # -zeta_R / r_k overflows to inf, which Python's division does silently.
+    firsts = []
+    refine = optimizer._refine
+
+    def spy(jet, x, *args):
+        seen = []
+
+        def first(point):
+            value = jet(point)
+            if not seen:
+                seen.append((point, value[0]))
+            return value
+
+        out = refine(first, x, *args)
+        firsts.extend(seen)
+        return out
+
+    monkeypatch.setattr(optimizer, "_refine", spy)
+    restarts = 3
+    result = optimize_focus(r_k, kappa_bounds=(-1e3, 50.0), restarts=restarts, seed=33)
+    presample = result.trace[: restarts * optimizer._PRESAMPLES]
+    for kappa, zeta_r, value in presample:
+        want = optimizer._objective(kappa, zeta_r, r_k)
+        assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+    assert len(firsts) == restarts + 1
+    for r in range(restarts):
+        block = presample[r * optimizer._PRESAMPLES : (r + 1) * optimizer._PRESAMPLES]
+        j = int(np.argmax([v for _, _, v in block]))
+        assert firsts[r + 1] == (block[j][:2], block[j][2])
+
+
+def test_presample_cache_keys_on_the_checked_box_restarts_and_seed():
+    optimizer._presample.cache_clear()
+    base = dict(kappa_bounds=(-20.0, 5.0), zeta_bounds=(0.02, 5.0), restarts=2, seed=7)
+    cold = optimize_focus(0.1, **base)
+    warm = optimize_focus(0.1, **base)
+    assert warm.trace == cold.trace and optimizer._presample.cache_info().hits == 1
+    # A different box, restart count or seed never shares an entry.
+    variants = [
+        dict(base, kappa_bounds=(-20.0, 4.0)),
+        dict(base, zeta_bounds=(0.03, 5.0)),
+        dict(base, restarts=3),
+        dict(base, seed=8),
+    ]
+    draws = {optimizer._presample(-20.0, 5.0, 0.02, 5.0, 2, 7)[0].tobytes()}
+    for kwargs in variants:
+        optimizer._presample.cache_clear()
+        fresh = optimize_focus(0.1, **kwargs)
+        assert optimize_focus(0.1, **kwargs).trace == fresh.trace
+        k_lo, k_hi = kwargs["kappa_bounds"]
+        z_lo, z_hi = kwargs["zeta_bounds"]
+        entry = optimizer._presample(k_lo, k_hi, z_lo, z_hi, kwargs["restarts"], kwargs["seed"])
+        draws.add(entry[0].tobytes() + entry[1].tobytes())
+    assert len(draws) == 1 + len(variants)
+    # An evicted entry comes back the same.
+    for seed in range(optimizer._PRESAMPLE_CACHE + 1):
+        optimize_focus(0.1, **dict(base, seed=100 + seed))
+    assert optimizer._presample.cache_info().currsize == optimizer._PRESAMPLE_CACHE
+    assert optimize_focus(0.1, **base).trace == cold.trace
+    # -0.0 and 0.0 bounds hash alike and draw alike.
+    optimizer._presample.cache_clear()
+    signed = optimize_focus(0.1, kappa_bounds=(-0.0, 5.0), restarts=2)
+    assert optimize_focus(0.1, kappa_bounds=(0.0, 5.0), restarts=2).trace == signed.trace
+    optimizer._presample.cache_clear()
+    assert optimize_focus(0.1, kappa_bounds=(0.0, 5.0), restarts=2).trace == signed.trace
+
+
+def test_presample_cache_holds_read_only_arrays_of_bounded_size():
+    assert optimizer._presample.cache_info().maxsize == optimizer._PRESAMPLE_CACHE <= 16
+    entry = optimizer._presample(-20.0, 5.0, 0.02, 5.0, optimizer._MAX_RESTARTS, 0)
+    assert [a.shape for a in entry] == [(optimizer._MAX_RESTARTS * optimizer._PRESAMPLES,)] * 3
+    assert sum(a.nbytes for a in entry) <= 1.6e6
+    for a in entry:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    optimizer._presample.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["seed", "restarts"])
+def test_presample_keys_refuse_a_float_count(name):
+    # 7.0 hashes as 7, so a key on the raw value would let it through; the
+    # generator and range() refuse a float, and so does the cache's key.
+    optimize_focus(0.0, restarts=2, seed=7)
+    with pytest.raises(TypeError):
+        optimize_focus(0.0, **{"restarts": 2, "seed": 7, name: 7.0 if name == "seed" else 2.0})
 
 
 @pytest.mark.parametrize(
