@@ -337,7 +337,7 @@ def _five_point(fun, x, h):
 
 _DERIVATIVE_GRID = list(
     itertools.product(
-        [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, -3.0, 4.0],
+        [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, -3.0, 4.0, -120.0],
         [0.02, 0.18, 1.3, 150.0],
         [0.0, 0.29, -0.29, 0.9, -0.9],
     )
@@ -348,6 +348,9 @@ def test_derivative_grid_covers_every_branch():
     from spdckit import overlap
 
     poles = [(k, y) for k, z, r in _DERIVATIVE_GRID for y in ([z] if r == 0 else [z, -z / r])]
+    assert any(abs(y) >= overlap._MOMENT_MIN_ABS_Y for k, y in poles)
+    # The E1 and Ein forms take the other poles.
+    poles = [(k, y) for k, y in poles if abs(y) < overlap._MOMENT_MIN_ABS_Y]
     sizes = [abs(complex(k * y, -0.5 * k)) for k, y in poles]
     assert any(k * y < 0 for k, y in poles) and any(k * y > 0 for k, y in poles)
     assert any(t > overlap._SERIES_MIN_ABS for t in sizes)
@@ -513,6 +516,66 @@ def test_presample_keys_refuse_a_float_count(name):
     optimize_focus(0.0, restarts=2, seed=7)
     with pytest.raises(TypeError):
         optimize_focus(0.0, **{"restarts": 2, "seed": 7, name: 7.0 if name == "seed" else 2.0})
+
+
+@pytest.mark.parametrize("r_k", [-5e-324, 5e-324, 1e-13])
+def test_tiny_r_k_reaches_the_r_k_zero_optimum(r_k):
+    # The far pole -zeta_R / r_k sits at |y| >= 1.8e11 (inf at +-5e-324).
+    # Its derivatives once cancelled terms of size |y| (f_kk off by 1e7 at
+    # r_k = 1e-13) or were NaN, and the refine stopped at its start.
+    box = {"kappa_bounds": (0.0, 0.0), "zeta_bounds": (0.02, 5.0), "restarts": 0}
+    want = optimize_focus(0.0, **box)
+    got = optimize_focus(r_k, **box)
+    assert want.converged and got.converged
+    assert got.best_objective == pytest.approx(want.best_objective, rel=1e-12)
+    assert got.best_zeta_r == pytest.approx(want.best_zeta_r, rel=1e-6)
+
+
+@pytest.mark.parametrize("r_k", [1e-12, 1e-13, 1e-50, 5e-324, -5e-324])
+@pytest.mark.parametrize("kappa, zeta_r", [(0.0, 0.18), (1e-12, 0.18), (-3.0, 0.18), (2.5, 0.02), (1e-9, 1.3)])
+def test_merit_jet_tends_to_the_r_k_zero_jet(kappa, zeta_r, r_k):
+    # The far pole's terms vanish as r_k -> 0; its moment series takes
+    # them at large |y|, down to 0 at y = inf.
+    def flat(jet):
+        return [jet[0], *jet[1], *jet[2]]
+
+    want = flat(optimizer._merit_jet(kappa, zeta_r, 0.0))
+    got = flat(optimizer._merit_jet(kappa, zeta_r, r_k))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * max(map(abs, want))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-9, -1e-3, 0.5, -2.0, 2.0 + 1e-12, -3.0, 14.2, -1e3])
+@pytest.mark.parametrize("y", [16.0, -16.0, 200.0, -3e4, 1e12, math.inf, -math.inf])
+def test_moment_jet_matches_the_pole_integrals(kappa, y):
+    # The moments and the derivatives of K = J(i y) / 2i against a composite
+    # Gauss-Legendre rule on [-1/2, 1/2], where at |y| >= 16 each integrand
+    # is smooth and the rule loses nothing to cancellation.
+    from spdckit import overlap
+
+    panels = max(1, int(abs(kappa) / 8))
+    x, v = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(-0.5, 0.5, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    z = ((edges[:-1] + edges[1:])[:, None] * 0.5 + half * x).ravel()
+    w = np.tile(half * v, panels)
+    phase = w * np.exp(-1j * kappa * z)
+    count = overlap._MOMENT_TERMS + 2
+    got = overlap._moments(kappa, count)
+    for n in range(count):
+        # |S_n| <= 2^-n / (n + 1); each keeps to 1e-13 of that bound, about
+        # the rounding of the rule.
+        want = np.sum(phase * (-1j * z) ** n).real
+        assert abs(got[n] - want) <= 1e-13 * 2.0**-n / (n + 1), n
+    jet = overlap._moment_jet(kappa, y)
+    if math.isinf(y):
+        assert jet == (0.0,) * 5
+        return
+    q = 1.0 / (z - 1j * y)
+    want = [
+        (np.sum(phase * f) / 2j).real
+        for f in (-1j * z * q, 1j * q * q, -z * z * q, z * q * q, -2.0 * q**3)
+    ]
+    assert np.abs(np.subtract(jet, want)).max() <= 1e-13 * np.abs(want).max() + 1e-300
 
 
 @pytest.mark.parametrize(
