@@ -260,7 +260,9 @@ def _pole_jet(kappa: float, y: float) -> tuple[float, tuple[float, ...]]:
 
     and the branch-cut term pi sign(kappa) e^{kappa y} differentiates as
     e^{kappa y} does. At small |t| the 1/t and 1/t^2 in g' and g'' cancel
-    to a part in 1/kappa^2; there _entire_jet takes over.
+    to a part in 1/kappa^2; there _entire_jet takes over. From
+    |y| = _MOMENT_MIN_ABS_Y on, where both cancel terms of size |y|,
+    _moment_jet does, up to a far pole at y = inf.
     """
     if abs(y) >= _MOMENT_MIN_ABS_Y:
         return _pole_term(kappa, y)[0], _moment_jet(kappa, y)
