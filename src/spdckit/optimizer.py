@@ -314,7 +314,8 @@ def _damped_step(g: list[float], b: list[list[float]], nu: float) -> list[float]
     The quadratic hill-climbing shift (Goldfeld, Quandt & Trotter 1966):
     B + mu I has every eigenvalue at least nu, so p descends the model
     g.p + p.B.p / 2 with |p| <= |g| / nu; a zero g takes no step. The 2 x 2
-    solve divides the adjugate by (lam1 + mu)(lam2 + mu), which does not cancel.
+    solve divides the adjugate by (lam1 + mu)(lam2 + mu), which does not
+    cancel; where that product underflows to 0, it takes no step.
     """
     if not any(g):
         return [0.0] * len(g)
@@ -323,6 +324,8 @@ def _damped_step(g: list[float], b: list[list[float]], nu: float) -> list[float]
     lam1, lam2 = _eigen2(b[0][0], b[0][1], b[1][1])
     mu = max(0.0, -lam1) + nu
     det = (max(lam1, 0.0) + nu) * (lam2 + mu)
+    if det == 0.0:
+        return [0.0, 0.0]
     a, c = b[0][0] + mu, b[1][1] + mu
     return [(b[0][1] * g[1] - c * g[0]) / det, (b[0][1] * g[0] - a * g[1]) / det]
 

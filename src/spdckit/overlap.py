@@ -35,6 +35,8 @@ crosses the branch cut of E1 on the negative real axis, and J picks up
 log(1/2 - p) - log(-1/2 - p) = 2 i atan(1 / (2 Im p)), written so that a
 far pole keeps its digits.
 
+g with g' and g'' has one evaluator, _scaled_e1: the values (_pole_term),
+the derivatives (_pole_jet) and validation's pole integrals all call it.
 Every scalar call stays scalar: a numpy version of one Upsilon costs far
 more than the Python one. The one array form is _pole_terms, the pole
 term over a whole optimizer presample, bit for bit _pole_term's.
@@ -128,22 +130,25 @@ class OverlapResult:
         return abs(self.i_value) ** 2
 
 
-def _scaled_e1(t: complex) -> complex:
-    """g(t) = e^t E1(t) on the principal branch of E1."""
-    if abs(t) <= _SERIES_MIN_ABS:
-        return cmath.exp(t) * complex(exp1(t))
-    return _asymptotic_jet(t)[0]
+def _scaled_e1(t: complex) -> tuple[complex, complex, complex]:
+    """g(t) = e^t E1(t) on the principal branch of E1, with g'(t) and g''(t).
 
-
-def _asymptotic_jet(t: complex) -> tuple[complex, complex, complex]:
-    """g(t), g'(t) and g''(t) for |t| > _SERIES_MIN_ABS.
-
-    g(t) ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51); the terms shrink while
-    n < |t|, so the cut at 1e-17 of the sum comes long before they grow.
-    As g' = g - 1/t and g'' = g' + 1/t^2, the derivatives are the tails of
-    the same sum from n = 1 and from n = 2, which cancel nothing.
+    Up to |t| = _SERIES_MIN_ABS, g is that product, and E1' = -e^{-t} / t
+    (A&S 5.1.26) gives g' = g - 1/t and g'' = g' + 1/t^2, where g'' loses
+    up to about eps |t|^2 relative, 6e-11 at the edge. Above it, and past
+    the float range, g ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51): the terms
+    shrink while n < |t|, long after the cut at 1e-17 of the sum, and g' and
+    g'' are its tails from n = 1 and from n = 2, which cancel nothing.
     """
+    try:
+        near = abs(t) <= _SERIES_MIN_ABS
+    except OverflowError:
+        near = False
     inv = 1.0 / t
+    if near:
+        g = cmath.exp(t) * complex(exp1(t))
+        g1 = g - inv
+        return g, g1, g1 + inv * inv
     term = total = inv
     tail1 = tail2 = 0j
     for n in range(1, 16):
@@ -157,28 +162,13 @@ def _asymptotic_jet(t: complex) -> tuple[complex, complex, complex]:
     return total, tail1, tail2
 
 
-def _scaled_e1_jet(t: complex) -> tuple[complex, complex, complex]:
-    """g(t) as _scaled_e1 gives it, with g' = g - 1/t and g'' = g' + 1/t^2.
-
-    E1'(t) = -e^{-t} / t (A&S 5.1.26) gives both derivatives. Below
-    _SERIES_MIN_ABS, g'' loses up to about eps |t|^2 relative to the
-    cancelling sum, 6e-11 at its edge.
-    """
-    if abs(t) > _SERIES_MIN_ABS:
-        return _asymptotic_jet(t)
-    g = cmath.exp(t) * complex(exp1(t))
-    inv = 1.0 / t
-    g1 = g - inv
-    return g, g1, g1 + inv * inv
-
-
 def _pole_term(kappa: float, y: float) -> tuple[float, float]:
     """K(y) = J(i y) / 2i for real y != 0, and the size of the terms in it."""
     if abs(kappa) < _KAPPA_ZERO:
         k = math.atan(0.5 / y)
         return k, abs(k)
     ky = kappa * y
-    k = (cmath.exp(0.5j * kappa) * _scaled_e1(complex(ky, -0.5 * kappa))).imag
+    k = (cmath.exp(0.5j * kappa) * _scaled_e1(complex(ky, -0.5 * kappa))[0]).imag
     size = abs(k)
     if ky < 0.0:
         # The path from t1 to t2 crossed the branch cut of E1.
@@ -195,8 +185,8 @@ def _pole_terms(kappa: np.ndarray, y: np.ndarray) -> np.ndarray:
     product from real and imaginary parts as Python's complex multiply
     does; numpy's own complex multiply and real exp round differently. The
     branch-cut term is taken per lane with math.exp. Lanes at
-    |kappa| < _KAPPA_ZERO or |t| > _SERIES_MIN_ABS go to _pole_term, so
-    that the kappa = 0 branch and the asymptotic series have one form each.
+    |kappa| < _KAPPA_ZERO or |t| > _SERIES_MIN_ABS go to _pole_term, so the
+    kappa = 0 branch and the asymptotic series of _scaled_e1 have one form.
     Only the E1 lanes are computed here, so kappa y cannot overflow: a
     lane with |kappa| > 1000 or |y| > 1e300 has |t| > 500.
     """
@@ -226,26 +216,6 @@ def _pole_terms(kappa: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ein_jet(s: complex) -> tuple[complex, complex, complex]:
-    """Ein(s) = Int_0^s (1 - e^{-u}) / u du with its first two derivatives.
-
-    Ein is entire: with a_j = (-s)^j / (j + 1)!, Ein' = sum a_j,
-    Ein = s sum a_j / (j + 1) and Ein'' = -sum (j + 1) a_j / (j + 2). For
-    |s| < _JET_SERIES_MAX_ABS the terms fall below 1e-17 within 19.
-    """
-    a = 1.0 + 0j
-    d0 = d1 = a
-    d2 = 0.5 * a
-    for j in range(1, 20):
-        a *= -s / (j + 1)
-        d0 += a / (j + 1)
-        d1 += a
-        d2 += (j + 1) * a / (j + 2)
-        if abs(a) <= 1e-17:
-            break
-    return s * d0, d1, -d2
-
-
 def _pole_jet(kappa: float, y: float) -> tuple[float, tuple[float, ...]]:
     """K(kappa, y) of _pole_term with (K_k, K_y, K_kk, K_ky, K_yy).
 
@@ -267,9 +237,10 @@ def _pole_jet(kappa: float, y: float) -> tuple[float, tuple[float, ...]]:
     if abs(y) >= _MOMENT_MIN_ABS_Y:
         return _pole_term(kappa, y)[0], _moment_jet(kappa, y)
     t = complex(kappa * y, -0.5 * kappa)
-    if abs(t) < _JET_SERIES_MAX_ABS:
+    # As |t| >= |kappa| / 2, the first test decides wherever |t| could overflow.
+    if abs(kappa) < 2.0 * _JET_SERIES_MAX_ABS and abs(t) < _JET_SERIES_MAX_ABS:
         return _pole_term(kappa, y)[0], _entire_jet(kappa, y, t)
-    g, g1, g2 = _scaled_e1_jet(t)
+    g, g1, g2 = _scaled_e1(t)
     w = complex(y, -0.5)
     rot = cmath.exp(0.5j * kappa)
     k = (rot * g).imag
@@ -287,8 +258,6 @@ def _pole_jet(kappa: float, y: float) -> tuple[float, tuple[float, ...]]:
         d_kk -= y * y * cut
         d_ky -= (1.0 + ky) * cut
         d_yy -= kappa * kappa * cut
-    if abs(kappa) < _KAPPA_ZERO:
-        k = math.atan(0.5 / y)  # _pole_term's value there, for a far pole
     return k, (d_k, d_y, d_kk, d_ky, d_yy)
 
 
@@ -297,9 +266,21 @@ def _entire_jet(kappa: float, y: float, t: complex) -> tuple[float, ...]:
 
     That form follows from J(p) = e^{-i kappa p} Int e^{-i kappa u} / u du
     over u from -1/2 - p to 1/2 - p. It is entire in kappa, holds on both
-    sides of the branch cut and cancels nothing at small |t|.
+    sides of the branch cut and cancels nothing at small |t|. With
+    a_j = (-t)^j / (j + 1)!, Ein(t) = Int_0^t (1 - e^{-u}) / u du is
+    t sum a_j / (j + 1), Ein' = sum a_j and Ein'' = -sum (j + 1) a_j / (j + 2);
+    for |t| < _JET_SERIES_MAX_ABS the terms fall below 1e-17 within 19.
     """
-    ein, ein1, ein2 = _ein_jet(t)
+    a = d0 = d1 = 1.0 + 0j
+    d2 = 0.5 * a
+    for j in range(1, 20):
+        a *= -t / (j + 1)
+        d0 += a / (j + 1)
+        d1 += a
+        d2 += (j + 1) * a / (j + 2)
+        if abs(a) <= 1e-17:
+            break
+    ein, ein1, ein2 = t * d0, d1, -d2
     w = complex(y, -0.5)
     q = 4.0 * y * y + 1.0
     b = math.atan(0.5 / y) + ein.imag

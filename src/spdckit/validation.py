@@ -152,7 +152,7 @@ def _pole_integrals(kappa: float, p: np.ndarray) -> np.ndarray:
     near = np.abs(t) <= overlap._SERIES_MIN_ABS
     g = np.exp(np.where(near, t, 0.0)) * special.exp1(np.where(near, t, 1.0))
     for j in zip(*np.nonzero(~near)):
-        g[j] = overlap._scaled_e1(complex(t[j]))
+        g[j] = overlap._scaled_e1(complex(t[j]))[0]
     value = cmath.exp(0.5j * kappa) * g[0] - cmath.exp(-0.5j * kappa) * g[1]
     cut = (kappa * p.imag < 0.0) & (np.abs(p.real) < 0.5)
     jump = 2j * math.copysign(math.pi, kappa) * np.exp(-1j * kappa * np.where(cut, p, 0.0))

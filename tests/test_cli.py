@@ -320,6 +320,17 @@ def test_optimize_bad_box_is_a_usage_error(capsys, monkeypatch, options, message
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "options", [["--kappa-min", "-8e307", "--kappa-max", "8e307"], ["--zeta-max", "1e200"]]
+)
+def test_optimize_on_a_box_near_the_float_range_returns_a_result(capsys, options):
+    # These used to end in an OverflowError (|t| of a pole term) and a
+    # ZeroDivisionError (an underflowed Newton determinant) traceback.
+    assert main(["optimize", "--rk", "0.1", *options]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "best_kappa" in out.out
+
+
 def test_exponent_form_negative_values_are_values(capsys):
     # argparse's own negative-number pattern has no exponent, so
     # "--kappa-min -1e3" used to exit 2 with "expected one argument".

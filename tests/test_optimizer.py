@@ -20,7 +20,13 @@ from spdckit.optimizer import (
     optimize_focus,
     sweep,
 )
-from spdckit.quantities import CrystalSpec, OpticalWave, WaveTriple, derive_focus_params
+from spdckit.quantities import (
+    CrystalSpec,
+    FocusParams,
+    OpticalWave,
+    WaveTriple,
+    derive_focus_params,
+)
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -342,12 +348,15 @@ _DERIVATIVE_GRID = list(
         [0.0, 0.29, -0.29, 0.9, -0.9],
     )
 )
+_DERIVATIVE_POLES = [
+    (k, y) for k, z, r in _DERIVATIVE_GRID for y in ([z] if r == 0 else [z, -z / r])
+]
 
 
 def test_derivative_grid_covers_every_branch():
     from spdckit import overlap
 
-    poles = [(k, y) for k, z, r in _DERIVATIVE_GRID for y in ([z] if r == 0 else [z, -z / r])]
+    poles = _DERIVATIVE_POLES
     assert any(abs(y) >= overlap._MOMENT_MIN_ABS_Y for k, y in poles)
     # The E1 and Ein forms take the other poles.
     poles = [(k, y) for k, y in poles if abs(y) < overlap._MOMENT_MIN_ABS_Y]
@@ -393,7 +402,8 @@ _BATCH_RKS = [0.0, 0.29, -0.29, 0.9, -0.9, 5e-324, -5e-324]
 
 def _pole_grid():
     """(kappa, y) reaching every lane of _pole_terms: both sides of the cut,
-    |t| above _SERIES_MIN_ABS, |kappa| below _KAPPA_ZERO, a far pole at inf."""
+    |t| above _SERIES_MIN_ABS, |kappa| below _KAPPA_ZERO, a far pole at inf,
+    and |kappa| near the float range, where kappa y is finite but |t| is not."""
     from spdckit import overlap
 
     rng = np.random.default_rng(33)
@@ -413,7 +423,7 @@ def _pole_grid():
     assert (np.abs(kappa) < overlap._KAPPA_ZERO).any() and (~finite).any()
     ky = kappa[finite] * y[finite]
     assert (ky < 0.0).any() and (ky > 0.0).any()
-    return kappa, y
+    return np.append(kappa, [1.7e308, -1.7e308]), np.append(y, [1.0, 1.0])
 
 
 def test_pole_terms_equal_the_scalar_pole_term_bit_for_bit():
@@ -424,6 +434,27 @@ def test_pole_terms_equal_the_scalar_pole_term_bit_for_bit():
     want = [overlap._pole_term(k, v)[0] for k, v in zip(kappa.tolist(), y.tolist())]
     assert got.tolist() == want
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_pole_jet_value_is_the_pole_term_bit_for_bit():
+    # The presample's values come from _pole_term and the refine's from
+    # _pole_jet; each refine's first call repeats its presample best.
+    from spdckit import overlap
+
+    kappa, y = _pole_grid()
+    for k, v in [*zip(kappa.tolist(), y.tolist()), *_DERIVATIVE_POLES]:
+        got, want = overlap._pole_jet(k, v)[0], overlap._pole_term(k, v)[0]
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (k, v)
+
+
+def test_kappa_near_the_float_range_gives_a_finite_merit():
+    # kappa y and kappa / 2 are finite here, but |t| = |kappa (y - i/2)|
+    # overflowed in Python's complex abs and raised OverflowError.
+    from spdckit import overlap
+
+    assert math.isfinite(overlap.upsilon(FocusParams(1.7e308, 1.0, 0.0)).value.real)
+    assert math.isfinite(focusing_objective(-1.7e308, 1.0, 0.3))
+    assert math.isfinite(overlap._pole_jet(1.7e308, 1.0)[0])
 
 
 @pytest.mark.parametrize("r_k", _BATCH_RKS)
@@ -620,6 +651,22 @@ def test_damped_step_solves_the_shifted_newton_system(g, b, nu):
     assert np.abs(np.subtract(p, want)).max() <= 1e-12 * np.abs(want).max()
     assert np.dot(g, p) < 0.0
     assert math.hypot(*p) <= math.hypot(*g) / nu * (1.0 + 1e-12)
+
+
+def test_damped_step_takes_no_step_where_its_determinant_underflows():
+    # From a zeta_R box of span 1e300: (lam1 + mu)(lam2 + mu) ~ 1.4e-599 is
+    # 0.0, and so are both numerators; the division used to raise.
+    p = optimizer._damped_step([-2.34e-301, -0.0], [[-3.56e-300, -0.0], [-0.0, -0.0]], 2.34e-300)
+    assert p == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("zeta_bounds", [(0.01, 1e300), (1e300, 1e301)])
+def test_a_zeta_box_near_the_float_range_returns_a_result_in_it(zeta_bounds):
+    (k_lo, k_hi), (z_lo, z_hi) = (-20.0, 5.0), zeta_bounds
+    result = optimize_focus(0.1, zeta_bounds=zeta_bounds)
+    assert result.trace
+    for kappa, zeta_r, objective in result.trace:
+        assert k_lo <= kappa <= k_hi and z_lo <= zeta_r <= z_hi and math.isfinite(objective)
 
 
 def test_refine_stops_uncertified_on_a_saddle():
