@@ -135,10 +135,10 @@ def _scaled_e1(t: complex) -> tuple[complex, complex, complex]:
 
     Up to |t| = _SERIES_MIN_ABS, g is that product, and E1' = -e^{-t} / t
     (A&S 5.1.26) gives g' = g - 1/t and g'' = g' + 1/t^2, where g'' loses
-    up to about eps |t|^2 relative, 6e-11 at the edge. Above it, and past
-    the float range, g ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51): the terms
-    shrink while n < |t|, long after the cut at 1e-17 of the sum, and g' and
-    g'' are its tails from n = 1 and from n = 2, which cancel nothing.
+    up to about eps |t|^2 relative, 6e-11 at the edge. Above it, and where
+    |t| overflows, g ~ sum_n (-1)^n n! / t^(n+1) (A&S 5.1.51), whose terms
+    shrink while n < |t|: the cut at 1e-17 of the sum comes long before
+    they grow. g' and g'' are its tails from n = 1 and 2; they cancel nothing.
     """
     try:
         near = abs(t) <= _SERIES_MIN_ABS
